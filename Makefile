@@ -1,13 +1,14 @@
 # Tier-1 verification is one command: `make check` runs everything the
 # driver gates on (vet, build, full tests under the race detector) plus a
-# one-iteration benchmark smoke so a broken benchmark harness fails fast.
+# one-iteration benchmark smoke and the perfbench module's vet and tests,
+# so a broken benchmark harness fails fast.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench-smoke bench bench-scaling golden-update fuzz-smoke serve-smoke stress-smoke replica-smoke lint lint-invariants
+.PHONY: check vet build test race bench-smoke perfbench-check bench bench-scaling golden-update fuzz-smoke serve-smoke stress-smoke replica-smoke lint lint-invariants
 
-check: vet build lint-invariants race bench-smoke
+check: vet build lint-invariants race bench-smoke perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +36,12 @@ race:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EstimatorPathApprox$$|EstimatorDodin$$|SimulatorTrial$$' -benchtime 1x -benchmem .
+
+# perfbench/ is a Go module of its own (repro/perfbench, replace repro
+# => ../), so the root ./... patterns skip it: vet and test it here so a
+# change to the Service API it drives cannot break it silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep, recorded as BENCH_<i>.json (see bench.sh).
 bench:

@@ -41,10 +41,8 @@ type JobResult struct {
 	// Key is the canonical scenario hash (empty when validation failed).
 	Key string
 	// Outcome reports how the cache answered (hit, structure-hit or
-	// miss); Hit is its two-valued projection, kept for callers of the
-	// pre-split API.
+	// miss).
 	Outcome CacheOutcome
-	Hit     bool
 	// Plan is the solved plan (all kinds plan first).
 	Plan *Plan
 	// Estimate is the expected makespan of a JobEstimate.
@@ -107,6 +105,5 @@ func (s *Service) runJob(ctx context.Context, j Job) JobResult {
 	default:
 		r.Plan, r.Outcome, r.Err = s.planGated(ctx, j.Scenario, r.Key)
 	}
-	r.Hit = r.Outcome.Hit()
 	return r
 }

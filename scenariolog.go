@@ -217,7 +217,7 @@ func (s *Service) warmPool(ctx context.Context, workers int) (chan<- Scenario, f
 	return ch, wait
 }
 
-// warmOne plans one replayed scenario straight through the shard cache
+// warmOne plans one replayed scenario straight through the plan cache
 // (no admission gate, no request budget — see the worker loop above).
 func warmOne(ctx context.Context, s *Service, sc Scenario) error {
 	if err := sc.Validate(); err != nil {

@@ -65,8 +65,8 @@ func TestScenarioLogRecordWarmRoundtrip(t *testing.T) {
 			if err := json.Unmarshal([]byte(line), &req); err != nil {
 				t.Fatalf("log line %q: %v", line, err)
 			}
-			if _, hit, err := fresh.PlanCached(ctx, req.Scenario()); err != nil || !hit {
-				t.Fatalf("workers=%d: scenario %s not warm (hit=%v, err=%v)", workers, line, hit, err)
+			if _, outcome, err := fresh.PlanDetail(ctx, req.Scenario()); err != nil || outcome != CacheHit {
+				t.Fatalf("workers=%d: scenario %s not warm (outcome=%q, err=%v)", workers, line, outcome, err)
 			}
 		}
 	}

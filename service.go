@@ -1,12 +1,10 @@
 package hanccr
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -48,11 +46,6 @@ const (
 	CacheMiss CacheOutcome = "miss"
 )
 
-// Hit reports whether the outcome is a full cache hit — the bool the
-// pre-split API exposed, kept for callers that only care whether the
-// plan was computed by their call.
-func (o CacheOutcome) Hit() bool { return o == CacheHit }
-
 // DefaultInFlightPerCore sets the default admission bound to
 // DefaultInFlightPerCore × GOMAXPROCS concurrently executing requests
 // (WithMaxInFlight overrides it). Every admitted request is CPU-bound
@@ -62,21 +55,27 @@ func (o CacheOutcome) Hit() bool { return o == CacheHit }
 // bound.
 const DefaultInFlightPerCore = 16
 
-// Service is a long-lived, goroutine-safe planner: Plan requests are
-// answered from a bounded LRU of solved scenarios keyed by the
-// canonical scenario hash (Scenario.Key). The LRU is split into
-// hash-addressed shards — each with its own lock, recency list and
-// hit/miss counters — so concurrent traffic on distinct scenarios
-// never serializes on one mutex. Planning itself reuses the
-// process-wide generator memo (pegasus.CachedGenerate under the hood)
-// and each cached plan keeps an evaluator pool for its segment DAG, so
-// concurrent estimate traffic on one plan does not allocate.
+// Service is a long-lived, goroutine-safe planner with two cache
+// levels, both instances of one sharded singleflight LRU type
+// (flightCache). Plan requests are answered from a bounded LRU of
+// solved plans keyed by the canonical scenario hash (Scenario.Key).
+// Under it, a structure-keyed LRU of planning scaffolds (materialized
+// workflow plus Algorithm 1 schedule, keyed by Scenario.StructureKey)
+// lets a parameter variant of a known structure re-run only the
+// parameter tail. Planning reuses the process-wide generator memo
+// (pegasus.CachedGenerate under the hood) and each cached plan keeps
+// an evaluator pool for its segment DAG, so concurrent estimate
+// traffic on one plan does not allocate.
 //
-// Concurrent requests for the same cold scenario are coalesced inside
-// its shard: one goroutine plans, the rest wait and share the result.
-// Failed plans are not cached. Eviction is per shard (least recently
-// used within the shard), so the configured capacity is an upper bound
-// distributed across shards, not a single global recency order.
+// Each level is split into hash-addressed shards with their own lock
+// and recency list, so concurrent traffic on distinct keys never
+// serializes on one mutex. Concurrent requests for the same cold key
+// coalesce onto one flight; failed flights are not cached. Eviction is
+// per shard, so the configured capacity is an upper bound distributed
+// across shards, not a single global recency order. Compare is three
+// strategy-pinned plan requests: strategy is part of the plan key but
+// not of the structure key, so the three share one scaffold — one
+// Algorithm 1 schedule, as the paper's comparison requires.
 //
 // Admission is bounded: at most WithMaxInFlight requests execute at
 // once (planning, waiting on a coalesced cold plan, estimating or
@@ -84,20 +83,20 @@ const DefaultInFlightPerCore = 16
 // is shed immediately with ErrOverloaded — the gate never queues. An
 // optional WithRequestTimeout wraps every admitted request in a
 // server-side context deadline so one pathological scenario cannot
-// hold an admission slot (or a shard's singleflight) forever; waiters
-// whose own context is still live already retry when a flight dies of
-// its initiator's cancellation, so the two compose.
+// hold an admission slot (or a cache flight) forever; waiters whose
+// own context is still live already retry when a flight dies of its
+// initiator's cancellation, so the two compose.
 type Service struct {
-	shards []*shard
+	// plans is the solved-plan LRU; hits and misses count its lookups
+	// (a store rehydration is neither, see storeHits).
+	plans  *flightCache[cachedPlan]
+	hits   atomic.Uint64
+	misses atomic.Uint64
 
-	// scaffolds is the second, structure-keyed cache level under the
-	// plan LRU (nil when the fast path is disabled): per-shard LRUs of
-	// immutable planScaffolds keyed by Scenario.StructureKey, each with
-	// its own singleflight, so a parameter-variant request reuses the
-	// materialized workflow and Algorithm 1 schedule and re-runs only
-	// the planning tail. structureHits counts plan-cache misses
-	// answered that way.
-	scaffolds     []*scaffoldShard
+	// scaffolds is the structure-keyed level under the plan LRU (nil
+	// when the fast path is disabled). structureHits counts plan misses
+	// answered from a resident scaffold.
+	scaffolds     *flightCache[*planScaffold]
 	structureHits atomic.Uint64
 
 	// maxInFlight is the admission bound; inflight the gauge of
@@ -133,56 +132,12 @@ type Service struct {
 	logf func(string, ...any)
 }
 
-// shard is one lock domain of the plan LRU.
-type shard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	hits    uint64
-	misses  uint64
-}
-
-// cacheEntry is one LRU slot; once coalesces concurrent cold requests,
-// done flips (inside the once) when plan/err are safe to read without
-// entering the once. outcome records how the initiator filled the
-// entry (miss or structure-hit); coalesced waiters report a hit.
-type cacheEntry struct {
-	key     string
-	once    sync.Once
-	done    atomic.Bool
+// cachedPlan is one plan-cache value: the plan and how its flight
+// filled it (miss or structure-hit); callers that share a resident or
+// coalesced entry report a hit instead.
+type cachedPlan struct {
 	plan    *Plan
-	err     error
 	outcome CacheOutcome
-}
-
-// scaffoldShard is one lock domain of the structure-scaffold LRU,
-// mirroring the plan cache's shape: per-shard lock, recency list and
-// singleflight via the entries' once.
-type scaffoldShard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-}
-
-// scaffoldEntry is one scaffold slot; once coalesces concurrent builds
-// of the same structure.
-type scaffoldEntry struct {
-	key  string
-	once sync.Once
-	sf   *planScaffold
-	err  error
-}
-
-// evictLocked trims the scaffold shard to its capacity. Caller holds
-// sh.mu.
-func (sh *scaffoldShard) evictLocked() {
-	for sh.order.Len() > sh.cap {
-		last := sh.order.Back()
-		sh.order.Remove(last)
-		delete(sh.entries, last.Value.(*scaffoldEntry).key)
-	}
 }
 
 // ServiceOption configures a Service.
@@ -342,12 +297,8 @@ func NewService(opts ...ServiceOption) *Service {
 	} else {
 		cfg.planner = NewPlan
 	}
-	perShard := (cfg.capacity + cfg.shards - 1) / cfg.shards
-	if perShard < 1 {
-		perShard = 1
-	}
 	s := &Service{
-		shards:      make([]*shard, cfg.shards),
+		plans:       newFlightCache[cachedPlan](cfg.capacity, cfg.shards),
 		maxInFlight: int64(cfg.maxInFlight),
 		timeout:     cfg.timeout,
 		planner:     cfg.planner,
@@ -355,18 +306,7 @@ func NewService(opts ...ServiceOption) *Service {
 		logf:        cfg.logf,
 	}
 	if cfg.structureCache > 0 {
-		perScaffoldShard := (cfg.structureCache + cfg.shards - 1) / cfg.shards
-		if perScaffoldShard < 1 {
-			perScaffoldShard = 1
-		}
-		s.scaffolds = make([]*scaffoldShard, cfg.shards)
-		for i := range s.scaffolds {
-			s.scaffolds[i] = &scaffoldShard{
-				cap:     perScaffoldShard,
-				entries: make(map[string]*list.Element),
-				order:   list.New(),
-			}
-		}
+		s.scaffolds = newFlightCache[*planScaffold](cfg.structureCache, cfg.shards)
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -380,13 +320,6 @@ func NewService(opts ...ServiceOption) *Service {
 			s.storeErr = fmt.Errorf("open plan store %s: %w", cfg.storeDir, err)
 		} else {
 			s.store = st
-		}
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			cap:     perShard,
-			entries: make(map[string]*list.Element),
-			order:   list.New(),
 		}
 	}
 	return s
@@ -463,38 +396,12 @@ func (s *Service) do(ctx context.Context, op func(ctx context.Context) error) er
 	return err
 }
 
-// shardFor maps a canonical scenario key onto its shard (FNV-1a over
-// the key bytes). The key is already a uniform SHA-256 hex digest, so
-// any stable mixing spreads load evenly.
-func (s *Service) shardFor(key string) *shard {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return s.shards[h%uint32(len(s.shards))]
-}
-
-// scaffoldShardFor maps a structure key onto its scaffold shard (same
-// FNV-1a mix as shardFor; the two caches shard independently because
-// their key spaces are unrelated).
-func (s *Service) scaffoldShardFor(key string) *scaffoldShard {
-	if len(s.scaffolds) == 1 {
-		return s.scaffolds[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return s.scaffolds[h%uint32(len(s.scaffolds))]
-}
-
-// Stats is a point-in-time snapshot of the cache and admission gate,
-// aggregated across shards.
+// Stats is a point-in-time snapshot of the two cache levels, the
+// admission gate and the store. Entries and Capacity are summed over
+// the plan cache's shards (each holds Capacity/Shards plans); Hits and
+// Misses count its lookups: a hit is a request answered by a resident
+// or coalesced plan, a miss one whose flight ran the planner (a
+// structure-hit is a miss that reused a scaffold).
 type Stats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
@@ -531,12 +438,13 @@ type Stats struct {
 	Compactions  uint64 `json:"compactions"`
 }
 
-// Stats returns the cache counters summed over every shard (Capacity
-// is the total across shards; each shard holds Capacity/Shards plans)
-// plus the admission gate's gauge and shed/deadline counters.
+// Stats returns the cache counters, the admission gate's gauge and
+// shed/deadline counters, and the store's state.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Shards:          len(s.shards),
+		Hits:            s.hits.Load(),
+		Misses:          s.misses.Load(),
+		Shards:          len(s.plans.shards),
 		MaxInFlight:     int(s.maxInFlight),
 		Shed:            s.shed.Load(),
 		DeadlineExpired: s.expired.Load(),
@@ -551,20 +459,10 @@ func (s *Service) Stats() Stats {
 	if in := s.inflight.Load(); in > 0 {
 		st.InFlight = int(in)
 	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Entries += sh.order.Len()
-		st.Capacity += sh.cap
-		sh.mu.Unlock()
-	}
+	st.Entries, st.Capacity = s.plans.size()
 	st.StructureHits = s.structureHits.Load()
-	for _, sh := range s.scaffolds {
-		sh.mu.Lock()
-		st.StructureEntries += sh.order.Len()
-		st.StructureCapacity += sh.cap
-		sh.mu.Unlock()
+	if s.scaffolds != nil {
+		st.StructureEntries, st.StructureCapacity = s.scaffolds.size()
 	}
 	return st
 }
@@ -573,18 +471,8 @@ func (s *Service) Stats() Stats {
 // plans are deterministic replays of the cold path, so a hit is
 // bit-identical to a miss.
 func (s *Service) Plan(ctx context.Context, sc Scenario) (*Plan, error) {
-	p, _, err := s.PlanCached(ctx, sc)
+	p, _, err := s.PlanDetail(ctx, sc)
 	return p, err
-}
-
-// PlanCached is Plan plus a flag reporting whether the plan was already
-// resident (true) or computed by this call (false). Waiters coalesced
-// onto another goroutine's in-flight computation report a hit. A
-// structure-hit reports false — the plan was computed by this call;
-// PlanDetail exposes the full three-valued outcome.
-func (s *Service) PlanCached(ctx context.Context, sc Scenario) (*Plan, bool, error) {
-	p, outcome, err := s.PlanDetail(ctx, sc)
-	return p, outcome.Hit(), err
 }
 
 // PlanDetail is Plan plus the three-valued cache outcome: CacheHit
@@ -654,69 +542,34 @@ func (s *Service) simulateForKey(ctx context.Context, sc Scenario, key string, o
 // already computed (HTTP handlers reuse it for the response instead of
 // hashing a potentially multi-megabyte injected document twice).
 func (s *Service) planForKey(ctx context.Context, sc Scenario, key string) (*Plan, CacheOutcome, error) {
-	sh := s.shardFor(key)
-	for {
-		sh.mu.Lock()
-		el, hit := sh.entries[key]
-		var e *cacheEntry
-		if hit {
-			sh.order.MoveToFront(el)
-			e = el.Value.(*cacheEntry)
-			sh.hits++
-		} else {
-			e = &cacheEntry{key: key}
-			sh.entries[key] = sh.order.PushFront(e)
-			sh.evictLocked()
+	v, resident, err := s.plans.get(ctx, key, func(ctx context.Context) (cachedPlan, error) {
+		// Try the persistent store before paying for a planner run: an
+		// evicted (or restart-lost) plan rehydrates from disk as a store
+		// hit, and only a genuinely unknown scenario counts as a miss.
+		// The write-through on success is what fills the store in the
+		// first place.
+		if p, ok := s.storeLoad(ctx, key); ok {
+			s.storeHits.Add(1)
+			return cachedPlan{p, CacheMiss}, nil
 		}
-		sh.mu.Unlock()
-
-		e.once.Do(func() {
-			// Try the persistent store before paying for a planner run:
-			// an evicted (or restart-lost) plan rehydrates from disk as a
-			// store hit, and only a genuinely unknown scenario counts as
-			// a miss. The write-through on success is what fills the
-			// store in the first place.
-			e.outcome = CacheMiss
-			if p, ok := s.storeLoad(ctx, key); ok {
-				s.storeHits.Add(1)
-				e.plan = p
-			} else {
-				sh.mu.Lock()
-				sh.misses++
-				sh.mu.Unlock()
-				e.plan, e.outcome, e.err = s.planCold(ctx, sc)
-				if e.err == nil {
-					s.storePut(key, e.plan)
-				}
-			}
-			e.done.Store(true)
-		})
-		if e.err == nil {
-			if hit {
-				// Resident entry, or coalesced onto another goroutine's
-				// flight: served from memory either way.
-				return e.plan, CacheHit, nil
-			}
-			return e.plan, e.outcome, nil
+		s.misses.Add(1)
+		p, outcome, err := s.planCold(ctx, sc)
+		if err != nil {
+			return cachedPlan{}, err
 		}
-		// Do not cache failures (the first caller's ctx may simply have
-		// been cancelled); drop the entry if it is still resident.
-		sh.mu.Lock()
-		if cur, ok := sh.entries[key]; ok && cur.Value.(*cacheEntry) == e {
-			sh.order.Remove(cur)
-			delete(sh.entries, key)
-		}
-		sh.mu.Unlock()
-		// A coalesced flight runs under its initiator's context. If the
-		// failure is that context's cancellation while OUR context is
-		// still live, the error is not ours — retry as the new initiator
-		// rather than failing a healthy request.
-		if ctx.Err() == nil &&
-			(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			continue
-		}
-		return nil, CacheMiss, e.err
+		s.storePut(key, p)
+		return cachedPlan{p, outcome}, nil
+	})
+	switch {
+	case err != nil:
+		return nil, CacheMiss, err
+	case resident:
+		// Resident entry, or coalesced onto another goroutine's
+		// successful flight: served from memory either way.
+		s.hits.Add(1)
+		return v.plan, CacheHit, nil
 	}
+	return v.plan, v.outcome, nil
 }
 
 // planCold computes a plan that is neither resident nor stored. With
@@ -732,7 +585,11 @@ func (s *Service) planCold(ctx context.Context, sc Scenario) (*Plan, CacheOutcom
 		p, err := s.planner(ctx, sc)
 		return p, CacheMiss, err
 	}
-	sf, resident, err := s.scaffoldFor(ctx, sc)
+	// A coalesced wait on another variant's build counts as resident:
+	// it shared the build exactly like a plan cache's coalesced hit.
+	sf, resident, err := s.scaffolds.get(ctx, sc.StructureKey(), func(ctx context.Context) (*planScaffold, error) {
+		return buildScaffold(ctx, sc)
+	})
 	if err != nil {
 		return nil, CacheMiss, err
 	}
@@ -746,61 +603,6 @@ func (s *Service) planCold(ctx context.Context, sc Scenario) (*Plan, CacheOutcom
 		return nil, CacheMiss, err
 	}
 	return p, outcome, nil
-}
-
-// scaffoldFor returns the scaffold for sc's structure, building it at
-// most once per structure key (concurrent parameter variants of one
-// cold structure coalesce onto a single materialize+Algorithm 1 run).
-// resident reports whether the scaffold already existed — true also
-// for a coalesced wait, which shared the build exactly like a plan
-// cache's coalesced hit. Failed builds are dropped, and a flight that
-// died of its initiator's cancellation is retried by live waiters,
-// mirroring planForKey.
-func (s *Service) scaffoldFor(ctx context.Context, sc Scenario) (*planScaffold, bool, error) {
-	key := sc.StructureKey()
-	sh := s.scaffoldShardFor(key)
-	for {
-		sh.mu.Lock()
-		el, resident := sh.entries[key]
-		var e *scaffoldEntry
-		if resident {
-			sh.order.MoveToFront(el)
-			e = el.Value.(*scaffoldEntry)
-		} else {
-			e = &scaffoldEntry{key: key}
-			sh.entries[key] = sh.order.PushFront(e)
-			sh.evictLocked()
-		}
-		sh.mu.Unlock()
-
-		e.once.Do(func() {
-			e.sf, e.err = buildScaffold(ctx, sc)
-		})
-		if e.err == nil {
-			return e.sf, resident, nil
-		}
-		sh.mu.Lock()
-		if cur, ok := sh.entries[key]; ok && cur.Value.(*scaffoldEntry) == e {
-			sh.order.Remove(cur)
-			delete(sh.entries, key)
-		}
-		sh.mu.Unlock()
-		if ctx.Err() == nil &&
-			(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			continue
-		}
-		return nil, false, e.err
-	}
-}
-
-// evictLocked trims the shard to its capacity, dropping the least
-// recently used entries. Caller holds sh.mu.
-func (sh *shard) evictLocked() {
-	for sh.order.Len() > sh.cap {
-		last := sh.order.Back()
-		sh.order.Remove(last)
-		delete(sh.entries, last.Value.(*cacheEntry).key)
-	}
 }
 
 // Estimate plans sc through the cache and evaluates it with the given
@@ -824,114 +626,26 @@ func (s *Service) Simulate(ctx context.Context, sc Scenario, opts ...SimOption) 
 	return res, err
 }
 
-// Compare plans and evaluates the three paper strategies for sc. When
-// all three per-strategy plans are resident (the scenario with its
-// strategy pinned is the cache key) they are served from the LRU;
-// otherwise one shared-schedule Compare runs — the paper's semantics,
-// one sched.Allocate for all three strategies — and its plans seed the
-// cache for later single-strategy requests.
+// Compare plans and evaluates the three paper strategies for sc as
+// three strategy-pinned plan requests through the cache. Strategy is
+// part of the plan key but not of the structure key, so a cold Compare
+// builds one scaffold (one Algorithm 1 schedule, the paper's shared
+// schedule) and answers the other two strategies from it: one miss and
+// two structure-hits, each plan bit-identical to the facade Compare's.
+// Each request claims its own admission slot and request budget.
 func (s *Service) Compare(ctx context.Context, sc Scenario) (*Comparison, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	strategies := []Strategy{CkptSome, CkptAll, CkptNone}
-	keys := make([]string, len(strategies))
-	for i, st := range strategies {
+	var plans [3]*Plan
+	for i, st := range [...]Strategy{CkptSome, CkptAll, CkptNone} {
 		pinned := sc
 		pinned.strategy = st
-		keys[i] = pinned.Key()
-	}
-	if plans, ok := s.lookupAll(keys); ok {
-		return &Comparison{Some: plans[0], All: plans[1], None: plans[2]}, nil
-	}
-	var cmp *Comparison
-	err := s.do(ctx, func(ctx context.Context) error {
-		var cerr error
-		cmp, cerr = Compare(ctx, sc)
-		return cerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range []*Plan{cmp.Some, cmp.All, cmp.None} {
-		s.seed(keys[i], p)
-	}
-	return cmp, nil
-}
-
-// lookupAll returns the completed plans for every key, or ok=false if
-// any is missing, in flight, or failed. Hits are only counted when the
-// whole set is warm. Each key's shard is locked on its own — plans are
-// immutable once done, so no cross-shard atomicity is needed for the
-// answer to be correct.
-func (s *Service) lookupAll(keys []string) ([]*Plan, bool) {
-	plans := make([]*Plan, len(keys))
-	for i, key := range keys {
-		sh := s.shardFor(key)
-		sh.mu.Lock()
-		el, ok := sh.entries[key]
-		if !ok {
-			sh.mu.Unlock()
-			return nil, false
+		p, _, err := s.planGated(ctx, pinned, pinned.Key())
+		if err != nil {
+			return nil, err
 		}
-		e := el.Value.(*cacheEntry)
-		if !e.done.Load() || e.err != nil {
-			sh.mu.Unlock()
-			return nil, false
-		}
-		plans[i] = e.plan
-		sh.mu.Unlock()
+		plans[i] = p
 	}
-	for _, key := range keys {
-		sh := s.shardFor(key)
-		sh.mu.Lock()
-		// Only a still-resident entry counts as a hit: the answer is
-		// served from memory either way, but the counters should not
-		// exceed what the cache actually held at touch time.
-		if el, ok := sh.entries[key]; ok {
-			sh.order.MoveToFront(el)
-			sh.hits++
-		}
-		sh.mu.Unlock()
-	}
-	return plans, true
-}
-
-// seed inserts an already-computed plan under key, unless an entry for
-// the key exists (a racing in-flight computation keeps its waiters).
-// The plan was computed by this call, so it counts as a miss and is
-// written through to the store like any other planner result.
-func (s *Service) seed(key string, p *Plan) {
-	s.storePut(key, p)
-	e := &cacheEntry{key: key, plan: p}
-	e.once.Do(func() {})
-	e.done.Store(true)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[key]; ok {
-		return
-	}
-	sh.entries[key] = sh.order.PushFront(e)
-	sh.misses++
-	sh.evictLocked()
-}
-
-// place inserts a plan rehydrated from the persistent store without
-// touching the hit/miss counters — a boot-time load is neither served
-// traffic nor a planner run. It reports whether the plan became
-// resident (false when the key already has an entry).
-func (s *Service) place(key string, p *Plan) bool {
-	e := &cacheEntry{key: key, plan: p}
-	e.once.Do(func() {})
-	e.done.Store(true)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[key]; ok {
-		return false
-	}
-	sh.entries[key] = sh.order.PushFront(e)
-	sh.evictLocked()
-	return true
+	return &Comparison{Some: plans[0], All: plans[1], None: plans[2]}, nil
 }

@@ -1,11 +1,14 @@
 package hanccr
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // smallScenario is a cheap-to-plan cell used by the service tests.
@@ -24,18 +27,18 @@ func TestServiceCacheHitBitIdentical(t *testing.T) {
 	svc := NewService()
 	sc := smallScenario("genome", 7, CkptSome)
 
-	cold, hit, err := svc.PlanCached(ctx, sc)
+	cold, outcome, err := svc.PlanDetail(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if outcome == CacheHit {
 		t.Fatal("first request reported a cache hit")
 	}
-	warm, hit, err := svc.PlanCached(ctx, sc)
+	warm, outcome, err := svc.PlanDetail(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if outcome != CacheHit {
 		t.Fatal("second request missed the cache")
 	}
 	if warm != cold {
@@ -82,7 +85,7 @@ func TestServiceLRUEviction(t *testing.T) {
 		}
 	}
 	// Touch a so b is the LRU victim when c arrives.
-	if _, hit, _ := svc.PlanCached(ctx, a); !hit {
+	if _, outcome, _ := svc.PlanDetail(ctx, a); outcome != CacheHit {
 		t.Fatal("a should be resident")
 	}
 	if _, err := svc.Plan(ctx, c); err != nil {
@@ -91,10 +94,10 @@ func TestServiceLRUEviction(t *testing.T) {
 	if st := svc.Stats(); st.Entries != 2 {
 		t.Fatalf("entries = %d, want 2", st.Entries)
 	}
-	if _, hit, _ := svc.PlanCached(ctx, a); !hit {
+	if _, outcome, _ := svc.PlanDetail(ctx, a); outcome != CacheHit {
 		t.Error("a was evicted despite being recently used")
 	}
-	if _, hit, _ := svc.PlanCached(ctx, b); hit {
+	if _, outcome, _ := svc.PlanDetail(ctx, b); outcome == CacheHit {
 		t.Error("b survived eviction in a capacity-2 cache")
 	}
 }
@@ -225,25 +228,138 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 }
 
 // TestServiceCompareMatchesFacadeCompare pins Service.Compare (three
-// cached per-strategy plans) against the one-shot Compare (one shared
-// schedule): the schedules are deterministic per seed, so the numbers
-// must agree exactly.
+// strategy-pinned plan requests sharing one cached scaffold) against
+// the one-shot Compare (one shared schedule): every family, several
+// seeds, all three strategies, byte-identical encoded plans.
 func TestServiceCompareMatchesFacadeCompare(t *testing.T) {
 	ctx := context.Background()
-	sc := smallScenario("montage", 11, CkptSome)
+	svc := NewService()
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for seed := int64(11); seed <= 13; seed++ {
+			sc := smallScenario(fam, seed, CkptSome)
+			direct, err := Compare(ctx, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := svc.Compare(ctx, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertComparisonsIdentical(t, fmt.Sprintf("%s/seed=%d", fam, seed), cached, direct)
+		}
+	}
+}
+
+// assertComparisonsIdentical fails unless every strategy's plan in got
+// encodes to the same bytes as in want.
+func assertComparisonsIdentical(t *testing.T, name string, got, want *Comparison) {
+	t.Helper()
+	for _, pair := range []struct {
+		strat     Strategy
+		got, want *Plan
+	}{{CkptSome, got.Some, want.Some}, {CkptAll, got.All, want.All}, {CkptNone, got.None, want.None}} {
+		g, err := encodePlan(pair.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := encodePlan(pair.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("%s %s: Service.Compare plan diverges from Compare", name, pair.strat)
+		}
+	}
+}
+
+// TestServiceCompareCounters pins what a cold Service.Compare costs:
+// with the scaffold cache, one full miss builds the shared scaffold and
+// the other two strategies are structure-hits on it (Misses counts all
+// three, StructureHits the two); without it, three full misses. Either
+// way the plans match the facade Compare byte for byte.
+func TestServiceCompareCounters(t *testing.T) {
+	ctx := context.Background()
+	sc := smallScenario("ligo", 17, CkptSome)
 	direct, err := Compare(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService()
-	cached, err := svc.Compare(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name               string
+		opts               []ServiceOption
+		structureHits      uint64
+		structureResidents int
+	}{
+		{"scaffold", nil, 2, 1},
+		{"no-scaffold", []ServiceOption{WithStructureCache(0)}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := NewService(tc.opts...)
+			cmp, err := svc.Compare(ctx, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := svc.Stats()
+			if st.Misses != 3 || st.StructureHits != tc.structureHits || st.Hits != 0 || st.Entries != 3 {
+				t.Fatalf("cold Compare: %+v, want 3 misses (%d structure-hits), 0 hits, 3 entries", st, tc.structureHits)
+			}
+			if st.StructureEntries != tc.structureResidents {
+				t.Fatalf("cold Compare left %d scaffolds, want %d", st.StructureEntries, tc.structureResidents)
+			}
+			assertComparisonsIdentical(t, tc.name, cmp, direct)
+		})
 	}
-	if cached.Some.ExpectedMakespan() != direct.Some.ExpectedMakespan() ||
-		cached.All.ExpectedMakespan() != direct.All.ExpectedMakespan() ||
-		cached.None.ExpectedMakespan() != direct.None.ExpectedMakespan() {
-		t.Fatal("Service.Compare diverges from Compare")
+}
+
+// TestServiceFailedCoalescedWaitsAreNotHits pins the hit counter: a
+// waiter coalesced onto a flight that fails got no plan, so it is not
+// a hit. Eight concurrent requests against a failing planner share one
+// flight and count one miss and no hit.
+func TestServiceFailedCoalescedWaitsAreNotHits(t *testing.T) {
+	ctx := context.Background()
+	errPlan := errors.New("injected planner failure")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	svc := NewService(WithPlanner(func(ctx context.Context, sc Scenario) (*Plan, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return nil, errPlan
+	}))
+	sc := smallScenario("genome", 41, CkptSome)
+	const callers = 8
+	errs := make(chan error, callers)
+	call := func() {
+		_, err := svc.Plan(ctx, sc)
+		errs <- err
+	}
+	go call()
+	<-entered
+	for i := 1; i < callers; i++ {
+		go call()
+	}
+	// Hold the flight until every caller is admitted, then a little
+	// longer so each has parked on it.
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Stats().InFlight < callers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d callers admitted", svc.Stats().InFlight, callers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; !errors.Is(err, errPlan) {
+			t.Fatalf("caller %d: %v, want the planner's failure", i, err)
+		}
+	}
+	if st := svc.Stats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 0 hits / 1 miss / 0 entries", st)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("planner ran %d times, want 1 shared flight", n)
 	}
 }
 
@@ -311,8 +427,8 @@ func TestServiceCompareSeedsCache(t *testing.T) {
 		t.Fatalf("after cold Compare: %+v, want 3 seeded entries, 0 hits", st)
 	}
 	for _, strat := range []Strategy{CkptSome, CkptAll, CkptNone} {
-		if _, hit, err := svc.PlanCached(ctx, smallScenario("genome", 31, strat)); err != nil || !hit {
-			t.Fatalf("%s not seeded (hit=%v, err=%v)", strat, hit, err)
+		if _, outcome, err := svc.PlanDetail(ctx, smallScenario("genome", 31, strat)); err != nil || outcome != CacheHit {
+			t.Fatalf("%s not seeded (outcome=%q, err=%v)", strat, outcome, err)
 		}
 	}
 	second, err := svc.Compare(ctx, sc)

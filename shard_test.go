@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// shardIndexOf reports which shard a key maps to.
+// shardIndexOf reports which plan-cache shard a key maps to.
 func shardIndexOf(s *Service, key string) int {
-	sh := s.shardFor(key)
-	for i, cand := range s.shards {
+	sh := s.plans.shardFor(key)
+	for i, cand := range s.plans.shards {
 		if cand == sh {
 			return i
 		}
@@ -19,10 +19,10 @@ func shardIndexOf(s *Service, key string) int {
 }
 
 // resident reports whether sc's plan currently sits in the cache,
-// without planning it on a miss (PlanCached would).
+// without planning it on a miss (PlanDetail would).
 func resident(s *Service, sc Scenario) bool {
 	key := sc.Key()
-	sh := s.shardFor(key)
+	sh := s.plans.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	_, ok := sh.entries[key]

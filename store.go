@@ -887,7 +887,9 @@ func (s *Service) LoadStore(ctx context.Context, workers int) (loaded, dropped i
 			nDropped.Add(1)
 			return nil
 		}
-		if s.place(keys[i], p) {
+		// A boot-time load is neither served traffic nor a planner run,
+		// so it touches neither the hit nor the miss counter.
+		if s.plans.add(keys[i], cachedPlan{p, CacheMiss}) {
 			s.storeLoads.Add(1)
 			nLoaded.Add(1)
 		}

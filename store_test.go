@@ -128,11 +128,11 @@ func TestStoreRoundTripByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotPlan, hit, err := reader.PlanCached(ctx, sc)
+		gotPlan, outcome, err := reader.PlanDetail(ctx, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hit {
+		if outcome != CacheHit {
 			t.Fatalf("scenario %d: rehydrated plan was not a cache hit", i)
 		}
 		// Estimate: every method, bit-exact against the reference.

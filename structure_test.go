@@ -168,8 +168,8 @@ func TestServicePlanDetailOutcomes(t *testing.T) {
 	if outcome != CacheStructureHit {
 		t.Fatalf("near-duplicate outcome = %q, want structure-hit", outcome)
 	}
-	if outcome.Hit() {
-		t.Fatal("a structure-hit must project to Hit() == false: the plan was computed by this call")
+	if outcome == CacheHit {
+		t.Fatal("a structure-hit must not report a hit: the plan was computed by this call")
 	}
 	if near == cold {
 		t.Fatal("parameter variant returned the base plan instance")

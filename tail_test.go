@@ -281,6 +281,7 @@ func TestTailUnderWriteRace(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	awaitPlanned(t, follower, ScenarioRequest{Family: "genome", Tasks: 30, Procs: 3, Seed: int64p(999)})
 	cancel()
 	res := <-resc
 	if res.err != nil && !errors.Is(res.err, context.Canceled) {
@@ -350,6 +351,7 @@ func TestFollowHTTPWarmsFromPeer(t *testing.T) {
 	// without any reconnect.
 	post(4)
 	waitFor(4, 4)
+	awaitPlanned(t, follower, ScenarioRequest{Family: "genome", Tasks: 40, Procs: 3, Seed: int64p(4)})
 
 	cancel()
 	res := <-resc
@@ -358,6 +360,17 @@ func TestFollowHTTPWarmsFromPeer(t *testing.T) {
 	}
 	if res.absorbed != 4 || res.failed != 0 {
 		t.Fatalf("Follow absorbed %d / failed %d, want 4 / 0", res.absorbed, res.failed)
+	}
+}
+
+// awaitPlanned blocks until req's plan is resident and complete in svc.
+// A stats poll is already satisfied once the last miss's flight has
+// started; cancelling the follower then would kill that flight and
+// fail the absorbed count. Joining the flight waits it out.
+func awaitPlanned(t *testing.T, svc *Service, req ScenarioRequest) {
+	t.Helper()
+	if _, outcome, err := svc.PlanDetail(context.Background(), req.Scenario()); err != nil || outcome != CacheHit {
+		t.Fatalf("%+v not resident: outcome %q, err %v", req, outcome, err)
 	}
 }
 
