@@ -59,22 +59,18 @@ bench-scaling:
 golden-update:
 	$(GO) test -run TestGolden -update .
 
-# Boot cmd/serve with a two-line warm log and scenario recording, hit
-# every endpoint (plan, batch, sweep, healthz), tear down. Proves the
-# daemon wiring — listen, warm-up replay, JSON round trips, traffic
-# logging, graceful shutdown — outside the httptest harness. Three
-# phases: endpoints, overload protection, and restart persistence (boot
-# with -store, serve one plan, SIGTERM, reboot over the same directory,
-# assert the first request is a cache hit with zero planner misses).
+# Boot cmd/serve with a plan store, hit every endpoint (plan, batch,
+# sweep, healthz, stats, store), tear down. Proves the daemon wiring —
+# listen, JSON round trips, store write-through, graceful shutdown —
+# outside the httptest harness. Three phases: endpoints, overload
+# protection, and restart persistence (boot with -store, serve one
+# plan, SIGTERM, reboot over the same directory, assert the first
+# request is a cache hit with zero planner misses).
 serve-smoke:
 	$(GO) build -o /tmp/hanccr-serve ./cmd/serve
 	@set -e; \
-	printf '%s\n%s\n' \
-		'{"family":"genome","tasks":50,"procs":5}' \
-		'{"family":"montage","tasks":50,"procs":5}' > /tmp/hanccr-warm.jsonl; \
-	rm -f /tmp/hanccr-scenarios.jsonl; \
-	/tmp/hanccr-serve -addr 127.0.0.1:18080 -warm /tmp/hanccr-warm.jsonl \
-		-log-scenarios /tmp/hanccr-scenarios.jsonl & pid=$$!; \
+	rm -rf /tmp/hanccr-smoke-store; \
+	/tmp/hanccr-serve -addr 127.0.0.1:18080 -store /tmp/hanccr-smoke-store & pid=$$!; \
 	trap "kill $$pid 2>/dev/null || true" EXIT; \
 	ok=0; \
 	for i in $$(seq 1 50); do \
@@ -82,8 +78,8 @@ serve-smoke:
 		sleep 0.1; \
 	done; \
 	[ $$ok -eq 1 ] || { echo "serve-smoke: daemon never came up"; exit 1; }; \
-	curl -fsS http://127.0.0.1:18080/healthz | grep -q '"entries":2' \
-		|| { echo "serve-smoke: -warm did not preload 2 scenarios"; exit 1; }; \
+	curl -fsS http://127.0.0.1:18080/healthz | grep -q '"status":"ok"' \
+		|| { echo "serve-smoke: healthz is not ok"; exit 1; }; \
 	curl -fsS -X POST -d '{"family":"genome","tasks":50,"procs":5}' \
 		http://127.0.0.1:18080/v1/plan | grep -q '"expected_makespan"'; \
 	curl -fsS -X POST -d '{"jobs":[{"kind":"plan","family":"ligo","tasks":50,"procs":5},{"kind":"estimate","family":"montage","tasks":50,"procs":5,"method":"Dodin"}]}' \
@@ -101,10 +97,13 @@ serve-smoke:
 		-d '{"family":"genome","sizes":[50],"procs":[5],"pfails":[0.001],"ccr_min":0.001,"ccr_max":0.01,"points_per_decade":5}' \
 		http://127.0.0.1:18080/v1/sweep | tr -d '\r' | grep -cE '^[0-9a-fA-F]+$$' || true); \
 	[ "$$chunks" -ge 2 ] || { echo "serve-smoke: streamed sweep arrived in $$chunks chunks, want >= 2 (one flush per row)"; exit 1; }; \
+	curl -fsS http://127.0.0.1:18080/v1/stats | grep -q '"store":{[^}]*"records":3[,}]' \
+		|| { echo "serve-smoke: store does not hold the 3 distinct planned scenarios (genome plan, ligo plan, montage estimate)"; exit 1; }; \
+	curl -fsS http://127.0.0.1:18080/v1/store | grep -c '"key"' | grep -qx 3 \
+		|| { echo "serve-smoke: GET /v1/store did not stream the 3 stored records"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid || true; \
-	n=$$(grep -c . /tmp/hanccr-scenarios.jsonl || true); \
-	[ "$$n" -ge 1 ] || { echo "serve-smoke: scenario log has $$n lines, want >= 1 (only the cold ligo job logs; warm hits must not)"; exit 1; }; \
-	grep -q '"family":"ligo"' /tmp/hanccr-scenarios.jsonl; \
+	grep -q '"family":"ligo"' /tmp/hanccr-smoke-store/plans-*.seg \
+		|| { echo "serve-smoke: the batch-planned ligo scenario is not on disk"; exit 1; }; \
 	echo "serve-smoke: endpoints OK, starting overload boot"; \
 	/tmp/hanccr-serve -addr 127.0.0.1:18081 -max-inflight 1 -drain 10s & pid2=$$!; \
 	trap "kill $$pid2 2>/dev/null || true" EXIT; \
@@ -171,9 +170,9 @@ serve-smoke:
 	cmp /tmp/hanccr-store-b1.json /tmp/hanccr-store-b2.json \
 		|| { echo "serve-smoke: rehydrated plan response differs from the pre-restart bytes"; exit 1; }; \
 	curl -fsS http://127.0.0.1:18083/v1/stats > /tmp/hanccr-store-stats.json; \
-	grep -q '"misses":0' /tmp/hanccr-store-stats.json \
+	grep -q '"cache":{[^}]*"misses":0[,}]' /tmp/hanccr-store-stats.json \
 		|| { echo "serve-smoke: restarted daemon re-ran the planner (misses != 0)"; exit 1; }; \
-	grep -q '"store_loads":1' /tmp/hanccr-store-stats.json \
+	grep -q '"store":{[^}]*"loads":1[,}]' /tmp/hanccr-store-stats.json \
 		|| { echo "serve-smoke: restarted daemon did not load 1 record at boot"; exit 1; }; \
 	kill -TERM $$pid4; wait $$pid4 || true; \
 	echo "serve-smoke: OK"
@@ -200,17 +199,18 @@ fuzz-smoke:
 # traffic through the router and assert: responses byte-identical to a
 # single serial reference server, aggregate fleet misses == distinct
 # scenarios (key affinity dedupes repeats cluster-wide), a -tail
-# follower warms itself from a replica's GET /v1/log, and killing a
-# replica routes around it without wrong answers. Ports 19090-19095
-# (serve-smoke owns 1808x).
+# follower absorbs every replica's solved plans from their GET
+# /v1/store without planning any of them, and killing a replica routes
+# around it without wrong answers. Ports 19090-19095 (serve-smoke owns
+# 1808x).
 replica-smoke:
 	$(GO) build -o /tmp/hanccr-serve ./cmd/serve
 	$(GO) build -o /tmp/hanccr-lb ./cmd/hanccr-lb
 	@set -e; \
-	rm -f /tmp/hanccr-r1.jsonl /tmp/hanccr-r2.jsonl /tmp/hanccr-r3.jsonl; \
-	/tmp/hanccr-serve -addr 127.0.0.1:19091 -log-scenarios /tmp/hanccr-r1.jsonl & p1=$$!; \
-	/tmp/hanccr-serve -addr 127.0.0.1:19092 -log-scenarios /tmp/hanccr-r2.jsonl & p2=$$!; \
-	/tmp/hanccr-serve -addr 127.0.0.1:19093 -log-scenarios /tmp/hanccr-r3.jsonl & p3=$$!; \
+	rm -rf /tmp/hanccr-r1 /tmp/hanccr-r2 /tmp/hanccr-r3; \
+	/tmp/hanccr-serve -addr 127.0.0.1:19091 -store /tmp/hanccr-r1 & p1=$$!; \
+	/tmp/hanccr-serve -addr 127.0.0.1:19092 -store /tmp/hanccr-r2 & p2=$$!; \
+	/tmp/hanccr-serve -addr 127.0.0.1:19093 -store /tmp/hanccr-r3 & p3=$$!; \
 	/tmp/hanccr-serve -addr 127.0.0.1:19094 & pref=$$!; \
 	/tmp/hanccr-lb -addr 127.0.0.1:19090 \
 		-backends http://127.0.0.1:19091,http://127.0.0.1:19092,http://127.0.0.1:19093 & plb=$$!; \
@@ -240,7 +240,7 @@ replica-smoke:
 		|| { echo "replica-smoke: routed responses differ from the serial reference"; exit 1; }; \
 	misses=0; \
 	for port in 19091 19092 19093; do \
-		m=$$(curl -fsS http://127.0.0.1:$$port/v1/stats | sed -n 's/.*"misses":\([0-9]*\).*/\1/p'); \
+		m=$$(curl -fsS http://127.0.0.1:$$port/v1/stats | sed -n 's/.*"cache":{[^}]*"misses":\([0-9]*\).*/\1/p'); \
 		misses=$$((misses + m)); \
 	done; \
 	[ "$$misses" -eq 7 ] || { echo "replica-smoke: fleet planned $$misses scenarios, want 7 (6 plans + 1 estimate, each exactly once)"; exit 1; }; \
@@ -249,11 +249,16 @@ replica-smoke:
 	trap "kill $$p1 $$p2 $$p3 $$pref $$plb $$ptail 2>/dev/null || true" EXIT; \
 	warmed=0; got=none; \
 	for i in $$(seq 1 100); do \
-		got=$$(curl -fsS http://127.0.0.1:19095/v1/stats 2>/dev/null | sed -n 's/.*"entries":\([0-9]*\).*/\1/p'); \
+		stats=$$(curl -fsS http://127.0.0.1:19095/v1/stats 2>/dev/null || true); \
+		got=$$(echo "$$stats" | sed -n 's/.*"store":{[^}]*"loads":\([0-9]*\).*/\1/p'); \
 		if [ "$$got" = "7" ]; then warmed=1; break; fi; \
 		sleep 0.1; \
 	done; \
-	[ $$warmed -eq 1 ] || { echo "replica-smoke: -tail follower absorbed $$got of the fleet's 7 distinct scenarios"; exit 1; }; \
+	[ $$warmed -eq 1 ] || { echo "replica-smoke: -tail follower loaded $$got of the fleet's 7 distinct plans"; exit 1; }; \
+	echo "$$stats" | grep -q '"cache":{[^}]*"entries":7[,}]' \
+		|| { echo "replica-smoke: -tail follower does not hold the 7 absorbed plans: $$stats"; exit 1; }; \
+	echo "$$stats" | grep -q '"cache":{[^}]*"misses":0[,}]' \
+		|| { echo "replica-smoke: -tail follower replanned absorbed scenarios: $$stats"; exit 1; }; \
 	echo "replica-smoke: byte-identity + dedupe + tail OK, killing replica 1"; \
 	kill -TERM $$p1; wait $$p1 || true; \
 	: > /tmp/hanccr-lb-out2.txt; : > /tmp/hanccr-ref-out2.txt; \

@@ -2,7 +2,7 @@
 // (sharded plan LRU, batch fan-out) behind HTTP/JSON.
 //
 //	serve -addr :8080 -cache 256 -shards 8
-//	serve -warm scenarios.jsonl -log-scenarios scenarios.jsonl
+//	serve -store /var/lib/hanccr -tail http://10.0.0.2:8080,http://10.0.0.3:8080
 //
 // Endpoints:
 //
@@ -13,24 +13,20 @@
 //	POST /v1/sweep     {"family":"montage","sizes":[300]}
 //	GET  /healthz
 //	GET  /v1/stats
-//	GET  /v1/log       (NDJSON miss-log stream; ?offset=N&follow=1)
+//	GET  /v1/store     (NDJSON plan-store stream; ?segment=S&offset=N&follow=1)
 //
 // Scenario fields omitted from a request take the same defaults as the
-// CLI flag block. -warm replays a JSONL scenario log through the cache
-// before listening; -log-scenarios records live traffic in the same
-// format, so a restart warms from what the previous process served.
-// -tail follows one or more miss-log sources continuously — JSONL file
-// paths or peer replica URLs (their GET /v1/log) — so a fleet of
-// replicas behind cmd/hanccr-lb shares planning work without a shared
-// disk.
-// -store goes further than both: where warm/tail replay *inputs*
-// (scenarios re-planned at boot), the persistent plan store archives
-// *outputs* — solved plans written through to append-only segment
-// files as they are computed, rehydrated into the cache before the
-// warm replay runs, so a restart's first request for any known
-// scenario is a cache hit with zero planning. -store-verify
-// golden-checks every record read from disk against a freshly planned
-// reference; -store-compact paces the store's background compaction.
+// CLI flag block. -store is the daemon's one durable log: solved plans
+// are written through to append-only segment files as they are
+// computed and rehydrated into the cache before the listener opens, so
+// a restart's first request for any known scenario is a cache hit with
+// zero planning. -tail follows one or more peer replicas' stores
+// (their GET /v1/store) continuously and absorbs their solved plans
+// without replanning them, so a fleet of replicas behind cmd/hanccr-lb
+// shares planning work without a shared disk. -store-verify
+// golden-checks every record read from disk or from a peer against a
+// freshly planned reference; -store-compact paces the store's
+// background compaction.
 // A sweep request with "stream":true (or Accept: application/x-ndjson)
 // is answered as NDJSON, one row per line flushed as it is computed;
 // streamed grids may hold up to -stream-cells cells (default 1M)
@@ -77,11 +73,10 @@ func main() {
 	} else {
 		log.Printf("serve: near-duplicate fast path off (-structure-cache 0): every cold plan runs the full pipeline")
 	}
-	// Boot order: rehydrate the persistent store first, then replay the
-	// warm log. Store records are *outputs* (no planning at all), warm
-	// lines are *inputs* (re-planned unless already resident) — loading
-	// the store first turns every known warm line into a cheap cache
-	// hit.
+	tailSources, err := sf.TailSources()
+	if err != nil {
+		fatal(err)
+	}
 	if sf.Store != "" {
 		start := time.Now()
 		loaded, dropped, err := svc.LoadStore(context.Background(), sf.WarmWorkers)
@@ -93,30 +88,6 @@ func main() {
 			sf.Store, loaded, time.Since(start).Truncate(time.Millisecond), dropped,
 			st.Entries, st.Capacity, st.StoreRecords, st.StoreBytes)
 	}
-	if sf.Warm != "" {
-		f, err := os.Open(sf.Warm)
-		if err != nil {
-			fatal(err)
-		}
-		pre := svc.Stats()
-		start := time.Now()
-		warmed, failed, err := svc.WarmFromLog(context.Background(), f, sf.WarmWorkers)
-		f.Close() //hanccr:allow discarderr warm log opened read-only; nothing was written that a close error could lose
-		if err != nil {
-			fatal(fmt.Errorf("warm %s: %w", sf.Warm, err))
-		}
-		st := svc.Stats()
-		storeNote := ""
-		if sf.Store != "" {
-			// Replayed scenarios already resident count as hits — with a
-			// store loaded first, that is the replay work the store saved.
-			storeNote = fmt.Sprintf("; store %s: %d loaded at boot, %d warm lines skipped as already resident",
-				sf.Store, st.StoreLoads, st.Hits-pre.Hits)
-		}
-		log.Printf("serve: warmed %d scenarios from %s in %s (%d failed; cache %d/%d, in-flight %d/%d, shed %d, deadline-expired %d%s)",
-			warmed, sf.Warm, time.Since(start).Truncate(time.Millisecond), failed,
-			st.Entries, st.Capacity, st.InFlight, st.MaxInFlight, st.Shed, st.DeadlineExpired, storeNote)
-	}
 
 	handlerOpts := []hanccr.HandlerOption{
 		// Encode/write failures, mid-stream sweep aborts and client
@@ -124,16 +95,6 @@ func main() {
 		// no longer carry them by the time they happen.
 		hanccr.WithLogf(log.Printf),
 		hanccr.WithStreamSweepCellCap(sf.StreamCells),
-	}
-	var slog *hanccr.ScenarioLog
-	if sf.LogScenarios != "" {
-		l, err := hanccr.OpenScenarioLog(sf.LogScenarios)
-		if err != nil {
-			fatal(err)
-		}
-		slog = l
-		handlerOpts = append(handlerOpts, hanccr.WithScenarioLog(l))
-		log.Printf("serve: recording scenario traffic to %s (peers can tail it via GET /v1/log)", sf.LogScenarios)
 	}
 
 	gate := &hanccr.DrainGate{Logf: log.Printf}
@@ -156,7 +117,7 @@ func main() {
 
 	// Periodic store compaction: the same threshold check Put applies
 	// on writes, re-run on a timer so a store that only ever loses
-	// records (drops, supersedes from -tail traffic) still gets
+	// records (drops, superseded records) still gets
 	// compacted during quiet hours.
 	if sf.Store != "" && sf.StoreCompact > 0 {
 		go func() {
@@ -175,11 +136,11 @@ func main() {
 		}()
 	}
 
-	// -tail: continuously absorb peer miss-logs (files or replica URLs)
-	// into this replica's cache beside live traffic. Each source gets
+	// -tail: continuously absorb peer replicas' solved plans into this
+	// replica's cache (and store) beside live traffic. Each peer gets
 	// its own follower; all stop when the shutdown signal cancels ctx.
 	var tails sync.WaitGroup
-	for _, src := range sf.TailSources() {
+	for _, src := range tailSources {
 		tails.Add(1)
 		go func(src string) {
 			defer tails.Done()
@@ -229,9 +190,6 @@ func main() {
 	}
 	stop() // cancel the tail followers' context even on the errc path
 	tails.Wait()
-	if err := slog.Close(); err != nil {
-		fatal(fmt.Errorf("close %s: %w", sf.LogScenarios, err))
-	}
 	if err := svc.CloseStore(); err != nil {
 		fatal(fmt.Errorf("close store %s: %w", sf.Store, err))
 	}

@@ -104,17 +104,15 @@ func BindScenarioFlags(fs *flag.FlagSet, names ...string) *ScenarioFlags {
 }
 
 // ServeFlags is the daemon's flag block (cmd/serve): listen address,
-// cache geometry and the scenario-log warm-up knobs, defined in one
-// place like the scenario flags so daemon deployments cannot drift
-// from the documented defaults.
+// cache geometry, admission control, the plan store and its peers,
+// defined in one place like the scenario flags so daemon deployments
+// cannot drift from the documented defaults.
 type ServeFlags struct {
 	Addr           string
 	Cache          int
 	Shards         int
 	StructureCache int
 	Drain          time.Duration
-	Warm           string
-	LogScenarios   string
 	WarmWorkers    int
 	StreamCells    int
 	MaxInFlight    int
@@ -142,28 +140,31 @@ func BindServeFlags(fs *flag.FlagSet) *ServeFlags {
 	fs.IntVar(&f.Shards, "shards", f.Shards, "plan cache shard count (1 = a single global LRU)")
 	fs.IntVar(&f.StructureCache, "structure-cache", f.StructureCache, "structure-scaffold cache capacity for the near-duplicate fast path (0 disables it)")
 	fs.DurationVar(&f.Drain, "drain", f.Drain, "graceful shutdown timeout")
-	fs.StringVar(&f.Warm, "warm", "", "JSONL scenario log to replay through the cache at boot")
-	fs.StringVar(&f.LogScenarios, "log-scenarios", "", "append live scenario traffic to this JSONL file (feed it back via -warm)")
-	fs.IntVar(&f.WarmWorkers, "warm-workers", 0, "goroutines replaying the warm log (0 = all cores)")
+	fs.IntVar(&f.WarmWorkers, "warm-workers", 0, "goroutines decoding plans loaded from -store at boot or absorbed from -tail peers (0 = all cores)")
 	fs.IntVar(&f.StreamCells, "stream-cells", f.StreamCells, "cell ceiling for STREAMED /v1/sweep grids (buffered sweeps keep the fixed in-memory cap)")
 	fs.IntVar(&f.MaxInFlight, "max-inflight", 0, "admission bound: concurrently executing requests before the daemon sheds with 429 (0 = 16 x GOMAXPROCS)")
 	fs.DurationVar(&f.RequestTimeout, "request-timeout", 0, "server-side budget per admitted request; an expired budget answers 503 (0 = none)")
-	fs.StringVar(&f.Tail, "tail", "", "comma-separated miss-log sources to follow continuously: JSONL file paths or peer replica URLs (their GET /v1/log)")
+	fs.StringVar(&f.Tail, "tail", "", "comma-separated peer replica URLs whose plan stores (GET /v1/store) to follow continuously")
 	fs.StringVar(&f.Store, "store", "", "persistent plan store directory: solved plans are written through to disk and rehydrated into the cache at boot (\"\" = memory only)")
 	fs.BoolVar(&f.StoreVerify, "store-verify", false, "store integrity mode: golden-check every record read from disk against a freshly planned reference before serving it (slow)")
 	fs.DurationVar(&f.StoreCompact, "store-compact", f.StoreCompact, "how often to check the plan store for compaction (0 disables the periodic check; the size-triggered check on writes always runs)")
 	return f
 }
 
-// TailSources splits the -tail flag into its individual sources.
-func (f *ServeFlags) TailSources() []string {
+// TailSources splits the -tail flag into its peer URLs; a source that
+// is not an http(s) URL is an error.
+func (f *ServeFlags) TailSources() ([]string, error) {
 	var out []string
 	for _, s := range strings.Split(f.Tail, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, s)
+		if s = strings.TrimSpace(s); s == "" {
+			continue
 		}
+		if !isPeerURL(s) {
+			return nil, fmt.Errorf("-tail %q: want a peer replica URL (http:// or https://)", s)
+		}
+		out = append(out, s)
 	}
-	return out
+	return out, nil
 }
 
 // LBFlags is cmd/hanccr-lb's flag block: listen address, the backend

@@ -60,7 +60,7 @@ func TestBindServeFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sf.Addr != ":8080" || sf.Cache != DefaultCacheCapacity || sf.Shards != DefaultShards ||
-		sf.Warm != "" || sf.LogScenarios != "" || sf.WarmWorkers != 0 {
+		sf.Tail != "" || sf.WarmWorkers != 0 {
 		t.Fatalf("serve defaults = %+v", sf)
 	}
 	svc, err := sf.Service()
@@ -75,16 +75,23 @@ func TestBindServeFlagsDefaults(t *testing.T) {
 	sf = BindServeFlags(fs)
 	err = fs.Parse([]string{
 		"-addr", ":9090", "-cache", "64", "-shards", "4",
-		"-warm", "w.jsonl", "-log-scenarios", "s.jsonl", "-warm-workers", "2",
+		"-tail", "http://10.0.0.2:8080, https://peer/", "-warm-workers", "2",
 		"-store", t.TempDir(), "-store-verify", "-store-compact", "30s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sf.Addr != ":9090" || sf.Cache != 64 || sf.Shards != 4 ||
-		sf.Warm != "w.jsonl" || sf.LogScenarios != "s.jsonl" || sf.WarmWorkers != 2 ||
+		sf.WarmWorkers != 2 ||
 		sf.Store == "" || !sf.StoreVerify || sf.StoreCompact != 30*time.Second {
 		t.Fatalf("parsed serve flags = %+v", sf)
+	}
+	if peers, err := sf.TailSources(); err != nil || len(peers) != 2 || peers[1] != "https://peer/" {
+		t.Fatalf("TailSources() = %q, %v; want the two peer URLs", peers, err)
+	}
+	sf.Tail = "http://10.0.0.2:8080,/var/lib/hanccr/r1.jsonl"
+	if _, err := sf.TailSources(); err == nil {
+		t.Fatal("TailSources accepted a file path; -tail takes peer URLs only")
 	}
 	svc, err = sf.Service()
 	if err != nil {

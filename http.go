@@ -178,9 +178,8 @@ type HealthResponse struct {
 
 // StatsSchemaVersion identifies the GET /v1/stats JSON layout. Version
 // 2 introduced the nested cache / structure_cache / store / gate
-// groups; the flat v1 keys are still emitted alongside for one release
-// (see StatsResponse) and will be dropped at version 3.
-const StatsSchemaVersion = 2
+// groups; version 3 dropped the flat v1 keys emitted beside them.
+const StatsSchemaVersion = 3
 
 // CacheGroup is the plan-LRU section of GET /v1/stats.
 type CacheGroup struct {
@@ -220,20 +219,15 @@ type GateGroup struct {
 	DeadlineExpired uint64 `json:"deadline_expired"`
 }
 
-// StatsResponse is the body of GET /v1/stats: the schema version, the
-// counters grouped by subsystem, and — embedded — the flat legacy
-// keys ("hits", "store_bytes", ...) exactly as version 1 emitted them.
-// The flat keys are DEPRECATED: they remain for one release so
-// dashboards can migrate to the groups, then only the groups stay
-// (/healthz keeps the flat Stats under "cache" either way).
+// StatsResponse is the body of GET /v1/stats: the schema version and
+// the counters grouped by subsystem (/healthz keeps the flat Stats
+// under "cache").
 type StatsResponse struct {
 	SchemaVersion  int                 `json:"schema_version"`
 	Cache          CacheGroup          `json:"cache"`
 	StructureCache StructureCacheGroup `json:"structure_cache"`
 	Store          StoreGroup          `json:"store"`
 	Gate           GateGroup           `json:"gate"`
-
-	Stats // flat legacy keys, deprecated
 }
 
 // statsResponse regroups a flat Stats snapshot into the versioned
@@ -258,7 +252,6 @@ func statsResponse(st Stats) StatsResponse {
 			InFlight: st.InFlight, MaxInFlight: st.MaxInFlight,
 			Shed: st.Shed, DeadlineExpired: st.DeadlineExpired,
 		},
-		Stats: st,
 	}
 }
 
@@ -340,18 +333,8 @@ func checkTrials(n int) error {
 type HandlerOption func(*handlerConfig)
 
 type handlerConfig struct {
-	slog        *ScenarioLog
 	logf        func(format string, args ...any)
 	streamCells int
-}
-
-// WithScenarioLog records every successfully planned scenario request
-// (single endpoints and batch jobs; sweeps are grids, not scenarios)
-// to l, one JSONL line each, so a restart can warm the cache from the
-// log (Service.WarmFromLog). Log write failures never fail the request
-// that triggered them.
-func WithScenarioLog(l *ScenarioLog) HandlerOption {
-	return func(c *handlerConfig) { c.slog = l }
 }
 
 // WithLogf routes handler diagnostics to logf (e.g. log.Printf):
@@ -382,7 +365,7 @@ func WithStreamSweepCellCap(n int) HandlerOption {
 //	POST /v1/sweep     — a §VI-style (family, size, pfail, CCR) grid of strategy comparisons
 //	GET  /healthz      — liveness plus cache statistics
 //	GET  /v1/stats     — cache / admission-gate counters
-//	GET  /v1/log       — the replica's miss-log as NDJSON (?offset=N&follow=1), for peer tailing
+//	GET  /v1/store     — the replica's plan store as NDJSON (?segment=S&offset=N&follow=1), for peers to follow
 //
 // Responses are deterministic functions of the request, so a cache hit
 // is byte-identical to the cold miss that filled it — and so is a
@@ -415,11 +398,11 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 		}
 		cfg.writeJSON(w, http.StatusOK, statsResponse(svc.Stats()))
 	})
-	mux.HandleFunc("/v1/log", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/store", func(w http.ResponseWriter, r *http.Request) {
 		if !cfg.requireGet(w, r) {
 			return
 		}
-		cfg.streamLog(w, r)
+		cfg.streamStore(w, r, svc.store)
 	})
 	mux.HandleFunc("/v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		var req ScenarioRequest
@@ -432,7 +415,6 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 			cfg.writeError(w, r, err)
 			return
 		}
-		cfg.record(req, outcome)
 		w.Header().Set("X-Cache", string(outcome))
 		cfg.writeJSON(w, http.StatusOK, planResponse(key, plan))
 	})
@@ -467,7 +449,6 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 			cfg.writeError(w, r, err)
 			return
 		}
-		cfg.record(req.ScenarioRequest, outcome)
 		w.Header().Set("X-Cache", string(outcome))
 		// Echo the canonical method name, not the request's casing.
 		cfg.writeJSON(w, http.StatusOK, EstimateResponse{Key: key, Method: string(method), ExpectedMakespan: em})
@@ -493,7 +474,6 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 			cfg.writeError(w, r, err)
 			return
 		}
-		cfg.record(req.ScenarioRequest, outcome)
 		w.Header().Set("X-Cache", string(outcome))
 		cfg.writeJSON(w, http.StatusOK, SimulateResponse{
 			Key: key, Trials: res.Trials,
@@ -549,9 +529,6 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 		for k, res := range results {
 			i := idx[k]
 			resp.Results[i] = batchResult(req.Jobs[i], res)
-			if res.Err == nil {
-				cfg.record(req.Jobs[i].ScenarioRequest, res.Outcome)
-			}
 		}
 		cfg.writeJSON(w, http.StatusOK, resp)
 	})
@@ -675,35 +652,36 @@ func (c *handlerConfig) requireGet(w http.ResponseWriter, r *http.Request) bool 
 	return true
 }
 
-// streamLog answers GET /v1/log: the replica's miss-log streamed as
-// NDJSON so a peer can absorb it without a shared disk. Query knobs:
-// offset=N resumes at a byte offset (a consumer that counts
-// len(line)+1 per received line holds exactly the next offset), and
-// follow=1 keeps the stream open, relaying new records as they are
-// written, until the client disconnects. Lines are relayed verbatim —
-// blank recovery lines and salvaged fragments included — so offsets
-// stay aligned with the file; consumers skip what does not parse (the
-// tailer contract, see TailLog).
-func (c *handlerConfig) streamLog(w http.ResponseWriter, r *http.Request) {
-	if c.slog.Path() == "" {
+// streamStore answers GET /v1/store: the replica's plan store as
+// NDJSON, so a peer can absorb its solved plans without a shared disk
+// (Service.Follow). segment=S&offset=N resumes at a cursor an earlier
+// stream handed out, and follow=1 keeps the stream open, relaying
+// records as they are written, until the client disconnects. See
+// PlanStore.stream for the header lines and the resume rules.
+func (c *handlerConfig) streamStore(w http.ResponseWriter, r *http.Request, st *PlanStore) {
+	if st == nil {
 		c.writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "scenario logging is not enabled on this replica (-log-scenarios)",
+			"error": "no plan store on this replica (-store)",
 		})
 		return
 	}
-	var offset int64
-	if raw := r.URL.Query().Get("offset"); raw != "" {
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || n < 0 {
-			c.writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("bad offset %q: want a non-negative integer", raw),
-			})
-			return
-		}
-		offset = n
+	q := r.URL.Query()
+	var cur storeCursor
+	var err error
+	if raw := q.Get("segment"); raw != "" {
+		cur.Segment, err = strconv.ParseUint(raw, 10, 64)
+	}
+	if raw := q.Get("offset"); raw != "" && err == nil {
+		cur.Offset, err = strconv.ParseInt(raw, 10, 64)
+	}
+	if err != nil || cur.Offset < 0 {
+		c.writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("bad cursor segment=%q offset=%q: want non-negative integers", q.Get("segment"), q.Get("offset")),
+		})
+		return
 	}
 	follow := false
-	switch r.URL.Query().Get("follow") {
+	switch q.Get("follow") {
 	case "", "0", "false":
 	default:
 		follow = true
@@ -711,37 +689,14 @@ func (c *handlerConfig) streamLog(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	out := newLineWriter(w)
-	tcfg := tailConfig{offset: offset, interval: DefaultTailInterval, follow: follow}
-	err := tailLines(r.Context(), c.slog.Path(), tcfg, func(line []byte) error {
-		return out.writeRawLine(line)
-	})
-	switch {
+	switch err := st.stream(r.Context(), cur, follow, out.writeRawLine); {
 	case err == nil:
 	case r.Context().Err() != nil:
-		// A follow stream ends exactly this way: the tailing peer hung up
-		// (or was redeployed). Same 499-style accounting as a sweep stream.
+		// A follow stream ends exactly this way: the peer hung up (or
+		// was redeployed). Same 499-style accounting as a sweep stream.
 		c.logf("http: %s %s: client disconnected mid-stream: %v", r.Method, r.URL.Path, err)
 	default:
-		c.logf("http: log stream aborted: %v", err)
-	}
-}
-
-// record appends one scenario line to the configured log, if any.
-// Cache hits are skipped: logging only the misses keeps the file near
-// the distinct-scenario count instead of growing with total traffic —
-// essential when the same file is both -log-scenarios and the next
-// boot's -warm. Structure-hits ARE recorded: they are distinct
-// canonical keys that a replaying peer must still plan (or
-// structure-hit) for itself.
-func (c *handlerConfig) record(req ScenarioRequest, outcome CacheOutcome) {
-	if outcome == CacheHit {
-		return
-	}
-	// A log write failure must not fail the planning request it rode on,
-	// but it must not vanish either: a full disk that silently stops the
-	// log also stops every peer warming from it (-warm, -tail, /v1/log).
-	if err := c.slog.Record(req); err != nil {
-		c.logf("http: scenario log: record: %v", err)
+		c.logf("http: store stream aborted: %v", err)
 	}
 }
 
@@ -1107,8 +1062,8 @@ func (lw *lineWriter) writeLine(v any) error {
 }
 
 // writeRawLine emits one already-encoded line (newline appended) with
-// the same flush-per-line delivery as writeLine — the path GET /v1/log
-// uses to relay scenario-log bytes verbatim, keeping client byte
+// the same flush-per-line delivery as writeLine — the path GET
+// /v1/store uses to relay segment lines verbatim, keeping client byte
 // offsets aligned with the file's.
 func (lw *lineWriter) writeRawLine(line []byte) error {
 	if _, err := lw.w.Write(line); err != nil {

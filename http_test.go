@@ -221,9 +221,10 @@ func TestHTTPMethodContract(t *testing.T) {
 		{http.MethodPost, "/v1/stats", http.StatusMethodNotAllowed},
 		{http.MethodPut, "/v1/stats", http.StatusMethodNotAllowed},
 		{http.MethodDelete, "/v1/stats", http.StatusMethodNotAllowed},
-		// /v1/log is GET-only too; without -log-scenarios a GET is 404.
-		{http.MethodGet, "/v1/log", http.StatusNotFound},
-		{http.MethodPost, "/v1/log", http.StatusMethodNotAllowed},
+		// /v1/store is GET-only too; without -store a GET is 404.
+		{http.MethodGet, "/v1/store", http.StatusNotFound},
+		{http.MethodPost, "/v1/store", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/v1/store", http.StatusMethodNotAllowed},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
 		if err != nil {
@@ -245,69 +246,76 @@ func TestHTTPMethodContract(t *testing.T) {
 	}
 }
 
-// failWriter always fails without writing a byte.
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
-
-// TestHTTPRecordFailureLogged is the discarded-error regression test:
-// a scenario-log write failure used to vanish (`_ = c.slog.Record`);
-// it must reach the handler's logf while the planning request itself
+// TestHTTPRecordFailureLogged is the discarded-error regression test
+// for the durable log: a store record that cannot be written must
+// reach the service log while the planning request that produced it
 // still succeeds.
 func TestHTTPRecordFailureLogged(t *testing.T) {
-	var mu sync.Mutex
-	var logged []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		logged = append(logged, fmt.Sprintf(format, args...))
-		mu.Unlock()
+	st, err := OpenPlanStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(NewService(),
-		WithScenarioLog(NewScenarioLog(failWriter{})), WithLogf(logf)))
+	if err := st.Close(); err != nil { // every later Put fails
+		t.Fatal(err)
+	}
+	var log logRecorder
+	srv := httptest.NewServer(NewHandler(NewService(WithPlanStore(st), WithServiceLogf(log.logf))))
 	defer srv.Close()
 
 	status, body, _ := postJSON(t, srv.Client(), srv.URL+"/v1/plan",
 		`{"family":"genome","tasks":40,"procs":3,"seed":1}`)
 	if status != http.StatusOK {
-		t.Fatalf("plan must survive a log failure, got %d %s", status, body)
+		t.Fatalf("plan must survive a store write failure, got %d %s", status, body)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range logged {
-		if strings.Contains(line, "scenario log") && strings.Contains(line, "disk full") {
-			return
-		}
+	if !log.has("store: write", "file already closed") {
+		t.Fatalf("record failure never reached the log; logged: %q", log.lines)
 	}
-	t.Fatalf("record failure never reached logf; logged: %q", logged)
 }
 
-// TestHTTPLogEndpoint pins GET /v1/log: the snapshot body is the
-// miss-log verbatim, ?offset resumes mid-file, and a bad offset is a
-// 400 — the contract serve -tail's HTTP client builds on.
-func TestHTTPLogEndpoint(t *testing.T) {
-	path := t.TempDir() + "/miss.jsonl"
-	slog, err := OpenScenarioLog(path)
+// TestHTTPStoreEndpoint pins GET /v1/store: the snapshot body is every
+// segment file verbatim behind its header line, a (segment, offset)
+// cursor resumes mid-segment, and a bad cursor is a 400 — the contract
+// serve -tail's follower builds on.
+func TestHTTPStoreEndpoint(t *testing.T) {
+	st, err := OpenPlanStore(t.TempDir(), WithStoreSegmentBytes(4<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer slog.Close()
-	srv := httptest.NewServer(NewHandler(NewService(), WithScenarioLog(slog)))
+	defer st.Close()
+	srv := httptest.NewServer(NewHandler(NewService(WithPlanStore(st))))
 	defer srv.Close()
 
-	for seed := 1; seed <= 2; seed++ {
+	for seed := 1; seed <= 3; seed++ {
 		body := fmt.Sprintf(`{"family":"genome","tasks":40,"procs":3,"seed":%d}`, seed)
 		if status, resp, _ := postJSON(t, srv.Client(), srv.URL+"/v1/plan", body); status != http.StatusOK {
 			t.Fatalf("plan: %d %s", status, resp)
 		}
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	segs := st.segments()
+	if len(segs) < 2 {
+		t.Fatalf("store holds segments %v, want a rotation", segs)
+	}
+	// The snapshot is every segment behind its header; the resume
+	// cursor sits after the first record of the first segment.
+	var want, wantResume string
+	var off int
+	for i, seq := range segs {
+		blob, err := os.ReadFile(st.segPath(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += headerLine(seq, 0) + "\n" + string(blob)
+		if i == 0 {
+			off = bytes.IndexByte(blob, '\n') + 1
+			wantResume = headerLine(seq, int64(off)) + "\n" + string(blob[off:])
+		} else {
+			wantResume += headerLine(seq, 0) + "\n" + string(blob)
+		}
 	}
 
 	get := func(query string) (int, string, http.Header) {
 		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + "/v1/log" + query)
+		resp, err := srv.Client().Get(srv.URL + "/v1/store" + query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,20 +328,29 @@ func TestHTTPLogEndpoint(t *testing.T) {
 	}
 
 	status, body, hdr := get("")
-	if status != http.StatusOK || body != string(want) {
-		t.Fatalf("GET /v1/log = %d:\n%q\nwant the file verbatim:\n%q", status, body, want)
+	if status != http.StatusOK || body != want {
+		t.Fatalf("GET /v1/store = %d:\n%q\nwant the segments verbatim behind headers:\n%q", status, body, want)
 	}
 	if got := hdr.Get("Content-Type"); got != ndjsonContentType {
 		t.Fatalf("Content-Type = %q, want %q", got, ndjsonContentType)
 	}
-	firstLine := bytes.IndexByte(want, '\n') + 1
-	if status, body, _ = get(fmt.Sprintf("?offset=%d", firstLine)); status != http.StatusOK || body != string(want[firstLine:]) {
-		t.Fatalf("offset resume = %d %q, want the second line only", status, body)
+	if status, body, _ = get(fmt.Sprintf("?segment=%d&offset=%d", segs[0], off)); status != http.StatusOK || body != wantResume {
+		t.Fatalf("cursor resume = %d %q, want %q", status, body, wantResume)
 	}
-	if status, _, _ = get("?offset=abc"); status != http.StatusBadRequest {
-		t.Fatalf("bad offset = %d, want 400", status)
+	for _, bad := range []string{"?offset=abc", "?offset=-1", "?segment=-1", "?segment=x&offset=0"} {
+		if status, _, _ = get(bad); status != http.StatusBadRequest {
+			t.Fatalf("bad cursor %s = %d, want 400", bad, status)
+		}
 	}
-	if status, _, _ = get("?offset=-1"); status != http.StatusBadRequest {
-		t.Fatalf("negative offset = %d, want 400", status)
+
+	plain := httptest.NewServer(NewHandler(NewService()))
+	defer plain.Close()
+	resp, err := plain.Client().Get(plain.URL + "/v1/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/store without a store = %d, want 404", resp.StatusCode)
 	}
 }

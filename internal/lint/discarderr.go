@@ -8,7 +8,7 @@ import (
 
 // discarderr flags `_ = expr` assignments and bare statements that
 // drop the error of a write-path call: Write/WriteString/Flush/Sync on
-// anything but an in-memory buffer, Encode, ScenarioLog-style Record,
+// anything but an in-memory buffer, Encode, log-style Record,
 // io.Copy and friends, and Close on a value that can Write (a writable
 // file's Close is the fsync-adjacent last chance to see the failure).
 // This is the PR 7 bug class: `_ = c.slog.Record(req)` silently lost

@@ -36,8 +36,7 @@ var knobOwners = map[string]string{
 	// BindServeFlags
 	"addr": "BindServeFlags", "cache": "BindServeFlags",
 	"shards": "BindServeFlags", "structure-cache": "BindServeFlags",
-	"drain": "BindServeFlags", "warm": "BindServeFlags",
-	"log-scenarios": "BindServeFlags", "warm-workers": "BindServeFlags",
+	"drain": "BindServeFlags", "warm-workers": "BindServeFlags",
 	"stream-cells": "BindServeFlags", "max-inflight": "BindServeFlags",
 	"request-timeout": "BindServeFlags", "tail": "BindServeFlags",
 	"store": "BindServeFlags", "store-verify": "BindServeFlags",

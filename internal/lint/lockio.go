@@ -19,8 +19,8 @@ import (
 // deferred unlock holds to function end, and branch/loop bodies are
 // scanned with a copy of the held set. Function literals are skipped —
 // they run elsewhere. Intentional hold-across-I/O designs (the plan
-// store's single-writer mutex, the scenario log's append serialization)
-// document themselves with a file-scoped allow.
+// store's single-writer mutex) document themselves with a file-scoped
+// allow.
 type lockio struct{}
 
 func init() { Register(lockio{}) }

@@ -23,5 +23,5 @@ func BindScenarioFlags(fs *flag.FlagSet) *int {
 
 func suppressedLegacyAlias(fs *flag.FlagSet) *string {
 	//hanccr:allow flagdrift fixture keeps a deprecated alias alive for one release
-	return fs.String("warm", "", "deprecated alias for the shared knob")
+	return fs.String("store", "", "deprecated alias for the shared knob")
 }

@@ -229,7 +229,7 @@ func (s Scenario) model() string {
 // with another by moving bytes across a field boundary. The two
 // formats WithWorkflow can produce keep their historical bare
 // encoding ("format=json|" / "format=dax|") so every key ever written
-// to a plan store or scenario log stays valid; any other format value
+// to a plan store stays valid; any other format value
 // (only constructible by hand, but a future format must not reopen
 // the hole) is length-prefixed like its neighbors — unambiguous
 // because a prefixed format starts with a digit, never 'j' or 'd'.
@@ -309,10 +309,9 @@ func (s Scenario) ParamKey() string {
 }
 
 // ScenarioRequest is the wire shape of a scenario: the JSON schema
-// shared by every /v1 endpoint, each /v1/batch job, and each line of a
-// JSONL scenario log (see ScenarioLog / Service.WarmFromLog). Omitted
-// fields take the shared defaults; pfail, ccr and seed are pointers so
-// an explicit zero survives the trip.
+// shared by every /v1 endpoint and each /v1/batch job. Omitted fields
+// take the shared defaults; pfail, ccr and seed are pointers so an
+// explicit zero survives the trip.
 type ScenarioRequest struct {
 	Family     string   `json:"family,omitempty"`
 	Tasks      int      `json:"tasks,omitempty"`

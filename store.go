@@ -6,8 +6,9 @@ package hanccr
 // the Service's sharded LRU. Planning is deterministic given the
 // canonical Scenario.Key, so the store archives *outputs* — enough of
 // the solved plan (scenario knobs, superchain order, checkpoint marks)
-// to reconstruct a *Plan without re-running Algorithm 1 or 2 — where
-// the warm-log machinery replays *inputs* and re-plans them at boot.
+// to reconstruct a *Plan without re-running Algorithm 1 or 2. It is
+// the daemon's only durable log: a restart rehydrates it (LoadStore)
+// and peer replicas follow it over GET /v1/store (Service.Follow).
 //
 // On disk the store is a directory of append-only segment files
 // (plans-NNNNNN.seg), one JSON record per line:
@@ -16,12 +17,12 @@ package hanccr
 //
 // Records are immutable once written; a re-written key supersedes its
 // older record by replay order (segments are scanned in ascending
-// sequence number, later records win). Recovery mirrors ScenarioLog's
-// crash tolerance: a torn record at the tail of the newest segment is
+// sequence number, later records win). A torn record at the tail of
+// the newest segment — the signature of a crash mid-append — is
 // skipped silently and overwritten-around via a recovery newline;
-// corrupt records elsewhere are skipped, logged and counted as dead
-// bytes. Compaction rewrites the live records into a fresh
-// higher-numbered segment and deletes the old files — crash-safe
+// corrupt or over-long (maxStoreLine) records elsewhere are skipped,
+// logged and counted as dead bytes. Compaction rewrites the live
+// records into a fresh higher-numbered segment and deletes the old files — crash-safe
 // because the rewritten segment only becomes visible via rename, and
 // replay order makes it win over any stale survivors.
 //
@@ -36,7 +37,6 @@ package hanccr
 // freshly planned reference.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -458,46 +458,37 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 64<<10)
+	lr := newLineReader(f)
 	var off int64
 	for {
-		line, err := r.ReadBytes('\n')
-		n := int64(len(line))
-		if n == 0 {
-			return nil // clean EOF
-		}
-		torn := err != nil // no trailing newline: short final record
-		bad := torn
+		line, n, err := lr.next()
+		tail := err != nil && err != errLineTooLong // n bytes after the last newline
 		var rec storeRecord
-		if !bad {
-			if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Key == "" {
-				bad = true
-			} else if crc32.ChecksumIEEE(rec.Plan) != rec.CRC {
-				bad = true
-			}
-		}
-		if bad {
+		switch {
+		case tail && n == 0:
+			return nil
+		case tail && last:
+			// Torn tail of the newest segment: the expected shape of a
+			// crash mid-Put. The next Put writes a recovery newline first
+			// so the tail cannot corrupt it.
 			st.dead += n
-			if last && err != nil {
-				// Torn tail of the newest segment: the expected shape of a
-				// crash mid-Record. The next Put writes a recovery newline
-				// first so the tail cannot corrupt it.
-				st.needNewline = true
-			} else {
-				st.logf("store: %s: skipping corrupt record at offset %d (%d bytes)", filepath.Base(st.segPath(seq)), off, n)
-			}
-		} else {
+			st.needNewline = true
+			return nil
+		case err == nil && json.Unmarshal(line, &rec) == nil && rec.Key != "" && crc32.ChecksumIEEE(rec.Plan) == rec.CRC:
 			if old, ok := st.index[rec.Key]; ok {
 				st.dead += old.n
 				st.live -= old.n
 			}
 			st.index[rec.Key] = storeRef{seq: seq, off: off, n: n}
 			st.live += n
+		default:
+			st.dead += n
+			st.logf("store: %s: skipping corrupt record at offset %d (%d bytes)", filepath.Base(st.segPath(seq)), off, n)
+			if tail {
+				return nil
+			}
 		}
 		off += n
-		if err != nil {
-			return nil
-		}
 	}
 }
 
@@ -556,6 +547,9 @@ func (st *PlanStore) Put(key string, payload []byte) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
+	}
+	if len(line) > maxStoreLine {
+		return fmt.Errorf("store: record of %d bytes above the %d-byte line limit", len(line), maxStoreLine)
 	}
 	line = append(line, '\n')
 	st.mu.Lock()
@@ -804,10 +798,7 @@ func (s *Service) storeLoad(ctx context.Context, key string) (*Plan, bool) {
 	}
 	var p *Plan
 	if err == nil {
-		p, err = decodePlan(ctx, key, payload)
-	}
-	if err == nil && s.storeVerify {
-		err = s.verifyStored(ctx, p, payload)
+		p, err = s.decodeStored(ctx, key, payload)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -819,6 +810,18 @@ func (s *Service) storeLoad(ctx context.Context, key string) (*Plan, bool) {
 		return nil, false
 	}
 	return p, true
+}
+
+// decodeStored decodes a stored payload (decodePlan's key-hash and
+// bit-exact cross-checks) and, under WithStoreVerify, golden-checks it
+// against a fresh plan — the one trust gate for records read from disk
+// or from a peer.
+func (s *Service) decodeStored(ctx context.Context, key string, payload []byte) (*Plan, error) {
+	p, err := decodePlan(ctx, key, payload)
+	if err == nil && s.storeVerify {
+		err = s.verifyStored(ctx, p, payload)
+	}
+	return p, err
 }
 
 // verifyStored is the WithStoreVerify integrity mode: plan the
@@ -843,7 +846,9 @@ func (s *Service) verifyStored(ctx context.Context, p *Plan, payload []byte) err
 
 // storePut writes a solved plan through to the store. Failures are
 // logged, not returned: the in-memory result is already correct, the
-// store just missed an entry it can re-create on the next miss.
+// store just missed an entry it can re-create on the next miss. A
+// record above maxStoreLine is refused (and logged) the same way, so
+// the store never holds a line its readers would skip.
 func (s *Service) storePut(key string, p *Plan) {
 	if s.store == nil {
 		return
@@ -861,8 +866,7 @@ func (s *Service) storePut(key string, p *Plan) {
 // LoadStore rehydrates every stored plan into the LRU with workers
 // goroutines (0 = all cores) — the boot step that makes a restart's
 // first request for a known scenario a cache hit without re-planning.
-// It runs before -warm/-tail replay so replayed inputs find their keys
-// already resident. loaded counts plans placed in the cache (also
+// loaded counts plans placed in the cache (also
 // visible as Stats.StoreLoads), dropped counts records that failed
 // decoding and were discarded. The error is the store's deferred open
 // failure or ctx's cancellation; bad records never fail the boot.

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,7 +279,7 @@ func TestStoreEvictionReload(t *testing.T) {
 	}
 }
 
-// TestStoreTornTailRecovery mirrors ScenarioLog's crash tolerance: a
+// TestStoreTornTailRecovery pins the store's crash tolerance: a
 // torn record at the tail of the newest segment is skipped on open (no
 // failed boot, the other records stay live) and the next Put recovers
 // around it.
@@ -382,6 +384,86 @@ func TestStoreCorruptRecordSkipped(t *testing.T) {
 	}
 	if payload, ok, err := st.Get("k2"); err != nil || !ok || string(payload) != `{"b":2}` {
 		t.Fatalf("Get(k2) = (%q, %v, %v)", payload, ok, err)
+	}
+}
+
+// TestStoreLineCap pins maxStoreLine at both ends of the store: Put
+// accepts a record whose line sits exactly at the cap and refuses one
+// byte more, so the store never writes a line its readers would skip;
+// and an over-cap line planted on disk is skipped on reopen (logged,
+// counted dead) and by the stream (which re-synchronizes the cursor
+// with a header), without losing the records around it.
+func TestStoreLineCap(t *testing.T) {
+	dir := t.TempDir()
+	var log logRecorder
+	st, err := OpenPlanStore(dir, WithStoreLogf(log.logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("x"), maxStoreLine-200)
+	payload[0], payload[len(payload)-1] = '"', '"'
+	// The key pads the line to the cap without touching the CRC.
+	key := strings.Repeat("k", 1+maxStoreLine-len(recordLine(t, "k", payload)))
+	if n := len(recordLine(t, key, payload)); n != maxStoreLine {
+		t.Fatalf("test line is %d bytes, want exactly %d", n, maxStoreLine)
+	}
+	if err := st.Put(key, payload); err != nil {
+		t.Fatalf("a line at the cap was refused: %v", err)
+	}
+	if err := st.Put(key+"k", payload); err == nil {
+		t.Fatal("a line one byte over the cap was written")
+	}
+	if st.Records() != 1 {
+		t.Fatalf("store holds %d records, want the one at the cap", st.Records())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seg := filepath.Join(dir, "plans-000001.seg")
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := recordLine(t, "small", []byte(`{"v":1}`))
+	if _, err := f.Write(append(bytes.Repeat([]byte("y"), maxStoreLine+1), '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(small, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenPlanStore(dir, WithStoreLogf(log.logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if keys := st.Keys(); len(keys) != 2 || keys[0] != key || keys[1] != "small" {
+		t.Fatalf("reopened store indexes %d keys, want the at-cap record and the one after the over-cap line", len(keys))
+	}
+	if !log.has(fmt.Sprintf("offset %d (%d bytes)", fi.Size(), maxStoreLine+2)) {
+		t.Fatalf("over-cap line not logged at its offset; log: %.200q", log.lines)
+	}
+	var got []string
+	if err := st.stream(context.Background(), storeCursor{}, false, func(line []byte) error {
+		if len(line) > 1024 {
+			got = append(got, fmt.Sprintf("<%d bytes>", len(line)))
+		} else {
+			got = append(got, string(line))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{headerLine(1, 0), fmt.Sprintf("<%d bytes>", maxStoreLine), headerLine(1, fi.Size()+maxStoreLine+2), string(small)}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stream = %q, want %q", got, want)
 	}
 }
 
@@ -652,4 +734,143 @@ func TestStoreVerifyMode(t *testing.T) {
 	if verifyCalls.Load() == 0 {
 		t.Fatal("verify mode never re-planned the tampered record")
 	}
+	// A follower applies the same gate to records from a peer: the
+	// spliced record is absorbed without verify and rejected with it.
+	// One worker keeps the order, so the honest sentinel after it
+	// marks the end.
+	for _, tc := range []struct {
+		opts             []ServiceOption
+		absorbed, failed int
+	}{
+		{nil, 2, 0},
+		{[]ServiceOption{WithStoreVerify()}, 1, 1},
+	} {
+		peer := fakePeer(t, []byte(headerLine(1, 0)), recordLine(t, some.Key(), payload), recordLine(t, exit.Key(), alt))
+		follower := NewService(tc.opts...)
+		stop := follow(t, follower, peer.URL, 1)
+		waitStoreLoads(t, follower, uint64(tc.absorbed))
+		if absorbed, failed, _ := stop(); absorbed != tc.absorbed || failed != tc.failed {
+			t.Fatalf("follower %d options: absorbed %d / failed %d, want %d / %d", len(tc.opts), absorbed, failed, tc.absorbed, tc.failed)
+		}
+	}
+}
+
+// FuzzDecodePlan feeds arbitrary record payloads to decodePlan under a
+// real record's key. The key is checked before anything is
+// materialized, so the fuzzer explores the schedule, checkpoint and
+// cross-check decoding of small plans without triggering a large
+// generation. decodePlan must never panic, and a plan it accepts must
+// re-encode to a payload that decodes under the same key and encodes
+// back to the same bytes.
+func FuzzDecodePlan(f *testing.F) {
+	ctx := context.Background()
+	for _, sc := range []Scenario{
+		NewScenario(WithFamily("genome"), WithTasks(20), WithProcs(3)),
+		NewScenario(WithFamily("montage"), WithTasks(20), WithProcs(3), WithStrategy(CkptAll)),
+		NewScenario(WithFamily("ligo"), WithTasks(20), WithProcs(2), WithStrategy(CkptNone)),
+		NewScenario(WithFamily("cybershake"), WithTasks(20), WithProcs(3), WithStrategy(ExitOnly), WithExactCostModel()),
+	} {
+		p, err := NewPlan(ctx, sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := encodePlan(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sc.Key(), payload)
+	}
+	f.Fuzz(func(t *testing.T, key string, payload []byte) {
+		p, err := decodePlan(ctx, key, payload)
+		if err != nil {
+			return
+		}
+		enc, err := encodePlan(p)
+		if err != nil {
+			t.Fatalf("accepted plan does not encode: %v", err)
+		}
+		p2, err := decodePlan(ctx, key, enc)
+		if err != nil {
+			t.Fatalf("re-encoded plan does not decode: %v\n%s", err, enc)
+		}
+		enc2, err := encodePlan(p2)
+		if err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not stable (%v):\n%s\n%s", err, enc, enc2)
+		}
+	})
+}
+
+// FuzzScanSegment opens a store over an arbitrary segment file. The
+// open must not panic; the index must hold exactly the keys of the
+// complete, CRC-valid record lines (later lines win), each readable
+// through Get as its line's payload; and the store stream must emit
+// exactly the file's complete lines behind one header.
+func FuzzScanSegment(f *testing.F) {
+	var seg bytes.Buffer
+	for _, rec := range []storeRecord{
+		{Key: "k1", Plan: json.RawMessage(`{"v":1}`)},
+		{Key: "k2", Plan: json.RawMessage(`{"v":2}`)},
+		{Key: "k1", Plan: json.RawMessage(`{"v":3}`)},
+	} {
+		rec.CRC = crc32.ChecksumIEEE(rec.Plan)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seg.Write(append(line, '\n'))
+	}
+	f.Add(seg.Bytes())
+	f.Add(append(bytes.Clone(seg.Bytes()), `{"key":"k3","crc":`...))
+	f.Add([]byte("\n\nnot json\n{}\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "plans-000001.seg"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenPlanStore(dir)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		defer st.Close()
+
+		lines := bytes.Split(data, []byte("\n"))
+		complete := lines[:len(lines)-1]
+		want := map[string][]byte{}
+		for _, line := range complete {
+			var rec storeRecord
+			if json.Unmarshal(line, &rec) == nil && rec.Key != "" && crc32.ChecksumIEEE(rec.Plan) == rec.CRC {
+				want[rec.Key] = rec.Plan
+			}
+		}
+		keys := st.Keys()
+		if len(keys) != len(want) {
+			t.Fatalf("indexed %d keys, want %d", len(keys), len(want))
+		}
+		for _, k := range keys {
+			payload, ok, err := st.Get(k)
+			if !ok || err != nil || !bytes.Equal(payload, want[k]) {
+				t.Fatalf("Get(%q) = %q, %v, %v; want %q", k, payload, ok, err, want[k])
+			}
+		}
+
+		var got [][]byte
+		if err := st.stream(context.Background(), storeCursor{}, false, func(line []byte) error {
+			got = append(got, bytes.Clone(line))
+			return nil
+		}); err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		if len(got) == 0 || string(got[0]) != `{"segment":1,"offset":0}` {
+			t.Fatalf("stream does not open with the segment header: %q", got)
+		}
+		if len(got)-1 != len(complete) {
+			t.Fatalf("stream emitted %d lines, want the file's %d complete ones", len(got)-1, len(complete))
+		}
+		for i, line := range complete {
+			if !bytes.Equal(got[i+1], line) {
+				t.Fatalf("stream line %d = %q, want %q", i, got[i+1], line)
+			}
+		}
+	})
 }

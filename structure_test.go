@@ -284,9 +284,9 @@ func TestHTTPXCacheThreeValues(t *testing.T) {
 	}
 }
 
-// TestHTTPStatsNestedGroups pins the /v1/stats v2 schema: the version
-// marker, the four nested groups, and — for one deprecation cycle — the
-// flat v1 keys beside them, byte-compatible with old dashboards.
+// TestHTTPStatsNestedGroups pins the /v1/stats v3 schema: the version
+// marker and exactly the four nested groups — the flat v1 keys that v2
+// still emitted beside them are gone.
 func TestHTTPStatsNestedGroups(t *testing.T) {
 	svc := NewService()
 	srv := httptest.NewServer(NewHandler(svc))
@@ -312,8 +312,8 @@ func TestHTTPStatsNestedGroups(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if string(got["schema_version"]) != "2" {
-		t.Fatalf("schema_version = %s, want 2", got["schema_version"])
+	if string(got["schema_version"]) != "3" {
+		t.Fatalf("schema_version = %s, want 3", got["schema_version"])
 	}
 	var cache CacheGroup
 	if err := json.Unmarshal(got["cache"], &cache); err != nil {
@@ -334,16 +334,14 @@ func TestHTTPStatsNestedGroups(t *testing.T) {
 			t.Fatalf("missing %q group", group)
 		}
 	}
-	// Flat v1 keys, still present for one release (deprecated).
+	// The flat v1 keys were dropped at version 3.
 	for _, flat := range []string{"hits", "misses", "entries", "capacity", "shed", "store_hits", "structure_hits"} {
-		if _, ok := got[flat]; !ok {
-			t.Fatalf("missing deprecated flat key %q", flat)
+		if _, ok := got[flat]; ok {
+			t.Fatalf("deprecated flat key %q is still emitted", flat)
 		}
 	}
-	want := statsResponse(svc.Stats())
-	var flatHits uint64
-	if err := json.Unmarshal(got["hits"], &flatHits); err != nil || flatHits != want.Cache.Hits {
-		t.Fatalf("flat hits = %d (%v), want %d", flatHits, err, want.Cache.Hits)
+	if len(got) != 5 {
+		t.Fatalf("stats body has keys %v, want schema_version plus the four groups", got)
 	}
 }
 

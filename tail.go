@@ -2,379 +2,371 @@ package hanccr
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// DefaultTailInterval is how often a follow-mode tailer polls a file
-// that currently has no new complete line. Poll-based (no fsnotify, no
-// cgo) keeps the tailer stdlib-only and portable; a quarter second is
-// far below any cache-warming latency that matters while costing one
-// stat per idle tick.
+// DefaultTailInterval is how often a follow-mode store stream polls a
+// segment that currently has no new complete line. Poll-based (no
+// fsnotify, no cgo) keeps the stream stdlib-only and portable; a
+// quarter second is far below any cache-warming latency that matters
+// while costing one read per idle tick.
 const DefaultTailInterval = 250 * time.Millisecond
 
-// tailReconnectBackoff is how long the HTTP tailer waits before
-// re-dialing a peer whose /v1/log stream dropped or refused.
+// tailReconnectBackoff is how long a follower waits before re-dialing
+// a peer whose GET /v1/store stream dropped or refused.
 const tailReconnectBackoff = 500 * time.Millisecond
 
-// TailOption configures TailLog.
-type TailOption func(*tailConfig)
+// maxStoreLine bounds one line of a segment file or of a peer's store
+// stream, newline excluded: twice the request-body limit, so a record
+// carrying a maximal injected workflow document (base64-encoded, 4/3
+// of its size) still fits beside its schedule metadata. Put refuses
+// longer records, and every reader drops longer lines without
+// buffering them, so neither a corrupt file nor a misbehaving peer can
+// grow a reader's memory past it.
+const maxStoreLine = 2 * maxRequestBody
 
-type tailConfig struct {
-	offset   int64
-	interval time.Duration
-	follow   bool
-	onSkip   func(line []byte, err error)
+// errLineTooLong reports a line above maxStoreLine. The reader has
+// consumed it through its newline; its bytes are gone.
+var errLineTooLong = fmt.Errorf("line longer than %d bytes", maxStoreLine)
+
+// lineReader splits a byte stream into complete, newline-terminated
+// lines. Bytes after the last newline — a torn tail, or a record still
+// being written — are never returned as a line.
+type lineReader struct {
+	br   *bufio.Reader
+	line []byte
 }
 
-// TailFrom starts the tail at the given byte offset instead of the
-// start of the file. An offset beyond the current file size (the file
-// was truncated or rotated since the offset was taken) restarts from
-// the beginning rather than waiting for the file to regrow past it.
-func TailFrom(offset int64) TailOption {
-	return func(c *tailConfig) {
-		if offset > 0 {
-			c.offset = offset
-		}
-	}
+func newLineReader(r io.Reader) *lineReader {
+	return &lineReader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// TailInterval sets the idle poll interval (default
-// DefaultTailInterval).
-func TailInterval(d time.Duration) TailOption {
-	return func(c *tailConfig) {
-		if d > 0 {
-			c.interval = d
-		}
-	}
-}
-
-// TailOnce stops at the current end of the file instead of following
-// appends — a snapshot read with the tailer's partial-line tolerance.
-func TailOnce() TailOption {
-	return func(c *tailConfig) { c.follow = false }
-}
-
-// TailOnSkip registers a callback for lines the tailer drops: blank
-// recovery lines, salvaged write fragments and anything else that does
-// not parse as a ScenarioRequest. A live log is allowed to contain
-// them (see ScenarioLog.Record), so the tailer skips instead of
-// aborting the way the strict boot-time WarmFromLog does.
-func TailOnSkip(fn func(line []byte, err error)) TailOption {
-	return func(c *tailConfig) { c.onSkip = fn }
-}
-
-// TailLog follows the JSONL scenario log at path, invoking fn for
-// every complete, parseable ScenarioRequest line — the continuous
-// counterpart of Service.WarmFromLog's one-shot replay. It polls
-// (stdlib-only, no fsnotify): a partially written last line is never
-// delivered, only retried once its newline lands; unparseable lines
-// (blank recovery lines, salvaged fragments of a failed write) are
-// skipped, not fatal. A file that does not exist yet is waited for.
-//
-// TailLog returns when fn returns an error (that error), when ctx is
-// done (ctx.Err()), or — under TailOnce — when the end of the file is
-// reached (nil).
-func TailLog(ctx context.Context, path string, fn func(ScenarioRequest) error, opts ...TailOption) error {
-	cfg := tailConfig{interval: DefaultTailInterval, follow: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return tailLines(ctx, path, cfg, func(line []byte) error {
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			return nil
-		}
-		var req ScenarioRequest
-		if err := json.Unmarshal(trimmed, &req); err != nil {
-			if cfg.onSkip != nil {
-				cfg.onSkip(line, err)
-			}
-			return nil
-		}
-		return fn(req)
-	})
-}
-
-// tailLines is the byte-level core under TailLog and GET /v1/log: it
-// streams the complete lines of the file at path (newline stripped)
-// from cfg.offset, polling for growth in follow mode. Offsets are
-// plain file offsets, so a consumer that counts len(line)+1 per line
-// can resume exactly where it stopped.
-func tailLines(ctx context.Context, path string, cfg tailConfig, emit func(line []byte) error) error {
-	if cfg.interval <= 0 {
-		cfg.interval = DefaultTailInterval
-	}
-	var (
-		f       *os.File
-		pos     int64 // file offset of the next byte to read
-		pending []byte
-		discard bool // inside an over-long line: drop bytes until its newline
-		buf     = make([]byte, 64*1024)
-	)
-	defer func() {
-		if f != nil {
-			f.Close() //hanccr:allow discarderr log tailed read-only; a close error cannot lose data we only read
-		}
-	}()
-
-	sleep := func() error {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(cfg.interval):
-			return nil
-		}
-	}
-
-	// open (re)opens the file and clamps the resume offset to its size:
-	// a shrunken file means truncation or rotation, and replaying from
-	// the start beats waiting forever for bytes that will never return.
-	open := func() error {
-		var err error
-		f, err = os.Open(path)
-		if err != nil {
-			return err
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close() //hanccr:allow discarderr read-only error-path cleanup; the Stat error is what the caller sees
-			f = nil
-			return err
-		}
-		if cfg.offset > st.Size() {
-			cfg.offset = 0
-		}
-		if _, err := f.Seek(cfg.offset, io.SeekStart); err != nil {
-			f.Close() //hanccr:allow discarderr read-only error-path cleanup; the Seek error is what the caller sees
-			f = nil
-			return err
-		}
-		pos = cfg.offset
-		pending = pending[:0]
-		discard = false
-		return nil
-	}
-
-	for f == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := open()
-		if err == nil {
-			break
-		}
-		if !os.IsNotExist(err) {
-			return err
-		}
-		if !cfg.follow {
-			return nil // snapshot of a log that does not exist yet: empty
-		}
-		if err := sleep(); err != nil {
-			return err
-		}
-	}
-
+// next returns the next complete line with its newline stripped, and
+// the bytes it occupied (newline included). A line above maxStoreLine
+// is read through its newline in discard mode and reported as
+// errLineTooLong. At the end of the stream (io.EOF) or on a read error,
+// n counts the unterminated bytes read after the last newline. The
+// line is only valid until the next call.
+func (lr *lineReader) next() (line []byte, n int64, err error) {
+	lr.line = lr.line[:0]
+	long := false
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		chunk, err := lr.br.ReadSlice('\n')
+		n += int64(len(chunk))
+		if !long && len(lr.line)+len(chunk) > maxStoreLine+1 {
+			long, lr.line = true, nil
 		}
-		n, rerr := f.Read(buf)
-		if n > 0 {
-			pending = append(pending, buf[:n]...)
-			pos += int64(n)
-			for {
-				i := bytes.IndexByte(pending, '\n')
-				if i < 0 {
-					break
-				}
-				line := pending[:i]
-				if discard {
-					// The newline ends the over-long line whose head was
-					// already dropped; its tail must not surface as a line.
-					discard = false
-				} else if err := emit(line); err != nil {
-					return err
-				}
-				pending = pending[i+1:]
-			}
-			// A "line" beyond any legal log entry will never parse; drop
-			// it now so a corrupt or hostile file cannot grow the pending
-			// buffer without bound (discard mode keeps dropping until the
-			// line's newline finally arrives).
-			if len(pending) > maxScenarioLogLine {
-				if !discard && cfg.onSkip != nil {
-					cfg.onSkip(pending, bufio.ErrTooLong)
-				}
-				discard = true
-				pending = pending[:0]
-			}
+		if !long {
+			lr.line = append(lr.line, chunk...)
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
 			continue
+		case err != nil:
+			return nil, n, err
+		case long:
+			return nil, n, errLineTooLong
 		}
-		if rerr != nil && rerr != io.EOF {
-			return rerr
+		return lr.line[:len(lr.line)-1], n, nil
+	}
+}
+
+// storeCursor is a position in a store's segment sequence. The store
+// stream emits it as a header line, {"segment":S,"offset":N}, each time
+// it enters a segment; every other line it emits is one record exactly
+// as it sits on disk, so a consumer that adds len(line)+1 per record
+// always holds the cursor of the next byte it needs.
+type storeCursor struct {
+	Segment uint64 `json:"segment"`
+	Offset  int64  `json:"offset"`
+}
+
+// segments snapshots the existing segment sequence numbers.
+func (st *PlanStore) segments() []uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return slices.Clone(st.segs)
+}
+
+// stream hands emit the store's lines in segment order from cur: a
+// header line on entering each segment, then that segment's complete
+// record lines (newline stripped). A torn tail is held back until its
+// newline lands; an over-long line is skipped and followed by a header
+// that re-synchronizes the cursor. Once a higher segment exists the
+// current one is sealed — it is read to EOF once more and the stream
+// moves on. A cursor whose segment was compacted away resumes at
+// offset 0 of the next higher one (replayed records are duplicates,
+// and absorbing is idempotent); a cursor beyond the newest segment, or
+// beyond its segment's size, names a store that was reset, and the
+// stream restarts from the oldest segment at offset 0.
+//
+// Without follow, stream returns nil at the end of the newest segment;
+// with it, stream polls every DefaultTailInterval until ctx is done or
+// emit fails. It never takes st.mu for longer than a snapshot of the
+// segment list, so Put and Get do no extra work for it.
+func (st *PlanStore) stream(ctx context.Context, cur storeCursor, follow bool, emit func(line []byte) error) error {
+	for {
+		segs := st.segments()
+		i := sort.Search(len(segs), func(i int) bool { return segs[i] >= cur.Segment })
+		switch {
+		case i == len(segs):
+			cur = storeCursor{Segment: segs[0]}
+		case segs[i] != cur.Segment:
+			cur = storeCursor{Segment: segs[i]}
 		}
-		// EOF: the file has no complete new line right now.
-		if !cfg.follow {
-			return nil
+		f, err := os.Open(st.segPath(cur.Segment))
+		if errors.Is(err, fs.ErrNotExist) && !slices.Contains(st.segments(), cur.Segment) {
+			continue // compacted away since the snapshot
 		}
-		if err := sleep(); err != nil {
+		if err != nil {
 			return err
 		}
-		// Detect truncation/rotation while idle: if the file shrank below
-		// our read position, reopen from the start.
-		st, err := os.Stat(path)
-		if err != nil || st.Size() < pos {
-			f.Close() //hanccr:allow discarderr read-only reopen after truncation; no written data is at risk
-			f = nil
-			cfg.offset = 0
-			for f == nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if oerr := open(); oerr == nil {
-					break
-				} else if !os.IsNotExist(oerr) {
-					return oerr
-				}
-				if serr := sleep(); serr != nil {
-					return serr
-				}
-			}
+		fi, err := f.Stat()
+		sealed, reset := false, err == nil && cur.Offset > fi.Size()
+		if err == nil && !reset {
+			sealed, err = st.streamSegment(ctx, f, &cur, follow, emit)
+		}
+		f.Close() //hanccr:allow discarderr segment opened read-only; a close error cannot lose data we only read
+		switch {
+		case err != nil:
+			return err
+		case reset:
+			cur = storeCursor{Segment: segs[0]}
+		case sealed:
+			cur = storeCursor{Segment: cur.Segment + 1}
+		default:
+			return nil
 		}
 	}
 }
 
-// Follow continuously absorbs a peer's miss-log into this Service's
-// plan cache — the cross-process warm path. source is either a JSONL
-// file path (shared disk, tailed via TailLog) or an http(s) URL of a
-// peer replica (its GET /v1/log NDJSON stream, re-dialled with the
-// last byte offset whenever the connection drops). Each absorbed line
-// plans through the sharded cache on the same bounded worker pool
-// WarmFromLog uses, so a follower replica computes a scenario at most
-// once no matter how often the peer re-serves it.
-//
-// Follow runs until ctx is done and returns how many log lines were
-// absorbed (planned cold or already warm) and how many failed to plan,
-// plus ctx.Err().
-func (s *Service) Follow(ctx context.Context, source string, workers int) (absorbed, failed int, err error) {
-	ch, wait := s.warmPool(ctx, workers)
-	feed := func(req ScenarioRequest) error {
-		// req.Scenario() clones any injected document out of the tail
-		// buffer, so the next line cannot corrupt a queued scenario.
+// streamSegment is stream's loop over one open segment file. It
+// reports sealed once the segment is read to its end and a higher one
+// exists.
+func (st *PlanStore) streamSegment(ctx context.Context, f *os.File, cur *storeCursor, follow bool, emit func(line []byte) error) (bool, error) {
+	header := func() error {
+		line, err := json.Marshal(cur)
+		if err != nil {
+			return err
+		}
+		return emit(line)
+	}
+	if err := header(); err != nil {
+		return false, err
+	}
+	lr := newLineReader(f)
+	for {
+		// Snapshot before reading: once a higher segment exists every
+		// write to this one is done, so this read reaches its true end.
+		segs := st.segments()
+		sealed := segs[len(segs)-1] > cur.Segment
+		if _, err := f.Seek(cur.Offset, io.SeekStart); err != nil {
+			return false, err
+		}
+		lr.br.Reset(f)
+		for {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			line, n, err := lr.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil && err != errLineTooLong {
+				return false, err
+			}
+			cur.Offset += n
+			if err == errLineTooLong {
+				err = header()
+			} else {
+				err = emit(line)
+			}
+			if err != nil {
+				return false, err
+			}
+		}
+		if sealed || !follow {
+			return sealed, nil
+		}
 		select {
-		case ch <- req.Scenario():
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-time.After(DefaultTailInterval):
+		}
+	}
+}
+
+// Follow continuously absorbs a peer replica's solved plans into this
+// Service — the cross-process warm path. peer is the base URL of a
+// replica running with a plan store; Follow reads its GET /v1/store
+// stream and, on a pool of workers goroutines (0 = all cores), checks
+// each record's CRC, decodes it with the store's bit-exact cross-checks
+// (and WithStoreVerify's golden check, when set), makes the plan
+// resident exactly as LoadStore does (Stats.StoreLoads counts it), and
+// writes it through to this Service's own store. Nothing is replanned.
+// When the stream drops, Follow re-dials from the last cursor it
+// received; replayed records are deduplicated by the cache and by Put.
+//
+// Follow runs until ctx is done and returns how many records it
+// absorbed and how many it rejected (unparseable, over-long, failing
+// their CRC or their decode), plus ctx.Err().
+func (s *Service) Follow(ctx context.Context, peer string, workers int) (absorbed, failed int, err error) {
+	base := strings.TrimRight(peer, "/")
+	if !isPeerURL(base) {
+		return 0, 0, fmt.Errorf("follow %q: want a peer replica URL (http:// or https://)", peer)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	type queued struct {
+		rec storeRecord
+		at  storeCursor
+	}
+	var ok, bad atomic.Int64
+	reject := func(at storeCursor, err error) {
+		bad.Add(1)
+		s.logf("follow %s: segment %d offset %d: %v", base, at.Segment, at.Offset, err)
+	}
+	// Two queued records per worker keep every worker busy while the
+	// stream parses the next line, and bound the payloads held at once.
+	ch := make(chan queued, 2*workers)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := range ch {
+				switch err := s.absorb(ctx, q.rec); {
+				case err == nil:
+					ok.Add(1)
+				case ctx.Err() == nil: // a cancelled decode is not a bad record
+					reject(q.at, err)
+				}
+			}
+		}()
+	}
+	err = followStream(ctx, base+"/v1/store", func(rec storeRecord, at storeCursor, err error) error {
+		if err != nil {
+			reject(at, err)
+			return nil
+		}
+		select {
+		case ch <- queued{rec, at}:
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-	}
-	var terr error
-	if strings.HasPrefix(source, "http://") || strings.HasPrefix(source, "https://") {
-		terr = tailHTTPLog(ctx, source, feed)
-	} else {
-		terr = TailLog(ctx, source, feed)
-	}
+	})
 	close(ch)
-	absorbed, failed, abortErr := wait()
-	switch {
-	case terr != nil && !errors.Is(terr, context.Canceled):
-		return absorbed, failed, terr
-	case abortErr != nil && !errors.Is(abortErr, context.Canceled):
-		return absorbed, failed, abortErr
-	default:
-		return absorbed, failed, ctx.Err()
-	}
+	wg.Wait()
+	return int(ok.Load()), int(bad.Load()), err
 }
 
-// tailHTTPLog follows a peer replica's GET /v1/log NDJSON stream,
-// reconnecting with the last consumed byte offset whenever the
-// connection drops (peer restart, network blip, drain-time 503). The
-// offset advances only on complete (newline-terminated) lines, so a
-// reconnect can never skip or split a record. Unparseable lines are
-// skipped like the file tailer's.
-func tailHTTPLog(ctx context.Context, source string, fn func(ScenarioRequest) error) error {
-	base := strings.TrimRight(source, "/")
-	if !strings.HasSuffix(base, "/v1/log") {
-		base += "/v1/log"
+// isPeerURL reports whether s names a peer replica (an http or https
+// URL) rather than a local path: a store directory belongs to one
+// process, so plans travel between replicas over GET /v1/store only.
+func isPeerURL(s string) bool {
+	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
+}
+
+// absorb makes one peer record resident and writes it through to this
+// Service's store.
+func (s *Service) absorb(ctx context.Context, rec storeRecord) error {
+	p, err := s.decodeStored(ctx, rec.Key, rec.Plan)
+	if err != nil {
+		return err
 	}
+	if s.plans.add(rec.Key, cachedPlan{p, CacheMiss}) {
+		s.storeLoads.Add(1)
+	}
+	s.storePut(rec.Key, p)
+	return nil
+}
+
+// followStream reads a store stream at url (GET /v1/store) from the
+// start, re-dialing from the last cursor whenever the connection drops
+// or the peer refuses (a 503 while it drains, a 404 before it has a
+// store). Header lines move the cursor; every other line reaches fn
+// with the cursor it starts at, as a CRC-checked record or as the
+// reason it is not one. A trailing partial line never reaches fn and
+// is re-requested from its first byte. followStream returns fn's
+// error, or ctx.Err().
+func followStream(ctx context.Context, url string, fn func(rec storeRecord, at storeCursor, err error) error) error {
 	client := &http.Client{} // no global timeout: the stream is long-lived
-	var offset int64
-	sleep := func() error {
+	var cur storeCursor
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			fmt.Sprintf("%s?segment=%d&offset=%d&follow=1", url, cur.Segment, cur.Offset), nil)
+		if err != nil {
+			return err
+		}
+		if resp, err := client.Do(req); err == nil {
+			if resp.StatusCode == http.StatusOK {
+				err = readStoreStream(resp.Body, &cur, fn)
+			} else {
+				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //hanccr:allow discarderr best-effort bounded drain before retrying the peer; nothing to resend
+			}
+			resp.Body.Close()
+			if err != nil {
+				return err
+			}
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(tailReconnectBackoff):
-			return nil
 		}
 	}
+}
+
+// errNotRecord rejects a stream line that is neither a header nor a
+// keyed record.
+var errNotRecord = errors.New("not a store record")
+
+// readStoreStream relays one connection's lines to fn, advancing cur.
+// It returns fn's error; the end of the stream is not an error.
+func readStoreStream(body io.Reader, cur *storeCursor, fn func(rec storeRecord, at storeCursor, err error) error) error {
+	lr := newLineReader(body)
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		line, n, err := lr.next()
+		if err != nil && err != errLineTooLong {
+			return nil
 		}
-		url := fmt.Sprintf("%s?follow=1&offset=%d", base, offset)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
+		var msg struct {
+			storeRecord
+			Segment *uint64 `json:"segment"`
+			Offset  *int64  `json:"offset"`
 		}
-		resp, err := client.Do(req)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if err := sleep(); err != nil {
-				return err
-			}
+		switch {
+		case err != nil:
+		case json.Unmarshal(line, &msg) != nil:
+			err = errNotRecord
+		case msg.Segment != nil && msg.Offset != nil && *msg.Offset >= 0:
+			*cur = storeCursor{Segment: *msg.Segment, Offset: *msg.Offset}
 			continue
+		case msg.Key == "":
+			err = errNotRecord
+		case crc32.ChecksumIEEE(msg.Plan) != msg.CRC:
+			err = errors.New("record payload fails its CRC")
 		}
-		if resp.StatusCode != http.StatusOK {
-			// 503 while the peer drains, 404 while its log is not yet
-			// configured — both are "try again later", not fatal.
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //hanccr:allow discarderr best-effort bounded drain before retrying the peer; nothing to resend
-			resp.Body.Close()
-			if err := sleep(); err != nil {
-				return err
-			}
-			continue
+		if ferr := fn(msg.storeRecord, *cur, err); ferr != nil {
+			return ferr
 		}
-		br := bufio.NewReaderSize(resp.Body, 64*1024)
-		for {
-			line, rerr := br.ReadBytes('\n')
-			if rerr == nil || (rerr == io.EOF && len(line) > 0 && line[len(line)-1] == '\n') {
-				offset += int64(len(line))
-				trimmed := bytes.TrimSpace(line)
-				if len(trimmed) > 0 {
-					var sreq ScenarioRequest
-					if uerr := json.Unmarshal(trimmed, &sreq); uerr == nil {
-						if ferr := fn(sreq); ferr != nil {
-							resp.Body.Close()
-							return ferr
-						}
-					}
-				}
-				if rerr == nil {
-					continue
-				}
-			}
-			// Stream ended (EOF, reset, ctx cancellation). A trailing
-			// partial line is NOT counted into offset: the reconnect
-			// re-requests it from its first byte.
-			resp.Body.Close()
-			break
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := sleep(); err != nil {
-			return err
-		}
+		cur.Offset += n
 	}
 }
