@@ -35,7 +35,7 @@ race:
 	$(GO) test -race ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EstimatorPathApprox$$|EstimatorDodin$$|SimulatorTrial$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'EstimatorPathApprox$$|EstimatorDodin$$|EstimatorDodinMontage$$|SimulatorTrial$$' -benchtime 1x -benchmem .
 
 # perfbench/ is a Go module of its own (repro/perfbench, replace repro
 # => ../), so the root ./... patterns skip it: vet and test it here so a

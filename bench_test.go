@@ -313,9 +313,35 @@ func BenchmarkEstimatorNormal(b *testing.B) {
 
 // BenchmarkEstimatorDodin holds one reusable Evaluator like the other
 // estimator benches, so every reduction step of every iteration shares
-// the pooled sorted-merge convolution scratch.
+// the pooled dist.Combiner scratch.
 func BenchmarkEstimatorDodin(b *testing.B) {
 	g := benchEvalDAG(b)
+	ev, err := probdag.NewEvaluator(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.Dodin(probdag.DodinOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimatorDodinMontage is the Dodin shape that sets the
+// daemon's estimate tail: montage, 300 tasks, DefaultProcs, seed 1,
+// CkptSome. Its segment DAG needs ~145 duplications, so it exercises
+// the max kernel and the parallel pass far more than the genome bench.
+func BenchmarkEstimatorDodinMontage(b *testing.B) {
+	p, err := NewPlan(context.Background(), NewScenario(WithFamily("montage"), WithTasks(300), WithSeed(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := p.ensureDAG()
+	if err != nil {
+		b.Fatal(err)
+	}
 	ev, err := probdag.NewEvaluator(g)
 	if err != nil {
 		b.Fatal(err)

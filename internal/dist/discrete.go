@@ -175,22 +175,23 @@ func (d *Discrete) MaxWith(o *Discrete) *Discrete {
 }
 
 // combineMap is the historical map-accumulator combine, superseded by
-// the Combiner's sorted-merge path. It is retained as the independent
-// reference implementation the property-based equivalence tests compare
-// against; the two must stay bit-identical.
+// the Combiner. It is retained as the independent reference
+// implementation the property-based equivalence tests compare against;
+// the two must stay bit-identical. Each atom keeps the first value
+// inserted into its class, as the Combiner does: Go's map assignment
+// overwrites a float key with the one being stored, so on a -0/+0 tie
+// the map alone would keep the last one.
 func (d *Discrete) combineMap(o *Discrete, f func(a, b float64) float64) *Discrete {
 	acc := make(map[float64]float64, len(d.vals)*len(o.vals))
+	out := &Discrete{}
 	for i, a := range d.vals {
 		for j, b := range o.vals {
-			acc[f(a, b)] += d.probs[i] * o.probs[j]
+			v := f(a, b)
+			if _, ok := acc[v]; !ok {
+				out.vals = append(out.vals, v)
+			}
+			acc[v] += d.probs[i] * o.probs[j]
 		}
-	}
-	out := &Discrete{
-		vals:  make([]float64, 0, len(acc)),
-		probs: make([]float64, 0, len(acc)),
-	}
-	for v := range acc {
-		out.vals = append(out.vals, v)
 	}
 	sort.Float64s(out.vals)
 	for _, v := range out.vals {

@@ -47,10 +47,12 @@ func (o DodinOptions) withDefaults() DodinOptions {
 // Intermediate supports are quantized to MaxBins points. Dodin returns
 // an error if the step budget is exhausted.
 //
-// Every reduction step folds two supports through a dist.Combiner — the
-// pooled sorted-merge convolution — so one scratch buffer serves the
-// whole reduction; repeated estimates should go through Evaluator.Dodin,
-// which keeps that pool alive across calls.
+// Every reduction step folds two supports through a dist.Combiner — a
+// sorted-merge convolution for serial steps, a two-pointer max for
+// parallel ones — so one scratch buffer serves the whole reduction;
+// repeated estimates should go through Evaluator.Dodin, which keeps that
+// scratch alive across calls. Parallel passes only revisit the nodes
+// whose neighbourhood changed since the previous one.
 func Dodin(g *Graph, opts DodinOptions) (float64, error) {
 	d, err := DodinDistribution(g, opts)
 	if err != nil {
@@ -94,16 +96,16 @@ func dodinDistribution(g *Graph, opts DodinOptions, comb *dist.Combiner) (*dist.
 	return nil, fmt.Errorf("probdag: dodin lost all nodes")
 }
 
-// rnode keeps its adjacency as sorted, deduplicated id slices. The
-// historical reducer used map[int]bool sets and grouped parallelPass
-// candidates under allocated string keys, which dominated Dodin's
-// allocation profile; sorted slices make membership updates copy-free
-// and grouping a sort-and-scan.
+// rnode keeps its adjacency as sorted, deduplicated id slices, so
+// membership updates are copy-free and set comparison is a slice
+// compare.
 type rnode struct {
 	d     *dist.Discrete
 	succ  []int // sorted
 	pred  []int // sorted
 	alive bool
+	dirty bool // queued on reducer.dirty
+	seen  int  // parallelPass number that last placed v in a group
 }
 
 type reducer struct {
@@ -112,18 +114,23 @@ type reducer struct {
 	steps      int
 	opts       DodinOptions
 	comb       *dist.Combiner
-	cand       []int    // parallelPass candidate scratch
-	runs       [][2]int // parallelPass group-boundary scratch
-	hash       []uint64 // parallelPass per-node set-hash scratch
+	// dirty lists the nodes whose pred or succ set changed since the
+	// last parallelPass; every group of two or more equal-set nodes
+	// contains one.
+	dirty  []int
+	groups []int // parallelPass scratch: groups of ids, each ended by -1
+	pass   int   // parallelPass count, stamps rnode.seen
 }
 
 func newReducer(g *Graph, opts DodinOptions, comb *dist.Combiner) *reducer {
 	n := g.Len()
-	r := &reducer{opts: opts, comb: comb, nodes: make([]rnode, n), aliveCount: n}
+	r := &reducer{opts: opts, comb: comb, nodes: make([]rnode, n), aliveCount: n, dirty: make([]int, n)}
 	for i := 0; i < n; i++ {
 		nd := &r.nodes[i]
 		nd.d = g.dists[i]
 		nd.alive = true
+		nd.dirty = true
+		r.dirty[i] = i
 		nd.succ = make([]int, len(g.succ[i]))
 		for k, v := range g.succ[i] {
 			nd.succ[k] = int(v)
@@ -136,6 +143,14 @@ func newReducer(g *Graph, opts DodinOptions, comb *dist.Combiner) *reducer {
 		sort.Ints(nd.pred)
 	}
 	return r
+}
+
+// touch queues v for the next parallelPass.
+func (r *reducer) touch(v int) {
+	if !r.nodes[v].dirty {
+		r.nodes[v].dirty = true
+		r.dirty = append(r.dirty, v)
+	}
 }
 
 // serialPass merges every chain link it can find; returns true if any
@@ -156,10 +171,12 @@ func (r *reducer) serialPass() bool {
 		r.steps++
 		nu.d = r.comb.AddQuantized(nu.d, nv.d, r.opts.MaxBins)
 		nu.succ = append(nu.succ[:0], nv.succ...)
+		r.touch(u)
 		for _, s := range nv.succ {
 			ns := &r.nodes[s]
 			ns.pred = removeSorted(ns.pred, v)
 			ns.pred = insertSorted(ns.pred, u)
+			r.touch(s)
 		}
 		nv.alive = false
 		nv.succ, nv.pred = nil, nil
@@ -170,98 +187,87 @@ func (r *reducer) serialPass() bool {
 }
 
 // parallelPass merges nodes with identical predecessor and successor
-// sets; returns true if any merge happened. Candidates are sorted so
-// equal-set nodes become adjacent (ids ascending within a group), the
-// group boundaries are snapshotted before any merge — the grouping must
-// reflect the pre-pass graph, exactly like the historical key-map — and
-// then each group collapses onto its smallest id. A per-node hash of
-// both sets fronts the sort comparisons, so full slice compares only
-// happen between probable group members.
+// sets; returns true if any merge happened. The groups are found before
+// any merge — they must reflect the pre-pass graph — and each collapses
+// onto its smallest id, folding the others in ascending id order.
+//
+// Only dirty nodes are looked at: a group of two or more equal-set
+// nodes that survived the previous pass must have had a set changed
+// since, and every change queues the node (see touch). A dirty node's
+// group lies among the successors of its first predecessor, or, with no
+// predecessor, among the predecessors of its first successor, or, with
+// neither, among the isolated nodes. Those lists are sorted, so each
+// group comes out in ascending id order. The merge order of groups does
+// not matter: each fold reads only its own group's distributions, and
+// the adjacency removals commute.
 func (r *reducer) parallelPass() bool {
-	cand := r.cand[:0]
-	for v := range r.nodes {
-		if r.nodes[v].alive {
-			cand = append(cand, v)
+	r.pass++
+	groups := r.groups[:0]
+	for _, v := range r.dirty {
+		nv := &r.nodes[v]
+		nv.dirty = false
+		if !nv.alive || nv.seen == r.pass {
+			continue
 		}
-	}
-	if cap(r.hash) < len(r.nodes) {
-		r.hash = make([]uint64, len(r.nodes))
-	}
-	hash := r.hash[:len(r.nodes)]
-	for _, v := range cand {
-		hash[v] = r.setHash(v)
-	}
-	slices.SortFunc(cand, func(a, b int) int {
-		if hash[a] != hash[b] {
-			if hash[a] < hash[b] {
-				return -1
+		start := len(groups)
+		switch {
+		case len(nv.pred) > 0:
+			groups = r.appendEqual(groups, v, r.nodes[nv.pred[0]].succ)
+		case len(nv.succ) > 0:
+			groups = r.appendEqual(groups, v, r.nodes[nv.succ[0]].pred)
+		default:
+			for w := range r.nodes {
+				if nw := &r.nodes[w]; nw.alive && len(nw.pred) == 0 && len(nw.succ) == 0 {
+					groups = append(groups, w)
+				}
 			}
-			return 1
 		}
-		na, nb := &r.nodes[a], &r.nodes[b]
-		if c := slices.Compare(na.pred, nb.pred); c != 0 {
-			return c
+		if len(groups)-start < 2 {
+			groups = groups[:start]
+			continue
 		}
-		if c := slices.Compare(na.succ, nb.succ); c != 0 {
-			return c
+		for _, w := range groups[start:] {
+			r.nodes[w].seen = r.pass
 		}
-		return a - b
-	})
-	r.cand = cand
-	runs := r.runs[:0]
-	for i := 0; i < len(cand); {
-		j := i + 1
-		for j < len(cand) && r.equalSets(cand[i], cand[j]) {
-			j++
-		}
-		if j-i >= 2 {
-			runs = append(runs, [2]int{i, j})
-		}
-		i = j
+		groups = append(groups, -1)
 	}
-	r.runs = runs
-	for _, run := range runs {
-		keep := &r.nodes[cand[run[0]]]
-		for _, v := range cand[run[0]+1 : run[1]] {
-			r.steps++
-			nv := &r.nodes[v]
-			keep.d = r.comb.MaxQuantized(keep.d, nv.d, r.opts.MaxBins)
-			for _, p := range nv.pred {
-				r.nodes[p].succ = removeSorted(r.nodes[p].succ, v)
-			}
-			for _, s := range nv.succ {
-				r.nodes[s].pred = removeSorted(r.nodes[s].pred, v)
-			}
-			nv.alive = false
-			nv.succ, nv.pred = nil, nil
-			r.aliveCount--
+	r.dirty = r.dirty[:0]
+	r.groups = groups
+	keep := -1 // first id of the group being folded
+	for _, v := range groups {
+		if v < 0 || keep < 0 {
+			keep = v
+			continue
 		}
+		r.steps++
+		nk, nv := &r.nodes[keep], &r.nodes[v]
+		nk.d = r.comb.MaxQuantized(nk.d, nv.d, r.opts.MaxBins)
+		for _, p := range nv.pred {
+			r.nodes[p].succ = removeSorted(r.nodes[p].succ, v)
+			r.touch(p)
+		}
+		for _, s := range nv.succ {
+			r.nodes[s].pred = removeSorted(r.nodes[s].pred, v)
+			r.touch(s)
+		}
+		nv.alive = false
+		nv.succ, nv.pred = nil, nil
+		r.aliveCount--
 	}
-	return len(runs) > 0
+	return len(groups) > 0
 }
 
-// equalSets reports whether nodes a and b share identical predecessor
-// and successor sets.
-func (r *reducer) equalSets(a, b int) bool {
-	na, nb := &r.nodes[a], &r.nodes[b]
-	return slices.Equal(na.pred, nb.pred) && slices.Equal(na.succ, nb.succ)
-}
-
-// setHash folds node v's predecessor and successor sets into an FNV-1a
-// style fingerprint; equal sets always hash equal, so the hash can front
-// the grouping sort's comparisons.
-func (r *reducer) setHash(v int) uint64 {
-	const prime = 1099511628211
-	n := &r.nodes[v]
-	h := uint64(14695981039346656037)
-	for _, p := range n.pred {
-		h = (h ^ uint64(p+1)) * prime
+// appendEqual appends, in cand's order, the nodes of cand whose sets
+// equal v's.
+func (r *reducer) appendEqual(groups []int, v int, cand []int) []int {
+	nv := &r.nodes[v]
+	for _, w := range cand {
+		nw := &r.nodes[w]
+		if slices.Equal(nw.pred, nv.pred) && slices.Equal(nw.succ, nv.succ) {
+			groups = append(groups, w)
+		}
 	}
-	h = (h ^ ^uint64(0)) * prime // pred/succ separator
-	for _, s := range n.succ {
-		h = (h ^ uint64(s+1)) * prime
-	}
-	return h
+	return groups
 }
 
 // duplicate picks the node with in-degree >= 2 minimizing
@@ -293,10 +299,12 @@ func (r *reducer) duplicate() bool {
 	succs := r.nodes[best].succ
 	for _, s := range succs {
 		r.nodes[s].pred = removeSorted(r.nodes[s].pred, best)
+		r.touch(s)
 	}
 	for _, u := range preds {
 		r.steps++
 		r.nodes[u].succ = removeSorted(r.nodes[u].succ, best)
+		r.touch(u)
 		// New ids exceed every existing one, so plain appends keep all
 		// adjacency slices sorted.
 		id := len(r.nodes)
@@ -305,7 +313,9 @@ func (r *reducer) duplicate() bool {
 			pred:  []int{u},
 			succ:  append([]int(nil), succs...),
 			alive: true,
+			dirty: true,
 		})
+		r.dirty = append(r.dirty, id)
 		r.nodes[u].succ = append(r.nodes[u].succ, id)
 		for _, s := range succs {
 			r.nodes[s].pred = append(r.nodes[s].pred, id)

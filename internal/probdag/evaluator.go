@@ -33,7 +33,7 @@ type Evaluator struct {
 
 	normals []dist.Normal
 
-	comb dist.Combiner // pooled convolution scratch for Dodin
+	comb dist.Combiner // pooled combine scratch for Dodin
 }
 
 // deviation is one (node, non-base value) pair of the PathApprox sweep:
@@ -231,10 +231,10 @@ func (e *Evaluator) Normal() float64 {
 }
 
 // Dodin runs Dodin's series-parallel reduction with the Evaluator's
-// pooled convolution scratch: every Add/Max step of every call reuses
-// one pair buffer, so repeated estimates of segment DAGs stop paying the
-// per-step allocations the one-shot path does. Results are bit-identical
-// to the package-level Dodin.
+// pooled dist.Combiner: every serial (convolution) and parallel (max)
+// step of every call reuses one scratch buffer, so repeated estimates of
+// segment DAGs stop paying the per-step allocations the one-shot path
+// does. Results are bit-identical to the package-level Dodin.
 func (e *Evaluator) Dodin(opts DodinOptions) (float64, error) {
 	d, err := e.DodinDistribution(opts)
 	if err != nil {
