@@ -151,8 +151,9 @@ func main() {
 	}
 	failed := false
 	for _, p := range panels {
-		// One untimed warm-up run fills the process-wide generator memo so
-		// serial and parallel measurements see identical cache state.
+		// One untimed warm-up run per panel. It only warms the runtime:
+		// no generated workflow outlives the sweep or batch that made
+		// it, so serial and parallel runs each do the same generation.
 		if err := p.run(ctx, ncpu); err != nil {
 			fatal(fmt.Errorf("%s warm-up: %w", p.name, err))
 		}
@@ -374,9 +375,9 @@ func simPanel(ctx context.Context) func(context.Context, int) error {
 }
 
 // runBatchPanel cold-plans a set of distinct scenarios through a fresh
-// sharded Service.Batch — the service-layer fan-out (scheduling +
-// checkpoint placement per job; workflow generation is memoized
-// process-wide, so repetitions measure planning, not parsing).
+// sharded Service.Batch — the service-layer fan-out (generation,
+// scheduling and checkpoint placement per job: nothing outlives a
+// Service, so every repetition generates its workflows again).
 func runBatchPanel(ctx context.Context, workers int) error {
 	families := []string{"genome", "montage", "ligo", "cybershake"}
 	var jobs []hanccr.Job
@@ -558,8 +559,8 @@ func runStorePanel(ctx context.Context, workers int) (storeStat, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Untimed warm-up fills the process-wide generator memo so both
-	// boots measure planning/rehydration, not workflow generation.
+	// Untimed warm-up of the runtime. Both boots generate: the cold one
+	// per plan, the store-warm one once per structure inside LoadStore.
 	for _, sc := range scenarios {
 		if _, err := hanccr.NewPlan(ctx, sc); err != nil {
 			return storeStat{}, err
@@ -621,10 +622,11 @@ func runStorePanel(ctx context.Context, workers int) (storeStat, error) {
 // runNearDupPanel times a 32-plan batch of parameter variants of one
 // structure (one seed, a grid of pfail/ccr/strategy tails) against a
 // 32-plan batch of distinct structures (32 seeds, one parameter point
-// each), best-of-reps, fresh service per run. An untimed warm-up fills
-// the process-wide generator memo first, so both sides measure
-// scheduling + the planning tail rather than workflow generation — the
-// exact work the scaffold cache is supposed to split.
+// each), best-of-reps, fresh service per run, after one untimed
+// warm-up of each side. The cold side generates, schedules and runs
+// the planning tail for every job; the near-dup side does all three
+// once and then only the tail — the exact work the scaffold cache is
+// supposed to split.
 func runNearDupPanel(ctx context.Context, workers, reps int) (nearDupStat, error) {
 	const n = 32
 	strategies := []hanccr.Strategy{hanccr.CkptSome, hanccr.CkptAll, hanccr.CkptNone}

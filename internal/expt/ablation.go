@@ -75,7 +75,7 @@ func AblateCheckpointPlacement(ctx context.Context, cfg AblationConfig) ([]Ablat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w, err := pegasus.CachedGenerate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+	w, err := pegasus.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func AblateCheckpointPlacement(ctx context.Context, cfg AblationConfig) ([]Ablat
 // schedule, quantifying what proportional mapping buys.
 func AblateMapping(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	w, err := pegasus.CachedGenerate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+	w, err := pegasus.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -170,8 +170,9 @@ func AblateLinearization(ctx context.Context, cfg AblationConfig) ([]AblationRow
 	}
 	var rows []AblationRow
 	var someEM float64
+	var memo pegasus.Memo // one generation, a private copy per variant
 	for i, v := range variants {
-		w, err := pegasus.CachedGenerate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+		w, err := memo.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

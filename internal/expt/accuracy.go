@@ -105,10 +105,11 @@ func RunAccuracy(ctx context.Context, cfg AccuracyConfig) ([]AccuracyRow, error)
 	if len(cells) == 1 {
 		mcWorkers = cfg.Workers
 	}
+	var memo pegasus.Memo // each (family, size) generates once per call
 	err := Engine{Workers: cfg.Workers}.ForEach(ctx, len(cells), func(i int) error {
 		c := cells[i]
 		procs := pegasus.PaperProcessorCounts(c.size)[1]
-		w, err := pegasus.CachedGenerate(c.family, pegasus.Options{Tasks: c.size, Seed: cfg.Seed})
+		w, err := memo.Generate(c.family, pegasus.Options{Tasks: c.size, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}

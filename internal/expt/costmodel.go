@@ -44,7 +44,7 @@ func AblateCostModel(ctx context.Context, cfg AblationConfig, trials int) ([]Cos
 	if trials == 0 {
 		trials = 1000
 	}
-	w, err := pegasus.CachedGenerate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+	w, err := pegasus.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -103,9 +103,10 @@ func RunSimCheck(ctx context.Context, cfg SimCheckConfig) ([]SimCheckRow, error)
 	if len(cells) == 1 {
 		simWorkers = cfg.Workers
 	}
+	var memo pegasus.Memo // each family generates once per call
 	err := Engine{Workers: cfg.Workers}.ForEach(ctx, len(cells), func(i int) error {
 		c := cells[i]
-		w, err := pegasus.CachedGenerate(c.family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+		w, err := memo.Generate(c.family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}

@@ -7,9 +7,10 @@
 // All grid experiments run on the worker-pool Engine: cells are
 // enumerated up front, fanned out over Workers goroutines (default
 // GOMAXPROCS), and collected by cell index, so output is bit-identical
-// to a serial run. Workflow generation is memoized per (family, size,
-// seed, ragged) — each cell clones a cached DAG instead of regenerating
-// it.
+// to a serial run. Workflow generation is memoized per call, through a
+// pegasus.Memo the call owns: each cell clones its workflow from that
+// memo instead of regenerating it, and the memo is dropped when the
+// call returns, so nothing generated outlives the sweep or study.
 package expt
 
 import (
@@ -226,19 +227,21 @@ func streamWindow(workers int) int {
 func StreamSweep(ctx context.Context, cfg SweepConfig, emit func(Row) error) error {
 	cfg = cfg.withDefaults()
 	g := cfg.grid()
+	var memo pegasus.Memo // each size generates once per call
 	return par.EmitOrdered(ctx, cfg.Workers, g.cells, streamWindow(cfg.Workers),
 		func(i int) (Row, error) {
 			p := g.point(i)
-			return RunPoint(ctx, cfg, p.size, p.procs, p.pfail, p.ccr)
+			return runPoint(ctx, cfg, &memo, p.size, p.procs, p.pfail, p.ccr)
 		},
 		func(_ int, row Row) error { return emit(row) })
 }
 
 // RunSweep evaluates the three strategies over the full grid of one
-// figure. For each (size, procs, pfail, ccr) point the memoized workflow
-// is cloned, its file sizes rescaled to hit the CCR, λ calibrated from
-// pfail, one schedule built, and all three strategies evaluated on that
-// shared schedule with PathApprox (the method of choice per §VI-B).
+// figure. Each size's workflow is generated once per call; for each
+// (size, procs, pfail, ccr) point it is cloned, its file sizes
+// rescaled to hit the CCR, λ calibrated from pfail, one schedule
+// built, and all three strategies evaluated on that shared schedule
+// with PathApprox (the method of choice per §VI-B).
 // It is the collect-all wrapper over StreamSweep: cells run on the
 // worker pool and rows come back in grid order regardless of the worker
 // count.
@@ -256,8 +259,13 @@ func RunSweep(ctx context.Context, cfg SweepConfig) ([]Row, error) {
 
 // RunPoint evaluates a single grid point.
 func RunPoint(ctx context.Context, cfg SweepConfig, size, procs int, pfail, ccr float64) (Row, error) {
-	cfg = cfg.withDefaults()
-	w, err := pegasus.CachedGenerate(cfg.Family, pegasus.Options{Tasks: size, Seed: cfg.Seed, Ragged: cfg.Ragged})
+	return runPoint(ctx, cfg.withDefaults(), nil, size, procs, pfail, ccr)
+}
+
+// runPoint is RunPoint on a defaulted config, taking the point's
+// workflow from memo (nil: generated afresh).
+func runPoint(ctx context.Context, cfg SweepConfig, memo *pegasus.Memo, size, procs int, pfail, ccr float64) (Row, error) {
+	w, err := memo.Generate(cfg.Family, pegasus.Options{Tasks: size, Seed: cfg.Seed, Ragged: cfg.Ragged})
 	if err != nil {
 		return Row{}, err
 	}

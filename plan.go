@@ -132,12 +132,14 @@ type planScaffold struct {
 // buildScaffold materializes the scenario's workflow and runs
 // Algorithm 1 on it, archiving the schedule as (proc, tasks) per
 // superchain — the same serialized shape the persistent plan store
-// uses, whose decode path proved the rebuild bit-exact. The schedule
-// is allocated on the generator's own file sizes (before any CCR
-// rescale): Algorithm 1 reads task weights and topology only, so the
-// superchains are identical either way.
+// uses, whose decode path proved the rebuild bit-exact. The freshly
+// materialized workflow is private, so the scaffold adopts it as its
+// master without a clone. The schedule is allocated on the generator's
+// own file sizes (before any CCR rescale): Algorithm 1 reads task
+// weights and topology only, so the superchains are identical either
+// way.
 func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
-	w, redundant, err := s.materialize(ctx)
+	w, redundant, err := s.materialize(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +176,7 @@ func planFromScaffold(ctx context.Context, s Scenario, sf *planScaffold) (*Plan,
 		return nil, err
 	}
 	w := sf.w.Clone()
-	pf := platform.New(s.procs, 0, s.bandwidth).WithLambdaForPFail(s.pfail, w.G)
-	pf.ScaleToCCR(w.G, s.ccr)
+	pf := s.calibrate(w)
 	chains := make([][]wfdag.TaskID, len(sf.chains))
 	for i, c := range sf.chains {
 		chains[i] = append([]wfdag.TaskID(nil), c...)

@@ -382,9 +382,10 @@ func (r ScenarioRequest) Scenario() Scenario {
 
 // materialize produces the scenario's workflow with the generator's
 // own file sizes (no CCR rescaling). The returned workflow is private
-// to the caller: generated workflows are clones of the memoized
-// instance, injected ones are re-parsed.
-func (s Scenario) materialize(ctx context.Context) (*mspg.Workflow, int, error) {
+// to the caller: a generated one is drawn from memo, a Memo owned by
+// the calling scope (nil: generated afresh, as every plan path does),
+// and an injected one is re-parsed.
+func (s Scenario) materialize(ctx context.Context, memo *pegasus.Memo) (*mspg.Workflow, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -408,7 +409,7 @@ func (s Scenario) materialize(ctx context.Context) (*mspg.Workflow, int, error) 
 		}
 		return w, redundant, nil
 	}
-	w, err := pegasus.CachedGenerate(s.family, pegasus.Options{Tasks: s.tasks, Seed: s.seed, Ragged: s.ragged})
+	w, err := memo.Generate(s.family, pegasus.Options{Tasks: s.tasks, Seed: s.seed, Ragged: s.ragged})
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadScenario, err)
 	}
@@ -419,13 +420,20 @@ func (s Scenario) materialize(ctx context.Context) (*mspg.Workflow, int, error) 
 // pfail, file sizes rescaled in place (on the private copy) to hit the
 // scenario's CCR — exactly the pipeline of the paper's experiments.
 func (s Scenario) build(ctx context.Context) (*mspg.Workflow, platform.Platform, int, error) {
-	w, redundant, err := s.materialize(ctx)
+	w, redundant, err := s.materialize(ctx, nil)
 	if err != nil {
 		return nil, platform.Platform{}, 0, err
 	}
+	return w, s.calibrate(w), redundant, nil
+}
+
+// calibrate builds the scenario's platform for w — λ from pfail — and
+// rescales w's file sizes in place to the scenario's CCR, so w must be
+// a private copy.
+func (s Scenario) calibrate(w *mspg.Workflow) platform.Platform {
 	pf := platform.New(s.procs, 0, s.bandwidth).WithLambdaForPFail(s.pfail, w.G)
 	pf.ScaleToCCR(w.G, s.ccr)
-	return w, pf, redundant, nil
+	return pf
 }
 
 // coreConfig translates the scenario into the internal pipeline

@@ -62,9 +62,11 @@ const DefaultInFlightPerCore = 16
 // Under it, a structure-keyed LRU of planning scaffolds (materialized
 // workflow plus Algorithm 1 schedule, keyed by Scenario.StructureKey)
 // lets a parameter variant of a known structure re-run only the
-// parameter tail. Planning reuses the process-wide generator memo
-// (pegasus.CachedGenerate under the hood) and each cached plan keeps
-// an evaluator pool for its segment DAG, so concurrent estimate
+// parameter tail. The scaffold level is the only workflow cache a
+// Service has, and it is bounded (WithStructureCache): a cold plan
+// generates its workflow straight into its scaffold, and nothing
+// process-wide keeps it once the scaffold is evicted. Each cached plan
+// keeps an evaluator pool for its segment DAG, so concurrent estimate
 // traffic on one plan does not allocate.
 //
 // Each level is split into hash-addressed shards with their own lock
@@ -548,7 +550,7 @@ func (s *Service) planForKey(ctx context.Context, sc Scenario, key string) (*Pla
 		// hit, and only a genuinely unknown scenario counts as a miss.
 		// The write-through on success is what fills the store in the
 		// first place.
-		if p, ok := s.storeLoad(ctx, key); ok {
+		if p, ok := s.storeLoad(ctx, key, nil); ok {
 			s.storeHits.Add(1)
 			return cachedPlan{p, CacheMiss}, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -438,4 +439,60 @@ func TestServiceCompareSeedsCache(t *testing.T) {
 	if second.Some != first.Some || second.All != first.All || second.None != first.None {
 		t.Fatal("warm Compare did not serve the seeded plans")
 	}
+}
+
+// liveHeap returns the live heap after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestServiceColdTrafficHeapBounded pins that a Service's memory is
+// bounded by its caches, not by the traffic it has seen: cold-planning
+// hundreds of distinct structures through small plan and scaffold
+// caches must leave the live heap where a few dozen left it. A
+// workflow cache that outlives the Service's own bounded levels (a
+// process-wide generator memo, say) grows the heap by one workflow per
+// structure and fails this test.
+func TestServiceColdTrafficHeapBounded(t *testing.T) {
+	ctx := context.Background()
+	const warm, more = 40, 360
+	scenario := func(i int) Scenario {
+		return NewScenario(WithFamily("genome"), WithTasks(120), WithProcs(5), WithSeed(int64(7_000_000+i)))
+	}
+	// One workflow's retained size sets the scale of a leak.
+	held := make([]*Workflow, 16)
+	before := liveHeap()
+	for i := range held {
+		w, err := GenerateWorkflow(ctx, scenario(-1-i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i] = w
+	}
+	perWorkflow := (liveHeap() - before) / int64(len(held))
+	runtime.KeepAlive(held)
+
+	svc := NewService(WithCacheCapacity(4), WithStructureCache(2))
+	for i := 0; i < warm+more; i++ {
+		if i == warm {
+			before = liveHeap()
+		}
+		if _, err := svc.Plan(ctx, scenario(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := liveHeap() - before
+	// Retaining every new structure would grow the heap by about
+	// more*perWorkflow; allow a tenth of that for collector noise.
+	if limit := more * perWorkflow / 10; grown > limit {
+		t.Fatalf("live heap grew %.2f MB over %d more distinct structures (%.3f MB per workflow, limit %.2f MB): something retains every structure",
+			float64(grown)/1e6, more, float64(perWorkflow)/1e6, float64(limit)/1e6)
+	}
+	if st := svc.Stats(); st.Misses != warm+more {
+		t.Fatalf("%d misses, want %d distinct cold plans", st.Misses, warm+more)
+	}
+	t.Logf("live heap grew %.2f MB over %d structures (%.3f MB per workflow)", float64(grown)/1e6, more, float64(perWorkflow)/1e6)
 }

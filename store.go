@@ -53,7 +53,9 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/mspg"
 	"repro/internal/par"
+	"repro/internal/pegasus"
 	"repro/internal/sched"
 	"repro/internal/wfdag"
 )
@@ -212,14 +214,16 @@ func (ss storedScenario) scenario() Scenario {
 }
 
 // decodePlan reconstructs a *Plan from a record payload without
-// re-running Algorithm 1 or 2: the workflow and platform are
-// re-materialized from the scenario (generation is memoized and
-// deterministic), the schedule is rebuilt from the stored superchains,
-// and the segments with their R/W/C costs are recomputed from the
-// checkpoint marks. Every recomputable quantity is cross-checked
-// bit-exactly against the record; any mismatch fails the decode so the
-// caller re-plans instead of serving a corrupt plan.
-func decodePlan(ctx context.Context, key string, payload []byte) (*Plan, error) {
+// re-running Algorithm 1 or 2: materialize yields the scenario's
+// unscaled workflow as a private copy with its redundant-edge count
+// (generation is deterministic, so any source yields the same one),
+// which is calibrated to the scenario's platform; the schedule is
+// rebuilt from the stored superchains, and the segments with their
+// R/W/C costs are recomputed from the checkpoint marks. Every
+// recomputable quantity is cross-checked bit-exactly against the
+// record; any mismatch fails the decode so the caller re-plans instead
+// of serving a corrupt plan.
+func decodePlan(ctx context.Context, key string, payload []byte, materialize func(context.Context, Scenario) (*mspg.Workflow, int, error)) (*Plan, error) {
 	var sp storedPlan
 	if err := json.Unmarshal(payload, &sp); err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
@@ -234,10 +238,11 @@ func decodePlan(ctx context.Context, key string, payload []byte) (*Plan, error) 
 	if got := sc.Key(); got != key {
 		return nil, fmt.Errorf("decode: scenario hashes to %.12s, record is keyed %.12s", got, key)
 	}
-	w, pf, redundant, err := sc.build(ctx)
+	w, redundant, err := materialize(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
+	pf := sc.calibrate(w)
 	if redundant != sp.Redundant {
 		return nil, fmt.Errorf("decode: %d redundant edges, record says %d", redundant, sp.Redundant)
 	}
@@ -783,12 +788,14 @@ func (st *PlanStore) Close() error {
 // does).
 func (s *Service) StoreErr() error { return s.storeErr }
 
-// storeLoad fetches and decodes key's record, if the store holds one.
-// A record that cannot be decoded — or, under WithStoreVerify, that is
-// not byte-identical to a freshly planned reference — is dropped so
-// the key is re-planned, and false is returned. The caller accounts
-// the appropriate counter (store hit vs boot load).
-func (s *Service) storeLoad(ctx context.Context, key string) (*Plan, bool) {
+// storeLoad fetches and decodes key's record, if the store holds one,
+// drawing its workflow from memo when no scaffold holds it (see
+// decodeStored). A record that cannot be decoded — or, under
+// WithStoreVerify, that is not byte-identical to a freshly planned
+// reference — is dropped so the key is re-planned, and false is
+// returned. The caller accounts the appropriate counter (store hit vs
+// boot load).
+func (s *Service) storeLoad(ctx context.Context, key string, memo *pegasus.Memo) (*Plan, bool) {
 	if s.store == nil {
 		return nil, false
 	}
@@ -798,7 +805,7 @@ func (s *Service) storeLoad(ctx context.Context, key string) (*Plan, bool) {
 	}
 	var p *Plan
 	if err == nil {
-		p, err = s.decodeStored(ctx, key, payload)
+		p, err = s.decodeStored(ctx, key, payload, memo)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -815,9 +822,21 @@ func (s *Service) storeLoad(ctx context.Context, key string) (*Plan, bool) {
 // decodeStored decodes a stored payload (decodePlan's key-hash and
 // bit-exact cross-checks) and, under WithStoreVerify, golden-checks it
 // against a fresh plan — the one trust gate for records read from disk
-// or from a peer.
-func (s *Service) decodeStored(ctx context.Context, key string, payload []byte) (*Plan, error) {
-	p, err := decodePlan(ctx, key, payload)
+// or from a peer. The workflow is a clone of the master of the
+// scenario's resident, finished scaffold when there is one, and is
+// otherwise materialized through memo (nil: generated afresh). The
+// scaffold cache is only read: a record's chains do not prove they are
+// Algorithm 1's output, so a decode never builds or inserts a
+// scaffold.
+func (s *Service) decodeStored(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
+	p, err := decodePlan(ctx, key, payload, func(ctx context.Context, sc Scenario) (*mspg.Workflow, int, error) {
+		if s.scaffolds != nil {
+			if sf, ok := s.scaffolds.peek(sc.StructureKey()); ok {
+				return sf.w.Clone(), sf.redundant, nil
+			}
+		}
+		return sc.materialize(ctx, memo)
+	})
 	if err == nil && s.storeVerify {
 		err = s.verifyStored(ctx, p, payload)
 	}
@@ -866,10 +885,11 @@ func (s *Service) storePut(key string, p *Plan) {
 // LoadStore rehydrates every stored plan into the LRU with workers
 // goroutines (0 = all cores) — the boot step that makes a restart's
 // first request for a known scenario a cache hit without re-planning.
-// loaded counts plans placed in the cache (also
-// visible as Stats.StoreLoads), dropped counts records that failed
-// decoding and were discarded. The error is the store's deferred open
-// failure or ctx's cancellation; bad records never fail the boot.
+// Records of one structure share one generation, memoized for this
+// call only. loaded counts plans placed in the cache (also visible as
+// Stats.StoreLoads), dropped counts records that failed decoding and
+// were discarded. The error is the store's deferred open failure or
+// ctx's cancellation; bad records never fail the boot.
 func (s *Service) LoadStore(ctx context.Context, workers int) (loaded, dropped int, err error) {
 	if s.storeErr != nil {
 		return 0, 0, s.storeErr
@@ -881,12 +901,13 @@ func (s *Service) LoadStore(ctx context.Context, workers int) (loaded, dropped i
 		workers = runtime.GOMAXPROCS(0)
 	}
 	keys := s.store.Keys()
+	var memo pegasus.Memo
 	var nLoaded, nDropped atomic.Int64
 	err = par.ForEachCtx(ctx, workers, len(keys), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		p, ok := s.storeLoad(ctx, keys[i])
+		p, ok := s.storeLoad(ctx, keys[i], &memo)
 		if !ok {
 			nDropped.Add(1)
 			return nil

@@ -6,13 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/mspg"
 )
 
 // storeTestScenarios is a spread over strategies, families, the exact
@@ -781,7 +785,7 @@ func FuzzDecodePlan(f *testing.F) {
 		f.Add(sc.Key(), payload)
 	}
 	f.Fuzz(func(t *testing.T, key string, payload []byte) {
-		p, err := decodePlan(ctx, key, payload)
+		p, err := decodePlan(ctx, key, payload, generateWorkflow)
 		if err != nil {
 			return
 		}
@@ -789,7 +793,7 @@ func FuzzDecodePlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan does not encode: %v", err)
 		}
-		p2, err := decodePlan(ctx, key, enc)
+		p2, err := decodePlan(ctx, key, enc, generateWorkflow)
 		if err != nil {
 			t.Fatalf("re-encoded plan does not decode: %v\n%s", err, enc)
 		}
@@ -873,4 +877,137 @@ func FuzzScanSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// generateWorkflow is decodePlan's workflow source with nothing to
+// draw on: it materializes every scenario afresh.
+func generateWorkflow(ctx context.Context, sc Scenario) (*mspg.Workflow, int, error) {
+	return sc.materialize(ctx, nil)
+}
+
+// fileSizeBits snapshots a workflow's file sizes bit-exactly.
+func fileSizeBits(w *mspg.Workflow) []uint64 {
+	var bits []uint64
+	for _, f := range w.G.Files() {
+		bits = append(bits, math.Float64bits(f.Size))
+	}
+	return bits
+}
+
+// TestLoadStoreSharedStructures boots a Service from a store holding
+// several parameter variants of each of two structures. LoadStore
+// generates each structure once for the whole call, so every decoded
+// plan must still be encodePlan-identical to a cold NewPlan and own a
+// private workflow, and the boot must neither plan nor leave a
+// scaffold behind (a record's chains are not proof of Algorithm 1's
+// output).
+func TestLoadStoreSharedStructures(t *testing.T) {
+	ctx := context.Background()
+	var scenarios []Scenario
+	for _, fam := range []string{"genome", "montage"} {
+		for i := 0; i < 4; i++ {
+			scenarios = append(scenarios, NewScenario(WithFamily(fam), WithTasks(40), WithProcs(3), WithSeed(31),
+				WithPFail(0.001*float64(1+i)), WithCCR(0.01*float64(1+i%2)),
+				WithStrategy([]Strategy{CkptSome, CkptAll, CkptNone}[i%3])))
+		}
+	}
+	dir := t.TempDir()
+	writer := NewService(WithStore(dir))
+	for _, sc := range scenarios {
+		if _, err := writer.Plan(ctx, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writer.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := NewService(WithStore(dir))
+	defer svc.CloseStore()
+	loaded, dropped, err := svc.LoadStore(ctx, 4)
+	if err != nil || loaded != len(scenarios) || dropped != 0 {
+		t.Fatalf("LoadStore: %d loaded, %d dropped, %v; want %d, 0, nil", loaded, dropped, err, len(scenarios))
+	}
+	graphs := map[*mspg.Workflow]int{}
+	for i, sc := range scenarios {
+		p, outcome, err := svc.PlanDetail(ctx, sc)
+		if err != nil || outcome != CacheHit {
+			t.Fatalf("scenario %d: outcome %s, %v; want a hit on the loaded plan", i, outcome, err)
+		}
+		cold, err := NewPlan(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := encodePlan(p)
+		want, _ := encodePlan(cold)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("scenario %d: loaded plan differs from a cold NewPlan:\n%s\n%s", i, got, want)
+		}
+		w := p.res.Schedule.W
+		if j, dup := graphs[w]; dup {
+			t.Fatalf("scenarios %d and %d share one workflow", j, i)
+		}
+		graphs[w] = i
+	}
+	if st := svc.Stats(); st.Misses != 0 || st.StructureEntries != 0 {
+		t.Fatalf("boot planned %d misses and left %d scaffolds, want 0 and 0", st.Misses, st.StructureEntries)
+	}
+}
+
+// TestStoreLoadReusesResidentScaffold pins the store-hit path's use of
+// a resident scaffold: the decode clones the scaffold's master rather
+// than generating, the plan is encodePlan-identical to a cold NewPlan,
+// and the master's file sizes are bit-equal afterwards (the CCR
+// rescale ran on the clone).
+func TestStoreLoadReusesResidentScaffold(t *testing.T) {
+	ctx := context.Background()
+	sc := NewScenario(WithFamily("ligo"), WithTasks(50), WithProcs(4), WithSeed(5), WithCCR(0.5))
+	dir := t.TempDir()
+	writer := NewService(WithStore(dir))
+	if _, err := writer.Plan(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := NewService(WithStore(dir))
+	defer svc.CloseStore()
+	// A resident scaffold whose master carries a marker name: a plan
+	// decoded from it reports that name, one generated afresh does not.
+	sf, err := buildScaffold(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf.w.Name = "resident-master"
+	if !svc.scaffolds.add(sc.StructureKey(), sf) {
+		t.Fatal("scaffold not added")
+	}
+	before := fileSizeBits(sf.w)
+
+	p, outcome, err := svc.PlanDetail(ctx, sc)
+	if err != nil || outcome != CacheMiss {
+		t.Fatalf("outcome %s, %v; want the store hit's miss outcome", outcome, err)
+	}
+	if st := svc.Stats(); st.StoreHits != 1 || st.Misses != 0 {
+		t.Fatalf("%d store hits, %d misses; want the plan decoded from the store", st.StoreHits, st.Misses)
+	}
+	if got := p.Workflow().Name; got != "resident-master" {
+		t.Fatalf("decoded plan's workflow is %q: the resident scaffold was not reused", got)
+	}
+	if p.res.Schedule.W == sf.w {
+		t.Fatal("decoded plan aliases the scaffold's master")
+	}
+	if !slices.Equal(fileSizeBits(sf.w), before) {
+		t.Fatal("store load rescaled the scaffold's master in place")
+	}
+	cold, err := NewPlan(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := encodePlan(p)
+	want, _ := encodePlan(cold)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("plan decoded from the scaffold differs from a cold NewPlan:\n%s\n%s", got, want)
+	}
 }

@@ -287,7 +287,7 @@ func isPeerURL(s string) bool {
 // absorb makes one peer record resident and writes it through to this
 // Service's store.
 func (s *Service) absorb(ctx context.Context, rec storeRecord) error {
-	p, err := s.decodeStored(ctx, rec.Key, rec.Plan)
+	p, err := s.decodeStored(ctx, rec.Key, rec.Plan, nil)
 	if err != nil {
 		return err
 	}
