@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -444,38 +443,4 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	}
 	b.ReportMetric(foGap, "firstorder-selfgap")
 	b.ReportMetric(exGap, "exact-selfgap")
-}
-
-// coldDistinctSeed hands BenchmarkServiceColdDistinct a never-planned
-// seed per op, across every b.N round of one process.
-var coldDistinctSeed atomic.Int64
-
-// BenchmarkServiceColdDistinct cold-plans a distinct structure per op
-// (genome, 300 tasks, 35 processors — the shape of perfbench's
-// cold-plan workload) through one Service whose plan and scaffold
-// caches are small and already full, and reports the live heap the ops
-// left behind (retained-MB, after a full collection). The caches bound
-// it, so it stays near zero however large b.N is; a workflow cache
-// outside them grows it by one workflow per op (about 0.12 MB).
-func BenchmarkServiceColdDistinct(b *testing.B) {
-	ctx := context.Background()
-	svc := NewService(WithShards(1), WithCacheCapacity(4), WithStructureCache(2))
-	plan := func() {
-		sc := NewScenario(WithFamily("genome"), WithTasks(300), WithProcs(35),
-			WithSeed(1_000_000+coldDistinctSeed.Add(1)))
-		if _, err := svc.Plan(ctx, sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ { // fill both caches first
-		plan()
-	}
-	before := liveHeap()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(liveHeap()-before)/1e6, "retained-MB")
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // flightCache is a sharded, bounded LRU with per-key singleflight —
@@ -37,14 +36,12 @@ type flightShard[V any] struct {
 }
 
 // flight is one cache slot. once runs the fill; v and err are safe to
-// read by anyone who has returned from once.Do, and v by anyone who
-// has seen filled set (it is stored after a successful fill's v).
+// read by anyone who has returned from once.Do.
 type flight[V any] struct {
-	key    string
-	once   sync.Once
-	v      V
-	err    error
-	filled atomic.Bool
+	key  string
+	once sync.Once
+	v    V
+	err  error
 }
 
 // newFlightCache returns a cache of at least capacity entries split
@@ -100,10 +97,7 @@ func (c *flightCache[V]) get(ctx context.Context, key string, fill func(context.
 		}
 		sh.mu.Unlock()
 
-		e.once.Do(func() {
-			e.v, e.err = fill(ctx)
-			e.filled.Store(e.err == nil)
-		})
+		e.once.Do(func() { e.v, e.err = fill(ctx) })
 		if e.err == nil {
 			return e.v, ok, nil
 		}
@@ -130,7 +124,6 @@ func (c *flightCache[V]) get(ctx context.Context, key string, fill func(context.
 func (c *flightCache[V]) add(key string, v V) bool {
 	e := &flight[V]{key: key, v: v}
 	e.once.Do(func() {})
-	e.filled.Store(true)
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -140,24 +133,6 @@ func (c *flightCache[V]) add(key string, v V) bool {
 	sh.entries[key] = sh.order.PushFront(e)
 	sh.evictLocked()
 	return true
-}
-
-// peek returns key's value if it is resident and its fill has
-// finished successfully. It never waits on, runs or completes a
-// flight, and it leaves the recency order alone.
-func (c *flightCache[V]) peek(key string) (v V, ok bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	el, resident := sh.entries[key]
-	sh.mu.Unlock()
-	if !resident {
-		return v, false
-	}
-	// An element's Value is set once, when its slot is claimed.
-	if e := el.Value.(*flight[V]); e.filled.Load() {
-		return e.v, true
-	}
-	return v, false
 }
 
 // size reports the resident entries (in-flight ones included) and the

@@ -170,12 +170,12 @@ func AblateLinearization(ctx context.Context, cfg AblationConfig) ([]AblationRow
 	}
 	var rows []AblationRow
 	var someEM float64
-	var memo pegasus.Memo // one generation, a private copy per variant
+	master, err := pegasus.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
 	for i, v := range variants {
-		w, err := memo.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
+		w := master.Clone() // the CCR rescale below runs in place
 		pf := platform.New(cfg.Procs, 0, cfg.Bandwidth).WithLambdaForPFail(cfg.PFail, w.G)
 		pf.ScaleToCCR(w.G, cfg.CCR)
 		res, err := core.Run(ctx, w, pf, core.Config{Strategy: ckpt.CkptSome, Seed: cfg.Seed, Linearize: v.lin})

@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/mspg"
 	"repro/internal/par"
 	"repro/internal/pegasus"
 	"repro/internal/sched"
@@ -214,16 +213,16 @@ func (ss storedScenario) scenario() Scenario {
 }
 
 // decodePlan reconstructs a *Plan from a record payload without
-// re-running Algorithm 1 or 2: materialize yields the scenario's
-// unscaled workflow as a private copy with its redundant-edge count
-// (generation is deterministic, so any source yields the same one),
-// which is calibrated to the scenario's platform; the schedule is
-// rebuilt from the stored superchains, and the segments with their
-// R/W/C costs are recomputed from the checkpoint marks. Every
-// recomputable quantity is cross-checked bit-exactly against the
+// re-running Algorithm 1 or 2: the workflow is re-materialized from
+// the scenario through memo (owned by the calling scope; nil:
+// generated afresh — generation is deterministic, so both yield the
+// same workflow) and calibrated to the scenario's platform, the
+// schedule is rebuilt from the stored superchains, and the segments
+// with their R/W/C costs are recomputed from the checkpoint marks.
+// Every recomputable quantity is cross-checked bit-exactly against the
 // record; any mismatch fails the decode so the caller re-plans instead
 // of serving a corrupt plan.
-func decodePlan(ctx context.Context, key string, payload []byte, materialize func(context.Context, Scenario) (*mspg.Workflow, int, error)) (*Plan, error) {
+func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
 	var sp storedPlan
 	if err := json.Unmarshal(payload, &sp); err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
@@ -238,7 +237,7 @@ func decodePlan(ctx context.Context, key string, payload []byte, materialize fun
 	if got := sc.Key(); got != key {
 		return nil, fmt.Errorf("decode: scenario hashes to %.12s, record is keyed %.12s", got, key)
 	}
-	w, redundant, err := materialize(ctx, sc)
+	w, redundant, err := sc.materialize(ctx, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -789,8 +788,7 @@ func (st *PlanStore) Close() error {
 func (s *Service) StoreErr() error { return s.storeErr }
 
 // storeLoad fetches and decodes key's record, if the store holds one,
-// drawing its workflow from memo when no scaffold holds it (see
-// decodeStored). A record that cannot be decoded — or, under
+// materializing its workflow through memo (see decodePlan). A record that cannot be decoded — or, under
 // WithStoreVerify, that is not byte-identical to a freshly planned
 // reference — is dropped so the key is re-planned, and false is
 // returned. The caller accounts the appropriate counter (store hit vs
@@ -822,21 +820,10 @@ func (s *Service) storeLoad(ctx context.Context, key string, memo *pegasus.Memo)
 // decodeStored decodes a stored payload (decodePlan's key-hash and
 // bit-exact cross-checks) and, under WithStoreVerify, golden-checks it
 // against a fresh plan — the one trust gate for records read from disk
-// or from a peer. The workflow is a clone of the master of the
-// scenario's resident, finished scaffold when there is one, and is
-// otherwise materialized through memo (nil: generated afresh). The
-// scaffold cache is only read: a record's chains do not prove they are
-// Algorithm 1's output, so a decode never builds or inserts a
-// scaffold.
+// or from a peer. A decode never builds or inserts a scaffold: a
+// record's chains do not prove they are Algorithm 1's output.
 func (s *Service) decodeStored(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
-	p, err := decodePlan(ctx, key, payload, func(ctx context.Context, sc Scenario) (*mspg.Workflow, int, error) {
-		if s.scaffolds != nil {
-			if sf, ok := s.scaffolds.peek(sc.StructureKey()); ok {
-				return sf.w.Clone(), sf.redundant, nil
-			}
-		}
-		return sc.materialize(ctx, memo)
-	})
+	p, err := decodePlan(ctx, key, payload, memo)
 	if err == nil && s.storeVerify {
 		err = s.verifyStored(ctx, p, payload)
 	}

@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -785,7 +783,7 @@ func FuzzDecodePlan(f *testing.F) {
 		f.Add(sc.Key(), payload)
 	}
 	f.Fuzz(func(t *testing.T, key string, payload []byte) {
-		p, err := decodePlan(ctx, key, payload, generateWorkflow)
+		p, err := decodePlan(ctx, key, payload, nil)
 		if err != nil {
 			return
 		}
@@ -793,7 +791,7 @@ func FuzzDecodePlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan does not encode: %v", err)
 		}
-		p2, err := decodePlan(ctx, key, enc, generateWorkflow)
+		p2, err := decodePlan(ctx, key, enc, nil)
 		if err != nil {
 			t.Fatalf("re-encoded plan does not decode: %v\n%s", err, enc)
 		}
@@ -879,21 +877,6 @@ func FuzzScanSegment(f *testing.F) {
 	})
 }
 
-// generateWorkflow is decodePlan's workflow source with nothing to
-// draw on: it materializes every scenario afresh.
-func generateWorkflow(ctx context.Context, sc Scenario) (*mspg.Workflow, int, error) {
-	return sc.materialize(ctx, nil)
-}
-
-// fileSizeBits snapshots a workflow's file sizes bit-exactly.
-func fileSizeBits(w *mspg.Workflow) []uint64 {
-	var bits []uint64
-	for _, f := range w.G.Files() {
-		bits = append(bits, math.Float64bits(f.Size))
-	}
-	return bits
-}
-
 // TestLoadStoreSharedStructures boots a Service from a store holding
 // several parameter variants of each of two structures. LoadStore
 // generates each structure once for the whole call, so every decoded
@@ -951,63 +934,5 @@ func TestLoadStoreSharedStructures(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Misses != 0 || st.StructureEntries != 0 {
 		t.Fatalf("boot planned %d misses and left %d scaffolds, want 0 and 0", st.Misses, st.StructureEntries)
-	}
-}
-
-// TestStoreLoadReusesResidentScaffold pins the store-hit path's use of
-// a resident scaffold: the decode clones the scaffold's master rather
-// than generating, the plan is encodePlan-identical to a cold NewPlan,
-// and the master's file sizes are bit-equal afterwards (the CCR
-// rescale ran on the clone).
-func TestStoreLoadReusesResidentScaffold(t *testing.T) {
-	ctx := context.Background()
-	sc := NewScenario(WithFamily("ligo"), WithTasks(50), WithProcs(4), WithSeed(5), WithCCR(0.5))
-	dir := t.TempDir()
-	writer := NewService(WithStore(dir))
-	if _, err := writer.Plan(ctx, sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.CloseStore(); err != nil {
-		t.Fatal(err)
-	}
-
-	svc := NewService(WithStore(dir))
-	defer svc.CloseStore()
-	// A resident scaffold whose master carries a marker name: a plan
-	// decoded from it reports that name, one generated afresh does not.
-	sf, err := buildScaffold(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.w.Name = "resident-master"
-	if !svc.scaffolds.add(sc.StructureKey(), sf) {
-		t.Fatal("scaffold not added")
-	}
-	before := fileSizeBits(sf.w)
-
-	p, outcome, err := svc.PlanDetail(ctx, sc)
-	if err != nil || outcome != CacheMiss {
-		t.Fatalf("outcome %s, %v; want the store hit's miss outcome", outcome, err)
-	}
-	if st := svc.Stats(); st.StoreHits != 1 || st.Misses != 0 {
-		t.Fatalf("%d store hits, %d misses; want the plan decoded from the store", st.StoreHits, st.Misses)
-	}
-	if got := p.Workflow().Name; got != "resident-master" {
-		t.Fatalf("decoded plan's workflow is %q: the resident scaffold was not reused", got)
-	}
-	if p.res.Schedule.W == sf.w {
-		t.Fatal("decoded plan aliases the scaffold's master")
-	}
-	if !slices.Equal(fileSizeBits(sf.w), before) {
-		t.Fatal("store load rescaled the scaffold's master in place")
-	}
-	cold, err := NewPlan(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := encodePlan(p)
-	want, _ := encodePlan(cold)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("plan decoded from the scaffold differs from a cold NewPlan:\n%s\n%s", got, want)
 	}
 }
