@@ -444,3 +444,42 @@ func BenchmarkAblationCostModel(b *testing.B) {
 	b.ReportMetric(foGap, "firstorder-selfgap")
 	b.ReportMetric(exGap, "exact-selfgap")
 }
+
+// BenchmarkPlanFromScaffold measures the near-duplicate parameter tail
+// a structure-hit runs (clone, calibrate, rebuild, Algorithm 2,
+// evaluate) on resident scaffolds: 4 families × 2 seeds of 300 tasks,
+// and per scaffold one variant of each timed strategy (CkptSome,
+// CkptAll, ExitOnly) at its own pfail and CCR, as the perfbench
+// near-dup workload draws them. Each op plans one variant.
+func BenchmarkPlanFromScaffold(b *testing.B) {
+	ctx := context.Background()
+	type variant struct {
+		sc Scenario
+		sf *planScaffold
+	}
+	pfails := []float64{1e-4, 1e-3, 1e-2}
+	ccrs := []float64{1e-3, 1e-2, 1e-1, 1}
+	var vs []variant
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for _, seed := range []int64{1, 2} {
+			sf, err := buildScaffold(ctx, NewScenario(WithFamily(fam), WithSeed(seed)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, st := range []Strategy{CkptSome, CkptAll, ExitOnly} {
+				k := len(vs)
+				sc := NewScenario(WithFamily(fam), WithSeed(seed), WithStrategy(st),
+					WithPFail(pfails[k%len(pfails)]), WithCCR(ccrs[k%len(ccrs)]))
+				vs = append(vs, variant{sc, sf})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := vs[i%len(vs)]
+		if _, err := planFromScaffold(ctx, v.sc, v.sf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -110,7 +110,7 @@ func TestSegmentTableMatchesDirect(t *testing.T) {
 	for i := 0; i < cc.n; i++ {
 		for j := i; j < cc.n; j++ {
 			r, w, c := cc.segmentCost(i, j)
-			if got, want := span[i][j-i], r+w+c; math.Abs(got-want) > 1e-9 {
+			if got, want := span.at(i, j), r+w+c; math.Abs(got-want) > 1e-9 {
 				t.Fatalf("span[%d][%d] = %g, direct = %g", i, j, got, want)
 			}
 		}
@@ -134,7 +134,7 @@ func TestSegmentTableMatchesDirectOnRealWorkflows(t *testing.T) {
 			for i := 0; i < cc.n; i++ {
 				for j := i; j < cc.n; j++ {
 					r, wgt, c := cc.segmentCost(i, j)
-					if got, want := span[i][j-i], r+wgt+c; math.Abs(got-want) > 1e-6*math.Max(1, want) {
+					if got, want := span.at(i, j), r+wgt+c; math.Abs(got-want) > 1e-6*math.Max(1, want) {
 						t.Fatalf("%s chain %d span[%d][%d]: %g vs %g", fam, sc.Index, i, j, got, want)
 					}
 				}

@@ -43,7 +43,7 @@ func optimalCheckpointsFromCosts(cc *chainCosts, lambda float64, model CostModel
 	}
 	span := cc.segmentTable()
 	T := func(i, j int) float64 { // expected time of segment [i, j]
-		return model.ExpectedTime(span[i][j-i], lambda)
+		return model.ExpectedTime(span.at(i, j), lambda)
 	}
 	etime := make([]float64, n)
 	lastCkpt := make([]int, n) // index of previous checkpointed position, -1 if none

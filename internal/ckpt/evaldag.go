@@ -39,38 +39,20 @@ func EvalDAG(p *Plan) (*probdag.Graph, error) {
 // SegmentDeps returns the precedence edges between segments (pairs of
 // segment indices, deduplicated): cross-segment data dependencies,
 // within-superchain sequencing, and same-processor superchain
-// sequencing. It is shared by EvalDAG and the discrete-event simulator.
+// sequencing, each edge at the place of its first derivation in that
+// order. It is shared by EvalDAG and the discrete-event simulator.
 func SegmentDeps(p *Plan) [][2]int {
-	seen := make(map[[2]int]bool)
-	var out [][2]int
-	add := func(a, b int) {
-		e := [2]int{a, b}
-		if a != b && !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	// Data dependencies across segments.
 	wg := p.Sched.W.G
-	for i := 0; i < wg.NumTasks(); i++ {
-		from := p.segOf[i]
-		for _, s := range wg.SuccTasks(taskID(i)) {
-			add(from, p.segOf[s])
-		}
-	}
-	// Sequencing inside a superchain.
-	prevByChain := make(map[int]int)
+	n, nSeg, nChains := wg.NumTasks(), len(p.Segments), len(p.Sched.Chains)
+	// Sequencing: prev[i] precedes segment i in its superchain and
+	// next[prev[i]] = i; procNext[a] opens the superchain run after a's
+	// on its processor (-1 if none).
+	prev, next, procNext := filled(nSeg, -1), filled(nSeg, -1), filled(nSeg, -1)
+	firstSeg, lastSeg := filled(nChains, -1), filled(nChains, -1)
 	for i, seg := range p.Segments {
-		if prev, ok := prevByChain[seg.Chain]; ok {
-			add(prev, i)
-		}
-		prevByChain[seg.Chain] = i
-	}
-	// Sequencing between consecutive superchains of one processor.
-	firstSeg := make(map[int]int)
-	lastSeg := make(map[int]int)
-	for i, seg := range p.Segments {
-		if _, ok := firstSeg[seg.Chain]; !ok {
+		if a := lastSeg[seg.Chain]; a >= 0 {
+			prev[i], next[a] = a, i
+		} else {
 			firstSeg[seg.Chain] = i
 		}
 		lastSeg[seg.Chain] = i
@@ -78,14 +60,80 @@ func SegmentDeps(p *Plan) [][2]int {
 	for proc := 0; proc < p.Platform.Processors; proc++ {
 		seq := p.Sched.ProcSequence(proc)
 		for k := 0; k+1 < len(seq); k++ {
-			a, aok := lastSeg[seq[k]]
-			b, bok := firstSeg[seq[k+1]]
-			if aok && bok {
-				add(a, b)
+			if a, b := lastSeg[seq[k]], firstSeg[seq[k+1]]; a >= 0 && b >= 0 {
+				procNext[a] = b
+			}
+		}
+	}
+	// Data dependencies. Candidate q = start[t]+k is the k-th successor
+	// of task t, in derivation order. Per source segment a, stamp[b] ==
+	// a+1 marks (a, b) as derived and first[b] keeps its earliest
+	// candidate, whose slot then records b+1. Sequencing edges that
+	// repeat a data dependency are flagged as duplicates.
+	start := make([]int, n+1)
+	for t := 0; t < n; t++ {
+		start[t+1] = start[t] + len(wg.SuccTasks(taskID(t)))
+	}
+	slot := make([]int, start[n])
+	stamp, first := make([]int, nSeg), make([]int, nSeg)
+	dupNext, dupProc := make([]bool, nSeg), make([]bool, nSeg)
+	var targets []int
+	pairs := 0
+	for a, seg := range p.Segments {
+		targets = targets[:0]
+		for _, t := range seg.Tasks {
+			for k, s := range wg.SuccTasks(t) {
+				b, q := p.segOf[s], start[t]+k
+				switch {
+				case b == a:
+				case stamp[b] != a+1:
+					stamp[b], first[b] = a+1, q
+					targets = append(targets, b)
+				case q < first[b]:
+					first[b] = q
+				}
+			}
+		}
+		for _, b := range targets {
+			slot[first[b]] = b + 1
+		}
+		pairs += len(targets)
+		dupNext[a] = next[a] >= 0 && stamp[next[a]] == a+1
+		dupProc[a] = procNext[a] >= 0 && stamp[procNext[a]] == a+1
+	}
+	out := make([][2]int, 0, pairs+nSeg)
+	for t := 0; t < n; t++ {
+		for q := start[t]; q < start[t+1]; q++ {
+			if slot[q] > 0 {
+				out = append(out, [2]int{p.segOf[t], slot[q] - 1})
+			}
+		}
+	}
+	// Sequencing inside a superchain, then between consecutive
+	// superchains of one processor.
+	for i, a := range prev {
+		if a >= 0 && !dupNext[a] {
+			out = append(out, [2]int{a, i})
+		}
+	}
+	for proc := 0; proc < p.Platform.Processors; proc++ {
+		seq := p.Sched.ProcSequence(proc)
+		for k := 0; k+1 < len(seq); k++ {
+			if a, b := lastSeg[seq[k]], firstSeg[seq[k+1]]; a >= 0 && b >= 0 && !dupProc[a] {
+				out = append(out, [2]int{a, b})
 			}
 		}
 	}
 	return out
+}
+
+// filled returns a slice of n copies of v.
+func filled(n, v int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // Estimator selects an expected-makespan evaluation method for segment

@@ -98,7 +98,9 @@ func BuildPlan(s *sched.Schedule, p platform.Platform, strat Strategy) (*Plan, e
 	return BuildPlanWith(s, p, strat, ModelFirstOrder)
 }
 
-// BuildPlanWith is BuildPlan under an explicit segment cost model.
+// BuildPlanWith is BuildPlan under an explicit segment cost model. It
+// builds each superchain's cost table once: under CkptSome the table
+// feeds Algorithm 2 and then cuts the segments of the marks it placed.
 func BuildPlanWith(s *sched.Schedule, p platform.Platform, strat Strategy, model CostModel) (*Plan, error) {
 	n := s.W.G.NumTasks()
 	plan := &Plan{
@@ -126,18 +128,11 @@ func BuildPlanWith(s *sched.Schedule, p platform.Platform, strat Strategy, model
 			}
 		}
 	case CkptSome:
-		for _, sc := range s.Chains {
-			dp := OptimalCheckpointsModel(s, p, sc, model)
-			for pos, ck := range dp.CheckpointAfter {
-				if ck {
-					plan.CheckpointAfter[sc.Tasks[pos]] = true
-				}
-			}
-		}
+		// buildSegments places the marks chain by chain (Algorithm 2).
 	default:
 		return nil, fmt.Errorf("ckpt: unknown strategy %q", strat)
 	}
-	plan.buildSegments()
+	plan.buildSegments(strat == CkptSome)
 	return plan, nil
 }
 
@@ -170,7 +165,7 @@ func RebuildPlan(s *sched.Schedule, p platform.Platform, strat Strategy, model C
 		plan.segOf[i] = -1
 	}
 	if strat != CkptNone {
-		plan.buildSegments()
+		plan.buildSegments(false)
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("ckpt: rebuild: %w", err)
@@ -202,39 +197,49 @@ func PeriodicPlan(s *sched.Schedule, p platform.Platform, k int) (*Plan, error) 
 			}
 		}
 	}
-	plan.buildSegments()
+	plan.buildSegments(false)
 	return plan, nil
 }
 
 // buildSegments cuts every superchain at its checkpointed positions and
-// computes each segment's R/W/C costs.
-func (p *Plan) buildSegments() {
+// computes each segment's R/W/C costs. Each chain's cost table is built
+// once, reusing the previous chain's buffers; with place set it first
+// runs Algorithm 2 on that table and marks the checkpoints it chooses.
+func (p *Plan) buildSegments(place bool) {
+	var cc chainCosts
 	for ci, sc := range p.Sched.Chains {
 		if len(sc.Tasks) == 0 {
 			continue
 		}
-		cc := newChainCosts(p.Sched, p.Platform, sc)
-		ckAfter := make([]bool, len(sc.Tasks))
-		for pos, t := range sc.Tasks {
-			ckAfter[pos] = p.CheckpointAfter[t]
+		cc.build(p.Sched, p.Platform, sc)
+		if place {
+			dp := optimalCheckpointsFromCosts(&cc, p.Platform.Lambda, p.Model)
+			for pos, ck := range dp.CheckpointAfter {
+				if ck {
+					p.CheckpointAfter[sc.Tasks[pos]] = true
+				}
+			}
 		}
 		// The paper always checkpoints the end of a superchain.
-		ckAfter[len(sc.Tasks)-1] = true
 		p.CheckpointAfter[sc.Tasks[len(sc.Tasks)-1]] = true
-		for _, segPos := range SegmentsOf(ckAfter) {
-			i, j := segPos[0], segPos[1]
-			r, w, c := cc.segmentCost(i, j)
+		start := 0
+		for pos, t := range sc.Tasks {
+			if !p.CheckpointAfter[t] {
+				continue
+			}
+			r, w, c := cc.segmentCost(start, pos)
 			seg := Segment{
 				Index: len(p.Segments),
 				Chain: ci,
 				Proc:  sc.Proc,
-				Tasks: sc.Tasks[i : j+1],
+				Tasks: sc.Tasks[start : pos+1],
 				R:     r, W: w, C: c,
 			}
 			for _, t := range seg.Tasks {
 				p.segOf[t] = seg.Index
 			}
 			p.Segments = append(p.Segments, seg)
+			start = pos + 1
 		}
 	}
 }

@@ -18,7 +18,8 @@ package wfdag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // TaskID identifies a task within a Graph. IDs are dense: 0..NumTasks-1.
@@ -56,6 +57,13 @@ type Edge struct {
 
 // Graph is a mutable workflow DAG. The zero value is an empty graph
 // ready to use.
+//
+// The adjacency accessors (ProducedFiles, PredTasks, SuccTasks, Succ,
+// Pred, InputFiles, Consumers) return slices the graph shares with
+// every caller and with its clones: they are read-only. ProducedFiles,
+// PredTasks and SuccTasks read a derived index built on first use and
+// dropped by AddTask, AddFile and AddDependency; Clone shares it by
+// pointer, so a graph and all its clones hold one copy.
 type Graph struct {
 	tasks []Task
 	files []File
@@ -63,45 +71,56 @@ type Graph struct {
 	pred  [][]Edge // incoming edges, indexed by TaskID
 
 	// inputs[t] lists workflow input files (Producer == NoTask) read by t.
-	inputs map[TaskID][]FileID
+	inputs [][]FileID
 	// consumers[f] lists the tasks that read file f.
-	consumers map[FileID][]TaskID
+	consumers [][]TaskID
+
+	adj atomic.Pointer[adjacency] // nil until first read after a mutation
+}
+
+// adjacency is the derived, immutable index behind ProducedFiles,
+// PredTasks and SuccTasks.
+type adjacency struct {
+	produced  packedLists[FileID] // files produced by each task, in FileID order
+	predTasks packedLists[TaskID] // distinct predecessors of each task, ascending
+	succTasks packedLists[TaskID] // distinct successors of each task, ascending
+}
+
+// packedLists stores list i at flat[off[i]:off[i+1]]: two allocations
+// per table and 4 bytes per list.
+type packedLists[T any] struct {
+	off  []int32
+	flat []T
+}
+
+// at returns list i, capped so that an append cannot reach list i+1.
+func (l packedLists[T]) at(i int) []T {
+	lo, hi := l.off[i], l.off[i+1]
+	return l.flat[lo:hi:hi]
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		inputs:    make(map[TaskID][]FileID),
-		consumers: make(map[FileID][]TaskID),
-	}
-}
-
-func (g *Graph) ensureMaps() {
-	if g.inputs == nil {
-		g.inputs = make(map[TaskID][]FileID)
-	}
-	if g.consumers == nil {
-		g.consumers = make(map[FileID][]TaskID)
-	}
-}
+func New() *Graph { return &Graph{} }
 
 // AddTask appends a task and returns its ID. The weight must be
 // non-negative; invalid weights are reported by Validate.
 func (g *Graph) AddTask(name, kind string, weight float64) TaskID {
-	g.ensureMaps()
+	g.adj.Store(nil)
 	id := TaskID(len(g.tasks))
 	g.tasks = append(g.tasks, Task{ID: id, Name: name, Kind: kind, Weight: weight})
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
+	g.inputs = append(g.inputs, nil)
 	return id
 }
 
 // AddFile registers a file of the given size produced by producer
 // (NoTask for a workflow input) and returns its ID.
 func (g *Graph) AddFile(name string, size float64, producer TaskID) FileID {
-	g.ensureMaps()
+	g.adj.Store(nil)
 	id := FileID(len(g.files))
 	g.files = append(g.files, File{ID: id, Name: name, Size: size, Producer: producer})
+	g.consumers = append(g.consumers, nil)
 	return id
 }
 
@@ -109,7 +128,7 @@ func (g *Graph) AddFile(name string, size float64, producer TaskID) FileID {
 // producer task, a dependency edge producer->to is added; if the file is a
 // workflow input, the read is recorded without an edge.
 func (g *Graph) AddDependency(to TaskID, f FileID) {
-	g.ensureMaps()
+	g.adj.Store(nil)
 	file := g.files[f]
 	g.consumers[f] = append(g.consumers[f], to)
 	if file.Producer == NoTask {
@@ -164,71 +183,99 @@ func (g *Graph) Files() []File {
 	return out
 }
 
-// Succ returns the outgoing edges of t. The returned slice must not be
-// modified.
+// Succ returns the outgoing edges of t (shared, read-only).
 func (g *Graph) Succ(t TaskID) []Edge { return g.succ[t] }
 
-// Pred returns the incoming edges of t. The returned slice must not be
-// modified.
+// Pred returns the incoming edges of t (shared, read-only).
 func (g *Graph) Pred(t TaskID) []Edge { return g.pred[t] }
 
-// InputFiles returns the workflow input files read by t.
+// InputFiles returns the workflow input files read by t (shared,
+// read-only).
 func (g *Graph) InputFiles(t TaskID) []FileID { return g.inputs[t] }
 
-// Consumers returns the tasks that read file f.
+// Consumers returns the tasks that read file f (shared, read-only).
 func (g *Graph) Consumers(f FileID) []TaskID { return g.consumers[f] }
 
 // OutputFiles returns, for task t, the files it produces that have no
 // consumer: these are workflow outputs that any execution must persist.
 func (g *Graph) OutputFiles(t TaskID) []FileID {
 	var out []FileID
-	for _, f := range g.files {
-		if f.Producer == t && len(g.consumers[f.ID]) == 0 {
-			out = append(out, f.ID)
+	for _, f := range g.index().produced.at(int(t)) {
+		if len(g.consumers[f]) == 0 {
+			out = append(out, f)
 		}
 	}
 	return out
 }
 
 // ProducedFiles returns every file produced by t (with or without
-// consumers), in FileID order.
-func (g *Graph) ProducedFiles(t TaskID) []FileID {
-	var out []FileID
-	for _, f := range g.files {
-		if f.Producer == t {
-			out = append(out, f.ID)
-		}
-	}
-	return out
-}
+// consumers), in FileID order (shared, read-only).
+func (g *Graph) ProducedFiles(t TaskID) []FileID { return g.index().produced.at(int(t)) }
 
 // SuccTasks returns the distinct successor tasks of t in ascending ID
-// order.
-func (g *Graph) SuccTasks(t TaskID) []TaskID {
-	return dedupTaskIDs(g.succ[t], func(e Edge) TaskID { return e.To })
-}
+// order (shared, read-only).
+func (g *Graph) SuccTasks(t TaskID) []TaskID { return g.index().succTasks.at(int(t)) }
 
 // PredTasks returns the distinct predecessor tasks of t in ascending ID
-// order.
-func (g *Graph) PredTasks(t TaskID) []TaskID {
-	return dedupTaskIDs(g.pred[t], func(e Edge) TaskID { return e.From })
-}
+// order (shared, read-only).
+func (g *Graph) PredTasks(t TaskID) []TaskID { return g.index().predTasks.at(int(t)) }
 
-func dedupTaskIDs(es []Edge, key func(Edge) TaskID) []TaskID {
-	if len(es) == 0 {
-		return nil
+// index returns the adjacency index, building it on first use. Readers
+// racing on an unindexed graph may each build one; the first published
+// wins and every reader returns it.
+func (g *Graph) index() *adjacency {
+	if a := g.adj.Load(); a != nil {
+		return a
 	}
-	seen := make(map[TaskID]bool, len(es))
-	out := make([]TaskID, 0, len(es))
-	for _, e := range es {
-		id := key(e)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+	n := len(g.tasks)
+	a := &adjacency{
+		produced:  packedLists[FileID]{off: make([]int32, n+1)},
+		predTasks: dedupTasks(g.pred, func(e Edge) TaskID { return e.From }),
+		succTasks: dedupTasks(g.succ, func(e Edge) TaskID { return e.To }),
+	}
+	// Counting sort of the produced files by producer, stable in FileID
+	// order.
+	off := a.produced.off
+	for _, f := range g.files {
+		if f.Producer != NoTask {
+			off[f.Producer+1]++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for t := 0; t < n; t++ {
+		off[t+1] += off[t]
+	}
+	a.produced.flat = make([]FileID, off[n])
+	next := append([]int32(nil), off[:n]...)
+	for _, f := range g.files {
+		if f.Producer != NoTask {
+			a.produced.flat[next[f.Producer]] = f.ID
+			next[f.Producer]++
+		}
+	}
+	if !g.adj.CompareAndSwap(nil, a) {
+		return g.adj.Load()
+	}
+	return a
+}
+
+// dedupTasks packs, per task, the distinct key(e) over its edge list in
+// ascending order.
+func dedupTasks(adj [][]Edge, key func(Edge) TaskID) packedLists[TaskID] {
+	total := 0
+	for _, es := range adj {
+		total += len(es)
+	}
+	l := packedLists[TaskID]{off: make([]int32, len(adj)+1), flat: make([]TaskID, 0, total)}
+	for t, es := range adj {
+		start := len(l.flat)
+		for _, e := range es {
+			l.flat = append(l.flat, key(e))
+		}
+		slices.Sort(l.flat[start:])
+		l.flat = l.flat[:start+len(slices.Compact(l.flat[start:]))]
+		l.off[t+1] = int32(len(l.flat))
+	}
+	return l
 }
 
 // Sources returns tasks with no predecessor, in ascending ID order.
@@ -289,24 +336,41 @@ func (g *Graph) MeanWeight() float64 {
 	return g.TotalWeight() / float64(len(g.tasks))
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph that shares its adjacency
+// index, building it on g first if needed, so that g and all its clones
+// hold one index. Each adjacency table is packed into one backing array
+// with every list's capacity capped at its length, so appending to one
+// of the clone's lists reallocates instead of writing into its
+// neighbour.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.tasks = append([]Task(nil), g.tasks...)
-	c.files = append([]File(nil), g.files...)
-	c.succ = make([][]Edge, len(g.succ))
-	c.pred = make([][]Edge, len(g.pred))
-	for i := range g.succ {
-		c.succ[i] = append([]Edge(nil), g.succ[i]...)
-		c.pred[i] = append([]Edge(nil), g.pred[i]...)
+	c := &Graph{
+		tasks:     append([]Task(nil), g.tasks...),
+		files:     append([]File(nil), g.files...),
+		succ:      packed(g.succ),
+		pred:      packed(g.pred),
+		inputs:    packed(g.inputs),
+		consumers: packed(g.consumers),
 	}
-	for t, fs := range g.inputs {
-		c.inputs[t] = append([]FileID(nil), fs...)
-	}
-	for f, ts := range g.consumers {
-		c.consumers[f] = append([]TaskID(nil), ts...)
-	}
+	c.adj.Store(g.index())
 	return c
+}
+
+// packed deep-copies lists into one backing array; empty lists are nil.
+func packed[T any](lists [][]T) [][]T {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	flat := make([]T, 0, total)
+	out := make([][]T, len(lists))
+	for i, l := range lists {
+		if len(l) > 0 {
+			start := len(flat)
+			flat = append(flat, l...)
+			out[i] = flat[start:len(flat):len(flat)]
+		}
+	}
+	return out
 }
 
 // String returns a short human-readable summary.
