@@ -6,7 +6,7 @@
 //
 //	w, _ := pegasus.Generate("genome", pegasus.Options{Tasks: 300})
 //	pf := platform.New(35, 0, 1e9).WithLambdaForPFail(0.001, w.G)
-//	res, _ := core.Run(w, pf, core.Config{Strategy: ckpt.CkptSome})
+//	res, _ := core.Run(ctx, w, pf, core.Config{Strategy: ckpt.CkptSome})
 //	fmt.Println(res.ExpectedMakespan)
 package core
 
@@ -65,17 +65,25 @@ type Result struct {
 	Segments int
 }
 
-// BuildSchedule runs Algorithm 1 alone: superchain allocation with the
-// configured linearization and seed (0 defaults to 1, exactly as Run
-// does — the two must stay in lockstep or a schedule rebuilt from a
-// cached scaffold would diverge from a cold run). The schedule depends
-// only on the workflow's topology and task weights plus pf.Processors;
-// pf's failure rate, bandwidth and the workflow's file sizes never
-// enter Algorithm 1.
-func BuildSchedule(w *mspg.Workflow, pf platform.Platform, cfg Config) (*sched.Schedule, error) {
+// withDefaults fills in the documented defaults of the zero-valued
+// fields: Strategy CkptSome and Seed 1.
+func (cfg Config) withDefaults() Config {
+	if cfg.Strategy == "" {
+		cfg.Strategy = ckpt.CkptSome
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	return cfg
+}
+
+// BuildSchedule runs Algorithm 1 alone: superchain allocation with the
+// configured linearization and seed. The schedule depends only on the
+// workflow's topology and task weights plus pf.Processors; pf's failure
+// rate, bandwidth and the workflow's file sizes never enter Algorithm
+// 1.
+func BuildSchedule(w *mspg.Workflow, pf platform.Platform, cfg Config) (*sched.Schedule, error) {
+	cfg = cfg.withDefaults()
 	s, err := sched.Allocate(w, pf, sched.Options{
 		Linearize: cfg.Linearize,
 		Rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -90,18 +98,12 @@ func BuildSchedule(w *mspg.Workflow, pf platform.Platform, cfg Config) (*sched.S
 // the plan and its estimated expected makespan. ctx is observed between
 // pipeline stages and inside the parallel fan-outs.
 func Run(ctx context.Context, w *mspg.Workflow, pf platform.Platform, cfg Config) (*Result, error) {
-	if cfg.Strategy == "" {
-		cfg.Strategy = ckpt.CkptSome
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s, err := BuildSchedule(w, pf, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	return RunOnSchedule(ctx, s, pf, cfg)
 }
@@ -113,9 +115,7 @@ func RunOnSchedule(ctx context.Context, s *sched.Schedule, pf platform.Platform,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.Strategy == "" {
-		cfg.Strategy = ckpt.CkptSome
-	}
+	cfg = cfg.withDefaults()
 	plan, err := ckpt.BuildPlanWith(s, pf, cfg.Strategy, cfg.Model)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint planning failed: %w", err)
@@ -123,6 +123,14 @@ func RunOnSchedule(ctx context.Context, s *sched.Schedule, pf platform.Platform,
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	return Evaluate(plan, cfg)
+}
+
+// Evaluate estimates a placed or rebuilt plan's expected makespan with
+// the configured estimator and summarizes it. cfg.Strategy is not
+// read: the plan carries its own.
+func Evaluate(plan *ckpt.Plan, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
 	em, err := ckpt.ExpectedMakespan(plan, ckpt.EvalOptions{
 		Estimator: cfg.Estimator,
 		MCTrials:  cfg.MCTrials,
@@ -132,13 +140,13 @@ func RunOnSchedule(ctx context.Context, s *sched.Schedule, pf platform.Platform,
 		return nil, fmt.Errorf("core: makespan evaluation failed: %w", err)
 	}
 	return &Result{
-		Strategy:            cfg.Strategy,
+		Strategy:            plan.Strategy,
 		Plan:                plan,
-		Schedule:            s,
+		Schedule:            plan.Sched,
 		ExpectedMakespan:    em,
-		FailureFreeMakespan: s.FailureFreeMakespan(),
+		FailureFreeMakespan: plan.Sched.FailureFreeMakespan(),
 		Checkpoints:         plan.NumCheckpoints(),
-		Superchains:         len(s.Chains),
+		Superchains:         len(plan.Sched.Chains),
 		Segments:            len(plan.Segments),
 	}, nil
 }
@@ -156,25 +164,27 @@ func (c Comparison) RelAll() float64 { return c.All.ExpectedMakespan / c.Some.Ex
 func (c Comparison) RelNone() float64 { return c.None.ExpectedMakespan / c.Some.ExpectedMakespan }
 
 // Compare evaluates CkptSome, CkptAll and CkptNone on the same schedule
-// of w over pf — the experiment underlying Figures 5-7. With
-// cfg.Workers above 1 the three strategies are planned and evaluated
-// concurrently (plan building only reads the schedule); the result is
-// identical either way.
+// of w over pf — the experiment underlying Figures 5-7.
 func Compare(ctx context.Context, w *mspg.Workflow, pf platform.Platform, cfg Config) (Comparison, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	s, err := BuildSchedule(w, pf, cfg)
 	if err != nil {
 		return Comparison{}, err
 	}
+	return CompareOnSchedule(ctx, s, pf, cfg)
+}
+
+// CompareOnSchedule evaluates CkptSome, CkptAll and CkptNone on the
+// existing schedule s. With cfg.Workers above 1 the three strategies
+// are planned and evaluated concurrently (plan building only reads the
+// schedule); the result is identical either way.
+func CompareOnSchedule(ctx context.Context, s *sched.Schedule, pf platform.Platform, cfg Config) (Comparison, error) {
 	strategies := []ckpt.Strategy{ckpt.CkptSome, ckpt.CkptAll, ckpt.CkptNone}
 	results := make([]*Result, len(strategies))
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = 1
 	}
-	err = par.ForEachCtx(ctx, workers, len(strategies), func(i int) error {
+	err := par.ForEachCtx(ctx, workers, len(strategies), func(i int) error {
 		c := cfg
 		c.Strategy = strategies[i]
 		r, err := RunOnSchedule(ctx, s, pf, c)

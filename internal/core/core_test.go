@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -200,5 +201,53 @@ func TestCompareParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d %s: %+v != serial %+v", workers, got.Strategy, got, want)
 			}
 		}
+	}
+}
+
+// TestConfigZeroValueDefaults pins the documented defaults: a zero
+// Config plans bit-identically to Seed 1 under CkptSome, through Run
+// and through RunOnSchedule. The Monte Carlo estimator makes the seed
+// reach the evaluation as well as the linearization.
+func TestConfigZeroValueDefaults(t *testing.T) {
+	ctx := context.Background()
+	w, pf := setup(t, "montage", 80, 5, 0.01, 0.1)
+	zero := Config{Estimator: ckpt.EstMonteCarlo, MCTrials: 500}
+	explicit := zero
+	explicit.Seed, explicit.Strategy = 1, ckpt.CkptSome
+	other := explicit
+	other.Seed = 2
+	same := func(a, b *Result) bool {
+		return reflect.DeepEqual(a, b) && math.Float64bits(a.ExpectedMakespan) == math.Float64bits(b.ExpectedMakespan)
+	}
+
+	var runs [3]*Result
+	for i, cfg := range []Config{zero, explicit, other} {
+		r, err := Run(ctx, w, pf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = r
+	}
+	if !same(runs[0], runs[1]) {
+		t.Errorf("Run: Config{} differs from Seed 1 under CkptSome: EM %v vs %v", runs[0].ExpectedMakespan, runs[1].ExpectedMakespan)
+	}
+	if same(runs[1], runs[2]) {
+		t.Fatal("seeds 1 and 2 plan identically; the pin above proves nothing")
+	}
+
+	s, err := BuildSchedule(w, pf, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := RunOnSchedule(ctx, s, pf, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunOnSchedule(ctx, s, pf, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(a, b) {
+		t.Errorf("RunOnSchedule: Config{} differs from Seed 1 under CkptSome: EM %v vs %v", a.ExpectedMakespan, b.ExpectedMakespan)
 	}
 }

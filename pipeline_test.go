@@ -111,6 +111,12 @@ func planFingerprint(ctx context.Context, p *Plan) (string, error) {
 	return b.String(), nil
 }
 
+// namedPlan labels a plan with the entry point that built it.
+type namedPlan struct {
+	name string
+	p    *Plan
+}
+
 // TestPipelineEntryPointsAgree plans every case through each way the
 // package builds a plan — NewPlan, a fresh scaffold's tail, a store
 // round trip and the facade Compare — and demands each be
@@ -154,20 +160,14 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decodePlan: %v", name, err)
 		}
-		paths := []struct {
-			name string
-			p    *Plan
-		}{{"NewPlan", fresh}, {"planFromScaffold", scaffolded}, {"decodePlan", decoded}}
+		paths := []namedPlan{{"NewPlan", fresh}, {"planFromScaffold", scaffolded}, {"decodePlan", decoded}}
 		if sc.strategy != ExitOnly {
 			cmp, err := Compare(ctx, sc, CompareWorkers(1))
 			if err != nil {
 				t.Fatalf("%s: Compare: %v", name, err)
 			}
 			p := map[Strategy]*Plan{CkptSome: cmp.Some, CkptAll: cmp.All, CkptNone: cmp.None}[sc.strategy]
-			paths = append(paths, struct {
-				name string
-				p    *Plan
-			}{"Compare", p})
+			paths = append(paths, namedPlan{"Compare", p})
 		}
 		for _, path := range paths {
 			got, err := planFingerprint(ctx, path.p)

@@ -2,7 +2,6 @@ package hanccr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -84,15 +83,11 @@ func NewPlan(ctx context.Context, s Scenario) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, pf, redundant, err := s.build(ctx)
+	sf, err := buildScaffold(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(ctx, w, pf, s.coreConfig())
-	if err != nil {
-		return nil, wrapPipelineError(err)
-	}
-	return newPlan(s, res, pf, w, redundant), nil
+	return planTail(ctx, s, sf, nil)
 }
 
 func newPlan(s Scenario, res *core.Result, pf platform.Platform, w *mspg.Workflow, redundant int) *Plan {
@@ -111,33 +106,24 @@ func newPlan(s Scenario, res *core.Result, pf platform.Platform, w *mspg.Workflo
 	}
 }
 
-// planScaffold is the parameter-independent prefix of plan
-// construction, shared by every scenario with the same StructureKey:
-// the materialized workflow (recognized M-SPG tree included) and the
-// Algorithm 1 superchain shape. Everything downstream — platform
-// calibration, CCR rescaling, checkpoint placement, makespan
-// evaluation — depends on ParamKey knobs and is re-run per plan by
-// planFromScaffold. A scaffold is immutable once built and safe to
-// share across goroutines: the master workflow is never handed out
-// (planFromScaffold clones it before the in-place CCR rescale) and the
-// chain archive is copied per rebuild because sched.Rebuild aliases
-// the slices it is given.
+// planScaffold is what the pipeline's first two stages (see planTail)
+// produce, shared by every scenario with the same StructureKey: the
+// materialized workflow (recognized M-SPG tree included) and Algorithm
+// 1's superchains archived as (proc, tasks), the shape the plan store
+// serializes. planTail consumes a scaffold, so a cached one is only
+// ever handed to it as planFromScaffold's private copy.
 type planScaffold struct {
-	w         *mspg.Workflow // unscaled master; clone before any mutation
+	w         *mspg.Workflow // unscaled master
 	redundant int
 	procs     []int
 	chains    [][]wfdag.TaskID
 }
 
-// buildScaffold materializes the scenario's workflow and runs
-// Algorithm 1 on it, archiving the schedule as (proc, tasks) per
-// superchain — the same serialized shape the persistent plan store
-// uses, whose decode path proved the rebuild bit-exact. The freshly
-// materialized workflow is private, so the scaffold adopts it as its
-// master without a clone. The schedule is allocated on the generator's
-// own file sizes (before any CCR rescale): Algorithm 1 reads task
-// weights and topology only, so the superchains are identical either
-// way.
+// buildScaffold runs stages 1 and 2. The freshly materialized workflow
+// is private, so the scaffold adopts it without a clone. Algorithm 1
+// reads task weights, topology and the processor count only, so it
+// runs on the generator's own file sizes and every parameter variant
+// of a structure gets the same superchains.
 func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
 	w, redundant, err := s.materialize(ctx, nil)
 	if err != nil {
@@ -148,7 +134,7 @@ func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
 	pf := platform.New(s.procs, 0, s.bandwidth)
 	schedule, err := core.BuildSchedule(w, pf, s.coreConfig())
 	if err != nil {
-		return nil, wrapPipelineError(err)
+		return nil, err
 	}
 	sf := &planScaffold{
 		w:         w,
@@ -163,43 +149,70 @@ func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
 	return sf, nil
 }
 
-// planFromScaffold is the near-duplicate fast path: NewPlan minus
-// workflow materialization and Algorithm 1, both reused from the
-// scaffold. It mirrors the plan store's decode pipeline — clone the
-// master workflow, calibrate the platform from the scenario's
-// parameters, rescale file sizes to its CCR, rebuild the schedule from
-// the archived superchains, then run the parameter-dependent tail
-// (Algorithm 2 + makespan evaluation). The result is bit-identical to
-// a cold NewPlan, which the byte-identity tests pin.
+// planFromScaffold is the near-duplicate fast path: it runs planTail
+// on a private copy of a cached scaffold, with the master workflow
+// cloned (calibration rescales file sizes in place) and the archive
+// copied (sched.Rebuild aliases the slices it is given).
 func planFromScaffold(ctx context.Context, s Scenario, sf *planScaffold) (*Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w := sf.w.Clone()
-	pf := s.calibrate(w)
 	chains := make([][]wfdag.TaskID, len(sf.chains))
 	for i, c := range sf.chains {
 		chains[i] = append([]wfdag.TaskID(nil), c...)
 	}
-	schedule, err := sched.Rebuild(w, pf, append([]int(nil), sf.procs...), chains)
+	return planTail(ctx, s, &planScaffold{
+		w:         sf.w.Clone(),
+		redundant: sf.redundant,
+		procs:     append([]int(nil), sf.procs...),
+		chains:    chains,
+	}, nil)
+}
+
+// planTail runs the planning pipeline from stage 3 on sf, which it
+// consumes. The pipeline's stages are:
+//
+//  1. materialize: Scenario.materialize.
+//  2. schedule: Algorithm 1, archived in a planScaffold (buildScaffold).
+//  3. calibrate and rebuild: λ from pfail, file sizes rescaled to the
+//     CCR, the schedule rebuilt from the archive (rebuild).
+//  4. place: the scenario's strategy (Algorithm 2 for CkptSome), or a
+//     replay of recorded checkpoint marks when marks is non-nil.
+//  5. evaluate: PathApprox, or Theorem 1 for CkptNone (core.Evaluate).
+//
+// Every way of building a plan only chooses where to start and what to
+// pass in: NewPlan hands over its fresh scaffold, planFromScaffold a
+// copy of a cached one, decodePlan a record's superchains and marks;
+// Compare stops after stage 3 and fans the paper's three strategies
+// out on the one schedule.
+func planTail(ctx context.Context, s Scenario, sf *planScaffold, marks []bool) (*Plan, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	schedule, pf, err := rebuild(s, sf)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunOnSchedule(ctx, schedule, pf, s.coreConfig())
-	if err != nil {
-		return nil, wrapPipelineError(err)
+	cfg := s.coreConfig()
+	var res *core.Result
+	if marks == nil {
+		res, err = core.RunOnSchedule(ctx, schedule, pf, cfg)
+	} else {
+		var plan *ckpt.Plan
+		if plan, err = ckpt.RebuildPlan(schedule, pf, cfg.Strategy, cfg.Model, marks); err == nil {
+			res, err = core.Evaluate(plan, cfg)
+		}
 	}
-	return newPlan(s, res, pf, w, sf.redundant), nil
+	if err != nil {
+		return nil, err
+	}
+	return newPlan(s, res, pf, sf.w, sf.redundant), nil
 }
 
-// wrapPipelineError maps internal pipeline failures onto the façade's
-// typed errors.
-func wrapPipelineError(err error) error {
-	var notMSPG *mspg.NotMSPGError
-	if errors.As(err, &notMSPG) {
-		return fmt.Errorf("%w: %v", ErrNotMSPG, err)
-	}
-	return err
+// rebuild is stage 3 on sf, which it consumes: it calibrates the
+// platform on sf.w, rescaling its file sizes in place, and rebuilds
+// the schedule on sf's archived superchains.
+func rebuild(s Scenario, sf *planScaffold) (*sched.Schedule, platform.Platform, error) {
+	pf := s.calibrate(sf.w)
+	schedule, err := sched.Rebuild(sf.w, pf, sf.procs, sf.chains)
+	return schedule, pf, err
 }
 
 // Scenario returns the scenario the plan was built from.
@@ -457,21 +470,24 @@ func Compare(ctx context.Context, s Scenario, opts ...CompareOption) (*Compariso
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, pf, redundant, err := s.build(ctx)
+	sf, err := buildScaffold(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	schedule, pf, err := rebuild(s, sf)
 	if err != nil {
 		return nil, err
 	}
 	cc := s.coreConfig()
-	cc.Strategy = ""
 	cc.Workers = cfg.workers
-	cmp, err := core.Compare(ctx, w, pf, cc)
+	cmp, err := core.CompareOnSchedule(ctx, schedule, pf, cc)
 	if err != nil {
-		return nil, wrapPipelineError(err)
+		return nil, err
 	}
 	wrap := func(res *core.Result, st Strategy) *Plan {
 		sc := s
 		sc.strategy = st
-		return newPlan(sc, res, pf, w, redundant)
+		return newPlan(sc, res, pf, sf.w, sf.redundant)
 	}
 	return &Comparison{
 		Some: wrap(cmp.Some, CkptSome),

@@ -416,17 +416,6 @@ func (s Scenario) materialize(ctx context.Context, memo *pegasus.Memo) (*mspg.Wo
 	return w, 0, nil
 }
 
-// build materializes the workflow and calibrates the platform: λ from
-// pfail, file sizes rescaled in place (on the private copy) to hit the
-// scenario's CCR — exactly the pipeline of the paper's experiments.
-func (s Scenario) build(ctx context.Context) (*mspg.Workflow, platform.Platform, int, error) {
-	w, redundant, err := s.materialize(ctx, nil)
-	if err != nil {
-		return nil, platform.Platform{}, 0, err
-	}
-	return w, s.calibrate(w), redundant, nil
-}
-
 // calibrate builds the scenario's platform for w — λ from pfail — and
 // rescales w's file sizes in place to the scenario's CCR, so w must be
 // a private copy.

@@ -51,11 +51,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/pegasus"
-	"repro/internal/sched"
 	"repro/internal/wfdag"
 )
 
@@ -213,15 +210,13 @@ func (ss storedScenario) scenario() Scenario {
 }
 
 // decodePlan reconstructs a *Plan from a record payload without
-// re-running Algorithm 1 or 2: the workflow is re-materialized from
-// the scenario through memo (owned by the calling scope; nil:
-// generated afresh — generation is deterministic, so both yield the
-// same workflow) and calibrated to the scenario's platform, the
-// schedule is rebuilt from the stored superchains, and the segments
-// with their R/W/C costs are recomputed from the checkpoint marks.
-// Every recomputable quantity is cross-checked bit-exactly against the
-// record; any mismatch fails the decode so the caller re-plans instead
-// of serving a corrupt plan.
+// re-running Algorithm 1 or 2: it materializes the scenario's workflow
+// through memo (owned by the calling scope; nil: generated afresh —
+// generation is deterministic, so both yield the same workflow) and
+// runs planTail on the record's superchains and checkpoint marks. The
+// record's segments and makespans are cross-checked bit-exactly
+// against the result; any mismatch fails the decode so the caller
+// re-plans instead of serving a corrupt plan.
 func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
 	var sp storedPlan
 	if err := json.Unmarshal(payload, &sp); err != nil {
@@ -241,73 +236,56 @@ func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.M
 	if err != nil {
 		return nil, err
 	}
-	pf := sc.calibrate(w)
 	if redundant != sp.Redundant {
 		return nil, fmt.Errorf("decode: %d redundant edges, record says %d", redundant, sp.Redundant)
 	}
-	n := w.G.NumTasks()
-	procs := make([]int, len(sp.Chains))
-	chains := make([][]wfdag.TaskID, len(sp.Chains))
+	sf := &planScaffold{
+		w:         w,
+		redundant: redundant,
+		procs:     make([]int, len(sp.Chains)),
+		chains:    make([][]wfdag.TaskID, len(sp.Chains)),
+	}
 	for i, c := range sp.Chains {
-		procs[i] = c.Proc
-		chains[i] = make([]wfdag.TaskID, len(c.Tasks))
+		sf.procs[i] = c.Proc
+		sf.chains[i] = make([]wfdag.TaskID, len(c.Tasks))
 		for j, t := range c.Tasks {
-			chains[i][j] = wfdag.TaskID(t)
+			sf.chains[i][j] = wfdag.TaskID(t)
 		}
 	}
-	schedule, err := sched.Rebuild(w, pf, procs, chains)
-	if err != nil {
-		return nil, err
-	}
-	ckAfter := make([]bool, n)
+	n := w.G.NumTasks()
+	marks := make([]bool, n)
 	for _, t := range sp.Checkpoints {
 		if t < 0 || t >= n {
 			return nil, fmt.Errorf("decode: checkpoint after unknown task %d", t)
 		}
-		ckAfter[t] = true
+		marks[t] = true
 	}
-	cfg := sc.coreConfig()
-	plan, err := ckpt.RebuildPlan(schedule, pf, cfg.Strategy, cfg.Model, ckAfter)
+	p, err := planTail(ctx, sc, sf, marks)
 	if err != nil {
 		return nil, err
 	}
-	if len(plan.Segments) != len(sp.Segments) {
-		return nil, fmt.Errorf("decode: %d segments recomputed, record says %d", len(plan.Segments), len(sp.Segments))
+	res := p.res
+	if len(res.Plan.Segments) != len(sp.Segments) {
+		return nil, fmt.Errorf("decode: %d segments recomputed, record says %d", len(res.Plan.Segments), len(sp.Segments))
 	}
-	for i, seg := range plan.Segments {
+	for i, seg := range res.Plan.Segments {
 		want := sp.Segments[i]
-		if seg.Chain != want.Chain || schedule.Pos(seg.Tasks[0]) != want.Start || len(seg.Tasks) != want.Len ||
+		if seg.Chain != want.Chain || res.Schedule.Pos(seg.Tasks[0]) != want.Start || len(seg.Tasks) != want.Len ||
 			math.Float64bits(seg.R) != want.RBits || math.Float64bits(seg.W) != want.WBits || math.Float64bits(seg.C) != want.CBits {
 			return nil, fmt.Errorf("decode: segment %d differs from its stored metadata", i)
 		}
 	}
 	// The planner's estimate is cheap to recompute (PathApprox, or the
-	// Theorem 1 formula for CkptNone) and both pipelines are
-	// deterministic, so the makespans double as integrity checks: a
-	// record whose stored bits disagree with the recomputation does not
-	// describe this plan.
-	em, err := ckpt.ExpectedMakespan(plan, ckpt.EvalOptions{Estimator: cfg.Estimator, MCSeed: cfg.Seed})
-	if err != nil {
-		return nil, err
+	// Theorem 1 formula for CkptNone) and deterministic, so the
+	// makespans double as integrity checks: a record whose stored bits
+	// disagree with the recomputation does not describe this plan.
+	if math.Float64bits(res.ExpectedMakespan) != sp.EMBits {
+		return nil, fmt.Errorf("decode: expected makespan %g does not match the stored bits", res.ExpectedMakespan)
 	}
-	if math.Float64bits(em) != sp.EMBits {
-		return nil, fmt.Errorf("decode: expected makespan %g does not match the stored bits", em)
+	if math.Float64bits(res.FailureFreeMakespan) != sp.FFMBits {
+		return nil, fmt.Errorf("decode: failure-free makespan %g does not match the stored bits", res.FailureFreeMakespan)
 	}
-	ffm := schedule.FailureFreeMakespan()
-	if math.Float64bits(ffm) != sp.FFMBits {
-		return nil, fmt.Errorf("decode: failure-free makespan %g does not match the stored bits", ffm)
-	}
-	res := &core.Result{
-		Strategy:            cfg.Strategy,
-		Plan:                plan,
-		Schedule:            schedule,
-		ExpectedMakespan:    em,
-		FailureFreeMakespan: ffm,
-		Checkpoints:         plan.NumCheckpoints(),
-		Superchains:         len(schedule.Chains),
-		Segments:            len(plan.Segments),
-	}
-	return newPlan(sc, res, pf, w, redundant), nil
+	return p, nil
 }
 
 // storeRef locates one live record: segment sequence number, byte
