@@ -420,9 +420,23 @@ func BenchmarkSimulatorTrialOneShot(b *testing.B) {
 	}
 }
 
+// BenchmarkFullPipeline300 measures the daemon's cold path on
+// montage-300 with 35 processors: generate, Algorithm 1 (buildScaffold),
+// then one clone of the fresh master and the parameter tail
+// (planFromScaffold), as a cold miss runs them.
 func BenchmarkFullPipeline300(b *testing.B) {
+	ctx := context.Background()
+	sc := NewScenario(WithFamily("montage"), WithTasks(300), WithProcs(35), WithSeed(42),
+		WithPFail(0.001), WithCCR(0.01))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchWorkflow(b, "montage", 300, 35)
+		sf, err := buildScaffold(ctx, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := planFromScaffold(ctx, sc, sf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

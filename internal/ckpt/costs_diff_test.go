@@ -129,15 +129,21 @@ func diffPlans(t *testing.T, where string, got, want *Plan) {
 // refExpectedMakespan is ExpectedMakespan's PathApprox path over the
 // reference segment edges.
 func refExpectedMakespan(p *Plan, deps [][2]int) float64 {
+	return probdag.PathApprox(refSegmentDAG(p, deps))
+}
+
+// refSegmentDAG builds the segment DAG node by node and edge by edge
+// through AddNode and AddEdge, one SegmentDist law per segment.
+func refSegmentDAG(p *Plan, deps [][2]int) *probdag.Graph {
 	g := probdag.NewGraph()
 	ids := make([]probdag.NodeID, len(p.Segments))
 	for i, seg := range p.Segments {
-		ids[i] = g.AddNode(fmt.Sprintf("seg%d(chain%d)", i, seg.Chain), p.Model.SegmentDist(seg.Span(), p.Platform.Lambda))
+		ids[i] = g.AddNode(p.Model.SegmentDist(seg.Span(), p.Platform.Lambda))
 	}
 	for _, e := range deps {
 		g.AddEdge(ids[e[0]], ids[e[1]])
 	}
-	return probdag.PathApprox(g)
+	return g
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

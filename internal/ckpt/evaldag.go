@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/dist"
 	"repro/internal/probdag"
 )
 
@@ -18,20 +19,29 @@ import (
 // The expected makespan of this DAG is the expected makespan of the
 // plan (to first order in λ), computable with any probdag estimator.
 func EvalDAG(p *Plan) (*probdag.Graph, error) {
-	if p.Strategy == CkptNone {
-		return nil, fmt.Errorf("ckpt: CkptNone has no segment DAG; use Theorem1 or the simulator")
-	}
-	g := probdag.NewGraph()
-	ids := make([]probdag.NodeID, len(p.Segments))
-	for i, seg := range p.Segments {
-		d := p.Model.SegmentDist(seg.Span(), p.Platform.Lambda)
-		ids[i] = g.AddNode(fmt.Sprintf("seg%d(chain%d)", i, seg.Chain), d)
-	}
-	for _, e := range SegmentDeps(p) {
-		g.AddEdge(ids[e[0]], ids[e[1]])
+	g, err := segmentDAG(p)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := g.TopoOrder(); err != nil {
 		return nil, fmt.Errorf("ckpt: segment DAG is cyclic: %w", err)
+	}
+	return g, nil
+}
+
+// segmentDAG is EvalDAG without the cycle check. Node i is segment i;
+// the segment laws share one backing block (dist.TwoStates) and
+// SegmentDeps's edges, already deduplicated, are packed in one pass.
+func segmentDAG(p *Plan) (*probdag.Graph, error) {
+	if p.Strategy == CkptNone {
+		return nil, fmt.Errorf("ckpt: CkptNone has no segment DAG; use Theorem1 or the simulator")
+	}
+	laws := dist.TwoStates(len(p.Segments), func(i int) (float64, float64, float64) {
+		return p.Model.segmentLaw(p.Segments[i].Span(), p.Platform.Lambda)
+	})
+	g, err := probdag.FromEdges(laws, SegmentDeps(p))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: segment DAG: %w", err)
 	}
 	return g, nil
 }
@@ -180,19 +190,23 @@ func ExpectedMakespan(p *Plan, opts EvalOptions) (float64, error) {
 	if p.Strategy == CkptNone {
 		return Theorem1(p.Sched, p.Platform), nil
 	}
-	g, err := EvalDAG(p)
+	g, err := segmentDAG(p)
 	if err != nil {
 		return 0, err
 	}
+	ev, err := probdag.NewEvaluator(g) // the one topological sort
+	if err != nil {
+		return 0, fmt.Errorf("ckpt: segment DAG is cyclic: %w", err)
+	}
 	switch opts.Estimator {
 	case EstPathApprox:
-		return probdag.PathApprox(g), nil
+		return ev.PathApprox(), nil
 	case EstMonteCarlo:
-		return probdag.MonteCarlo(g, opts.MCTrials, rand.New(rand.NewSource(opts.MCSeed))).Mean, nil
+		return ev.MonteCarlo(opts.MCTrials, rand.New(rand.NewSource(opts.MCSeed))).Mean, nil
 	case EstNormal:
-		return probdag.Normal(g), nil
+		return ev.Normal(), nil
 	case EstDodin:
-		return probdag.Dodin(g, opts.Dodin)
+		return ev.Dodin(opts.Dodin)
 	default:
 		return 0, fmt.Errorf("ckpt: unknown estimator %q", opts.Estimator)
 	}

@@ -47,12 +47,19 @@ func (m CostModel) ExpectedTime(span, lambda float64) float64 {
 }
 
 // SegmentDist returns the model's two-point duration distribution for a
-// segment, used as the node weight of the evaluation DAG.
+// segment: the node weight of the evaluation DAG, which EvalDAG builds
+// for all segments at once in one block (dist.TwoStates).
 func (m CostModel) SegmentDist(span, lambda float64) *dist.Discrete {
+	return dist.TwoState(m.segmentLaw(span, lambda))
+}
+
+// segmentLaw returns SegmentDist's parameters: the law is
+// dist.TwoState(lo, hi, pHi).
+func (m CostModel) segmentLaw(span, lambda float64) (lo, hi, pHi float64) {
 	switch m {
 	case ModelExact:
-		return dist.ExactRestartSegment(span, lambda)
+		return dist.ExactRestartLaw(span, lambda)
 	default:
-		return dist.FirstOrderSegment(span, lambda)
+		return dist.FirstOrderLaw(span, lambda)
 	}
 }

@@ -71,17 +71,44 @@ func Point(x float64) *Discrete {
 // pHi, value lo otherwise. Degenerate parameters (pHi outside (0,1), or
 // lo == hi) collapse to a Point distribution.
 func TwoState(lo, hi float64, pHi float64) *Discrete {
-	if pHi <= 0 || lo == hi {
-		return Point(lo)
+	d := new(Discrete)
+	d.setTwoState(make([]float64, 4), lo, hi, pHi)
+	return d
+}
+
+// TwoStates returns n 2-state laws, law i equal to TwoState(law(i)),
+// backed by one []Discrete and one []float64 instead of three heap
+// objects each. Every law's support and probabilities are capped
+// windows of the shared block, so the laws are as independent as
+// TwoState's.
+func TwoStates(n int, law func(i int) (lo, hi, pHi float64)) []*Discrete {
+	ds, buf, out := make([]Discrete, n), make([]float64, 4*n), make([]*Discrete, n)
+	for i := range ds {
+		lo, hi, pHi := law(i)
+		ds[i].setTwoState(buf[4*i:4*i+4], lo, hi, pHi)
+		out[i] = &ds[i]
 	}
-	if pHi >= 1 {
-		return Point(hi)
-	}
-	if lo > hi {
+	return out
+}
+
+// setTwoState makes d the law TwoState(lo, hi, pHi), storing its
+// support and probabilities in buf (4 slots).
+func (d *Discrete) setTwoState(buf []float64, lo, hi, pHi float64) {
+	switch {
+	case pHi <= 0 || lo == hi:
+		buf[0], buf[1] = lo, 1
+		d.vals, d.probs = buf[0:1:1], buf[1:2:2]
+		return
+	case pHi >= 1:
+		buf[0], buf[1] = hi, 1
+		d.vals, d.probs = buf[0:1:1], buf[1:2:2]
+		return
+	case lo > hi:
 		lo, hi = hi, lo
 		pHi = 1 - pHi
 	}
-	return &Discrete{vals: []float64{lo, hi}, probs: []float64{1 - pHi, pHi}}
+	buf[0], buf[1], buf[2], buf[3] = lo, hi, 1-pHi, pHi
+	d.vals, d.probs = buf[0:2:2], buf[2:4:4]
 }
 
 // Len returns the support size.

@@ -257,14 +257,14 @@ func TestFirstOrder(t *testing.T) {
 	if got := FirstOrderExpected(10, 0.01); !close(got, 10*(1+0.05), 1e-12) {
 		t.Fatalf("expected = %g", got)
 	}
-	d := FirstOrderSegment(10, 0.01)
+	d := TwoState(FirstOrderLaw(10, 0.01))
 	if !close(d.Mean(), FirstOrderExpected(10, 0.01), 1e-12) {
 		t.Fatalf("segment mean = %g", d.Mean())
 	}
 	if d.Min() != 10 || d.Max() != 15 {
 		t.Fatalf("segment support: %v", d.Support())
 	}
-	if FirstOrderSegment(10, 0).Len() != 1 {
+	if TwoState(FirstOrderLaw(10, 0)).Len() != 1 {
 		t.Fatal("λ=0 must be deterministic")
 	}
 }
@@ -277,7 +277,7 @@ func TestExactRestart(t *testing.T) {
 	if ExactRestartExpected(100, 0) != 100 || ExactRestartExpected(0, 0.5) != 0 {
 		t.Fatal("degenerate")
 	}
-	d := ExactRestartSegment(50, 0.8/50)
+	d := TwoState(ExactRestartLaw(50, 0.8/50))
 	if !close(d.Mean(), ExactRestartExpected(50, 0.8/50), 1e-9*d.Mean()) {
 		t.Fatalf("segment mean = %g", d.Mean())
 	}

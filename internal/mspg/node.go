@@ -46,7 +46,9 @@ func (k Kind) String() string {
 
 // Node is one vertex of an M-SPG tree. Leaves (Kind == Atomic) reference
 // a task in the accompanying wfdag.Graph; internal nodes own an ordered
-// child list. A nil *Node denotes the empty M-SPG.
+// child list. A nil *Node denotes the empty M-SPG. Nodes are immutable
+// once built (every builder and Normalize make fresh nodes), so one
+// tree may be shared by any number of workflows and goroutines.
 type Node struct {
 	Kind     Kind
 	Task     wfdag.TaskID // valid when Kind == Atomic
@@ -225,18 +227,6 @@ func (n *Node) Sinks() []wfdag.TaskID {
 		return out
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the subtree.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	c := &Node{Kind: n.Kind, Task: n.Task}
-	for _, child := range n.Children {
-		c.Children = append(c.Children, child.Clone())
-	}
-	return c
 }
 
 // String renders the tree with the paper's notation: atoms as T<i>,

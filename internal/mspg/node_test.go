@@ -125,15 +125,6 @@ func TestWeightAndNumTasks(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	n := NewSerial(NewAtomic(0), NewParallel(NewAtomic(1), NewAtomic(2)))
-	c := n.Clone()
-	c.Children[1].Children[0].Task = 99
-	if n.Children[1].Children[0].Task != 1 {
-		t.Fatal("clone must be deep")
-	}
-}
-
 func TestString(t *testing.T) {
 	n := NewSerial(NewAtomic(0), NewParallel(NewAtomic(1), NewAtomic(2)))
 	if got := n.String(); got != "(T0 ; (T1 || T2))" {

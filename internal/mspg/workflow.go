@@ -16,11 +16,14 @@ type Workflow struct {
 	Root *Node
 }
 
-// Clone returns a deep copy of the workflow: the graph (including file
-// sizes, which CCR targeting mutates in place) and the structure tree
-// are both copied, so clones can be scheduled and rescaled concurrently.
+// Clone returns a copy of the workflow that clones the graph (see
+// wfdag.Graph.Clone: tasks and files, whose sizes CCR targeting
+// rescales in place, are copied) and shares the structure tree by
+// pointer. Nothing writes to a tree once it is built — Normalize and
+// the New* builders make fresh nodes — so clones can be scheduled and
+// rescaled concurrently while they hold one tree.
 func (w *Workflow) Clone() *Workflow {
-	return &Workflow{Name: w.Name, G: w.G.Clone(), Root: w.Root.Clone()}
+	return &Workflow{Name: w.Name, G: w.G.Clone(), Root: w.Root}
 }
 
 // Validate checks that the tree and the graph tell the same story: the

@@ -1,7 +1,10 @@
 package mspg
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/wfdag"
@@ -56,7 +59,7 @@ func TestWorkflowValidateRejectsExtraEdge(t *testing.T) {
 
 func TestWorkflowValidateRejectsDuplicateTask(t *testing.T) {
 	w := figure4Workflow(t)
-	w.Root = NewParallel(w.Root.Clone(), NewAtomic(0)) // task 0 twice
+	w.Root = NewParallel(w.Root, NewAtomic(0)) // task 0 twice
 	if err := w.Validate(); err == nil {
 		t.Fatal("duplicate task in tree must fail")
 	}
@@ -143,5 +146,130 @@ func TestRandomWorkflowValidates(t *testing.T) {
 		if err := w.Validate(); err != nil {
 			t.Fatalf("trial %d: %v (tree %v)", trial, err, root)
 		}
+	}
+}
+
+// cloneMaster is figure4Workflow plus two workflow inputs and a second
+// T2 -> T3 file, so that T2's successor list has spare capacity: an
+// append to it that is not capped would write into memory its clones
+// share.
+func cloneMaster(t *testing.T) *Workflow {
+	t.Helper()
+	w := figure4Workflow(t)
+	w.G.Connect(1, 2, "d23b", 100)
+	for _, name := range []string{"in1", "in2"} {
+		w.G.AddDependency(0, w.G.AddFile(name, 50, wfdag.NoTask))
+	}
+	if got := w.G.Succ(1); len(got) == cap(got) {
+		t.Fatalf("T2's successor list has no spare capacity (len %d, cap %d)", len(got), cap(got))
+	}
+	return w
+}
+
+// graphView is a deep copy of everything a clone must not change in its
+// master: the file table and every adjacency list.
+type graphView struct {
+	files                []wfdag.File
+	succ, pred           [][]wfdag.Edge
+	inputs               [][]wfdag.FileID
+	consumers, succTasks [][]wfdag.TaskID
+}
+
+func viewOf(g *wfdag.Graph) graphView {
+	v := graphView{files: g.Files()}
+	for i := 0; i < g.NumTasks(); i++ {
+		t := wfdag.TaskID(i)
+		v.succ = append(v.succ, append([]wfdag.Edge(nil), g.Succ(t)...))
+		v.pred = append(v.pred, append([]wfdag.Edge(nil), g.Pred(t)...))
+		v.inputs = append(v.inputs, append([]wfdag.FileID(nil), g.InputFiles(t)...))
+		v.succTasks = append(v.succTasks, append([]wfdag.TaskID(nil), g.SuccTasks(t)...))
+	}
+	for f := 0; f < g.NumFiles(); f++ {
+		v.consumers = append(v.consumers, append([]wfdag.TaskID(nil), g.Consumers(wfdag.FileID(f))...))
+	}
+	return v
+}
+
+// TestCloneIndependence clones one master twice and mutates each clone
+// the way calibration and graph building can: rescaled file sizes, a
+// new file, dependencies appended to lists the clones share with the
+// master (T2's successors, which have spare capacity, the predecessors
+// of T5 or T6, T1's inputs and an input file's consumers) and a new
+// task. The master's files, adjacency lists and index must stay as they
+// were, each clone must see only its own appends, and both clones must
+// share the master's tree.
+func TestCloneIndependence(t *testing.T) {
+	master := cloneMaster(t)
+	want := viewOf(master.G)
+	index := &master.G.SuccTasks(1)[0] // a slot of the master's adjacency index
+	a, b := master.Clone(), master.Clone()
+	if a.Root != master.Root || b.Root != master.Root {
+		t.Fatal("Clone must share the structure tree by pointer")
+	}
+	in1 := master.G.InputFiles(0)[0]
+	for k, c := range []*Workflow{a, b} {
+		c.G.ScaleFileSizes(float64(k + 2))
+		f := c.G.AddFile("extra", 7, 1)
+		c.G.AddDependency(wfdag.TaskID(4+k), f) // T2 -> T5 or T6: appends to T2's succ and a pred list
+		c.G.AddDependency(wfdag.TaskID(k), in1) // appends to in1's consumers
+		c.G.AddDependency(0, c.G.AddFile("in3", 1, wfdag.NoTask))
+		c.G.AddTask("extra", "k", 1)
+	}
+	if got := viewOf(master.G); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mutating the clones changed the master:\n got %+v\nwant %+v", got, want)
+	}
+	if &master.G.SuccTasks(1)[0] != index {
+		t.Fatal("mutating the clones dropped or rebuilt the master's adjacency index")
+	}
+	for k, c := range []*Workflow{a, b} {
+		succ := c.G.Succ(1)
+		if len(succ) != len(want.succ[1])+1 || succ[len(succ)-1].To != wfdag.TaskID(4+k) {
+			t.Fatalf("clone %d: T2's successors %v do not end in its own new edge", k, succ)
+		}
+		cons := c.G.Consumers(in1)
+		if len(cons) != len(want.consumers[in1])+1 || cons[len(cons)-1] != wfdag.TaskID(k) {
+			t.Fatalf("clone %d: in1's consumers %v do not end in its own reader", k, cons)
+		}
+		if got, want := c.G.TotalFileBytes(), master.G.TotalFileBytes()*float64(k+2)+8; got != want {
+			t.Fatalf("clone %d: %g file bytes, want %g", k, got, want)
+		}
+	}
+}
+
+// TestCloneConcurrentCalibration has 8 goroutines clone one master and
+// calibrate and extend their copies at once; under -race it checks
+// that the lists and index the clones share with the master are only
+// ever read.
+func TestCloneConcurrentCalibration(t *testing.T) {
+	master := cloneMaster(t)
+	want := viewOf(master.G)
+	bytes := master.G.TotalFileBytes()
+	const workers = 8
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			c := master.Clone()
+			c.G.ScaleFileSizes(float64(k + 1))
+			c.G.AddDependency(4, c.G.AddFile("extra", 0, 1))
+			if got, want := c.G.TotalFileBytes(), bytes*float64(k+1); got != want {
+				errs[k] = fmt.Errorf("clone %d: %g file bytes, want %g", k, got, want)
+				return
+			}
+			if got := c.G.Succ(1); len(got) != len(want.succ[1])+1 || !reflect.DeepEqual(got[:len(got)-1], want.succ[1]) {
+				errs[k] = fmt.Errorf("clone %d: T2's successors %v", k, got)
+			}
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := viewOf(master.G); !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrent clones changed the master")
 	}
 }

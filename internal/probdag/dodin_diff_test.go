@@ -105,7 +105,7 @@ func randomForest(rng *rand.Rand) *probdag.Graph {
 			vals[j] = float64(1 + rng.Intn(12))
 			probs[j] = 0.1 + rng.Float64()
 		}
-		g.AddNode("t", dist.New(vals, probs))
+		g.AddNode(dist.New(vals, probs))
 	}
 	perm := rng.Perm(n)
 	comps := 1 + rng.Intn(5)

@@ -12,7 +12,7 @@ import (
 
 func TestExactSingleNode(t *testing.T) {
 	g := NewGraph()
-	g.AddNode("a", dist.TwoState(10, 15, 0.2))
+	g.AddNode(dist.TwoState(10, 15, 0.2))
 	mean, ok := Exact(g, 1<<20)
 	if !ok {
 		t.Fatal("exact must handle one node")
@@ -80,7 +80,7 @@ func TestPathApproxExactToFirstOrder(t *testing.T) {
 		g := NewGraph()
 		for i := 0; i < g0.Len(); i++ {
 			base := g0.Dist(NodeID(i)).Min()
-			g.AddNode("t", dist.TwoState(base, 1.5*base, p))
+			g.AddNode(dist.TwoState(base, 1.5*base, p))
 		}
 		for i := 0; i < g0.Len(); i++ {
 			for _, s := range g0.Succ(NodeID(i)) {
@@ -147,10 +147,10 @@ func TestNormalUpwardBiasOnWideJoin(t *testing.T) {
 	// Sculli/Clark is exact-ish for 2 branches and biased for many; it
 	// must at least exceed the base critical path and stay sane.
 	g := NewGraph()
-	src := g.AddNode("s", dist.Point(0))
-	sink := g.AddNode("k", dist.Point(0))
+	src := g.AddNode(dist.Point(0))
+	sink := g.AddNode(dist.Point(0))
 	for i := 0; i < 20; i++ {
-		n := g.AddNode("b", dist.TwoState(10, 15, 0.1))
+		n := g.AddNode(dist.TwoState(10, 15, 0.1))
 		g.AddEdge(src, n)
 		g.AddEdge(n, sink)
 	}
@@ -197,10 +197,10 @@ func TestDodinChainExact(t *testing.T) {
 func TestDodinHandlesNonSP(t *testing.T) {
 	// The N-graph needs a duplication step.
 	g := NewGraph()
-	a := g.AddNode("a", dist.TwoState(1, 2, 0.3))
-	b := g.AddNode("b", dist.TwoState(1, 2, 0.3))
-	c := g.AddNode("c", dist.TwoState(1, 2, 0.3))
-	d := g.AddNode("d", dist.TwoState(1, 2, 0.3))
+	a := g.AddNode(dist.TwoState(1, 2, 0.3))
+	b := g.AddNode(dist.TwoState(1, 2, 0.3))
+	c := g.AddNode(dist.TwoState(1, 2, 0.3))
+	d := g.AddNode(dist.TwoState(1, 2, 0.3))
 	g.AddEdge(a, c)
 	g.AddEdge(b, c)
 	g.AddEdge(b, d)
@@ -353,7 +353,7 @@ func TestPathApproxMatchesPlainSumAtLowMass(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		for i := 0; i < n; i++ {
 			base := 1 + 9*rng.Float64()
-			g.AddNode("t", dist.TwoState(base, 1.5*base, 1e-4*rng.Float64()))
+			g.AddNode(dist.TwoState(base, 1.5*base, 1e-4*rng.Float64()))
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -409,7 +409,7 @@ func TestPathApproxMonotoneInProbability(t *testing.T) {
 				if i == target {
 					p = pv
 				}
-				g.AddNode("t", dist.TwoState(10, 15, p))
+				g.AddNode(dist.TwoState(10, 15, p))
 			}
 			for _, e := range edges {
 				g.AddEdge(NodeID(e[0]), NodeID(e[1]))

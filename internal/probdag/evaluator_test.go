@@ -42,8 +42,8 @@ func TestEvaluatorMatchesOneShotEstimators(t *testing.T) {
 
 func TestEvaluatorRejectsCycles(t *testing.T) {
 	g := NewGraph()
-	a := g.AddNode("a", dist.Point(1))
-	b := g.AddNode("b", dist.Point(1))
+	a := g.AddNode(dist.Point(1))
+	b := g.AddNode(dist.Point(1))
 	g.AddEdge(a, b)
 	g.AddEdge(b, a)
 	if _, err := NewEvaluator(g); err == nil {

@@ -24,20 +24,74 @@ type NodeID int
 // is the longest path (sum of node durations along a path, maximized
 // over paths); edges carry no cost.
 type Graph struct {
-	dists  []*dist.Discrete
-	labels []string
-	succ   [][]NodeID
-	pred   [][]NodeID
+	dists []*dist.Discrete
+	succ  [][]NodeID
+	pred  [][]NodeID
 }
 
 // NewGraph returns an empty probabilistic DAG.
 func NewGraph() *Graph { return &Graph{} }
 
+// FromEdges returns the DAG whose node i lasts dists[i], with the
+// precedence edges u -> v given as {u, v} pairs. It builds the graph
+// AddNode and AddEdge would, in one pass: every Succ and Pred list
+// holds its edges in the order given, as AddEdge appends them. The
+// lists are capped windows of one shared backing array, so a later
+// AddEdge reallocates the list it appends to instead of writing into
+// its neighbour's. The graph takes ownership of dists.
+//
+// It fails on an edge with an endpoint out of range, a self edge or a
+// repeated edge, which AddEdge would drop. It does not check for
+// cycles: NewEvaluator and TopoOrder do.
+func FromEdges(dists []*dist.Discrete, edges [][2]int) (*Graph, error) {
+	n := len(dists)
+	for _, e := range edges {
+		if u, v := e[0], e[1]; u < 0 || u >= n || v < 0 || v >= n {
+			return nil, fmt.Errorf("probdag: edge %d -> %d out of range [0, %d)", u, v, n)
+		} else if u == v {
+			return nil, fmt.Errorf("probdag: self edge on node %d", u)
+		}
+	}
+	g := &Graph{dists: dists, succ: make([][]NodeID, n), pred: make([][]NodeID, n)}
+	flat, scratch := make([]NodeID, 2*len(edges)), make([]int, n+1)
+	pack(g.succ, flat[:len(edges)], edges, 0, scratch)
+	pack(g.pred, flat[len(edges):], edges, 1, scratch)
+	seen := scratch[:n] // seen[v] == u+1: edge u -> v already listed
+	clear(seen)
+	for u, ss := range g.succ {
+		for _, v := range ss {
+			if seen[v] == u+1 {
+				return nil, fmt.Errorf("probdag: repeated edge %d -> %d", u, v)
+			}
+			seen[v] = u + 1
+		}
+	}
+	return g, nil
+}
+
+// pack fills lists[x] with the other endpoint of every edge whose
+// endpoint e[side] is x, in edge order, as capped windows of flat
+// (one slot per edge). next is n+1 ints of scratch.
+func pack(lists [][]NodeID, flat []NodeID, edges [][2]int, side int, next []int) {
+	clear(next)
+	for _, e := range edges {
+		next[e[side]+1]++
+	}
+	for x := range lists {
+		next[x+1] += next[x]
+		lists[x] = flat[next[x]:next[x+1]:next[x+1]]
+	}
+	for _, e := range edges {
+		x := e[side]
+		flat[next[x]] = NodeID(e[1-side])
+		next[x]++
+	}
+}
+
 // AddNode appends a node with the given duration distribution.
-func (g *Graph) AddNode(label string, d *dist.Discrete) NodeID {
+func (g *Graph) AddNode(d *dist.Discrete) NodeID {
 	id := NodeID(len(g.dists))
 	g.dists = append(g.dists, d)
-	g.labels = append(g.labels, label)
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
 	return id
@@ -59,9 +113,6 @@ func (g *Graph) Len() int { return len(g.dists) }
 
 // Dist returns node n's duration distribution.
 func (g *Graph) Dist(n NodeID) *dist.Discrete { return g.dists[n] }
-
-// Label returns node n's label.
-func (g *Graph) Label(n NodeID) string { return g.labels[n] }
 
 // Succ returns the successors of n (not to be modified).
 func (g *Graph) Succ(n NodeID) []NodeID { return g.succ[n] }
@@ -152,20 +203,4 @@ func (g *Graph) MeanDurations() []float64 {
 		out[i] = d.Mean()
 	}
 	return out
-}
-
-// Clone returns a deep copy (distributions are shared; they are
-// immutable by convention).
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		dists:  append([]*dist.Discrete(nil), g.dists...),
-		labels: append([]string(nil), g.labels...),
-		succ:   make([][]NodeID, len(g.succ)),
-		pred:   make([][]NodeID, len(g.pred)),
-	}
-	for i := range g.succ {
-		c.succ[i] = append([]NodeID(nil), g.succ[i]...)
-		c.pred[i] = append([]NodeID(nil), g.pred[i]...)
-	}
-	return c
 }

@@ -2,6 +2,7 @@ package probdag
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -12,7 +13,7 @@ func chainGraph(n int, base, inflated, p float64) *Graph {
 	g := NewGraph()
 	var prev NodeID
 	for i := 0; i < n; i++ {
-		id := g.AddNode("t", dist.TwoState(base, inflated, p))
+		id := g.AddNode(dist.TwoState(base, inflated, p))
 		if i > 0 {
 			g.AddEdge(prev, id)
 		}
@@ -24,10 +25,10 @@ func chainGraph(n int, base, inflated, p float64) *Graph {
 // diamondGraph builds a 4-node diamond with the given distributions.
 func diamondGraph(ds ...*dist.Discrete) *Graph {
 	g := NewGraph()
-	a := g.AddNode("a", ds[0])
-	b := g.AddNode("b", ds[1])
-	c := g.AddNode("c", ds[2])
-	d := g.AddNode("d", ds[3])
+	a := g.AddNode(ds[0])
+	b := g.AddNode(ds[1])
+	c := g.AddNode(ds[2])
+	d := g.AddNode(ds[3])
 	g.AddEdge(a, b)
 	g.AddEdge(a, c)
 	g.AddEdge(b, d)
@@ -40,7 +41,7 @@ func randomProbDAG(rng *rand.Rand, n int, p float64) *Graph {
 	g := NewGraph()
 	for i := 0; i < n; i++ {
 		base := 1 + 9*rng.Float64()
-		g.AddNode("t", dist.TwoState(base, 1.5*base, 0.05+0.3*rng.Float64()))
+		g.AddNode(dist.TwoState(base, 1.5*base, 0.05+0.3*rng.Float64()))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -54,8 +55,8 @@ func randomProbDAG(rng *rand.Rand, n int, p float64) *Graph {
 
 func TestAddEdgeDeduplicates(t *testing.T) {
 	g := NewGraph()
-	a := g.AddNode("a", dist.Point(1))
-	b := g.AddNode("b", dist.Point(1))
+	a := g.AddNode(dist.Point(1))
+	b := g.AddNode(dist.Point(1))
 	g.AddEdge(a, b)
 	g.AddEdge(a, b)
 	if len(g.Succ(a)) != 1 || len(g.Pred(b)) != 1 {
@@ -76,8 +77,8 @@ func TestTopoOrder(t *testing.T) {
 
 func TestTopoOrderCycle(t *testing.T) {
 	g := NewGraph()
-	a := g.AddNode("a", dist.Point(1))
-	b := g.AddNode("b", dist.Point(1))
+	a := g.AddNode(dist.Point(1))
+	b := g.AddNode(dist.Point(1))
 	g.AddEdge(a, b)
 	g.AddEdge(b, a)
 	if _, err := g.TopoOrder(); err == nil {
@@ -95,8 +96,8 @@ func TestMakespanGiven(t *testing.T) {
 
 func TestBaseDurations(t *testing.T) {
 	g := NewGraph()
-	g.AddNode("a", dist.TwoState(10, 15, 0.2)) // base = 10 (p=0.8)
-	g.AddNode("b", dist.TwoState(10, 15, 0.7)) // base = 15 (p=0.7)
+	g.AddNode(dist.TwoState(10, 15, 0.2)) // base = 10 (p=0.8)
+	g.AddNode(dist.TwoState(10, 15, 0.7)) // base = 15 (p=0.7)
 	base := g.BaseDurations()
 	if base[0] != 10 || base[1] != 15 {
 		t.Fatalf("base = %v", base)
@@ -105,18 +106,97 @@ func TestBaseDurations(t *testing.T) {
 
 func TestMeanDurations(t *testing.T) {
 	g := NewGraph()
-	g.AddNode("a", dist.TwoState(10, 20, 0.5))
+	g.AddNode(dist.TwoState(10, 20, 0.5))
 	if m := g.MeanDurations(); m[0] != 15 {
 		t.Fatalf("means = %v", m)
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := chainGraph(3, 1, 2, 0.1)
-	c := g.Clone()
-	c.AddNode("x", dist.Point(1))
-	c.AddEdge(0, 3)
-	if g.Len() != 3 || len(g.Succ(0)) != 1 {
-		t.Fatal("clone must not alias the original")
+// TestFromEdgesMatchesAddEdge builds random DAGs, with edges in random
+// order, both through FromEdges and through AddNode/AddEdge: every
+// node's Succ and Pred lists must agree in order, and appending to the
+// packed graph must not write into a neighbouring list.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		ds := make([]*dist.Discrete, n)
+		ref := NewGraph()
+		for i := range ds {
+			ds[i] = dist.TwoState(1, 2, rng.Float64())
+			ref.AddNode(ds[i])
+		}
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < 0.2 {
+					edges = append(edges, [2]int{i, j})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+		for _, e := range edges {
+			ref.AddEdge(NodeID(e[0]), NodeID(e[1]))
+		}
+		g, err := FromEdges(ds, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAdjacency(t, g, ref)
+		// Append through both graphs: the packed lists are capped, so
+		// the appends reallocate instead of landing in a neighbour.
+		sink := dist.Point(1)
+		last := g.AddNode(sink)
+		ref.AddNode(sink)
+		for u := 0; u < n; u++ {
+			g.AddEdge(NodeID(u), last)
+			ref.AddEdge(NodeID(u), last)
+		}
+		sameAdjacency(t, g, ref)
+	}
+}
+
+func sameAdjacency(t *testing.T, g, ref *Graph) {
+	t.Helper()
+	if g.Len() != ref.Len() {
+		t.Fatalf("%d nodes, reference %d", g.Len(), ref.Len())
+	}
+	for v := 0; v < g.Len(); v++ {
+		if !slices.Equal(g.Succ(NodeID(v)), ref.Succ(NodeID(v))) || !slices.Equal(g.Pred(NodeID(v)), ref.Pred(NodeID(v))) {
+			t.Fatalf("node %d: succ %v pred %v, reference succ %v pred %v",
+				v, g.Succ(NodeID(v)), g.Pred(NodeID(v)), ref.Succ(NodeID(v)), ref.Pred(NodeID(v)))
+		}
+		if g.Dist(NodeID(v)) != ref.Dist(NodeID(v)) {
+			t.Fatalf("node %d does not hold the distribution it was given", v)
+		}
+	}
+}
+
+// TestFromEdgesRejectsBadEdges checks each edge FromEdges refuses:
+// endpoints out of range on either side, a self edge and a repeated
+// edge.
+func TestFromEdgesRejectsBadEdges(t *testing.T) {
+	ds := []*dist.Discrete{dist.Point(1), dist.Point(2), dist.Point(3)}
+	for name, edges := range map[string][][2]int{
+		"negative source": {{0, 1}, {-1, 2}},
+		"source too big":  {{3, 0}},
+		"negative target": {{1, -1}},
+		"target too big":  {{0, 1}, {1, 3}},
+		"self edge":       {{0, 1}, {1, 1}},
+		"repeated edge":   {{0, 2}, {1, 2}, {0, 1}, {0, 2}},
+	} {
+		if _, err := FromEdges(ds, edges); err == nil {
+			t.Errorf("%s: FromEdges accepted %v", name, edges)
+		}
+	}
+	g, err := FromEdges(ds, [][2]int{{1, 0}, {0, 2}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if order, err := g.TopoOrder(); err != nil || !slices.Equal(order, []NodeID{1, 0, 2}) {
+		t.Fatalf("TopoOrder = %v, %v; want [1 0 2]", order, err)
+	}
+	if g, err := FromEdges(nil, nil); err != nil || g.Len() != 0 {
+		t.Fatalf("empty graph: %v nodes, err %v", g, err)
 	}
 }

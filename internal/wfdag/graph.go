@@ -60,10 +60,11 @@ type Edge struct {
 //
 // The adjacency accessors (ProducedFiles, PredTasks, SuccTasks, Succ,
 // Pred, InputFiles, Consumers) return slices the graph shares with
-// every caller and with its clones: they are read-only. ProducedFiles,
-// PredTasks and SuccTasks read a derived index built on first use and
-// dropped by AddTask, AddFile and AddDependency; Clone shares it by
-// pointer, so a graph and all its clones hold one copy.
+// every caller and with its clones: they are read-only, and the
+// mutators only append to them. ProducedFiles, PredTasks and SuccTasks
+// read a derived index built on first use and dropped by AddTask,
+// AddFile and AddDependency; Clone shares it by pointer, so a graph and
+// all its clones hold one copy.
 type Graph struct {
 	tasks []Task
 	files []File
@@ -336,39 +337,35 @@ func (g *Graph) MeanWeight() float64 {
 	return g.TotalWeight() / float64(len(g.tasks))
 }
 
-// Clone returns a deep copy of the graph that shares its adjacency
-// index, building it on g first if needed, so that g and all its clones
-// hold one index. Each adjacency table is packed into one backing array
-// with every list's capacity capped at its length, so appending to one
-// of the clone's lists reallocates instead of writing into its
-// neighbour.
+// Clone returns a copy of the graph that can be mutated independently
+// of g. It copies the task and file tables (ScaleFileSizes rescales
+// files in place) and the outer headers of the four adjacency tables
+// (succ, pred, inputs, consumers), and shares each inner list with g,
+// its capacity capped at its length. The mutators only ever append to
+// an inner list, so the clone's first append to a shared list
+// reallocates it and never writes into g, and g's own appends land
+// beyond the clone's capped view. The clone also shares g's adjacency
+// index, building it on g first if needed, so that g and all its
+// clones hold one index.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		tasks:     append([]Task(nil), g.tasks...),
-		files:     append([]File(nil), g.files...),
-		succ:      packed(g.succ),
-		pred:      packed(g.pred),
-		inputs:    packed(g.inputs),
-		consumers: packed(g.consumers),
+		tasks:     slices.Clone(g.tasks),
+		files:     slices.Clone(g.files),
+		succ:      capped(g.succ),
+		pred:      capped(g.pred),
+		inputs:    capped(g.inputs),
+		consumers: capped(g.consumers),
 	}
 	c.adj.Store(g.index())
 	return c
 }
 
-// packed deep-copies lists into one backing array; empty lists are nil.
-func packed[T any](lists [][]T) [][]T {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	flat := make([]T, 0, total)
+// capped copies the outer headers of lists, each inner list capped at
+// its length so that an append to it reallocates.
+func capped[T any](lists [][]T) [][]T {
 	out := make([][]T, len(lists))
 	for i, l := range lists {
-		if len(l) > 0 {
-			start := len(flat)
-			flat = append(flat, l...)
-			out[i] = flat[start:len(flat):len(flat)]
-		}
+		out[i] = slices.Clip(l)
 	}
 	return out
 }

@@ -135,7 +135,7 @@ func TestAdjacencyIndexMatchesBruteForce(t *testing.T) {
 // TestCloneIsolatedBothWays mutates a clone and then its original, and
 // checks after every mutation that neither sees the other's changes.
 // Clones are taken both from indexed and from unindexed graphs, and the
-// appends after a clone land on its packed, capacity-capped lists.
+// appends after a clone land on its shared, capacity-capped lists.
 func TestCloneIsolatedBothWays(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
