@@ -440,6 +440,30 @@ func BenchmarkFullPipeline300(b *testing.B) {
 	}
 }
 
+// BenchmarkColdMix is the in-process twin of perfbench's cold-plan
+// workload: each op plans 12 never-seen structures, the four families
+// at 200, 300 and 400 tasks with default parameters and the op's own
+// seed, each through buildScaffold (generate, validate, Algorithm 1)
+// and planFromScaffold, as a daemon cold miss runs them.
+func BenchmarkColdMix(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+			for _, n := range []int{200, 300, 400} {
+				sc := NewScenario(WithFamily(fam), WithTasks(n), WithSeed(int64(i+1)))
+				sf, err := buildScaffold(ctx, sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := planFromScaffold(ctx, sc, sf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAblationCostModel measures the A4 extension: the exact
 // restart cost model vs the paper's first-order Eq. (2), each validated
 // by discrete-event simulation; the reported metrics are the two models'

@@ -43,7 +43,7 @@ func RecognizeGeneral(g *wfdag.Graph) (*Node, int, error) {
 // WorkflowFromGraph builds a Workflow for an externally loaded DAG (JSON
 // or DAX): it recognizes the M-SPG structure — falling back to the GSPG
 // transitive-reduction route — and pairs the resulting tree with the
-// graph. The returned workflow is NOT validated against TreeEdgeSet when
+// graph. The returned workflow is NOT checked by Workflow.Validate when
 // the GSPG route was taken (redundant edges are expected); callers get
 // the redundant-edge count instead.
 func WorkflowFromGraph(name string, g *wfdag.Graph) (*Workflow, int, error) {

@@ -47,8 +47,9 @@ func (k Kind) String() string {
 // Node is one vertex of an M-SPG tree. Leaves (Kind == Atomic) reference
 // a task in the accompanying wfdag.Graph; internal nodes own an ordered
 // child list. A nil *Node denotes the empty M-SPG. Nodes are immutable
-// once built (every builder and Normalize make fresh nodes), so one
-// tree may be shared by any number of workflows and goroutines.
+// once built (the builders make fresh nodes, and Normalize shares only
+// subtrees it leaves unchanged), so one tree may be shared by any
+// number of workflows and goroutines.
 type Node struct {
 	Kind     Kind
 	Task     wfdag.TaskID // valid when Kind == Atomic
@@ -77,76 +78,92 @@ func NewChain(tasks ...wfdag.TaskID) *Node {
 // NewSerial returns the serial composition of the given sub-M-SPGs,
 // skipping empty (nil) operands. It normalizes shallowly: nested Serial
 // children are spliced in and a single operand is returned as-is.
-func NewSerial(parts ...*Node) *Node {
-	var children []*Node
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.Kind == Serial {
-			children = append(children, p.Children...)
-		} else {
-			children = append(children, p)
-		}
-	}
-	switch len(children) {
-	case 0:
-		return nil
-	case 1:
-		return children[0]
-	}
-	return &Node{Kind: Serial, Children: children}
-}
+func NewSerial(parts ...*Node) *Node { return compose(Serial, parts) }
 
 // NewParallel returns the parallel composition of the given sub-M-SPGs,
 // skipping empty operands, splicing nested Parallel children, and
 // collapsing a single operand.
-func NewParallel(parts ...*Node) *Node {
-	var children []*Node
+func NewParallel(parts ...*Node) *Node { return compose(Parallel, parts) }
+
+// compose builds NewSerial or NewParallel into one exactly sized child
+// list.
+func compose(kind Kind, parts []*Node) *Node {
+	count := 0
+	var last *Node // the last child, returned alone when count is 1
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.Kind == Parallel {
-			children = append(children, p.Children...)
-		} else {
-			children = append(children, p)
+		switch {
+		case p == nil:
+		case p.Kind == kind:
+			if len(p.Children) > 0 {
+				count += len(p.Children)
+				last = p.Children[len(p.Children)-1]
+			}
+		default:
+			count++
+			last = p
 		}
 	}
-	switch len(children) {
+	switch count {
 	case 0:
 		return nil
 	case 1:
-		return children[0]
+		return last
 	}
-	return &Node{Kind: Parallel, Children: children}
+	children := make([]*Node, 0, count)
+	for _, p := range parts {
+		switch {
+		case p == nil:
+		case p.Kind == kind:
+			children = append(children, p.Children...)
+		default:
+			children = append(children, p)
+		}
+	}
+	return &Node{Kind: kind, Children: children}
 }
 
 // Normalize returns an equivalent tree in canonical form: no nil
 // children, no Serial directly under Serial, no Parallel directly under
-// Parallel, and no single-child internal node. The input is not modified.
+// Parallel, and no single-child internal node. The input is not
+// modified, and the result shares its canonical subtrees: a subtree
+// that already passes IsNormalized comes back as the same pointer
+// (nodes are immutable), and only the non-canonical parts above it get
+// fresh nodes. A canonical tree is returned as is, in one pass.
 func (n *Node) Normalize() *Node {
 	if n == nil {
 		return nil
 	}
 	switch n.Kind {
 	case Atomic:
-		return &Node{Kind: Atomic, Task: n.Task}
-	case Serial:
-		parts := make([]*Node, 0, len(n.Children))
-		for _, c := range n.Children {
-			parts = append(parts, c.Normalize())
-		}
-		return NewSerial(parts...)
-	case Parallel:
-		parts := make([]*Node, 0, len(n.Children))
-		for _, c := range n.Children {
-			parts = append(parts, c.Normalize())
-		}
-		return NewParallel(parts...)
+		return n
+	case Serial, Parallel:
 	default:
 		panic(fmt.Sprintf("mspg: unknown kind %v", n.Kind))
 	}
+	// parts stays nil while every child so far is canonical and may
+	// stay where it is.
+	var parts []*Node
+	for i, c := range n.Children {
+		nc := c.Normalize()
+		if parts == nil && nc == c && c != nil && c.Kind != n.Kind {
+			continue
+		}
+		if parts == nil {
+			parts = make([]*Node, i, len(n.Children))
+			copy(parts, n.Children[:i])
+		}
+		parts = append(parts, nc)
+	}
+	if parts == nil {
+		if len(n.Children) >= 2 {
+			return n
+		}
+		parts = n.Children
+	}
+	if n.Kind == Serial {
+		return NewSerial(parts...)
+	}
+	return NewParallel(parts...)
 }
 
 // Tasks returns every task in the subtree, in tree (left-to-right,
@@ -189,44 +206,69 @@ func (n *Node) Weight(g *wfdag.Graph) float64 {
 // predecessor inside the subtree. By the M-SPG algebra these are the
 // sources of the first serial child (or the union over parallel
 // children).
-func (n *Node) Sources() []wfdag.TaskID {
-	if n == nil {
-		return nil
-	}
-	switch n.Kind {
-	case Atomic:
-		return []wfdag.TaskID{n.Task}
-	case Serial:
-		return n.Children[0].Sources()
-	case Parallel:
-		var out []wfdag.TaskID
-		for _, c := range n.Children {
-			out = append(out, c.Sources()...)
-		}
-		return out
-	}
-	return nil
-}
+func (n *Node) Sources() []wfdag.TaskID { return n.appendSources(nil) }
 
 // Sinks returns the sink tasks of the sub-M-SPG: tasks with no successor
 // inside the subtree.
-func (n *Node) Sinks() []wfdag.TaskID {
+func (n *Node) Sinks() []wfdag.TaskID { return n.appendSinks(nil) }
+
+// appendSources appends the subtree's sources to dst. It visits only
+// the nodes on the way down to them, which in a canonical tree are
+// fewer than twice as many as the sources.
+func (n *Node) appendSources(dst []wfdag.TaskID) []wfdag.TaskID {
 	if n == nil {
-		return nil
+		return dst
 	}
 	switch n.Kind {
 	case Atomic:
-		return []wfdag.TaskID{n.Task}
+		return append(dst, n.Task)
 	case Serial:
-		return n.Children[len(n.Children)-1].Sinks()
-	case Parallel:
-		var out []wfdag.TaskID
-		for _, c := range n.Children {
-			out = append(out, c.Sinks()...)
+		if len(n.Children) > 0 {
+			return n.Children[0].appendSources(dst)
 		}
-		return out
+	case Parallel:
+		for _, c := range n.Children {
+			dst = c.appendSources(dst)
+		}
 	}
-	return nil
+	return dst
+}
+
+// appendSinks is appendSources for the sinks.
+func (n *Node) appendSinks(dst []wfdag.TaskID) []wfdag.TaskID {
+	if n == nil {
+		return dst
+	}
+	switch n.Kind {
+	case Atomic:
+		return append(dst, n.Task)
+	case Serial:
+		if len(n.Children) > 0 {
+			return n.Children[len(n.Children)-1].appendSinks(dst)
+		}
+	case Parallel:
+		for _, c := range n.Children {
+			dst = c.appendSinks(dst)
+		}
+	}
+	return dst
+}
+
+// firstTask returns the subtree's first task in tree order, Tasks()[0],
+// without listing the others; ok is false for an empty subtree.
+func (n *Node) firstTask() (t wfdag.TaskID, ok bool) {
+	if n == nil {
+		return 0, false
+	}
+	if n.Kind == Atomic {
+		return n.Task, true
+	}
+	for _, c := range n.Children {
+		if t, ok := c.firstTask(); ok {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 // String renders the tree with the paper's notation: atoms as T<i>,

@@ -1,6 +1,7 @@
 package mspg
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/wfdag"
@@ -141,4 +142,116 @@ func TestKindString(t *testing.T) {
 			t.Fatalf("Kind(%d).String() = %q", k, k.String())
 		}
 	}
+}
+
+// normalizeRef is Normalize as it was before it shared canonical
+// subtrees: it rebuilds every node.
+func normalizeRef(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	if n.Kind == Atomic {
+		return &Node{Kind: Atomic, Task: n.Task}
+	}
+	parts := make([]*Node, 0, len(n.Children))
+	for _, c := range n.Children {
+		parts = append(parts, normalizeRef(c))
+	}
+	if n.Kind == Serial {
+		return NewSerial(parts...)
+	}
+	return NewParallel(parts...)
+}
+
+// randomRawTree draws a tree that is usually not canonical: nil and
+// single children, and Serial under Serial or Parallel under Parallel.
+func randomRawTree(rng *rand.Rand, depth int, next *int) *Node {
+	if depth == 0 || rng.Intn(4) == 0 {
+		if rng.Intn(8) == 0 {
+			return nil
+		}
+		n := &Node{Kind: Atomic, Task: wfdag.TaskID(*next)}
+		*next++
+		return n
+	}
+	n := &Node{Kind: Serial}
+	if rng.Intn(2) == 0 {
+		n.Kind = Parallel
+	}
+	for k := rng.Intn(4); k >= 0; k-- {
+		n.Children = append(n.Children, randomRawTree(rng, depth-1, next))
+	}
+	return n
+}
+
+// TestNormalizeSharesCanonical checks that a canonical tree comes back
+// as the same pointer, with every subtree shared.
+func TestNormalizeSharesCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		next := 0
+		root := randomTree(rng, 2+rng.Intn(40), &next)
+		if !root.IsNormalized() {
+			t.Fatalf("trial %d: randomTree drew a non-canonical tree %v", trial, root)
+		}
+		if got := root.Normalize(); got != root {
+			t.Fatalf("trial %d: Normalize copied the canonical tree %v", trial, root)
+		}
+	}
+}
+
+// TestNormalizeNonCanonical checks, on random non-canonical trees, that
+// the result is canonical and matches the copying reference, that the
+// input is left as it was, that canonical subtrees of the input are
+// shared, and that normalizing again returns the same pointer.
+func TestNormalizeNonCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shared := 0
+	for trial := 0; trial < 300; trial++ {
+		next := 0
+		raw := randomRawTree(rng, 5, &next)
+		before := raw.String()
+		n := raw.Normalize()
+		if !n.IsNormalized() {
+			t.Fatalf("trial %d: Normalize(%s) = %v is not canonical", trial, before, n)
+		}
+		if got, want := n.String(), normalizeRef(raw).String(); got != want {
+			t.Fatalf("trial %d: Normalize(%s) = %s, reference %s", trial, before, got, want)
+		}
+		if raw.String() != before {
+			t.Fatalf("trial %d: Normalize changed its input from %s to %s", trial, before, raw)
+		}
+		if again := n.Normalize(); again != n {
+			t.Fatalf("trial %d: normalizing %v again copied it", trial, n)
+		}
+		if raw != nil && raw.Kind != Atomic {
+			for _, c := range raw.Children {
+				if c != nil && c.Kind != Atomic && c.Kind != raw.Kind && c.IsNormalized() {
+					if !containsNode(n, c) {
+						t.Fatalf("trial %d: canonical subtree %v of %s was copied", trial, c, before)
+					}
+					shared++
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no trial had a canonical internal subtree to share")
+	}
+}
+
+// containsNode reports whether want is a node of the tree n, by pointer.
+func containsNode(n, want *Node) bool {
+	if n == want {
+		return true
+	}
+	if n == nil {
+		return false
+	}
+	for _, c := range n.Children {
+		if containsNode(c, want) {
+			return true
+		}
+	}
+	return false
 }

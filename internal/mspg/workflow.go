@@ -2,6 +2,7 @@ package mspg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/wfdag"
@@ -19,9 +20,10 @@ type Workflow struct {
 // Clone returns a copy of the workflow that clones the graph (see
 // wfdag.Graph.Clone: tasks and files, whose sizes CCR targeting
 // rescales in place, are copied) and shares the structure tree by
-// pointer. Nothing writes to a tree once it is built — Normalize and
-// the New* builders make fresh nodes — so clones can be scheduled and
-// rescaled concurrently while they hold one tree.
+// pointer. Nothing writes to a tree once it is built — the New*
+// builders make fresh nodes and Normalize shares only what it leaves
+// unchanged — so clones can be scheduled and rescaled concurrently while
+// they hold one tree.
 func (w *Workflow) Clone() *Workflow {
 	return &Workflow{Name: w.Name, G: w.G.Clone(), Root: w.Root}
 }
@@ -30,69 +32,120 @@ func (w *Workflow) Clone() *Workflow {
 // tree covers every task exactly once and the task-pair dependency
 // relation induced by the M-SPG algebra equals the graph's dependency
 // relation. It also validates the underlying graph.
+//
+// The check is linear in the size of the tree plus the graph's
+// task-edges, up to a binary search per edge. One bottom-up pass checks
+// each pair u→v a Serial node implies (every sink of a child to every
+// source of the next) against the sorted G.SuccTasks(u), and counts the
+// pairs. Once coverage holds, the implied pairs are pairwise distinct:
+// the Serial node that implies u→v is the lowest common ancestor of u
+// and v, and u and v sit in consecutive children of it. So inclusion
+// plus equal counts is set equality, and no edge set is ever built
+// except to name the offending edge on failure.
 func (w *Workflow) Validate() error {
 	if err := w.G.Validate(); err != nil {
 		return err
 	}
-	tasks := w.Root.Tasks()
-	if len(tasks) != w.G.NumTasks() {
-		return fmt.Errorf("mspg: tree has %d tasks, graph has %d", len(tasks), w.G.NumTasks())
+	n := w.G.NumTasks()
+	if got := w.Root.NumTasks(); got != n {
+		return fmt.Errorf("mspg: tree has %d tasks, graph has %d", got, n)
 	}
-	seen := make(map[wfdag.TaskID]bool, len(tasks))
-	for _, t := range tasks {
+	if err := checkCoverage(w.Root, make([]bool, n)); err != nil {
+		return err
+	}
+	c := edgeCheck{g: w.G}
+	if err := c.visit(w.Root); err != nil {
+		return err
+	}
+	edges := 0
+	for u := 0; u < n; u++ {
+		edges += len(w.G.SuccTasks(wfdag.TaskID(u)))
+	}
+	if c.pairs == edges {
+		return nil
+	}
+	// Fewer implied pairs than graph edges: name the first graph edge,
+	// in (from, to) order, that the tree does not imply.
+	c = edgeCheck{g: w.G, implied: make(map[[2]wfdag.TaskID]bool, c.pairs)}
+	_ = c.visit(w.Root) // recording checks nothing, so it cannot fail
+	for u := 0; u < n; u++ {
+		for _, v := range w.G.SuccTasks(wfdag.TaskID(u)) {
+			if !c.implied[[2]wfdag.TaskID{wfdag.TaskID(u), v}] {
+				return fmt.Errorf("mspg: graph edge %d->%d not implied by tree", u, v)
+			}
+		}
+	}
+	return fmt.Errorf("mspg: tree implies %d edges, graph has %d", c.pairs, edges)
+}
+
+// checkCoverage reports the first leaf that is out of range or seen
+// before, marking leaves in seen (one flag per graph task).
+func checkCoverage(n *Node, seen []bool) error {
+	if n == nil {
+		return nil
+	}
+	if n.Kind == Atomic {
+		t := n.Task
+		if t < 0 || int(t) >= len(seen) {
+			return fmt.Errorf("mspg: tree references out-of-range task %d", t)
+		}
 		if seen[t] {
 			return fmt.Errorf("mspg: task %d appears twice in the tree", t)
 		}
-		if int(t) < 0 || int(t) >= w.G.NumTasks() {
-			return fmt.Errorf("mspg: tree references out-of-range task %d", t)
-		}
 		seen[t] = true
+		return nil
 	}
-	want := TreeEdgeSet(w.Root)
-	got := make(map[[2]wfdag.TaskID]bool)
-	for i := 0; i < w.G.NumTasks(); i++ {
-		for _, s := range w.G.SuccTasks(wfdag.TaskID(i)) {
-			got[[2]wfdag.TaskID{wfdag.TaskID(i), s}] = true
-		}
-	}
-	for e := range want {
-		if !got[e] {
-			return fmt.Errorf("mspg: tree implies edge %d->%d missing from graph", e[0], e[1])
-		}
-	}
-	for e := range got {
-		if !want[e] {
-			return fmt.Errorf("mspg: graph edge %d->%d not implied by tree", e[0], e[1])
+	for _, c := range n.Children {
+		if err := checkCoverage(c, seen); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// TreeEdgeSet returns the task-pair dependency relation induced by the
-// M-SPG algebra on the tree: for every Serial node, all sinks of each
-// child connect to all sources of the next child.
-func TreeEdgeSet(n *Node) map[[2]wfdag.TaskID]bool {
-	out := make(map[[2]wfdag.TaskID]bool)
-	var rec func(*Node)
-	rec = func(n *Node) {
-		if n == nil || n.Kind == Atomic {
-			return
+// edgeCheck is Validate's bottom-up pass over the pairs the tree
+// implies.
+type edgeCheck struct {
+	g              *wfdag.Graph
+	sinks, sources []wfdag.TaskID // scratch, reused at every Serial step
+	pairs          int            // implied pairs checked so far
+	// implied, when non-nil, records every implied pair instead of
+	// checking it against the graph (the failure path only).
+	implied map[[2]wfdag.TaskID]bool
+}
+
+// visit checks every pair implied inside n. Each node is walked at most
+// once while collecting sinks and once while collecting sources: above
+// the Serial step that collects a child's sinks, that child's tasks are
+// no longer sinks of any enclosing subtree (and likewise for sources).
+func (c *edgeCheck) visit(n *Node) error {
+	if n == nil || n.Kind == Atomic {
+		return nil
+	}
+	for _, ch := range n.Children {
+		if err := c.visit(ch); err != nil {
+			return err
 		}
-		for _, c := range n.Children {
-			rec(c)
-		}
-		if n.Kind == Serial {
-			for i := 0; i+1 < len(n.Children); i++ {
-				for _, u := range n.Children[i].Sinks() {
-					for _, v := range n.Children[i+1].Sources() {
-						out[[2]wfdag.TaskID{u, v}] = true
-					}
+	}
+	if n.Kind != Serial {
+		return nil
+	}
+	for i := 0; i+1 < len(n.Children); i++ {
+		c.sinks = n.Children[i].appendSinks(c.sinks[:0])
+		c.sources = n.Children[i+1].appendSources(c.sources[:0])
+		c.pairs += len(c.sinks) * len(c.sources)
+		for _, u := range c.sinks {
+			succ := c.g.SuccTasks(u)
+			for _, v := range c.sources {
+				if c.implied != nil {
+					c.implied[[2]wfdag.TaskID{u, v}] = true
+				} else if _, ok := slices.BinarySearch(succ, v); !ok {
+					return fmt.Errorf("mspg: tree implies edge %d->%d missing from graph", u, v)
 				}
 			}
 		}
 	}
-	rec(n)
-	return out
+	return nil
 }
 
 // SubtreeWeights returns the weight of each child of a Parallel node (or
@@ -115,10 +168,7 @@ func SortPartsByWeight(g *wfdag.Graph, parts []*Node) []int {
 	for i, p := range parts {
 		idx[i] = i
 		w[i] = p.Weight(g)
-		ts := p.Tasks()
-		if len(ts) > 0 {
-			first[i] = ts[0]
-		}
+		first[i], _ = p.firstTask()
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		if w[idx[a]] != w[idx[b]] {

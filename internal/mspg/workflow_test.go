@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,6 +55,21 @@ func TestWorkflowValidateRejectsExtraEdge(t *testing.T) {
 	w.G.Connect(0, 5, "extra", 1)
 	if err := w.Validate(); err == nil {
 		t.Fatal("graph edge not implied by tree must fail")
+	}
+}
+
+// TestValidateNamesOffendingEdge checks that both kinds of edge
+// mismatch name the edge at fault.
+func TestValidateNamesOffendingEdge(t *testing.T) {
+	w := figure4Workflow(t)
+	w.Root = NewSerial(w.Root, NewAtomic(w.G.AddTask("extra", "k", 1)))
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "tree implies edge 5->6 missing from graph") {
+		t.Fatalf("missing edge: got %v", err)
+	}
+	w = figure4Workflow(t)
+	w.G.Connect(0, 5, "extra", 1)
+	if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "graph edge 0->5 not implied by tree") {
+		t.Fatalf("extra edge: got %v", err)
 	}
 }
 

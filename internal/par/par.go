@@ -32,18 +32,14 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// ForEachWith is ForEach with per-goroutine scratch: setup runs once on
-// every worker goroutine (once total in the serial case) and its result
-// is handed to each fn call that goroutine executes. It is the shape the
-// trial-chunked simulator and Monte Carlo use — one reusable scratch
-// state per goroutine, work items fanned by ascending index.
-func ForEachWith[S any](workers, n int, setup func() S, fn func(s S, i int) error) error {
-	return ForEachWithCtx(context.Background(), workers, n, setup, fn)
-}
-
-// ForEachWithCtx is ForEachWith under a context. The cancellation check
-// sits between work items — a running fn is never interrupted, so
-// index-addressed slots written before cancellation are still valid.
+// ForEachWithCtx is ForEachCtx with per-goroutine scratch: setup runs
+// once on every worker goroutine (once total in the serial case) and
+// its result is handed to each fn call that goroutine executes. It is
+// the shape the trial-chunked simulator and Monte Carlo use — one
+// reusable scratch state per goroutine, work items fanned by ascending
+// index. The cancellation check sits between work items — a running fn
+// is never interrupted, so index-addressed slots written before
+// cancellation are still valid.
 func ForEachWithCtx[S any](ctx context.Context, workers, n int, setup func() S, fn func(s S, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

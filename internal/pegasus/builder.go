@@ -1,8 +1,8 @@
 package pegasus
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/mspg"
 	"repro/internal/wfdag"
@@ -20,11 +20,16 @@ func newBuilder(seed int64) *builder {
 	return &builder{g: wfdag.New(), rng: rand.New(rand.NewSource(seed))}
 }
 
+// itoa formats a task ID the way %d does. Names are built by
+// concatenation rather than fmt: they are a large share of a cold
+// plan's allocations.
+func itoa(t wfdag.TaskID) string { return strconv.Itoa(int(t)) }
+
 // task creates one task of the given profile and returns both its ID and
 // an Atomic tree node.
 func (b *builder) task(p profile) (wfdag.TaskID, *mspg.Node) {
 	b.seq++
-	id := b.g.AddTask(fmt.Sprintf("%s_%d", p.kind, b.seq), p.kind, p.drawRuntime(b.rng))
+	id := b.g.AddTask(p.kind+"_"+strconv.Itoa(b.seq), p.kind, p.drawRuntime(b.rng))
 	return id, mspg.NewAtomic(id)
 }
 
@@ -54,7 +59,7 @@ func (b *builder) sharedInput(ts []wfdag.TaskID, name string, meanBytes, cv floa
 
 // output registers a consumer-less (workflow output) file produced by t.
 func (b *builder) output(t wfdag.TaskID, p profile) {
-	b.g.AddFile(fmt.Sprintf("out_%s_%d", p.kind, t), p.drawBytes(b.rng), t)
+	b.g.AddFile("out_"+p.kind+"_"+itoa(t), p.drawBytes(b.rng), t)
 }
 
 // wireSerial realizes the M-SPG serial composition between a producer
@@ -64,7 +69,7 @@ func (b *builder) output(t wfdag.TaskID, p profile) {
 // the file shared across consumers (so checkpoints pay it once).
 func (b *builder) wireSerial(producers []wfdag.TaskID, pp profile, consumers []wfdag.TaskID) {
 	for _, u := range producers {
-		f := b.g.AddFile(fmt.Sprintf("f_%s_%d", pp.kind, u), pp.drawBytes(b.rng), u)
+		f := b.g.AddFile("f_"+pp.kind+"_"+itoa(u), pp.drawBytes(b.rng), u)
 		for _, v := range consumers {
 			b.g.AddDependency(v, f)
 		}
@@ -73,7 +78,7 @@ func (b *builder) wireSerial(producers []wfdag.TaskID, pp profile, consumers []w
 
 // wireOne connects u -> v with a fresh file from u's profile.
 func (b *builder) wireOne(u wfdag.TaskID, pp profile, v wfdag.TaskID) {
-	f := b.g.AddFile(fmt.Sprintf("f_%s_%d_%d", pp.kind, u, v), pp.drawBytes(b.rng), u)
+	f := b.g.AddFile("f_"+pp.kind+"_"+itoa(u)+"_"+itoa(v), pp.drawBytes(b.rng), u)
 	b.g.AddDependency(v, f)
 }
 

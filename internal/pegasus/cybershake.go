@@ -2,6 +2,7 @@ package pegasus
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mspg"
 	"repro/internal/wfdag"
@@ -28,7 +29,7 @@ func CyberShake(opts Options) (*mspg.Workflow, error) {
 	for s := 0; s < sites; s++ {
 		ex, exNodes := b.tasks(pExtractSGT, 2)
 		for _, t := range ex {
-			b.input(t, fmt.Sprintf("sgt_var_%d_%d", s, t), 1.5e10/float64(fan), 0.2)
+			b.input(t, "sgt_var_"+strconv.Itoa(s)+"_"+itoa(t), 1.5e10/float64(fan), 0.2)
 		}
 		var chains []*mspg.Node
 		var tails []wfdag.TaskID
@@ -55,7 +56,7 @@ func CyberShake(opts Options) (*mspg.Workflow, error) {
 	}
 	_ = zips
 	root := mspg.NewParallel(siteNodes...)
-	w := &mspg.Workflow{Name: fmt.Sprintf("cybershake-%d", b.g.NumTasks()), G: b.g, Root: root}
+	w := &mspg.Workflow{Name: "cybershake-" + strconv.Itoa(b.g.NumTasks()), G: b.g, Root: root}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}

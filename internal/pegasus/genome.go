@@ -2,6 +2,7 @@ package pegasus
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mspg"
 	"repro/internal/wfdag"
@@ -28,7 +29,7 @@ func Genome(opts Options) (*mspg.Workflow, error) {
 	var merges []wfdag.TaskID
 	for lane := 0; lane < lanes; lane++ {
 		split, splitNode := b.task(pFastQSplit)
-		b.input(split, fmt.Sprintf("lane_%d.fastq", lane), pGenomeInBase, 0.2)
+		b.input(split, "lane_"+strconv.Itoa(lane)+".fastq", pGenomeInBase, 0.2)
 		var chainNodes []*mspg.Node
 		var chainHeads, chainTails []wfdag.TaskID
 		for c := 0; c < k; c++ {
@@ -58,7 +59,7 @@ func Genome(opts Options) (*mspg.Workflow, error) {
 	b.output(pile, pPileup)
 
 	root := mspg.NewSerial(mspg.NewParallel(laneNodes...), indexNode, pileNode)
-	w := &mspg.Workflow{Name: fmt.Sprintf("genome-%d", b.g.NumTasks()), G: b.g, Root: root}
+	w := &mspg.Workflow{Name: "genome-" + strconv.Itoa(b.g.NumTasks()), G: b.g, Root: root}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package pegasus
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mspg"
 	"repro/internal/wfdag"
@@ -53,7 +54,7 @@ func Ligo(opts Options) (*mspg.Workflow, error) {
 			// Inspiral in one segment the frame is fetched from stable
 			// storage once; a checkpoint between them forces a re-read.
 			b.sharedInput([]wfdag.TaskID{ids[0], ids[1]},
-				fmt.Sprintf("gwdata_%d_%d.gwf", gi, i), 1.7e8, 0.2)
+				"gwdata_"+strconv.Itoa(gi)+"_"+strconv.Itoa(i)+".gwf", 1.7e8, 0.2)
 			pairs = append(pairs, node)
 			tails = append(tails, ids[1])
 		}
@@ -66,7 +67,7 @@ func Ligo(opts Options) (*mspg.Workflow, error) {
 			ids, node := b.chain([]profile{pTrigBank, pInspiral})
 			// The follow-up filter also reads frame data.
 			b.sharedInput([]wfdag.TaskID{ids[0], ids[1]},
-				fmt.Sprintf("gwdata2_%d_%d.gwf", gi, i), 1.7e8, 0.2)
+				"gwdata2_"+strconv.Itoa(gi)+"_"+strconv.Itoa(i)+".gwf", 1.7e8, 0.2)
 			pairs2 = append(pairs2, node)
 			heads2 = append(heads2, ids[0])
 			tails2 = append(tails2, ids[1])
@@ -89,7 +90,7 @@ func Ligo(opts Options) (*mspg.Workflow, error) {
 		// Cross-group raggedness: every group's TrigBanks also read the
 		// first group's Thinca output (a shared veto file).
 		first := outs[0].thinca
-		veto := b.g.AddFile(fmt.Sprintf("veto_%d", first), pThinca.drawBytes(b.rng), first)
+		veto := b.g.AddFile("veto_"+itoa(first), pThinca.drawBytes(b.rng), first)
 		for gi := 1; gi < groups; gi++ {
 			for _, tb := range outs[gi].trigBanks {
 				b.g.AddDependency(tb, veto)
@@ -103,7 +104,7 @@ func Ligo(opts Options) (*mspg.Workflow, error) {
 				if gi == gj || (gi == 0 && gj > 0) {
 					continue // real edges already present
 				}
-				dummy := b.g.AddFile(fmt.Sprintf("dummy_%d_%d", gi, gj), 0, outs[gi].thinca)
+				dummy := b.g.AddFile("dummy_"+strconv.Itoa(gi)+"_"+strconv.Itoa(gj), 0, outs[gi].thinca)
 				for _, tb := range outs[gj].trigBanks {
 					b.g.AddDependency(tb, dummy)
 				}
@@ -135,7 +136,7 @@ func Ligo(opts Options) (*mspg.Workflow, error) {
 		}
 		root = mspg.NewSerial(mspg.NewParallel(gs...), mergeNode)
 	}
-	w := &mspg.Workflow{Name: fmt.Sprintf("ligo-%d", b.g.NumTasks()), G: b.g, Root: root}
+	w := &mspg.Workflow{Name: "ligo-" + strconv.Itoa(b.g.NumTasks()), G: b.g, Root: root}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}

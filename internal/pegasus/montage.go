@@ -2,6 +2,7 @@ package pegasus
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mspg"
 	"repro/internal/wfdag"
@@ -41,7 +42,7 @@ func Montage(opts Options) (*mspg.Workflow, error) {
 
 	proj, projNodes := b.tasks(pMProject, a)
 	for _, t := range proj {
-		b.input(t, fmt.Sprintf("region_%d.fits", t), 4.2e6, 0.2)
+		b.input(t, "region_"+itoa(t)+".fits", 4.2e6, 0.2)
 	}
 	diff, diffNodes := b.tasks(pMDiffFit, a)
 
@@ -93,7 +94,7 @@ func Montage(opts Options) (*mspg.Workflow, error) {
 		mspg.NewParallel(shrinkNodes...),
 		jpegNode,
 	)
-	w := &mspg.Workflow{Name: fmt.Sprintf("montage-%d", b.g.NumTasks()), G: b.g, Root: root}
+	w := &mspg.Workflow{Name: "montage-" + strconv.Itoa(b.g.NumTasks()), G: b.g, Root: root}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}

@@ -25,6 +25,24 @@ func TestAllFamiliesValidateAcrossSizes(t *testing.T) {
 	}
 }
 
+// TestGeneratedTreesCanonical checks that every family builds its tree
+// in canonical form, so Algorithm 1's Normalize hands it back as is.
+func TestGeneratedTreesCanonical(t *testing.T) {
+	for _, fam := range Families() {
+		for _, n := range []int{20, 50, 300} {
+			for _, ragged := range []bool{false, true} {
+				w, err := Generate(fam, Options{Tasks: n, Seed: 3, Ragged: ragged})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !w.Root.IsNormalized() || w.Root.Normalize() != w.Root {
+					t.Errorf("%s/%d ragged=%v: the generated tree is not canonical", fam, n, ragged)
+				}
+			}
+		}
+	}
+}
+
 func TestDeterminismSameSeed(t *testing.T) {
 	for _, fam := range Families() {
 		a, err := Generate(fam, Options{Tasks: 120, Seed: 99})

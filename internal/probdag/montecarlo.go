@@ -55,11 +55,6 @@ func MonteCarloSeededCtx(ctx context.Context, g *Graph, trials int, seed int64, 
 	return dist.Summarize(samples), nil
 }
 
-// ExpectedMakespanMC is a convenience wrapper returning only the mean.
-func ExpectedMakespanMC(g *Graph, trials int, seed int64) float64 {
-	return MonteCarlo(g, trials, rand.New(rand.NewSource(seed))).Mean
-}
-
 // Exact computes the exact expected makespan by enumerating every joint
 // realization of the node durations. The number of combinations is the
 // product of support sizes; Exact returns ok=false when it exceeds

@@ -109,9 +109,6 @@ func (s *Schedule) Proc(t wfdag.TaskID) int { return s.procOf[t] }
 // Chain returns the superchain containing task t.
 func (s *Schedule) Chain(t wfdag.TaskID) *Superchain { return s.Chains[s.chainOf[t]] }
 
-// ChainIndex returns the index of the superchain containing t.
-func (s *Schedule) ChainIndex(t wfdag.TaskID) int { return s.chainOf[t] }
-
 // Pos returns the position of t inside its superchain.
 func (s *Schedule) Pos(t wfdag.TaskID) int { return s.posOf[t] }
 

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/mspg"
@@ -203,6 +206,60 @@ func TestAllocateValidatesOnRealWorkflows(t *testing.T) {
 				t.Fatalf("%s p=%d: non-positive makespan", fam, procs)
 			}
 		}
+	}
+}
+
+// TestAllocateConcurrentSharedTree has 8 goroutines run Algorithm 1 at
+// once on clones of one workflow, which share its (canonical) tree
+// that Normalize hands back as is; under -race it checks that the
+// shared tree is only ever read. Every schedule must match a serial
+// run's superchains.
+func TestAllocateConcurrentSharedTree(t *testing.T) {
+	master, err := pegasus.Generate("montage", pegasus.Options{Tasks: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if master.Root.Normalize() != master.Root {
+		t.Fatal("a generated tree must come back from Normalize as is")
+	}
+	chains := func(w *mspg.Workflow) ([]Superchain, error) {
+		s, err := Allocate(w, pf(16), Options{Rng: rand.New(rand.NewSource(4))})
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Superchain, len(s.Chains))
+		for i, c := range s.Chains {
+			out[i] = *c
+		}
+		return out, nil
+	}
+	want, err := chains(master.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := master.Root.String()
+	const workers = 8
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got, err := chains(master.Clone())
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("goroutine %d: superchains differ from the serial run", k)
+			}
+			errs[k] = err
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if master.Root.String() != before {
+		t.Fatal("concurrent Allocate calls changed the shared tree")
 	}
 }
 

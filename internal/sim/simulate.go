@@ -40,7 +40,8 @@ type Runner struct {
 }
 
 // NewRunner prepares a Runner for the plan. CkptNone plans have no
-// segments to execute; use the EstimateExpectedNone path instead.
+// segments to execute; use RunNone or EstimateExpectedNoneDetail
+// instead.
 func NewRunner(p *ckpt.Plan) (*Runner, error) {
 	if p.Strategy == ckpt.CkptNone {
 		return nil, fmt.Errorf("sim: use RunNone for the CkptNone strategy")
@@ -216,7 +217,7 @@ func EstimateExpected(ctx context.Context, p *ckpt.Plan, trials int, seed int64,
 // failures that struck a busy processor per run.
 func EstimateExpectedDetail(ctx context.Context, p *ckpt.Plan, trials int, seed int64, workers int) (dist.Summary, float64, error) {
 	if p.Strategy == ckpt.CkptNone {
-		return dist.Summary{}, 0, fmt.Errorf("sim: use EstimateExpectedNone for the CkptNone strategy")
+		return dist.Summary{}, 0, fmt.Errorf("sim: use EstimateExpectedNoneDetail for the CkptNone strategy")
 	}
 	if trials <= 0 {
 		return dist.Summary{}, 0, nil
@@ -250,15 +251,10 @@ func EstimateExpectedDetail(ctx context.Context, p *ckpt.Plan, trials int, seed 
 	return dist.Summarize(samples), meanCount(total, trials), nil
 }
 
-// EstimateExpectedNone is EstimateExpected for the CkptNone strategy.
-func EstimateExpectedNone(ctx context.Context, s *sched.Schedule, pf platform.Platform, trials int, seed int64, workers int) (dist.Summary, error) {
-	sum, _, err := EstimateExpectedNoneDetail(ctx, s, pf, trials, seed, workers)
-	return sum, err
-}
-
-// EstimateExpectedNoneDetail is EstimateExpectedNone plus the mean
-// failure count per run. Trials are chunked and sub-seeded exactly like
-// EstimateExpectedDetail, so the summary is worker-count invariant.
+// EstimateExpectedNoneDetail is EstimateExpectedDetail for the CkptNone
+// strategy: the summary plus the mean failure count per run. Trials are
+// chunked and sub-seeded exactly like EstimateExpectedDetail, so the
+// summary is worker-count invariant.
 func EstimateExpectedNoneDetail(ctx context.Context, s *sched.Schedule, pf platform.Platform, trials int, seed int64, workers int) (dist.Summary, float64, error) {
 	if trials <= 0 {
 		return dist.Summary{}, 0, nil
