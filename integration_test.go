@@ -196,7 +196,11 @@ func TestIntegrationPaperHeadlines(t *testing.T) {
 		}
 		pf := platform.New(35, 0, 1e8).WithLambdaForPFail(pfail, w.G)
 		pf.ScaleToCCR(w.G, ccr)
-		cmp, err := core.Compare(context.Background(), w, pf, core.Config{Seed: 42})
+		s, err := core.BuildSchedule(w, pf, core.Config{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := core.CompareOnSchedule(context.Background(), s, pf, core.Config{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,23 @@
 // estimators or the Theorem 1 formula) — behind a small API:
 //
 //	w, _ := pegasus.Generate("genome", pegasus.Options{Tasks: 300})
-//	pf := platform.New(35, 0, 1e9).WithLambdaForPFail(0.001, w.G)
+//	pf := core.Calibrate(w, core.Params{Procs: 35, Bandwidth: 1e9, PFail: 0.001, CCR: 0.01})
 //	res, _ := core.Run(ctx, w, pf, core.Config{Strategy: ckpt.CkptSome})
 //	fmt.Println(res.ExpectedMakespan)
+//
+// The package owns the pipeline's one stage list:
+//
+//  1. materialize the workflow (the caller's part);
+//  2. Algorithm 1, archived in a Scaffold (NewScaffold);
+//  3. calibrate (Calibrate), then rebuild the schedule (Scaffold.Rebuild);
+//  4. place a strategy, or replay recorded checkpoint marks;
+//  5. evaluate (Evaluate).
+//
+// Scaffold.Tail runs stages 3 to 5. The façade's plans, its store
+// decoder and the experiments' sweeps, which /v1/sweep serves, only
+// choose where to start, so one scaffold serves every (pfail, CCR)
+// variant of a (workflow, p). Run is the serial cold reference:
+// Algorithm 1 on the calibrated workflow, then stages 4 and 5.
 package core
 
 import (
@@ -40,11 +54,11 @@ type Config struct {
 	// the paper's Eq. (2); ckpt.ModelExact accounts for multiple
 	// successive failures — see ablation A4).
 	Model ckpt.CostModel
-	// Workers fans Compare's per-strategy planning/evaluation out over
-	// goroutines (the schedule is shared and read-only at that stage).
-	// 0 or 1 keeps the historical serial path — grid harnesses that
-	// already parallelize over cells should leave it there; negative
-	// selects GOMAXPROCS.
+	// Workers fans CompareOnSchedule's per-strategy planning and
+	// evaluation out over goroutines (the schedule is shared and
+	// read-only at that stage). 0 or 1 keeps the historical serial
+	// path — grid harnesses that already parallelize over cells should
+	// leave it there; negative selects GOMAXPROCS.
 	Workers int
 }
 
@@ -78,10 +92,14 @@ func (cfg Config) withDefaults() Config {
 }
 
 // BuildSchedule runs Algorithm 1 alone: superchain allocation with the
-// configured linearization and seed. The schedule depends only on the
-// workflow's topology and task weights plus pf.Processors; pf's failure
-// rate, bandwidth and the workflow's file sizes never enter Algorithm
-// 1.
+// configured linearization and seed. It reads the workflow's topology
+// and task weights and pf.Processors; pf's failure rate and bandwidth
+// never enter it. File sizes enter it only through the linearization:
+// the paper's RandomLinearizer and DeterministicLinearizer ignore them,
+// so with either of those one schedule serves every (pfail, CCR)
+// calibration of a workflow, the reuse a Scaffold rests on.
+// MinLiveFilesLinearizer reads them, so its schedule depends on the
+// CCR; that is why NewScaffold takes a seed and no linearizer.
 func BuildSchedule(w *mspg.Workflow, pf platform.Platform, cfg Config) (*sched.Schedule, error) {
 	cfg = cfg.withDefaults()
 	s, err := sched.Allocate(w, pf, sched.Options{
@@ -162,16 +180,6 @@ func (c Comparison) RelAll() float64 { return c.All.ExpectedMakespan / c.Some.Ex
 
 // RelNone returns EM(CkptNone)/EM(CkptSome).
 func (c Comparison) RelNone() float64 { return c.None.ExpectedMakespan / c.Some.ExpectedMakespan }
-
-// Compare evaluates CkptSome, CkptAll and CkptNone on the same schedule
-// of w over pf — the experiment underlying Figures 5-7.
-func Compare(ctx context.Context, w *mspg.Workflow, pf platform.Platform, cfg Config) (Comparison, error) {
-	s, err := BuildSchedule(w, pf, cfg)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return CompareOnSchedule(ctx, s, pf, cfg)
-}
 
 // CompareOnSchedule evaluates CkptSome, CkptAll and CkptNone on the
 // existing schedule s. With cfg.Workers above 1 the three strategies

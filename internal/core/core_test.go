@@ -73,13 +73,17 @@ func TestRunAllEstimators(t *testing.T) {
 
 func TestCompareSharedSchedule(t *testing.T) {
 	w, pf := setup(t, "ligo", 120, 7, 0.001, 0.05)
-	cmp, err := Compare(context.Background(), w, pf, Config{})
+	s, err := BuildSchedule(w, pf, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := CompareOnSchedule(context.Background(), s, pf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All three evaluated on the same schedule object.
 	if cmp.Some.Schedule != cmp.All.Schedule || cmp.All.Schedule != cmp.None.Schedule {
-		t.Fatal("Compare must reuse one schedule")
+		t.Fatal("CompareOnSchedule must reuse one schedule")
 	}
 	if cmp.RelAll() < 1-1e-9 {
 		t.Fatalf("CkptAll beat CkptSome: %g", cmp.RelAll())
@@ -181,12 +185,16 @@ func TestCheaperIOMoreCheckpoints(t *testing.T) {
 
 func TestCompareParallelMatchesSerial(t *testing.T) {
 	w, pf := setup(t, "montage", 80, 5, 0.001, 0.05)
-	serial, err := Compare(context.Background(), w, pf, Config{Seed: 7, Workers: 1})
+	s, err := BuildSchedule(w, pf, Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := CompareOnSchedule(context.Background(), s, pf, Config{Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 3, 8} {
-		par, err := Compare(context.Background(), w, pf, Config{Seed: 7, Workers: workers})
+		par, err := CompareOnSchedule(context.Background(), s, pf, Config{Seed: 7, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

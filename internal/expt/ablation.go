@@ -3,12 +3,10 @@ package expt
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/pegasus"
-	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
@@ -72,58 +70,45 @@ func (c AblationConfig) withDefaults() AblationConfig {
 // the same schedule.
 func AblateCheckpointPlacement(ctx context.Context, cfg AblationConfig) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w, err := pegasus.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
+	s, err := cfg.schedule()
 	if err != nil {
 		return nil, err
 	}
-	pf := platform.New(cfg.Procs, 0, cfg.Bandwidth).WithLambdaForPFail(cfg.PFail, w.G)
-	pf.ScaleToCCR(w.G, cfg.CCR)
-	s, err := sched.Allocate(w, pf, sched.Options{Rng: rand.New(rand.NewSource(cfg.Seed))})
-	if err != nil {
-		return nil, err
+	strategy := func(st ckpt.Strategy) func() (*ckpt.Plan, error) {
+		return func() (*ckpt.Plan, error) { return ckpt.BuildPlan(s, s.P, st) }
 	}
-	evalPlan := func(p *ckpt.Plan) (float64, error) {
-		return ckpt.ExpectedMakespan(p, ckpt.EvalOptions{Estimator: ckpt.EstPathApprox})
+	periodic := func(k int) func() (*ckpt.Plan, error) {
+		return func() (*ckpt.Plan, error) { return ckpt.PeriodicPlan(s, s.P, k) }
 	}
-	somePlan, err := ckpt.BuildPlan(s, pf, ckpt.CkptSome)
-	if err != nil {
-		return nil, err
+	variants := []struct {
+		name string
+		plan func() (*ckpt.Plan, error)
+	}{
+		{"DP (CkptSome)", strategy(ckpt.CkptSome)},
+		{string(ckpt.ExitOnly), strategy(ckpt.ExitOnly)},
+		{string(ckpt.CkptAll), strategy(ckpt.CkptAll)},
+		{"Periodic(2)", periodic(2)},
+		{"Periodic(5)", periodic(5)},
+		{"Periodic(10)", periodic(10)},
 	}
-	someEM, err := evalPlan(somePlan)
-	if err != nil {
-		return nil, err
-	}
-	rows := []AblationRow{rowFor(cfg, "A1-checkpoint-placement", "DP (CkptSome)", someEM, someEM)}
-	for _, strat := range []ckpt.Strategy{ckpt.ExitOnly, ckpt.CkptAll} {
+	var rows []AblationRow
+	var someEM float64
+	for i, v := range variants {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := ckpt.BuildPlan(s, pf, strat)
+		p, err := v.plan()
 		if err != nil {
 			return nil, err
 		}
-		em, err := evalPlan(p)
+		em, err := ckpt.ExpectedMakespan(p, ckpt.EvalOptions{Estimator: ckpt.EstPathApprox})
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFor(cfg, "A1-checkpoint-placement", string(strat), em, someEM))
-	}
-	for _, k := range []int{2, 5, 10} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if i == 0 {
+			someEM = em
 		}
-		p, err := ckpt.PeriodicPlan(s, pf, k)
-		if err != nil {
-			return nil, err
-		}
-		em, err := evalPlan(p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, rowFor(cfg, "A1-checkpoint-placement", fmt.Sprintf("Periodic(%d)", k), em, someEM))
+		rows = append(rows, rowFor(cfg, "A1-checkpoint-placement", v.name, em, someEM))
 	}
 	return rows, nil
 }
@@ -136,8 +121,7 @@ func AblateMapping(ctx context.Context, cfg AblationConfig) ([]AblationRow, erro
 	if err != nil {
 		return nil, err
 	}
-	pfMulti := platform.New(cfg.Procs, 0, cfg.Bandwidth).WithLambdaForPFail(cfg.PFail, w.G)
-	pfMulti.ScaleToCCR(w.G, cfg.CCR)
+	pfMulti := core.Calibrate(w, cfg.params())
 	pfOne := pfMulti
 	pfOne.Processors = 1
 
@@ -176,8 +160,7 @@ func AblateLinearization(ctx context.Context, cfg AblationConfig) ([]AblationRow
 	}
 	for i, v := range variants {
 		w := master.Clone() // the CCR rescale below runs in place
-		pf := platform.New(cfg.Procs, 0, cfg.Bandwidth).WithLambdaForPFail(cfg.PFail, w.G)
-		pf.ScaleToCCR(w.G, cfg.CCR)
+		pf := core.Calibrate(w, cfg.params())
 		res, err := core.Run(ctx, w, pf, core.Config{Strategy: ckpt.CkptSome, Seed: cfg.Seed, Linearize: v.lin})
 		if err != nil {
 			return nil, err
@@ -188,6 +171,21 @@ func AblateLinearization(ctx context.Context, cfg AblationConfig) ([]AblationRow
 		rows = append(rows, rowFor(cfg, "A3-linearization", v.name, res.ExpectedMakespan, someEM))
 	}
 	return rows, nil
+}
+
+// params is the ablation's calibration target.
+func (c AblationConfig) params() core.Params {
+	return core.Params{Procs: c.Procs, Bandwidth: c.Bandwidth, PFail: c.PFail, CCR: c.CCR}
+}
+
+// schedule generates the ablation's workflow, calibrates it and runs
+// Algorithm 1 on it; the schedule carries the platform as its P.
+func (c AblationConfig) schedule() (*sched.Schedule, error) {
+	w, err := pegasus.Generate(c.Family, pegasus.Options{Tasks: c.Tasks, Seed: c.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return core.BuildSchedule(w, core.Calibrate(w, c.params()), core.Config{Seed: c.Seed})
 }
 
 func rowFor(cfg AblationConfig, exp, variant string, em, someEM float64) AblationRow {

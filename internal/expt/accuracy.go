@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/pegasus"
-	"repro/internal/platform"
 	"repro/internal/probdag"
 )
 
@@ -113,8 +112,7 @@ func RunAccuracy(ctx context.Context, cfg AccuracyConfig) ([]AccuracyRow, error)
 		if err != nil {
 			return err
 		}
-		pf := platform.New(procs, 0, cfg.Bandwidth).WithLambdaForPFail(c.pfail, w.G)
-		pf.ScaleToCCR(w.G, cfg.CCR)
+		pf := core.Calibrate(w, core.Params{Procs: procs, Bandwidth: cfg.Bandwidth, PFail: c.pfail, CCR: cfg.CCR})
 		res, err := core.Run(ctx, w, pf, core.Config{Strategy: ckpt.CkptSome, Seed: cfg.Seed})
 		if err != nil {
 			return err

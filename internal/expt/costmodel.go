@@ -2,13 +2,9 @@ package expt
 
 import (
 	"context"
-	"math/rand"
 
 	"repro/internal/ckpt"
 	"repro/internal/dist"
-	"repro/internal/pegasus"
-	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -44,19 +40,13 @@ func AblateCostModel(ctx context.Context, cfg AblationConfig, trials int) ([]Cos
 	if trials == 0 {
 		trials = 1000
 	}
-	w, err := pegasus.Generate(cfg.Family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	pf := platform.New(cfg.Procs, 0, cfg.Bandwidth).WithLambdaForPFail(cfg.PFail, w.G)
-	pf.ScaleToCCR(w.G, cfg.CCR)
-	s, err := sched.Allocate(w, pf, sched.Options{Rng: rand.New(rand.NewSource(cfg.Seed))})
+	s, err := cfg.schedule()
 	if err != nil {
 		return nil, err
 	}
 	var rows []CostModelRow
 	for _, model := range []ckpt.CostModel{ckpt.ModelFirstOrder, ckpt.ModelExact} {
-		plan, err := ckpt.BuildPlanWith(s, pf, ckpt.CkptSome, model)
+		plan, err := ckpt.BuildPlanWith(s, s.P, ckpt.CkptSome, model)
 		if err != nil {
 			return nil, err
 		}

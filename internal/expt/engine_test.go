@@ -199,8 +199,12 @@ func TestGridPointMatchesEnumerate(t *testing.T) {
 	if g.cells != len(want) {
 		t.Fatalf("grid has %d cells, nested loops give %d", g.cells, len(want))
 	}
-	if got := cfg.enumerate(); !reflect.DeepEqual(got, want) {
-		t.Fatal("enumerate() differs from the nested-loop order")
+	got := make([]gridPoint, g.cells)
+	for i := range got {
+		got[i] = g.point(i)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("point(i) differs from the nested-loop order")
 	}
 	if n := cfg.NumCells(); n != len(want) {
 		t.Fatalf("NumCells() = %d, want %d", n, len(want))

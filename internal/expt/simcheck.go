@@ -2,11 +2,11 @@ package expt
 
 import (
 	"context"
+
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/pegasus"
-	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -73,15 +73,14 @@ func (c SimCheckConfig) withDefaults() SimCheckConfig {
 	return c
 }
 
-// simCheckStrategies is evaluated per cell, in row order.
-var simCheckStrategies = []ckpt.Strategy{ckpt.CkptSome, ckpt.CkptAll, ckpt.CkptNone}
-
 // RunSimCheck measures, for every (family, pfail, strategy), the DES
 // makespan distribution and compares its mean to the analytic estimate.
 // At small λ the first-order model should match within a few percent;
 // the gap widens as λ·(segment span) grows — exactly the Θ(λ²) terms the
 // paper drops. (family, pfail) cells run on the Engine worker pool; the
-// three strategies of one cell stay serial on one shared workflow.
+// three strategies of one cell are planned serially on one shared
+// schedule (core.CompareOnSchedule), in CkptSome, CkptAll, CkptNone row
+// order.
 func RunSimCheck(ctx context.Context, cfg SimCheckConfig) ([]SimCheckRow, error) {
 	cfg = cfg.withDefaults()
 	type cell struct {
@@ -94,7 +93,7 @@ func RunSimCheck(ctx context.Context, cfg SimCheckConfig) ([]SimCheckRow, error)
 			cells = append(cells, cell{fam, pfail})
 		}
 	}
-	nstrat := len(simCheckStrategies)
+	const nstrat = 3 // CkptSome, CkptAll, CkptNone
 	rows := make([]SimCheckRow, len(cells)*nstrat)
 	// Cell-level and trial-level parallelism must not multiply: grids
 	// with one cell give the worker pool to the simulator's chunked
@@ -110,29 +109,32 @@ func RunSimCheck(ctx context.Context, cfg SimCheckConfig) ([]SimCheckRow, error)
 		if err != nil {
 			return err
 		}
-		pf := platform.New(cfg.Procs, 0, cfg.Bandwidth).WithLambdaForPFail(c.pfail, w.G)
-		pf.ScaleToCCR(w.G, cfg.CCR)
-		for j, strat := range simCheckStrategies {
-			res, err := core.Run(ctx, w, pf, core.Config{Strategy: strat, Seed: cfg.Seed})
-			if err != nil {
-				return err
-			}
-			var s dist.Summary
+		pf := core.Calibrate(w, core.Params{Procs: cfg.Procs, Bandwidth: cfg.Bandwidth, PFail: c.pfail, CCR: cfg.CCR})
+		schedule, err := core.BuildSchedule(w, pf, core.Config{Seed: cfg.Seed})
+		if err != nil {
+			return err
+		}
+		cmp, err := core.CompareOnSchedule(ctx, schedule, pf, core.Config{Seed: cfg.Seed})
+		if err != nil {
+			return err
+		}
+		for j, res := range [nstrat]*core.Result{cmp.Some, cmp.All, cmp.None} {
+			var sum dist.Summary
 			var fails float64
-			if strat == ckpt.CkptNone {
-				s, fails, err = sim.EstimateExpectedNoneDetail(ctx, res.Schedule, pf, cfg.Trials, cfg.Seed, simWorkers)
+			if res.Strategy == ckpt.CkptNone {
+				sum, fails, err = sim.EstimateExpectedNoneDetail(ctx, schedule, pf, cfg.Trials, cfg.Seed, simWorkers)
 			} else {
-				s, fails, err = sim.EstimateExpectedDetail(ctx, res.Plan, cfg.Trials, cfg.Seed, simWorkers)
+				sum, fails, err = sim.EstimateExpectedDetail(ctx, res.Plan, cfg.Trials, cfg.Seed, simWorkers)
 			}
 			if err != nil {
 				return err
 			}
 			rows[i*nstrat+j] = SimCheckRow{
 				Family: c.family, Tasks: cfg.Tasks, Procs: cfg.Procs, PFail: c.pfail, CCR: cfg.CCR,
-				Strategy: string(strat),
+				Strategy: string(res.Strategy),
 				Analytic: res.ExpectedMakespan,
-				SimMean:  s.Mean, SimCI95: s.CI95,
-				RelDiff:  dist.RelErr(res.ExpectedMakespan, s.Mean),
+				SimMean:  sum.Mean, SimCI95: sum.CI95,
+				RelDiff:  dist.RelErr(res.ExpectedMakespan, sum.Mean),
 				Failures: fails,
 			}
 		}

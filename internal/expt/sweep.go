@@ -11,6 +11,9 @@
 // pegasus.Memo the call owns: each cell clones its workflow from that
 // memo instead of regenerating it, and the memo is dropped when the
 // call returns, so nothing generated outlives the sweep or study.
+// Sweeps run internal/core's stage list: Algorithm 1 once per (size,
+// procs) into a core.Scaffold, then each (pfail, CCR) cell calibrates
+// and rebuilds a private copy of it.
 package expt
 
 import (
@@ -18,12 +21,14 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/pegasus"
-	"repro/internal/platform"
+	"repro/internal/sched"
 )
 
 // Row is one point of a Figure 5/6/7 sweep.
@@ -131,17 +136,6 @@ type gridPoint struct {
 	ccr   float64
 }
 
-// enumerate lists the sweep's cells in canonical (size, procs, pfail,
-// ccr) order — the order serial code iterated them in.
-func (c SweepConfig) enumerate() []gridPoint {
-	g := c.grid()
-	pts := make([]gridPoint, g.cells)
-	for i := range pts {
-		pts[i] = g.point(i)
-	}
-	return pts
-}
-
 // cellGrid is a sweep grid indexed by cell number: the per-size block
 // offsets are precomputed once so cell i's coordinates come from index
 // arithmetic alone. StreamSweep walks it instead of a materialized cell
@@ -225,23 +219,63 @@ func streamWindow(workers int) int {
 // emitted stay emitted and the stream is cut short, so a consumer that
 // counted fewer rows than NumCells knows the sweep did not finish.
 func StreamSweep(ctx context.Context, cfg SweepConfig, emit func(Row) error) error {
+	return newSweep(cfg).stream(ctx, func(_ int, row Row) error { return emit(row) })
+}
+
+// sweep is one StreamSweep call. Slot k holds the scaffold of the k-th
+// (size, procs) pair, whose cells are the perProc cells from
+// k·perProc: the first of them to arrive builds it, the last to take
+// its copy drops it. par.EmitOrdered keeps at most a window of cells in
+// flight, so a sweep holds O(window) scaffolds, not one per pair.
+type sweep struct {
+	cfg     SweepConfig
+	grid    cellGrid
+	perProc int
+	memo    pegasus.Memo // each size generates once per call
+	slots   []scaffoldSlot
+}
+
+type scaffoldSlot struct {
+	once  sync.Once
+	sf    *core.Scaffold
+	err   error
+	taken atomic.Int64
+}
+
+func newSweep(cfg SweepConfig) *sweep {
 	cfg = cfg.withDefaults()
-	g := cfg.grid()
-	var memo pegasus.Memo // each size generates once per call
-	return par.EmitOrdered(ctx, cfg.Workers, g.cells, streamWindow(cfg.Workers),
+	sw := &sweep{cfg: cfg, grid: cfg.grid()}
+	if sw.perProc = len(sw.grid.pfails) * len(sw.grid.ccrs); sw.perProc > 0 {
+		sw.slots = make([]scaffoldSlot, sw.grid.cells/sw.perProc)
+	}
+	return sw
+}
+
+// stream runs every cell on a copy of its slot's scaffold and hands the
+// rows to emit in cell order.
+func (sw *sweep) stream(ctx context.Context, emit func(i int, row Row) error) error {
+	return par.EmitOrdered(ctx, sw.cfg.Workers, sw.grid.cells, streamWindow(sw.cfg.Workers),
 		func(i int) (Row, error) {
-			p := g.point(i)
-			return runPoint(ctx, cfg, &memo, p.size, p.procs, p.pfail, p.ccr)
-		},
-		func(_ int, row Row) error { return emit(row) })
+			p := sw.grid.point(i)
+			slot := &sw.slots[i/sw.perProc]
+			slot.once.Do(func() { slot.sf, slot.err = newScaffold(sw.cfg, &sw.memo, p.size, p.procs) })
+			sf, err := slot.sf, slot.err
+			if err == nil {
+				sf = sf.Copy()
+			}
+			if slot.taken.Add(1) == int64(sw.perProc) {
+				slot.sf = nil // every cell of the pair has its copy
+			}
+			return runPoint(ctx, sw.cfg, p, sf, err)
+		}, emit)
 }
 
 // RunSweep evaluates the three strategies over the full grid of one
-// figure. Each size's workflow is generated once per call; for each
-// (size, procs, pfail, ccr) point it is cloned, its file sizes
-// rescaled to hit the CCR, λ calibrated from pfail, one schedule
-// built, and all three strategies evaluated on that shared schedule
-// with PathApprox (the method of choice per §VI-B).
+// figure. Algorithm 1 runs once per (size, procs), on the size's
+// workflow generated once per call; each (pfail, ccr) cell then
+// calibrates a private copy of that scaffold (λ from pfail, file sizes
+// rescaled to the CCR), rebuilds the schedule and evaluates all three
+// strategies on it with PathApprox (the method of choice per §VI-B).
 // It is the collect-all wrapper over StreamSweep: cells run on the
 // worker pool and rows come back in grid order regardless of the worker
 // count.
@@ -257,26 +291,41 @@ func RunSweep(ctx context.Context, cfg SweepConfig) ([]Row, error) {
 	return rows, nil
 }
 
-// RunPoint evaluates a single grid point.
+// RunPoint evaluates a single grid point on a scaffold of its own.
 func RunPoint(ctx context.Context, cfg SweepConfig, size, procs int, pfail, ccr float64) (Row, error) {
-	return runPoint(ctx, cfg.withDefaults(), nil, size, procs, pfail, ccr)
+	cfg = cfg.withDefaults()
+	sf, err := newScaffold(cfg, nil, size, procs)
+	return runPoint(ctx, cfg, gridPoint{size: size, procs: procs, pfail: pfail, ccr: ccr}, sf, err)
 }
 
-// runPoint is RunPoint on a defaulted config, taking the point's
-// workflow from memo (nil: generated afresh).
-func runPoint(ctx context.Context, cfg SweepConfig, memo *pegasus.Memo, size, procs int, pfail, ccr float64) (Row, error) {
+// newScaffold runs Algorithm 1 for one (size, procs) pair of a
+// defaulted config on a workflow drawn from memo (nil: generated
+// afresh).
+func newScaffold(cfg SweepConfig, memo *pegasus.Memo, size, procs int) (*core.Scaffold, error) {
 	w, err := memo.Generate(cfg.Family, pegasus.Options{Tasks: size, Seed: cfg.Seed, Ragged: cfg.Ragged})
 	if err != nil {
-		return Row{}, err
+		return nil, err
 	}
-	pf := platform.New(procs, 0, cfg.Bandwidth).WithLambdaForPFail(pfail, w.G)
-	pf.ScaleToCCR(w.G, ccr)
-	cmp, err := core.Compare(ctx, w, pf, core.Config{Estimator: ckpt.EstPathApprox, Seed: cfg.Seed})
+	return core.NewScaffold(w, procs, cfg.Bandwidth, cfg.Seed)
+}
+
+// runPoint evaluates point p on sf, a private scaffold for p's (size,
+// procs): stage 3 and the three strategies on the one rebuilt
+// schedule. err is the failure to build sf, if any; every failure is
+// labelled with p.
+func runPoint(ctx context.Context, cfg SweepConfig, p gridPoint, sf *core.Scaffold, err error) (Row, error) {
+	var cmp core.Comparison
+	if err == nil {
+		var s *sched.Schedule
+		if s, err = sf.Rebuild(core.Params{Procs: p.procs, Bandwidth: cfg.Bandwidth, PFail: p.pfail, CCR: p.ccr}); err == nil {
+			cmp, err = core.CompareOnSchedule(ctx, s, s.P, core.Config{Estimator: ckpt.EstPathApprox, Seed: cfg.Seed})
+		}
+	}
 	if err != nil {
-		return Row{}, fmt.Errorf("expt: %s n=%d p=%d pfail=%g ccr=%g: %w", cfg.Family, size, procs, pfail, ccr, err)
+		return Row{}, fmt.Errorf("expt: %s n=%d p=%d pfail=%g ccr=%g: %w", cfg.Family, p.size, p.procs, p.pfail, p.ccr, err)
 	}
 	return Row{
-		Family: cfg.Family, Tasks: size, Procs: procs, PFail: pfail, CCR: ccr,
+		Family: cfg.Family, Tasks: p.size, Procs: p.procs, PFail: p.pfail, CCR: p.ccr,
 		EMSome: cmp.Some.ExpectedMakespan, EMAll: cmp.All.ExpectedMakespan, EMNone: cmp.None.ExpectedMakespan,
 		RelAll: cmp.RelAll(), RelNone: cmp.RelNone(),
 		CheckpointsSome: cmp.Some.Checkpoints, Superchains: cmp.Some.Superchains,

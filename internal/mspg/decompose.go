@@ -55,12 +55,3 @@ func Decompose(n *Node) Head {
 	}
 	return Head{}
 }
-
-// ChainTasks returns the task IDs of the head chain.
-func (h Head) ChainTasks() []int {
-	out := make([]int, len(h.Chain))
-	for i, c := range h.Chain {
-		out[i] = int(c.Task)
-	}
-	return out
-}

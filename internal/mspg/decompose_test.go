@@ -30,10 +30,9 @@ func TestDecomposePureChain(t *testing.T) {
 	if len(h.Chain) != 4 || len(h.Parts) != 0 || h.Rest != nil {
 		t.Fatalf("head = %+v", h)
 	}
-	want := []int{0, 1, 2, 3}
-	for i, c := range h.ChainTasks() {
-		if c != want[i] {
-			t.Fatalf("chain tasks = %v", h.ChainTasks())
+	for i, c := range h.Chain {
+		if int(c.Task) != i {
+			t.Fatalf("chain task %d is %d, want %d", i, c.Task, i)
 		}
 	}
 }
@@ -43,7 +42,7 @@ func TestDecomposeForkJoin(t *testing.T) {
 	n := NewSerial(NewChain(0, 1), NewParallel(NewAtomic(2), NewAtomic(3), NewAtomic(4)), NewAtomic(5)).Normalize()
 	h := Decompose(n)
 	if len(h.Chain) != 2 {
-		t.Fatalf("chain = %v", h.ChainTasks())
+		t.Fatalf("chain has %d tasks, want 2", len(h.Chain))
 	}
 	if len(h.Parts) != 3 {
 		t.Fatalf("parts = %d", len(h.Parts))

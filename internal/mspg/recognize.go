@@ -44,12 +44,6 @@ func Recognize(g *wfdag.Graph) (*Node, error) {
 	return n.Normalize(), nil
 }
 
-// IsMSPG reports whether g's dependency structure is an M-SPG.
-func IsMSPG(g *wfdag.Graph) bool {
-	_, err := Recognize(g)
-	return err == nil
-}
-
 func recognizeSet(g *wfdag.Graph, set []wfdag.TaskID) (*Node, error) {
 	switch len(set) {
 	case 0:

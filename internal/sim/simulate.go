@@ -40,11 +40,10 @@ type Runner struct {
 }
 
 // NewRunner prepares a Runner for the plan. CkptNone plans have no
-// segments to execute; use RunNone or EstimateExpectedNoneDetail
-// instead.
+// segments to execute; use EstimateExpectedNoneDetail instead.
 func NewRunner(p *ckpt.Plan) (*Runner, error) {
 	if p.Strategy == ckpt.CkptNone {
-		return nil, fmt.Errorf("sim: use RunNone for the CkptNone strategy")
+		return nil, fmt.Errorf("sim: use EstimateExpectedNoneDetail for the CkptNone strategy")
 	}
 	nseg := len(p.Segments)
 	preds := make([][]int, nseg)
@@ -173,19 +172,13 @@ func executeWithFailures(fs FailureSource, proc int, start, d float64) (end floa
 	}
 }
 
-// RunNone simulates the CkptNone strategy with the whole-restart
-// semantics underlying Theorem 1: nothing is ever written to stable
-// storage, so a failure on any processor while the run is in progress
-// loses in-memory data and the entire workflow restarts from scratch.
-// One attempt lasts W_par (the failure-free parallel time of the
-// schedule); the platform-wide failure process has rate p·λ.
-func RunNone(s *sched.Schedule, pf platform.Platform, rng *rand.Rand) Result {
-	return runNone(s.FailureFreeMakespan(),
-		dist.Exponential{Lambda: pf.Lambda * float64(pf.Processors)}, rng)
-}
-
-// runNone is RunNone with the attempt length and platform-wide failure
-// law hoisted, so trial loops pay neither per trial.
+// runNone simulates one run of the CkptNone strategy with the
+// whole-restart semantics underlying Theorem 1: nothing is ever written
+// to stable storage, so a failure on any processor while the run is in
+// progress loses in-memory data and the entire workflow restarts from
+// scratch. One attempt lasts wpar (W_par, the failure-free parallel
+// time of the schedule); e is the platform-wide failure process, of
+// rate p·λ. Both are hoisted so trial loops pay neither per trial.
 func runNone(wpar float64, e dist.Exponential, rng *rand.Rand) Result {
 	res := Result{}
 	t := 0.0

@@ -164,7 +164,7 @@ func TestRunNoneWholeRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RunNone(s, pf, rand.New(rand.NewSource(1)))
+	r := runNone(s.FailureFreeMakespan(), dist.Exponential{Lambda: pf.Lambda * float64(pf.Processors)}, rand.New(rand.NewSource(1)))
 	if r.Makespan != s.FailureFreeMakespan() || r.Failures != 0 {
 		t.Fatalf("lambda=0 CkptNone: %+v", r)
 	}
@@ -190,12 +190,13 @@ func TestRunNoneMatchesGeometricExpectation(t *testing.T) {
 	sum := 0.0
 	const trials = 20000
 	rng := rand.New(rand.NewSource(2))
+	e := dist.Exponential{Lambda: lamAll}
 	for i := 0; i < trials; i++ {
-		sum += RunNone(s, pf, rng).Makespan
+		sum += runNone(wpar, e, rng).Makespan
 	}
 	got := sum / trials
 	if dist.RelErr(got, want) > 0.02 {
-		t.Fatalf("RunNone mean %g vs closed form %g", got, want)
+		t.Fatalf("runNone mean %g vs closed form %g", got, want)
 	}
 }
 

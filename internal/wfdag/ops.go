@@ -207,23 +207,6 @@ func (g *Graph) Reachable(t TaskID) map[TaskID]bool {
 	return seen
 }
 
-// Ancestors returns the set of tasks that can reach t (excluding t).
-func (g *Graph) Ancestors(t TaskID) map[TaskID]bool {
-	seen := make(map[TaskID]bool)
-	stack := []TaskID{t}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.PredTasks(u) {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return seen
-}
-
 // TransitiveReductionEdges returns the set of (from, to) task pairs that
 // belong to the transitive reduction of the dependency relation: an edge
 // is redundant when another path from its source reaches its target.
@@ -249,53 +232,4 @@ func (g *Graph) TransitiveReductionEdges() map[[2]TaskID]bool {
 		}
 	}
 	return out
-}
-
-// InducedSubgraph returns a new graph over the given task set, remapping
-// IDs densely in the order given, keeping only files whose producer and
-// at least one consumer both lie in the set, plus workflow inputs consumed
-// inside the set and outputs produced inside the set. The returned map
-// translates old IDs to new ones.
-func (g *Graph) InducedSubgraph(keep []TaskID) (*Graph, map[TaskID]TaskID) {
-	sub := New()
-	remap := make(map[TaskID]TaskID, len(keep))
-	for _, t := range keep {
-		task := g.tasks[t]
-		remap[t] = sub.AddTask(task.Name, task.Kind, task.Weight)
-	}
-	fileRemap := make(map[FileID]FileID)
-	for _, f := range g.files {
-		producerIn := f.Producer != NoTask && remapHas(remap, f.Producer)
-		anyConsumerIn := false
-		for _, c := range g.consumers[f.ID] {
-			if remapHas(remap, c) {
-				anyConsumerIn = true
-				break
-			}
-		}
-		isInput := f.Producer == NoTask
-		switch {
-		case producerIn:
-			fileRemap[f.ID] = sub.AddFile(f.Name, f.Size, remap[f.Producer])
-		case isInput && anyConsumerIn:
-			fileRemap[f.ID] = sub.AddFile(f.Name, f.Size, NoTask)
-		}
-	}
-	for _, f := range g.files {
-		nf, ok := fileRemap[f.ID]
-		if !ok {
-			continue
-		}
-		for _, c := range g.consumers[f.ID] {
-			if nc, ok := remap[c]; ok {
-				sub.AddDependency(nc, nf)
-			}
-		}
-	}
-	return sub, remap
-}
-
-func remapHas(m map[TaskID]TaskID, t TaskID) bool {
-	_, ok := m[t]
-	return ok
 }

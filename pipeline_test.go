@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/pegasus"
+	"repro/internal/platform"
 )
 
 // redundantDoc is a 6-task M-SPG (the chain a→b→c→d→e beside a→f→e)
@@ -68,18 +70,20 @@ func pipelineCases() []Scenario {
 }
 
 // referencePlan plans s the serial way: core.Run on a freshly
-// materialized, calibrated workflow, with no scaffold and no rebuild.
+// materialized workflow, calibrated inline rather than through
+// core.Calibrate, with no scaffold and no rebuild.
 func referencePlan(ctx context.Context, s Scenario) (*Plan, error) {
 	w, redundant, err := s.materialize(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	pf := s.calibrate(w)
+	pf := platform.New(s.procs, 0, s.bandwidth).WithLambdaForPFail(s.pfail, w.G)
+	pf.ScaleToCCR(w.G, s.ccr)
 	res, err := core.Run(ctx, w, pf, s.coreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(s, res, pf, w, redundant), nil
+	return newPlan(s, res, w, redundant), nil
 }
 
 // planFingerprint renders everything a caller can observe of a plan
@@ -120,7 +124,11 @@ type namedPlan struct {
 // TestPipelineEntryPointsAgree plans every case through each way the
 // package builds a plan — NewPlan, a fresh scaffold's tail, a store
 // round trip and the facade Compare — and demands each be
-// indistinguishable from the serial core.Run reference.
+// indistinguishable from the serial core.Run reference. The sweeps'
+// entry point, expt.RunPoint, must reproduce the reference's makespans
+// and schedule wherever its fixed settings (a generated workflow, a
+// nonzero seed, the first-order model, one of the paper's three
+// strategies) cover the case.
 func TestPipelineEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
 	sawRedundant := false
@@ -169,6 +177,9 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 			p := map[Strategy]*Plan{CkptSome: cmp.Some, CkptAll: cmp.All, CkptNone: cmp.None}[sc.strategy]
 			paths = append(paths, namedPlan{"Compare", p})
 		}
+		if sc.Generated() && sc.seed != 0 && !sc.exact && sc.strategy != ExitOnly {
+			checkRunPoint(t, ctx, name, sc, ref)
+		}
 		for _, path := range paths {
 			got, err := planFingerprint(ctx, path.p)
 			if err != nil {
@@ -181,5 +192,25 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 	}
 	if !sawRedundant {
 		t.Error("no case exercised a workflow with 2 redundant edges")
+	}
+}
+
+// checkRunPoint compares sc's expt.RunPoint row with ref, the core.Run
+// reference plan of sc, bit for bit.
+func checkRunPoint(t *testing.T, ctx context.Context, name string, sc Scenario, ref *Plan) {
+	t.Helper()
+	cfg := expt.SweepConfig{Family: sc.family, Seed: sc.seed, Bandwidth: sc.bandwidth, Ragged: sc.ragged}
+	row, err := expt.RunPoint(ctx, cfg, sc.tasks, sc.procs, sc.pfail, sc.ccr)
+	if err != nil {
+		t.Fatalf("%s: RunPoint: %v", name, err)
+	}
+	em := map[Strategy]float64{CkptSome: row.EMSome, CkptAll: row.EMAll, CkptNone: row.EMNone}[sc.strategy]
+	if math.Float64bits(em) != math.Float64bits(ref.ExpectedMakespan()) ||
+		math.Float64bits(row.WPar) != math.Float64bits(ref.FailureFreeMakespan()) ||
+		row.Superchains != ref.NumSuperchains() ||
+		(sc.strategy == CkptSome && row.CheckpointsSome != ref.NumCheckpoints()) {
+		t.Errorf("%s: RunPoint differs from the core.Run reference: EM %v, W_par %v, %d superchains, %d checkpoints; want %v, %v, %d, %d",
+			name, em, row.WPar, row.Superchains, row.CheckpointsSome,
+			ref.ExpectedMakespan(), ref.FailureFreeMakespan(), ref.NumSuperchains(), ref.NumCheckpoints())
 	}
 }

@@ -10,11 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/mspg"
-	"repro/internal/platform"
 	"repro/internal/probdag"
-	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/wfdag"
 )
 
 // Plan is one solved scenario: the superchain schedule (Algorithm 1)
@@ -26,7 +23,6 @@ import (
 type Plan struct {
 	scenario Scenario
 	res      *core.Result
-	pf       platform.Platform
 	info     WorkflowInfo
 
 	// The 2-state segment DAG is shared by every Estimate call; it is
@@ -87,14 +83,16 @@ func NewPlan(ctx context.Context, s Scenario) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return planTail(ctx, s, sf, nil)
+	return planTail(ctx, s, sf.Scaffold, sf.redundant, nil)
 }
 
-func newPlan(s Scenario, res *core.Result, pf platform.Platform, w *mspg.Workflow, redundant int) *Plan {
+// newPlan wraps a tail's result, whose schedule carries the calibrated
+// platform.
+func newPlan(s Scenario, res *core.Result, w *mspg.Workflow, redundant int) *Plan {
+	pf := res.Schedule.P
 	return &Plan{
 		scenario: s,
 		res:      res,
-		pf:       pf,
 		info: WorkflowInfo{
 			Name:           w.Name,
 			Tasks:          w.G.NumTasks(),
@@ -106,113 +104,49 @@ func newPlan(s Scenario, res *core.Result, pf platform.Platform, w *mspg.Workflo
 	}
 }
 
-// planScaffold is what the pipeline's first two stages (see planTail)
-// produce, shared by every scenario with the same StructureKey: the
-// materialized workflow (recognized M-SPG tree included) and Algorithm
-// 1's superchains archived as (proc, tasks), the shape the plan store
-// serializes. planTail consumes a scaffold, so a cached one is only
-// ever handed to it as planFromScaffold's private copy.
+// planScaffold is a core.Scaffold (the pipeline's stages 1 and 2; see
+// the internal/core package doc) plus the redundant-edge count of the
+// materialized workflow, shared by every scenario with the same
+// StructureKey. A cached one is only ever handed to planTail as
+// planFromScaffold's private copy.
 type planScaffold struct {
-	w         *mspg.Workflow // unscaled master
+	*core.Scaffold
 	redundant int
-	procs     []int
-	chains    [][]wfdag.TaskID
 }
 
-// buildScaffold runs stages 1 and 2. The freshly materialized workflow
-// is private, so the scaffold adopts it without a clone. Algorithm 1
-// reads task weights, topology and the processor count only, so it
-// runs on the generator's own file sizes and every parameter variant
-// of a structure gets the same superchains.
+// buildScaffold runs stages 1 and 2: the freshly materialized workflow
+// is private, so the scaffold adopts it without a clone.
 func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
 	w, redundant, err := s.materialize(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Lambda is calibrated per plan; 0 here only has to pass the
-	// platform validation inside Allocate, which never reads it.
-	pf := platform.New(s.procs, 0, s.bandwidth)
-	schedule, err := core.BuildSchedule(w, pf, s.coreConfig())
+	sf, err := core.NewScaffold(w, s.procs, s.bandwidth, s.seed)
 	if err != nil {
 		return nil, err
 	}
-	sf := &planScaffold{
-		w:         w,
-		redundant: redundant,
-		procs:     make([]int, len(schedule.Chains)),
-		chains:    make([][]wfdag.TaskID, len(schedule.Chains)),
-	}
-	for i, c := range schedule.Chains {
-		sf.procs[i] = c.Proc
-		sf.chains[i] = append([]wfdag.TaskID(nil), c.Tasks...)
-	}
-	return sf, nil
+	return &planScaffold{Scaffold: sf, redundant: redundant}, nil
 }
 
-// planFromScaffold is the near-duplicate fast path: it runs planTail
-// on a private copy of a cached scaffold, with the master workflow
-// cloned (calibration rescales file sizes in place) and the archive
-// copied (sched.Rebuild aliases the slices it is given).
+// planFromScaffold is the near-duplicate fast path: the tail on a
+// private copy of a cached scaffold.
 func planFromScaffold(ctx context.Context, s Scenario, sf *planScaffold) (*Plan, error) {
-	chains := make([][]wfdag.TaskID, len(sf.chains))
-	for i, c := range sf.chains {
-		chains[i] = append([]wfdag.TaskID(nil), c...)
-	}
-	return planTail(ctx, s, &planScaffold{
-		w:         sf.w.Clone(),
-		redundant: sf.redundant,
-		procs:     append([]int(nil), sf.procs...),
-		chains:    chains,
-	}, nil)
+	return planTail(ctx, s, sf.Copy(), sf.redundant, nil)
 }
 
-// planTail runs the planning pipeline from stage 3 on sf, which it
-// consumes. The pipeline's stages are:
-//
-//  1. materialize: Scenario.materialize.
-//  2. schedule: Algorithm 1, archived in a planScaffold (buildScaffold).
-//  3. calibrate and rebuild: λ from pfail, file sizes rescaled to the
-//     CCR, the schedule rebuilt from the archive (rebuild).
-//  4. place: the scenario's strategy (Algorithm 2 for CkptSome), or a
-//     replay of recorded checkpoint marks when marks is non-nil.
-//  5. evaluate: PathApprox, or Theorem 1 for CkptNone (core.Evaluate).
-//
+// planTail runs the pipeline's stages 3 to 5 (core.Scaffold.Tail) on
+// sf, which it consumes, with the scenario's parameters and strategy.
 // Every way of building a plan only chooses where to start and what to
 // pass in: NewPlan hands over its fresh scaffold, planFromScaffold a
-// copy of a cached one, decodePlan a record's superchains and marks;
-// Compare stops after stage 3 and fans the paper's three strategies
-// out on the one schedule.
-func planTail(ctx context.Context, s Scenario, sf *planScaffold, marks []bool) (*Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	schedule, pf, err := rebuild(s, sf)
+// copy of a cached one, decodePlan a record's superchains and
+// checkpoint marks; Compare stops after stage 3 and fans the paper's
+// three strategies out on the one schedule.
+func planTail(ctx context.Context, s Scenario, sf *core.Scaffold, redundant int, marks []bool) (*Plan, error) {
+	res, err := sf.Tail(ctx, s.params(), s.coreConfig(), marks)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.coreConfig()
-	var res *core.Result
-	if marks == nil {
-		res, err = core.RunOnSchedule(ctx, schedule, pf, cfg)
-	} else {
-		var plan *ckpt.Plan
-		if plan, err = ckpt.RebuildPlan(schedule, pf, cfg.Strategy, cfg.Model, marks); err == nil {
-			res, err = core.Evaluate(plan, cfg)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newPlan(s, res, pf, sf.w, sf.redundant), nil
-}
-
-// rebuild is stage 3 on sf, which it consumes: it calibrates the
-// platform on sf.w, rescaling its file sizes in place, and rebuilds
-// the schedule on sf's archived superchains.
-func rebuild(s Scenario, sf *planScaffold) (*sched.Schedule, platform.Platform, error) {
-	pf := s.calibrate(sf.w)
-	schedule, err := sched.Rebuild(sf.w, pf, sf.procs, sf.chains)
-	return schedule, pf, err
+	return newPlan(s, res, sf.W, redundant), nil
 }
 
 // Scenario returns the scenario the plan was built from.
@@ -414,7 +348,7 @@ func (p *Plan) Simulate(ctx context.Context, opts ...SimOption) (SimResult, erro
 		err   error
 	)
 	if p.res.Strategy == ckpt.CkptNone {
-		sum, fails, err = sim.EstimateExpectedNoneDetail(ctx, p.res.Schedule, p.pf, cfg.trials, cfg.seed, cfg.workers)
+		sum, fails, err = sim.EstimateExpectedNoneDetail(ctx, p.res.Schedule, p.res.Schedule.P, cfg.trials, cfg.seed, cfg.workers)
 	} else {
 		sum, fails, err = sim.EstimateExpectedDetail(ctx, p.res.Plan, cfg.trials, cfg.seed, cfg.workers)
 	}
@@ -474,20 +408,20 @@ func Compare(ctx context.Context, s Scenario, opts ...CompareOption) (*Compariso
 	if err != nil {
 		return nil, err
 	}
-	schedule, pf, err := rebuild(s, sf)
+	schedule, err := sf.Rebuild(s.params())
 	if err != nil {
 		return nil, err
 	}
 	cc := s.coreConfig()
 	cc.Workers = cfg.workers
-	cmp, err := core.CompareOnSchedule(ctx, schedule, pf, cc)
+	cmp, err := core.CompareOnSchedule(ctx, schedule, schedule.P, cc)
 	if err != nil {
 		return nil, err
 	}
 	wrap := func(res *core.Result, st Strategy) *Plan {
 		sc := s
 		sc.strategy = st
-		return newPlan(sc, res, pf, sf.w, sf.redundant)
+		return newPlan(sc, res, sf.W, sf.redundant)
 	}
 	return &Comparison{
 		Some: wrap(cmp.Some, CkptSome),

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mspg"
 	"repro/internal/pegasus"
-	"repro/internal/platform"
 	"repro/internal/wfdag"
 )
 
@@ -416,13 +415,10 @@ func (s Scenario) materialize(ctx context.Context, memo *pegasus.Memo) (*mspg.Wo
 	return w, 0, nil
 }
 
-// calibrate builds the scenario's platform for w — λ from pfail — and
-// rescales w's file sizes in place to the scenario's CCR, so w must be
-// a private copy.
-func (s Scenario) calibrate(w *mspg.Workflow) platform.Platform {
-	pf := platform.New(s.procs, 0, s.bandwidth).WithLambdaForPFail(s.pfail, w.G)
-	pf.ScaleToCCR(w.G, s.ccr)
-	return pf
+// params is the scenario's calibration target for the pipeline's
+// tail: its processor count, bandwidth, pfail and CCR.
+func (s Scenario) params() core.Params {
+	return core.Params{Procs: s.procs, Bandwidth: s.bandwidth, PFail: s.pfail, CCR: s.ccr}
 }
 
 // coreConfig translates the scenario into the internal pipeline

@@ -51,6 +51,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/pegasus"
 	"repro/internal/wfdag"
@@ -239,17 +240,16 @@ func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.M
 	if redundant != sp.Redundant {
 		return nil, fmt.Errorf("decode: %d redundant edges, record says %d", redundant, sp.Redundant)
 	}
-	sf := &planScaffold{
-		w:         w,
-		redundant: redundant,
-		procs:     make([]int, len(sp.Chains)),
-		chains:    make([][]wfdag.TaskID, len(sp.Chains)),
+	sf := &core.Scaffold{
+		W:      w,
+		Procs:  make([]int, len(sp.Chains)),
+		Chains: make([][]wfdag.TaskID, len(sp.Chains)),
 	}
 	for i, c := range sp.Chains {
-		sf.procs[i] = c.Proc
-		sf.chains[i] = make([]wfdag.TaskID, len(c.Tasks))
+		sf.Procs[i] = c.Proc
+		sf.Chains[i] = make([]wfdag.TaskID, len(c.Tasks))
 		for j, t := range c.Tasks {
-			sf.chains[i][j] = wfdag.TaskID(t)
+			sf.Chains[i][j] = wfdag.TaskID(t)
 		}
 	}
 	n := w.G.NumTasks()
@@ -260,7 +260,7 @@ func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.M
 		}
 		marks[t] = true
 	}
-	p, err := planTail(ctx, sc, sf, marks)
+	p, err := planTail(ctx, sc, sf, redundant, marks)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func TestStructureHitSharesScaffoldIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master := sf.w.G
+	master := sf.W.G
 	for i, sc := range variants {
 		p, err := planFromScaffold(ctx, sc, sf)
 		if err != nil {

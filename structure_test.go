@@ -40,8 +40,8 @@ func TestScaffoldSharedAcrossParamVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.chains) == 0 || len(base.procs) != len(base.chains) {
-		t.Fatalf("implausible scaffold: %d procs, %d chains", len(base.procs), len(base.chains))
+	if len(base.Chains) == 0 || len(base.Procs) != len(base.Chains) {
+		t.Fatalf("implausible scaffold: %d procs, %d chains", len(base.Procs), len(base.Chains))
 	}
 	for i, sc := range variants[1:] {
 		if sc.StructureKey() != variants[0].StructureKey() {
@@ -51,7 +51,7 @@ func TestScaffoldSharedAcrossParamVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sf.procs, base.procs) || !reflect.DeepEqual(sf.chains, base.chains) {
+		if !reflect.DeepEqual(sf.Procs, base.Procs) || !reflect.DeepEqual(sf.Chains, base.Chains) {
 			t.Fatalf("variant %d built a different schedule scaffold", i+1)
 		}
 		if sf.redundant != base.redundant {
