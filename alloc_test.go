@@ -3,11 +3,14 @@ package hanccr
 import (
 	"context"
 	"testing"
+
+	"repro/internal/mspg"
+	"repro/internal/pegasus"
 )
 
 // TestPlanFromScaffoldAllocs guards the parameter tail a structure-hit
 // runs (clone, calibrate, rebuild, place, evaluate) against going back
-// to copying the immutable M-SPG tree and adjacency lists and to
+// to copying the immutable M-SPG tree and graph topology and to
 // allocating every segment law and edge of the segment DAG on its own.
 // Before the tail stopped copying them, a montage-300 plan made 2 627
 // allocations under CkptSome and 2 172 under ExitOnly; the bound is
@@ -39,19 +42,20 @@ func TestPlanFromScaffoldAllocs(t *testing.T) {
 }
 
 // TestBuildScaffoldAllocs guards a cold miss's generation and
-// Algorithm 1 (buildScaffold) against going back to validating the
-// M-SPG tree through edge maps, naming tasks and files through fmt and
-// copying the already-canonical tree in Normalize. Before those went, a
-// 300-task scaffold made 7 671 allocations for montage and 7 049 for
-// cybershake; the bound is 85% of each.
+// Algorithm 1 (buildScaffold) against going back to growing one
+// adjacency list per task and per file one append at a time, and to
+// building two maps per linearized subtree in Algorithm 1. Before the
+// graph kept one dependency log and one packed index, a 300-task
+// scaffold made 4 544 allocations for montage and 4 282 for cybershake;
+// the bound is 80% of each.
 func TestBuildScaffoldAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
 		family string
 		parent float64
 	}{
-		{"montage", 7671},
-		{"cybershake", 7049},
+		{"montage", 4544},
+		{"cybershake", 4282},
 	} {
 		sc := NewScenario(WithFamily(c.family), WithTasks(300))
 		allocs := testing.AllocsPerRun(20, func() {
@@ -60,8 +64,34 @@ func TestBuildScaffoldAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%s: %.0f allocations per scaffold", c.family, allocs)
-		if bound := 0.85 * c.parent; allocs > bound {
+		if bound := 0.8 * c.parent; allocs > bound {
 			t.Errorf("%s: buildScaffold makes %.0f allocations per scaffold, want at most %.0f", c.family, allocs, bound)
 		}
+	}
+}
+
+// TestWorkflowCloneAllocs guards the clone every structure-hit and
+// sweep cell starts from against going back to copying topology: a
+// clone copies only the file sizes and shares the tree, the task and
+// file tables, the dependency log and the adjacency index, so it makes
+// the same few allocations at any size. Before, a montage clone copied
+// the task and file tables and the headers of four adjacency tables.
+func TestWorkflowCloneAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{300, 1000} {
+		w, err := pegasus.Generate("montage", pegasus.Options{Tasks: n, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c *mspg.Workflow // kept past the call, so the clone escapes as in the tail
+		allocs := testing.AllocsPerRun(20, func() { c = w.Clone() })
+		if c.G.NumTasks() != w.G.NumTasks() {
+			t.Fatalf("montage-%d: clone has %d tasks, want %d", n, c.G.NumTasks(), w.G.NumTasks())
+		}
+		t.Logf("montage-%d: %.0f allocations per clone", n, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] > 4 {
+		t.Errorf("Workflow.Clone makes %v allocations at 300 and 1000 tasks, want the same count, at most 4", counts)
 	}
 }

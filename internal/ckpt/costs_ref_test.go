@@ -31,7 +31,8 @@ type refChainCosts struct {
 // every file of the graph.
 func refProducedFiles(g *wfdag.Graph, t wfdag.TaskID) []wfdag.FileID {
 	var out []wfdag.FileID
-	for _, f := range g.Files() {
+	for i := range g.NumFiles() {
+		f := g.File(wfdag.FileID(i))
 		if f.Producer == t {
 			out = append(out, f.ID)
 		}

@@ -46,8 +46,9 @@ func NewScaffold(w *mspg.Workflow, procs int, bandwidth float64, seed int64) (*S
 	return sf, nil
 }
 
-// Copy returns a private copy of sf: the workflow cloned (Calibrate
-// rescales file sizes in place) and the archive copied (sched.Rebuild
+// Copy returns a private copy of sf: the workflow cloned, which copies
+// only its file sizes (Calibrate rescales them in place) and shares the
+// tree and the graph's topology, and the archive copied (sched.Rebuild
 // aliases the slices it is given).
 func (sf *Scaffold) Copy() *Scaffold {
 	chains := make([][]wfdag.TaskID, len(sf.Chains))

@@ -106,7 +106,8 @@ func withoutEdge(g *wfdag.Graph, u, v wfdag.TaskID) *wfdag.Graph {
 	for _, t := range g.Tasks() {
 		out.AddTask(t.Name, t.Kind, t.Weight)
 	}
-	for _, f := range g.Files() {
+	for i := range g.NumFiles() {
+		f := g.File(wfdag.FileID(i))
 		out.AddFile(f.Name, f.Size, f.Producer)
 	}
 	for t := 0; t < g.NumTasks(); t++ {

@@ -166,9 +166,11 @@ func TestRandomWorkflowValidates(t *testing.T) {
 }
 
 // cloneMaster is figure4Workflow plus two workflow inputs and a second
-// T2 -> T3 file, so that T2's successor list has spare capacity: an
-// append to it that is not capped would write into memory its clones
-// share.
+// T2 -> T3 file. Its clones share its task table, file table and
+// dependency log, and each of these must have spare capacity: a clone
+// that appended to one without reallocating it would write into the
+// master's backing array, where its sibling clones and the master's own
+// next append write too.
 func cloneMaster(t *testing.T) *Workflow {
 	t.Helper()
 	w := figure4Workflow(t)
@@ -176,8 +178,14 @@ func cloneMaster(t *testing.T) *Workflow {
 	for _, name := range []string{"in1", "in2"} {
 		w.G.AddDependency(0, w.G.AddFile(name, 50, wfdag.NoTask))
 	}
-	if got := w.G.Succ(1); len(got) == cap(got) {
-		t.Fatalf("T2's successor list has no spare capacity (len %d, cap %d)", len(got), cap(got))
+	for _, name := range []string{"tasks", "files", "deps"} {
+		f := reflect.ValueOf(w.G).Elem().FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("wfdag.Graph has no table %q", name)
+		}
+		if f.Len() == f.Cap() {
+			t.Fatalf("the master's %s table has no spare capacity (len %d, cap %d)", name, f.Len(), f.Cap())
+		}
 	}
 	return w
 }
@@ -192,7 +200,10 @@ type graphView struct {
 }
 
 func viewOf(g *wfdag.Graph) graphView {
-	v := graphView{files: g.Files()}
+	var v graphView
+	for f := range g.NumFiles() {
+		v.files = append(v.files, g.File(wfdag.FileID(f)))
+	}
 	for i := 0; i < g.NumTasks(); i++ {
 		t := wfdag.TaskID(i)
 		v.succ = append(v.succ, append([]wfdag.Edge(nil), g.Succ(t)...))
@@ -208,12 +219,12 @@ func viewOf(g *wfdag.Graph) graphView {
 
 // TestCloneIndependence clones one master twice and mutates each clone
 // the way calibration and graph building can: rescaled file sizes, a
-// new file, dependencies appended to lists the clones share with the
-// master (T2's successors, which have spare capacity, the predecessors
-// of T5 or T6, T1's inputs and an input file's consumers) and a new
-// task. The master's files, adjacency lists and index must stay as they
-// were, each clone must see only its own appends, and both clones must
-// share the master's tree.
+// new file, dependencies that extend lists the master already has (T2's
+// successors, the predecessors of T5 or T6, T1's inputs and an input
+// file's consumers) and a new task, each an append to a table the
+// clones share with the master. The master's files, adjacency lists and
+// index must stay as they were, each clone must see only its own
+// appends, and both clones must share the master's tree.
 func TestCloneIndependence(t *testing.T) {
 	master := cloneMaster(t)
 	want := viewOf(master.G)
@@ -254,7 +265,7 @@ func TestCloneIndependence(t *testing.T) {
 
 // TestCloneConcurrentCalibration has 8 goroutines clone one master and
 // calibrate and extend their copies at once; under -race it checks
-// that the lists and index the clones share with the master are only
+// that the tables and index the clones share with the master are only
 // ever read.
 func TestCloneConcurrentCalibration(t *testing.T) {
 	master := cloneMaster(t)

@@ -91,7 +91,8 @@ func generationFingerprint(w *mspg.Workflow) uint64 {
 		p.float(t.Weight)
 	}
 	p.int(int64(g.NumFiles()))
-	for _, f := range g.Files() {
+	for i := range g.NumFiles() {
+		f := g.File(wfdag.FileID(i))
 		p.str(f.Name)
 		p.float(f.Size)
 		p.int(int64(f.Producer))

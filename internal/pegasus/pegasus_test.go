@@ -120,7 +120,8 @@ func TestMontageStructure(t *testing.T) {
 	}
 	// Workflow inputs present on the projection level.
 	inputs := 0
-	for _, f := range w.G.Files() {
+	for i := range w.G.NumFiles() {
+		f := w.G.File(wfdag.FileID(i))
 		if f.Producer == -1 {
 			inputs++
 		}
@@ -184,7 +185,8 @@ func TestRaggedLigoAddsDummies(t *testing.T) {
 	}
 	// Dummy files are zero-sized: same total bytes apart from the veto file.
 	zeroFiles := 0
-	for _, f := range rag.G.Files() {
+	for i := range rag.G.NumFiles() {
+		f := rag.G.File(wfdag.FileID(i))
 		if f.Size == 0 {
 			zeroFiles++
 		}
@@ -227,7 +229,8 @@ func TestWeightsPositiveAndVaried(t *testing.T) {
 		if len(seen) < 10 {
 			t.Errorf("%s: suspiciously few distinct weights (%d)", fam, len(seen))
 		}
-		for _, f := range w.G.Files() {
+		for i := range w.G.NumFiles() {
+			f := w.G.File(wfdag.FileID(i))
 			if f.Size < 0 {
 				t.Fatalf("%s: negative file size", fam)
 			}

@@ -8,6 +8,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/mspg"
@@ -344,29 +345,23 @@ func MinLiveFilesLinearizer(g *wfdag.Graph, node *mspg.Node, rng *rand.Rand) []w
 
 // topoWithin runs Kahn's algorithm restricted to the given task set,
 // delegating the choice among ready tasks to pick. The ready slice is
-// kept sorted ascending.
+// kept sorted ascending. It sorts tasks in place, so callers pass a
+// slice they own; membership in the set is then a binary search, and
+// the sorted positions index the in-degrees.
 func topoWithin(g *wfdag.Graph, tasks []wfdag.TaskID, pick func([]wfdag.TaskID) wfdag.TaskID) []wfdag.TaskID {
-	in := make(map[wfdag.TaskID]bool, len(tasks))
-	for _, t := range tasks {
-		in[t] = true
-	}
-	indeg := make(map[wfdag.TaskID]int, len(tasks))
-	for _, t := range tasks {
-		d := 0
+	slices.Sort(tasks)
+	indeg := make([]int, len(tasks))
+	var ready []wfdag.TaskID
+	for i, t := range tasks {
 		for _, p := range g.PredTasks(t) {
-			if in[p] {
-				d++
+			if _, in := slices.BinarySearch(tasks, p); in {
+				indeg[i]++
 			}
 		}
-		indeg[t] = d
-	}
-	var ready []wfdag.TaskID
-	for _, t := range tasks {
-		if indeg[t] == 0 {
-			ready = append(ready, t)
+		if indeg[i] == 0 {
+			ready = append(ready, t) // ascending, as tasks is
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
 	out := make([]wfdag.TaskID, 0, len(tasks))
 	for len(ready) > 0 {
 		t := pick(ready)
@@ -378,11 +373,12 @@ func topoWithin(g *wfdag.Graph, tasks []wfdag.TaskID, pick func([]wfdag.TaskID) 
 		}
 		out = append(out, t)
 		for _, sc := range g.SuccTasks(t) {
-			if !in[sc] {
+			i, in := slices.BinarySearch(tasks, sc)
+			if !in {
 				continue
 			}
-			indeg[sc]--
-			if indeg[sc] == 0 {
+			indeg[i]--
+			if indeg[i] == 0 {
 				pos := sort.Search(len(ready), func(i int) bool { return ready[i] >= sc })
 				ready = append(ready, 0)
 				copy(ready[pos+1:], ready[pos:])

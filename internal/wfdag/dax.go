@@ -57,23 +57,20 @@ func (g *Graph) WriteDAX(w io.Writer, name string) error {
 		j := daxJob{ID: jobID(t.ID), Name: nonEmpty(t.Kind, t.Name), Runtime: t.Weight}
 		// Inputs: dependency files + workflow inputs, deduplicated.
 		seen := map[FileID]bool{}
-		for _, e := range g.pred[t.ID] {
+		for _, e := range g.Pred(t.ID) {
 			if !seen[e.File] {
 				seen[e.File] = true
-				f := g.files[e.File]
-				j.Uses = append(j.Uses, daxUses{File: f.Name, Link: "input", Size: f.Size})
+				j.Uses = append(j.Uses, g.daxUses(e.File, "input"))
 			}
 		}
-		for _, fid := range g.inputs[t.ID] {
+		for _, fid := range g.InputFiles(t.ID) {
 			if !seen[fid] {
 				seen[fid] = true
-				f := g.files[fid]
-				j.Uses = append(j.Uses, daxUses{File: f.Name, Link: "input", Size: f.Size})
+				j.Uses = append(j.Uses, g.daxUses(fid, "input"))
 			}
 		}
 		for _, fid := range g.ProducedFiles(t.ID) {
-			f := g.files[fid]
-			j.Uses = append(j.Uses, daxUses{File: f.Name, Link: "output", Size: f.Size})
+			j.Uses = append(j.Uses, g.daxUses(fid, "output"))
 		}
 		adag.Jobs = append(adag.Jobs, j)
 	}
@@ -99,6 +96,11 @@ func (g *Graph) WriteDAX(w io.Writer, name string) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
+}
+
+// daxUses is the <uses> element for file f.
+func (g *Graph) daxUses(f FileID, link string) daxUses {
+	return daxUses{File: g.files[f].name, Link: link, Size: g.sizes[f]}
 }
 
 // ReadDAX parses a DAX document into a Graph. File names must be unique
@@ -132,7 +134,7 @@ func ReadDAX(r io.Reader) (*Graph, error) {
 			}
 			if fid, dup := fileOf[u.File]; dup {
 				return nil, fmt.Errorf("wfdag: file %q produced twice (second producer %s, first %d)",
-					u.File, j.ID, g.files[fid].Producer)
+					u.File, j.ID, g.files[fid].producer)
 			}
 			fileOf[u.File] = g.AddFile(u.File, u.Size, taskOf[j.ID])
 		}

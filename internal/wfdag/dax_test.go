@@ -41,7 +41,7 @@ func TestDAXRoundTrip(t *testing.T) {
 	if len(back.InputFiles(0)) != 1 {
 		t.Fatal("workflow input lost")
 	}
-	if len(back.OutputFiles(3)) != 1 {
+	if len(outputFiles(back, 3)) != 1 {
 		t.Fatal("workflow output lost")
 	}
 }
@@ -80,8 +80,8 @@ func TestReadDAXSample(t *testing.T) {
 		t.Fatalf("succ(preprocess) = %v", s)
 	}
 	ctrl := 0
-	for _, f := range g.Files() {
-		if f.Size == 0 && strings.HasPrefix(f.Name, "_ctrl_") {
+	for i := 0; i < g.NumFiles(); i++ {
+		if f := g.File(FileID(i)); f.Size == 0 && strings.HasPrefix(f.Name, "_ctrl_") {
 			ctrl++
 		}
 	}

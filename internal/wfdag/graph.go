@@ -1,8 +1,8 @@
 // Package wfdag provides the workflow substrate used throughout the
 // repository: weighted task graphs (Directed Acyclic Graphs) whose edges
 // carry data files, together with the graph algorithms the scheduling and
-// checkpointing layers rely on (topological sorts, weak components,
-// longest paths, reachability, transitive reduction and validation).
+// checkpointing layers rely on (topological order, reachability,
+// transitive reduction and validation).
 //
 // # Conventions
 //
@@ -14,6 +14,15 @@
 // task u before it can start. Several edges may share the same file:
 // checkpoint cost accounting deduplicates by FileID, matching the paper's
 // remark that a file feeding two successors is saved only once.
+//
+// # Layout
+//
+// A Graph is built once and then read: the mutators append to flat
+// tables (tasks, files, file sizes and a log of AddDependency calls),
+// and every adjacency list is read from an index packed from those
+// tables on the first read after a mutation. Interleaving mutations and
+// reads therefore rebuilds the index at each read; build the graph
+// first, then read it.
 package wfdag
 
 import (
@@ -58,33 +67,46 @@ type Edge struct {
 // Graph is a mutable workflow DAG. The zero value is an empty graph
 // ready to use.
 //
-// The adjacency accessors (ProducedFiles, PredTasks, SuccTasks, Succ,
-// Pred, InputFiles, Consumers) return slices the graph shares with
-// every caller and with its clones: they are read-only, and the
-// mutators only append to them. ProducedFiles, PredTasks and SuccTasks
-// read a derived index built on first use and dropped by AddTask,
-// AddFile and AddDependency; Clone shares it by pointer, so a graph and
-// all its clones hold one copy.
+// The mutators only append: AddTask and AddFile to the task and file
+// tables, AddDependency one (consumer, file) entry to the dependency
+// log. The adjacency accessors (Succ, Pred, InputFiles, Consumers,
+// ProducedFiles, PredTasks, SuccTasks) read an immutable index packed
+// from those tables on first use and dropped by every mutation, so
+// they return slices the graph shares with every caller and with its
+// clones: they are read-only. File sizes live apart from the file
+// table, because ScaleFileSizes is the one in-place write.
 type Graph struct {
 	tasks []Task
-	files []File
-	succ  [][]Edge // outgoing edges, indexed by TaskID
-	pred  [][]Edge // incoming edges, indexed by TaskID
-
-	// inputs[t] lists workflow input files (Producer == NoTask) read by t.
-	inputs [][]FileID
-	// consumers[f] lists the tasks that read file f.
-	consumers [][]TaskID
+	files []fileMeta
+	sizes []float64 // bytes, indexed by FileID
+	deps  []dep     // one entry per AddDependency call, in call order
 
 	adj atomic.Pointer[adjacency] // nil until first read after a mutation
 }
 
-// adjacency is the derived, immutable index behind ProducedFiles,
-// PredTasks and SuccTasks.
+// fileMeta is a file's immutable part; its size is in Graph.sizes.
+type fileMeta struct {
+	name     string
+	producer TaskID
+}
+
+// dep records one AddDependency call: task to reads file.
+type dep struct {
+	to   TaskID
+	file FileID
+}
+
+// adjacency is the derived, immutable index behind the adjacency
+// accessors. Every list keeps the order of the table it is sorted from:
+// the edge, input and consumer lists the order of the AddDependency
+// calls, the produced files FileID order.
 type adjacency struct {
-	produced  packedLists[FileID] // files produced by each task, in FileID order
-	predTasks packedLists[TaskID] // distinct predecessors of each task, ascending
-	succTasks packedLists[TaskID] // distinct successors of each task, ascending
+	succ, pred packedLists[Edge]   // outgoing and incoming edges per task
+	inputs     packedLists[FileID] // workflow input files read, per task
+	consumers  packedLists[TaskID] // readers, per file
+	produced   packedLists[FileID] // files produced, per task
+	predTasks  packedLists[TaskID] // distinct predecessors of each task, ascending
+	succTasks  packedLists[TaskID] // distinct successors of each task, ascending
 }
 
 // packedLists stores list i at flat[off[i]:off[i+1]]: two allocations
@@ -100,45 +122,71 @@ func (l packedLists[T]) at(i int) []T {
 	return l.flat[lo:hi:hi]
 }
 
+// The stable counting sort that fills a packedLists of n lists: count
+// each item's list, then start, then put the items in the order they
+// were counted, then finish.
+func newPacked[T any](n int) packedLists[T] { return packedLists[T]{off: make([]int32, n+1)} }
+
+func (l *packedLists[T]) count(i int) { l.off[i+1]++ }
+
+// start turns the counts into list starts and allocates flat; off[i]
+// then serves as list i's write cursor.
+func (l *packedLists[T]) start() {
+	for i := 1; i < len(l.off); i++ {
+		l.off[i] += l.off[i-1]
+	}
+	l.flat = make([]T, l.off[len(l.off)-1])
+}
+
+func (l *packedLists[T]) put(i int, v T) {
+	l.flat[l.off[i]] = v
+	l.off[i]++
+}
+
+// finish shifts the cursors, each now at the start of the next list,
+// back into list starts.
+func (l *packedLists[T]) finish() {
+	copy(l.off[1:], l.off[:len(l.off)-1])
+	l.off[0] = 0
+}
+
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// dropIndex drops the index after a mutation. The common case, a graph
+// under construction, skips the atomic store.
+func (g *Graph) dropIndex() {
+	if g.adj.Load() != nil {
+		g.adj.Store(nil)
+	}
+}
 
 // AddTask appends a task and returns its ID. The weight must be
 // non-negative; invalid weights are reported by Validate.
 func (g *Graph) AddTask(name, kind string, weight float64) TaskID {
-	g.adj.Store(nil)
+	g.dropIndex()
 	id := TaskID(len(g.tasks))
 	g.tasks = append(g.tasks, Task{ID: id, Name: name, Kind: kind, Weight: weight})
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	g.inputs = append(g.inputs, nil)
 	return id
 }
 
 // AddFile registers a file of the given size produced by producer
 // (NoTask for a workflow input) and returns its ID.
 func (g *Graph) AddFile(name string, size float64, producer TaskID) FileID {
-	g.adj.Store(nil)
+	g.dropIndex()
 	id := FileID(len(g.files))
-	g.files = append(g.files, File{ID: id, Name: name, Size: size, Producer: producer})
-	g.consumers = append(g.consumers, nil)
+	g.files = append(g.files, fileMeta{name: name, producer: producer})
+	g.sizes = append(g.sizes, size)
 	return id
 }
 
 // AddDependency records that task "to" consumes file f. If the file has a
-// producer task, a dependency edge producer->to is added; if the file is a
-// workflow input, the read is recorded without an edge.
+// producer task, this is a dependency edge producer->to; if the file is a
+// workflow input, the read is recorded without an edge. Out-of-range IDs
+// are reported by Validate.
 func (g *Graph) AddDependency(to TaskID, f FileID) {
-	g.adj.Store(nil)
-	file := g.files[f]
-	g.consumers[f] = append(g.consumers[f], to)
-	if file.Producer == NoTask {
-		g.inputs[to] = append(g.inputs[to], f)
-		return
-	}
-	e := Edge{From: file.Producer, To: to, File: f}
-	g.succ[file.Producer] = append(g.succ[file.Producer], e)
-	g.pred[to] = append(g.pred[to], e)
+	g.dropIndex()
+	g.deps = append(g.deps, dep{to: to, file: f})
 }
 
 // Connect is a convenience that creates a fresh file of the given size
@@ -158,8 +206,10 @@ func (g *Graph) NumFiles() int { return len(g.files) }
 // NumEdges returns the number of dependency edges.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, es := range g.succ {
-		n += len(es)
+	for _, d := range g.deps {
+		if g.files[d.file].producer != NoTask {
+			n++
+		}
 	}
 	return n
 }
@@ -168,46 +218,26 @@ func (g *Graph) NumEdges() int {
 func (g *Graph) Task(id TaskID) Task { return g.tasks[id] }
 
 // File returns the file with the given ID.
-func (g *Graph) File(id FileID) File { return g.files[id] }
+func (g *Graph) File(id FileID) File {
+	m := g.files[id]
+	return File{ID: id, Name: m.name, Size: g.sizes[id], Producer: m.producer}
+}
 
 // Tasks returns a copy of the task slice.
-func (g *Graph) Tasks() []Task {
-	out := make([]Task, len(g.tasks))
-	copy(out, g.tasks)
-	return out
-}
-
-// Files returns a copy of the file slice.
-func (g *Graph) Files() []File {
-	out := make([]File, len(g.files))
-	copy(out, g.files)
-	return out
-}
+func (g *Graph) Tasks() []Task { return slices.Clone(g.tasks) }
 
 // Succ returns the outgoing edges of t (shared, read-only).
-func (g *Graph) Succ(t TaskID) []Edge { return g.succ[t] }
+func (g *Graph) Succ(t TaskID) []Edge { return g.index().succ.at(int(t)) }
 
 // Pred returns the incoming edges of t (shared, read-only).
-func (g *Graph) Pred(t TaskID) []Edge { return g.pred[t] }
+func (g *Graph) Pred(t TaskID) []Edge { return g.index().pred.at(int(t)) }
 
 // InputFiles returns the workflow input files read by t (shared,
 // read-only).
-func (g *Graph) InputFiles(t TaskID) []FileID { return g.inputs[t] }
+func (g *Graph) InputFiles(t TaskID) []FileID { return g.index().inputs.at(int(t)) }
 
 // Consumers returns the tasks that read file f (shared, read-only).
-func (g *Graph) Consumers(f FileID) []TaskID { return g.consumers[f] }
-
-// OutputFiles returns, for task t, the files it produces that have no
-// consumer: these are workflow outputs that any execution must persist.
-func (g *Graph) OutputFiles(t TaskID) []FileID {
-	var out []FileID
-	for _, f := range g.index().produced.at(int(t)) {
-		if len(g.consumers[f]) == 0 {
-			out = append(out, f)
-		}
-	}
-	return out
-}
+func (g *Graph) Consumers(f FileID) []TaskID { return g.index().consumers.at(int(f)) }
 
 // ProducedFiles returns every file produced by t (with or without
 // consumers), in FileID order (shared, read-only).
@@ -223,36 +253,61 @@ func (g *Graph) PredTasks(t TaskID) []TaskID { return g.index().predTasks.at(int
 
 // index returns the adjacency index, building it on first use. Readers
 // racing on an unindexed graph may each build one; the first published
-// wins and every reader returns it.
+// wins and every reader returns it. The IDs in the tables must be in
+// range, which Validate checks without reading the index.
 func (g *Graph) index() *adjacency {
 	if a := g.adj.Load(); a != nil {
 		return a
 	}
 	n := len(g.tasks)
 	a := &adjacency{
-		produced:  packedLists[FileID]{off: make([]int32, n+1)},
-		predTasks: dedupTasks(g.pred, func(e Edge) TaskID { return e.From }),
-		succTasks: dedupTasks(g.succ, func(e Edge) TaskID { return e.To }),
+		succ:      newPacked[Edge](n),
+		pred:      newPacked[Edge](n),
+		inputs:    newPacked[FileID](n),
+		consumers: newPacked[TaskID](len(g.files)),
+		produced:  newPacked[FileID](n),
 	}
-	// Counting sort of the produced files by producer, stable in FileID
-	// order.
-	off := a.produced.off
 	for _, f := range g.files {
-		if f.Producer != NoTask {
-			off[f.Producer+1]++
+		if f.producer != NoTask {
+			a.produced.count(int(f.producer))
 		}
 	}
-	for t := 0; t < n; t++ {
-		off[t+1] += off[t]
-	}
-	a.produced.flat = make([]FileID, off[n])
-	next := append([]int32(nil), off[:n]...)
-	for _, f := range g.files {
-		if f.Producer != NoTask {
-			a.produced.flat[next[f.Producer]] = f.ID
-			next[f.Producer]++
+	for _, d := range g.deps {
+		a.consumers.count(int(d.file))
+		if p := g.files[d.file].producer; p == NoTask {
+			a.inputs.count(int(d.to))
+		} else {
+			a.succ.count(int(p))
+			a.pred.count(int(d.to))
 		}
 	}
+	a.succ.start()
+	a.pred.start()
+	a.inputs.start()
+	a.consumers.start()
+	a.produced.start()
+	for i, f := range g.files {
+		if f.producer != NoTask {
+			a.produced.put(int(f.producer), FileID(i))
+		}
+	}
+	for _, d := range g.deps {
+		a.consumers.put(int(d.file), d.to)
+		if p := g.files[d.file].producer; p == NoTask {
+			a.inputs.put(int(d.to), d.file)
+		} else {
+			e := Edge{From: p, To: d.to, File: d.file}
+			a.succ.put(int(p), e)
+			a.pred.put(int(d.to), e)
+		}
+	}
+	a.succ.finish()
+	a.pred.finish()
+	a.inputs.finish()
+	a.consumers.finish()
+	a.produced.finish()
+	a.predTasks = dedupTasks(a.pred, func(e Edge) TaskID { return e.From })
+	a.succTasks = dedupTasks(a.succ, func(e Edge) TaskID { return e.To })
 	if !g.adj.CompareAndSwap(nil, a) {
 		return g.adj.Load()
 	}
@@ -261,15 +316,12 @@ func (g *Graph) index() *adjacency {
 
 // dedupTasks packs, per task, the distinct key(e) over its edge list in
 // ascending order.
-func dedupTasks(adj [][]Edge, key func(Edge) TaskID) packedLists[TaskID] {
-	total := 0
-	for _, es := range adj {
-		total += len(es)
-	}
-	l := packedLists[TaskID]{off: make([]int32, len(adj)+1), flat: make([]TaskID, 0, total)}
-	for t, es := range adj {
+func dedupTasks(edges packedLists[Edge], key func(Edge) TaskID) packedLists[TaskID] {
+	n := len(edges.off) - 1
+	l := packedLists[TaskID]{off: make([]int32, n+1), flat: make([]TaskID, 0, len(edges.flat))}
+	for t := 0; t < n; t++ {
 		start := len(l.flat)
-		for _, e := range es {
+		for _, e := range edges.at(t) {
 			l.flat = append(l.flat, key(e))
 		}
 		slices.Sort(l.flat[start:])
@@ -283,18 +335,7 @@ func dedupTasks(adj [][]Edge, key func(Edge) TaskID) packedLists[TaskID] {
 func (g *Graph) Sources() []TaskID {
 	var out []TaskID
 	for i := range g.tasks {
-		if len(g.pred[i]) == 0 {
-			out = append(out, TaskID(i))
-		}
-	}
-	return out
-}
-
-// Sinks returns tasks with no successor, in ascending ID order.
-func (g *Graph) Sinks() []TaskID {
-	var out []TaskID
-	for i := range g.tasks {
-		if len(g.succ[i]) == 0 {
+		if len(g.PredTasks(TaskID(i))) == 0 {
 			out = append(out, TaskID(i))
 		}
 	}
@@ -315,8 +356,8 @@ func (g *Graph) TotalWeight() float64 {
 // intermediate files).
 func (g *Graph) TotalFileBytes() float64 {
 	s := 0.0
-	for _, f := range g.files {
-		s += f.Size
+	for _, size := range g.sizes {
+		s += size
 	}
 	return s
 }
@@ -324,8 +365,8 @@ func (g *Graph) TotalFileBytes() float64 {
 // ScaleFileSizes multiplies every file size by factor. It is used to
 // target a given Communication-to-Computation Ratio.
 func (g *Graph) ScaleFileSizes(factor float64) {
-	for i := range g.files {
-		g.files[i].Size *= factor
+	for i := range g.sizes {
+		g.sizes[i] *= factor
 	}
 }
 
@@ -338,36 +379,22 @@ func (g *Graph) MeanWeight() float64 {
 }
 
 // Clone returns a copy of the graph that can be mutated independently
-// of g. It copies the task and file tables (ScaleFileSizes rescales
-// files in place) and the outer headers of the four adjacency tables
-// (succ, pred, inputs, consumers), and shares each inner list with g,
-// its capacity capped at its length. The mutators only ever append to
-// an inner list, so the clone's first append to a shared list
-// reallocates it and never writes into g, and g's own appends land
-// beyond the clone's capped view. The clone also shares g's adjacency
-// index, building it on g first if needed, so that g and all its
-// clones hold one index.
+// of g. It copies only the file sizes, which ScaleFileSizes rewrites in
+// place. The task table, file table and dependency log, which the
+// mutators only append to, are shared with g with their capacity capped
+// at their length, so the clone's first append to each reallocates it
+// and never writes into g, and g's own appends land beyond the clone's
+// view. The clone also shares g's adjacency index, building it on g
+// first if needed, so that g and all its clones hold one index.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		tasks:     slices.Clone(g.tasks),
-		files:     slices.Clone(g.files),
-		succ:      capped(g.succ),
-		pred:      capped(g.pred),
-		inputs:    capped(g.inputs),
-		consumers: capped(g.consumers),
+		tasks: slices.Clip(g.tasks),
+		files: slices.Clip(g.files),
+		sizes: slices.Clone(g.sizes),
+		deps:  slices.Clip(g.deps),
 	}
 	c.adj.Store(g.index())
 	return c
-}
-
-// capped copies the outer headers of lists, each inner list capped at
-// its length so that an append to it reallocates.
-func capped[T any](lists [][]T) [][]T {
-	out := make([][]T, len(lists))
-	for i, l := range lists {
-		out[i] = slices.Clip(l)
-	}
-	return out
 }
 
 // String returns a short human-readable summary.

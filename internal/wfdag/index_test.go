@@ -106,7 +106,7 @@ func checkAgainstShadow(t *testing.T, where string, g *Graph, m *shadow) {
 			{"Succ", g.Succ(id), succEdges, slices.Equal(g.Succ(id), succEdges)},
 			{"InputFiles", g.InputFiles(id), inputs, slices.Equal(g.InputFiles(id), inputs)},
 			{"ProducedFiles", g.ProducedFiles(id), produced, slices.Equal(g.ProducedFiles(id), produced)},
-			{"OutputFiles", g.OutputFiles(id), outputs, slices.Equal(g.OutputFiles(id), outputs)},
+			{"outputFiles", outputFiles(g, id), outputs, slices.Equal(outputFiles(g, id), outputs)},
 		} {
 			if !c.equal {
 				t.Fatalf("%s: %s(%d) = %v, want %v", where, c.name, task, c.got, c.want)
@@ -135,7 +135,8 @@ func TestAdjacencyIndexMatchesBruteForce(t *testing.T) {
 // TestCloneIsolatedBothWays mutates a clone and then its original, and
 // checks after every mutation that neither sees the other's changes.
 // Clones are taken both from indexed and from unindexed graphs, and the
-// appends after a clone land on its shared, capacity-capped lists.
+// appends after a clone land on the task table, file table and
+// dependency log it shares, capacity-capped, with its original.
 func TestCloneIsolatedBothWays(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -162,13 +163,20 @@ func TestCloneIsolatedBothWays(t *testing.T) {
 }
 
 // TestCloneSharesIndex pins the memory contract: clones share their
-// original's index by pointer, and rescaling file sizes keeps it.
+// original's task table, file table, dependency log and index, copy
+// only the file sizes, and keep the index when they rescale them.
 func TestCloneSharesIndex(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(3)), 40, 0.2)
 	c := g.Clone()
 	idx := g.adj.Load()
 	if idx == nil || c.adj.Load() != idx {
 		t.Fatal("Clone must index the original and share that index")
+	}
+	if &c.tasks[0] != &g.tasks[0] || &c.files[0] != &g.files[0] || &c.deps[0] != &g.deps[0] {
+		t.Fatal("Clone must share the task table, file table and dependency log")
+	}
+	if &c.sizes[0] == &g.sizes[0] {
+		t.Fatal("Clone must copy the file sizes")
 	}
 	c.ScaleFileSizes(2)
 	if c.adj.Load() != idx {

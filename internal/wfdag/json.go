@@ -35,9 +35,9 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	for _, t := range g.tasks {
 		jg.Tasks = append(jg.Tasks, jsonTask{ID: int(t.ID), Name: t.Name, Kind: t.Kind, Weight: t.Weight})
 	}
-	for _, f := range g.files {
-		jf := jsonFile{ID: int(f.ID), Name: f.Name, Size: f.Size, Producer: int(f.Producer)}
-		for _, c := range g.consumers[f.ID] {
+	for i, f := range g.files {
+		jf := jsonFile{ID: i, Name: f.name, Size: g.sizes[i], Producer: int(f.producer)}
+		for _, c := range g.Consumers(FileID(i)) {
 			jf.Consumers = append(jf.Consumers, int(c))
 		}
 		jg.Files = append(jg.Files, jf)

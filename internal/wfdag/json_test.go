@@ -37,7 +37,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if len(back.InputFiles(0)) != 1 {
 		t.Fatal("workflow input lost in round trip")
 	}
-	if len(back.OutputFiles(3)) != 1 {
+	if len(outputFiles(back, 3)) != 1 {
 		t.Fatal("workflow output lost in round trip")
 	}
 }
