@@ -234,13 +234,17 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone must share the structure tree by pointer")
 	}
 	in1 := master.G.InputFiles(0)[0]
+	names := []string{"extra-a", "extra-b"} // distinct, so a clone that overwrote its sibling's file or task shows
+	var files []wfdag.FileID
+	var tasks []wfdag.TaskID
 	for k, c := range []*Workflow{a, b} {
 		c.G.ScaleFileSizes(float64(k + 2))
-		f := c.G.AddFile("extra", 7, 1)
+		f := c.G.AddFile(names[k], 7, 1)
 		c.G.AddDependency(wfdag.TaskID(4+k), f) // T2 -> T5 or T6: appends to T2's succ and a pred list
 		c.G.AddDependency(wfdag.TaskID(k), in1) // appends to in1's consumers
 		c.G.AddDependency(0, c.G.AddFile("in3", 1, wfdag.NoTask))
-		c.G.AddTask("extra", "k", 1)
+		files = append(files, f)
+		tasks = append(tasks, c.G.AddTask(names[k], "k", 1))
 	}
 	if got := viewOf(master.G); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mutating the clones changed the master:\n got %+v\nwant %+v", got, want)
@@ -249,6 +253,12 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("mutating the clones dropped or rebuilt the master's adjacency index")
 	}
 	for k, c := range []*Workflow{a, b} {
+		if got := c.G.File(files[k]).Name; got != names[k] {
+			t.Fatalf("clone %d: its new file is named %q, want %q", k, got, names[k])
+		}
+		if got := c.G.Task(tasks[k]).Name; got != names[k] {
+			t.Fatalf("clone %d: its new task is named %q, want %q", k, got, names[k])
+		}
 		succ := c.G.Succ(1)
 		if len(succ) != len(want.succ[1])+1 || succ[len(succ)-1].To != wfdag.TaskID(4+k) {
 			t.Fatalf("clone %d: T2's successors %v do not end in its own new edge", k, succ)
@@ -281,6 +291,7 @@ func TestCloneConcurrentCalibration(t *testing.T) {
 			c := master.Clone()
 			c.G.ScaleFileSizes(float64(k + 1))
 			c.G.AddDependency(4, c.G.AddFile("extra", 0, 1))
+			c.G.AddTask("extra", "k", 1)
 			if got, want := c.G.TotalFileBytes(), bytes*float64(k+1); got != want {
 				errs[k] = fmt.Errorf("clone %d: %g file bytes, want %g", k, got, want)
 				return
