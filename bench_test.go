@@ -521,3 +521,52 @@ func BenchmarkPlanFromScaffold(b *testing.B) {
 		}
 	}
 }
+
+// hotPlans returns the cached plans perfbench's hot-estimate heavy
+// slots hit: the four families at 300 tasks with default parameters
+// under CkptSome, each asked once so its segment DAG is built.
+func hotPlans(b *testing.B) []*Plan {
+	ctx := context.Background()
+	var plans []*Plan
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		p, err := NewPlan(ctx, NewScenario(WithFamily(fam), WithTasks(300)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Estimate(ctx, PathApprox); err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	return plans
+}
+
+// BenchmarkEstimateHotMonteCarlo is hot-estimate's Monte Carlo slot in
+// process: each op is one 1 000-trial, one-worker estimate on one of
+// the four cached hot plans, in turn.
+func BenchmarkEstimateHotMonteCarlo(b *testing.B) {
+	ctx := context.Background()
+	plans := hotPlans(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plans[i%len(plans)].Estimate(ctx, MonteCarlo, WithMCTrials(1000), WithEstimateWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateHot is hot-estimate's simulate slot in process: each
+// op is one 200-trial, one-worker simulation of one of the four cached
+// hot plans, in turn.
+func BenchmarkSimulateHot(b *testing.B) {
+	ctx := context.Background()
+	plans := hotPlans(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plans[i%len(plans)].Simulate(ctx, WithSimTrials(200), WithSimWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

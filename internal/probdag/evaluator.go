@@ -8,8 +8,8 @@ import (
 )
 
 // Evaluator owns the scratch state the estimators need — the topological
-// order plus top/bottom longest-path, duration, finish-time, deviation
-// and moment buffers — so repeated evaluations of the same graph stop
+// order plus top/bottom longest-path, deviation, moment and Monte Carlo
+// trial buffers — so repeated evaluations of the same graph stop
 // allocating. The experiment grids of §VI evaluate thousands of segment
 // DAGs; the per-call slices of the naive implementations dominated
 // their profile.
@@ -27,8 +27,7 @@ type Evaluator struct {
 	bottom []float64 // longest base path starting at v, inclusive
 	tails  []deviation
 
-	durs    []float64
-	finish  []float64
+	mc      *mcScratch
 	samples []float64
 
 	normals []dist.Normal
@@ -54,8 +53,6 @@ func NewEvaluator(g *Graph) (*Evaluator, error) {
 		base:   make([]float64, n),
 		top:    make([]float64, n),
 		bottom: make([]float64, n),
-		durs:   make([]float64, n),
-		finish: make([]float64, n),
 	}, nil
 }
 
@@ -69,26 +66,6 @@ func mustEvaluator(g *Graph) *Evaluator {
 	return e
 }
 
-// makespan computes the longest path under the given durations, reusing
-// the finish buffer. durs must have one entry per node.
-func (e *Evaluator) makespan(durs []float64) float64 {
-	g, finish := e.g, e.finish
-	max := 0.0
-	for _, v := range e.order {
-		start := 0.0
-		for _, p := range g.pred[v] {
-			if finish[p] > start {
-				start = finish[p]
-			}
-		}
-		finish[v] = start + durs[int(v)]
-		if finish[v] > max {
-			max = finish[v]
-		}
-	}
-	return max
-}
-
 // PathApprox is the allocation-free form of the package-level PathApprox
 // (see pathapprox.go for the derivation of the clamped first-order
 // tail-integral estimate).
@@ -99,18 +76,7 @@ func (e *Evaluator) PathApprox() float64 {
 		return 0
 	}
 	base, top, bottom := e.base, e.top, e.bottom
-	for i, d := range g.dists {
-		base[i] = d.Base()
-	}
-	for _, v := range e.order {
-		start := 0.0
-		for _, p := range g.pred[v] {
-			if top[p] > start {
-				start = top[p]
-			}
-		}
-		top[v] = start + base[int(v)]
-	}
+	e.baseTop()
 	for i := len(e.order) - 1; i >= 0; i-- {
 		v := e.order[i]
 		tail := 0.0
@@ -178,13 +144,35 @@ func (e *Evaluator) PathApprox() float64 {
 	return em
 }
 
+// baseTop fills base with every node's base duration and top with the
+// longest base path ending at each node.
+func (e *Evaluator) baseTop() {
+	g, base, top := e.g, e.base, e.top
+	for i, d := range g.dists {
+		base[i] = d.Base()
+	}
+	for _, v := range e.order {
+		start := 0.0
+		for _, p := range g.pred[v] {
+			if top[p] > start {
+				start = top[p]
+			}
+		}
+		top[v] = start + base[int(v)]
+	}
+}
+
 // CriticalPathBase returns the makespan with every node at its base
 // duration, without allocating.
 func (e *Evaluator) CriticalPathBase() float64 {
-	for i, d := range e.g.dists {
-		e.durs[i] = d.Base()
+	e.baseTop()
+	max := 0.0
+	for _, v := range e.order {
+		if e.top[v] > max {
+			max = e.top[v]
+		}
 	}
-	return e.makespan(e.durs)
+	return max
 }
 
 // NormalMoments is the reusable-buffer form of the package-level
@@ -250,9 +238,11 @@ func (e *Evaluator) DodinDistribution(opts DodinOptions) (*dist.Discrete, error)
 }
 
 // MonteCarlo estimates the expected makespan by sampling trials
-// realizations from rng, reusing the duration/finish/sample buffers. The
-// sampling order is identical to the historical package-level MonteCarlo,
-// so a given (graph, rng state) pair yields bit-identical summaries.
+// realizations from rng with the graph's incremental kernel (see the
+// package-level MonteCarlo), reusing the trial and sample buffers. The
+// sampling order is identical to the historical package-level
+// MonteCarlo, so a given (graph, rng state) pair yields bit-identical
+// summaries.
 func (e *Evaluator) MonteCarlo(trials int, rng *rand.Rand) dist.Summary {
 	if trials <= 0 {
 		return dist.Summary{}
@@ -261,18 +251,10 @@ func (e *Evaluator) MonteCarlo(trials int, rng *rand.Rand) dist.Summary {
 		e.samples = make([]float64, trials)
 	}
 	samples := e.samples[:trials]
-	e.mcFill(samples, rng)
-	return dist.Summarize(samples)
-}
-
-// mcFill draws one makespan sample per out slot.
-func (e *Evaluator) mcFill(out []float64, rng *rand.Rand) {
-	g, durs := e.g, e.durs
-	n := g.Len()
-	for t := range out {
-		for i := 0; i < n; i++ {
-			durs[i] = g.dists[i].Sample(rng.Float64())
-		}
-		out[t] = e.makespan(durs)
+	k := e.g.mustKernel()
+	if e.mc == nil {
+		e.mc = k.newScratch()
 	}
+	k.fill(samples, rng, e.mc)
+	return dist.Summarize(samples)
 }

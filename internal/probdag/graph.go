@@ -13,6 +13,7 @@ package probdag
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dist"
 )
@@ -27,6 +28,10 @@ type Graph struct {
 	dists []*dist.Discrete
 	succ  [][]NodeID
 	pred  [][]NodeID
+
+	// mc is the Monte Carlo sampling kernel, built by the first
+	// sampling pass over the graph and dropped by AddNode and AddEdge.
+	mc atomic.Pointer[mcKernel]
 }
 
 // NewGraph returns an empty probabilistic DAG.
@@ -94,6 +99,7 @@ func (g *Graph) AddNode(d *dist.Discrete) NodeID {
 	g.dists = append(g.dists, d)
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
+	g.mc.Store(nil)
 	return id
 }
 
@@ -106,6 +112,23 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	}
 	g.succ[u] = append(g.succ[u], v)
 	g.pred[v] = append(g.pred[v], u)
+	g.mc.Store(nil)
+}
+
+// mustKernel returns g's Monte Carlo kernel, building it on first use;
+// concurrent first users may each build one, and they are identical.
+// It panics if g is cyclic, the sampling entry points' historical
+// contract.
+func (g *Graph) mustKernel() *mcKernel {
+	if k := g.mc.Load(); k != nil {
+		return k
+	}
+	k, err := newMCKernel(g)
+	if err != nil {
+		panic(err)
+	}
+	g.mc.Store(k)
+	return k
 }
 
 // Len returns the node count.

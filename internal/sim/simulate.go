@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/dist"
@@ -22,56 +23,146 @@ type Result struct {
 }
 
 // Runner simulates repeated executions of one segmented plan, reusing
-// every piece of per-trial state: the precedence and per-processor
-// segment tables are built once at construction, and the finish/done/
-// clock/cursor buffers plus the Poisson failure source are reset in
-// place on every Run. A Runner is not safe for concurrent use; the
-// chunked estimators create one per goroutine (the plan itself is shared
-// read-only).
+// every piece of per-trial state.
+//
+// The order in which segments execute depends only on the plan's
+// structure: a processor runs its segments in schedule order, and a
+// segment waits for its predecessors to be done, never for a time. So
+// NewRunner fixes that order once as a step list (segment, processor,
+// predecessors, span) and reports a plan that would deadlock there;
+// every trial then walks the list, draws failures in the same order as
+// the round-by-round scan it replaced, and only reads and writes times.
+// The step list is immutable and shared by the Runners the chunked
+// estimators make per goroutine; each owns only its finish and clock
+// buffers and its Poisson failure source, which are reset in place on
+// every Run. A Runner is not safe for concurrent use.
 type Runner struct {
-	p        *ckpt.Plan
-	preds    [][]int // segment -> predecessor segments
-	procSegs [][]int // processor -> ordered segment indices
-	finish   []float64
-	done     []bool
-	clock    []float64
-	cursor   []int
-	fs       *PoissonFailures
+	*steps
+	finish []float64
+	clock  []float64
+	fs     *PoissonFailures
+}
+
+// steps is a plan's fixed execution order: list[k]'s predecessor
+// segments are preds[list[k].lo:list[k].hi].
+type steps struct {
+	list   []step
+	preds  []int32
+	nseg   int
+	procs  int
+	lambda float64
+}
+
+// step is one segment execution of the fixed order.
+type step struct {
+	seg, proc int32
+	lo, hi    int32
+	span      float64
 }
 
 // NewRunner prepares a Runner for the plan. CkptNone plans have no
-// segments to execute; use EstimateExpectedNoneDetail instead.
+// segments to execute; use EstimateExpectedNoneDetail instead. It
+// fails if the plan's processor sequences and segment dependencies
+// deadlock.
 func NewRunner(p *ckpt.Plan) (*Runner, error) {
+	st, err := newSteps(p)
+	if err != nil {
+		return nil, err
+	}
+	return st.runner(), nil
+}
+
+// newSteps fixes the plan's execution order.
+func newSteps(p *ckpt.Plan) (*steps, error) {
 	if p.Strategy == ckpt.CkptNone {
 		return nil, fmt.Errorf("sim: use EstimateExpectedNoneDetail for the CkptNone strategy")
 	}
-	nseg := len(p.Segments)
-	preds := make([][]int, nseg)
-	for _, e := range ckpt.SegmentDeps(p) {
-		preds[e[1]] = append(preds[e[1]], e[0])
-	}
+	nseg, procs := len(p.Segments), p.Platform.Processors
+	deps := ckpt.SegmentDeps(p)
+	predOff, preds := group(nseg, len(deps),
+		func(i int) int { return deps[i][1] }, func(i int) int { return deps[i][0] })
 	// Per-processor ordered segment lists (superchains in temporal
-	// order, segments in chain order).
-	segsByChain := make(map[int][]int)
-	for i, seg := range p.Segments {
-		segsByChain[seg.Chain] = append(segsByChain[seg.Chain], i)
-	}
-	procSegs := make([][]int, p.Platform.Processors)
-	for proc := 0; proc < p.Platform.Processors; proc++ {
+	// order, segments in chain order): processor proc runs
+	// procSegs[procOff[proc]:procOff[proc+1]].
+	chainOff, chainSegs := group(len(p.Sched.Chains), nseg,
+		func(i int) int { return p.Segments[i].Chain }, func(i int) int { return i })
+	procOff, procSegs := make([]int, procs+1), make([]int32, 0, nseg)
+	for proc := 0; proc < procs; proc++ {
 		for _, ci := range p.Sched.ProcSequence(proc) {
-			procSegs[proc] = append(procSegs[proc], segsByChain[ci]...)
+			procSegs = append(procSegs, chainSegs[chainOff[ci]:chainOff[ci+1]]...)
+		}
+		procOff[proc+1] = len(procSegs)
+	}
+	// Scan the processors round by round, running each one's segments
+	// while their predecessors are done, until every segment has run.
+	st := &steps{list: make([]step, 0, nseg), nseg: nseg, procs: procs, lambda: p.Platform.Lambda}
+	done, cursor, ran := make([]bool, nseg), make([]int, procs), make([]int32, nseg)
+	remaining := nseg
+	for remaining > 0 {
+		progressed := false
+		for proc := 0; proc < procs; proc++ {
+			segs := procSegs[procOff[proc]:procOff[proc+1]]
+			for ; cursor[proc] < len(segs); cursor[proc]++ {
+				si := segs[cursor[proc]]
+				sp := preds[predOff[si]:predOff[si+1]]
+				if slices.ContainsFunc(sp, func(pr int32) bool { return !done[pr] }) {
+					break
+				}
+				// A predecessor that last ran on this processor finished
+				// by its clock (spans are non-negative, so a clock never
+				// goes back): only the others can delay the step.
+				lo := int32(len(st.preds))
+				for _, pr := range sp {
+					if ran[pr] != int32(proc) {
+						st.preds = append(st.preds, pr)
+					}
+				}
+				ran[si] = int32(proc)
+				st.list = append(st.list, step{
+					seg: int32(si), proc: int32(proc),
+					lo: lo, hi: int32(len(st.preds)),
+					span: p.Segments[si].Span(),
+				})
+				done[si] = true
+				remaining--
+				progressed = true
+			}
+		}
+		if !progressed {
+			return nil, fmt.Errorf("sim: deadlock with %d segments remaining", remaining)
 		}
 	}
+	return st, nil
+}
+
+// group sorts m items into n groups by key, stably: group k is
+// out[off[k]:off[k+1]], the val of every item i with key(i) == k in
+// ascending i.
+func group(n, m int, key, val func(i int) int) (off, out []int32) {
+	off = make([]int32, n+2)
+	for i := 0; i < m; i++ {
+		off[key(i)+2]++
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	out = make([]int32, m)
+	for i := 0; i < m; i++ {
+		k := key(i) + 1
+		out[off[k]] = int32(val(i))
+		off[k]++
+	}
+	return off[:n+1], out
+}
+
+// runner returns a Runner walking st with scratch of its own.
+func (st *steps) runner() *Runner {
 	return &Runner{
-		p:        p,
-		preds:    preds,
-		procSegs: procSegs,
-		finish:   make([]float64, nseg),
-		done:     make([]bool, nseg),
-		clock:    make([]float64, p.Platform.Processors),
-		cursor:   make([]int, p.Platform.Processors),
-		fs:       newPoissonScratch(p.Platform.Processors, p.Platform.Lambda),
-	}, nil
+		steps:  st,
+		finish: make([]float64, st.nseg),
+		clock:  make([]float64, st.procs),
+		fs:     newPoissonScratch(st.procs, st.lambda),
+	}
 }
 
 // Run simulates one execution with fresh Poisson failures drawn from
@@ -87,53 +178,24 @@ func (r *Runner) Run(rng *rand.Rand) (Result, error) {
 // (in-memory data is lost) and the segment restarts — reading R again
 // from stable storage — as soon as the processor is back (instant
 // reboot, per the paper's model). Checkpoints make completed segments
-// immune to later failures.
+// immune to later failures. The error is always nil: a plan that
+// deadlocks is rejected by NewRunner.
 func (r *Runner) RunWith(fs FailureSource) (Result, error) {
-	p := r.p
-	finish, done, clock, cursor := r.finish, r.done, r.clock, r.cursor
-	for i := range finish {
-		finish[i] = 0
-		done[i] = false
-	}
-	for i := range clock {
-		clock[i] = 0
-		cursor[i] = 0
-	}
+	finish, clock := r.finish, r.clock
+	clear(finish)
+	clear(clock)
 	res := Result{}
-	remaining := len(p.Segments)
-	for remaining > 0 {
-		progressed := false
-		for proc := range r.procSegs {
-			for cursor[proc] < len(r.procSegs[proc]) {
-				si := r.procSegs[proc][cursor[proc]]
-				ready := clock[proc]
-				ok := true
-				for _, pr := range r.preds[si] {
-					if !done[pr] {
-						ok = false
-						break
-					}
-					if finish[pr] > ready {
-						ready = finish[pr]
-					}
-				}
-				if !ok {
-					break
-				}
-				d := p.Segments[si].Span()
-				end, fails := executeWithFailures(fs, proc, ready, d)
-				res.Failures += fails
-				finish[si] = end
-				done[si] = true
-				clock[proc] = end
-				cursor[proc]++
-				remaining--
-				progressed = true
+	for _, st := range r.list {
+		ready := clock[st.proc]
+		for _, pr := range r.preds[st.lo:st.hi] {
+			if finish[pr] > ready {
+				ready = finish[pr]
 			}
 		}
-		if !progressed {
-			return Result{}, fmt.Errorf("sim: deadlock with %d segments remaining", remaining)
-		}
+		end, fails := executeWithFailures(fs, int(st.proc), ready, st.span)
+		res.Failures += fails
+		finish[st.seg] = end
+		clock[st.proc] = end
 	}
 	for _, f := range finish {
 		if f > res.Makespan {
@@ -207,18 +269,20 @@ func EstimateExpected(ctx context.Context, p *ckpt.Plan, trials int, seed int64,
 }
 
 // EstimateExpectedDetail is EstimateExpected plus the mean number of
-// failures that struck a busy processor per run.
+// failures that struck a busy processor per run. The plan's step list
+// is built once, before the fan-out, so a CkptNone or deadlocking plan
+// is reported as an error whatever the trial count.
 func EstimateExpectedDetail(ctx context.Context, p *ckpt.Plan, trials int, seed int64, workers int) (dist.Summary, float64, error) {
-	if p.Strategy == ckpt.CkptNone {
-		return dist.Summary{}, 0, fmt.Errorf("sim: use EstimateExpectedNoneDetail for the CkptNone strategy")
+	st, err := newSteps(p)
+	if err != nil {
+		return dist.Summary{}, 0, err
 	}
 	if trials <= 0 {
 		return dist.Summary{}, 0, nil
 	}
 	samples := make([]float64, trials)
 	failures := make([]int, par.Chunks(trials))
-	err := par.ForEachWithCtx(ctx, workers, par.Chunks(trials),
-		func() *Runner { r, _ := NewRunner(p); return r },
+	err = par.ForEachWithCtx(ctx, workers, par.Chunks(trials), st.runner,
 		func(r *Runner, c int) error {
 			lo, hi := par.ChunkBounds(c, trials)
 			rng := rand.New(rand.NewSource(par.SubSeed(seed, c)))

@@ -133,7 +133,8 @@ func TestAdjacencyIndexMatchesBruteForce(t *testing.T) {
 }
 
 // TestCloneIsolatedBothWays mutates a clone and then its original, and
-// checks after every mutation that neither sees the other's changes.
+// checks after every mutation that neither sees the other's changes;
+// it also interleaves a few clone appends with the original's.
 // Clones are taken both from indexed and from unindexed graphs, and the
 // appends after a clone land on the task table, file table and
 // dependency log it shares, capacity-capped, with its original.
@@ -158,6 +159,21 @@ func TestCloneIsolatedBothWays(t *testing.T) {
 			mutate(rng, g, m)
 			checkAgainstShadow(t, "mutated original", g, m)
 			checkAgainstShadow(t, "clone after original mutation", c, mc)
+		}
+		// A few appends to a fresh clone, then as many to the original:
+		// the clone's entries still fit in the original's spare
+		// capacity, so the original's appends land on the same slots
+		// unless the clone's tables are capped.
+		for k := 1; k <= 4; k++ {
+			c, mc := g.Clone(), m.clone()
+			for step := 0; step < k; step++ {
+				mutate(rng, c, mc)
+			}
+			for step := 0; step < k; step++ {
+				mutate(rng, g, m)
+				checkAgainstShadow(t, "original after few clone appends", g, m)
+				checkAgainstShadow(t, "clone after original appends", c, mc)
+			}
 		}
 	}
 }

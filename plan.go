@@ -20,19 +20,32 @@ import (
 // Plans are immutable and safe for concurrent use — Estimate and
 // Simulate only read them — which is what lets Service hand one cached
 // plan to many requests.
+//
+// A plan keeps what its requests would otherwise recompute and what
+// depends on nothing but the plan: the 2-state segment DAG, and the
+// PathApprox, Normal and Dodin estimates over it, each built by the
+// first request that needs it (none at construction). Monte Carlo
+// estimates and simulations are computed per request: their trial
+// count and seed are request inputs, so keeping them would be an
+// unbounded response cache. The segment DAG keeps their one
+// request-independent part, Monte Carlo's sampling kernel.
 type Plan struct {
 	scenario Scenario
 	res      *core.Result
 	info     WorkflowInfo
 
-	// The 2-state segment DAG is shared by every Estimate call; it is
-	// built once on demand, and a pool of evaluators (with their
-	// convolution scratch) is kept beside it so concurrent estimates
-	// stop allocating.
 	dagOnce sync.Once
 	dag     *probdag.Graph
 	dagErr  error
-	evals   sync.Pool
+
+	pathApprox, normal, dodin estimateSlot
+}
+
+// estimateSlot holds one deterministic estimate, computed at most once.
+type estimateSlot struct {
+	once sync.Once
+	v    float64
+	err  error
 }
 
 // WorkflowInfo summarizes the workflow a plan was built for.
@@ -225,6 +238,15 @@ type estimateConfig struct {
 	workers int
 }
 
+// with returns c with opts applied. Only this copy is handed to the
+// options, so an Estimate call without options does not allocate.
+func (c estimateConfig) with(opts []EstimateOption) estimateConfig {
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
 // WithMCTrials sets the Monte Carlo trial count (default 10000).
 func WithMCTrials(n int) EstimateOption { return func(c *estimateConfig) { c.trials = n } }
 
@@ -235,22 +257,10 @@ func WithMCSeed(seed int64) EstimateOption { return func(c *estimateConfig) { c.
 // cores). The estimate is bit-identical for every worker count.
 func WithEstimateWorkers(n int) EstimateOption { return func(c *estimateConfig) { c.workers = n } }
 
-// ensureDAG builds the 2-state segment DAG once and prepares the
-// evaluator pool bound to it.
+// ensureDAG builds the 2-state segment DAG once.
 func (p *Plan) ensureDAG() (*probdag.Graph, error) {
 	p.dagOnce.Do(func() {
 		p.dag, p.dagErr = ckpt.EvalDAG(p.res.Plan)
-		if p.dagErr == nil {
-			g := p.dag
-			p.evals.New = func() any {
-				// EvalDAG topologically checked g, so this cannot fail.
-				ev, err := probdag.NewEvaluator(g)
-				if err != nil {
-					panic(err)
-				}
-				return ev
-			}
-		}
 	})
 	return p.dag, p.dagErr
 }
@@ -258,12 +268,14 @@ func (p *Plan) ensureDAG() (*probdag.Graph, error) {
 // Estimate evaluates the plan's expected makespan with the given
 // method. Under CkptNone every method degenerates to the Theorem 1
 // closed formula (there is no segment DAG). Deterministic methods
-// ignore the options; MonteCarlo honours trials/seed/workers and is
+// ignore the options, and the plan computes each of them once, on its
+// first request, and answers every later request from that result;
+// MonteCarlo honours trials/seed/workers, runs on every request and is
 // bit-identical for every worker count.
 func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (float64, error) {
 	cfg := estimateConfig{trials: DefaultMCTrials, seed: p.scenario.seed}
-	for _, o := range opts {
-		o(&cfg)
+	if len(opts) > 0 {
+		cfg = cfg.with(opts)
 	}
 	switch m {
 	case PathApprox, MonteCarlo, Normal, Dodin:
@@ -290,16 +302,29 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 		}
 		return sum.Mean, nil
 	}
-	ev := p.evals.Get().(*probdag.Evaluator)
-	defer p.evals.Put(ev)
+	slot := &p.dodin
 	switch m {
 	case PathApprox:
-		return ev.PathApprox(), nil
+		slot = &p.pathApprox
 	case Normal:
-		return ev.Normal(), nil
-	default: // Dodin
-		return ev.Dodin(probdag.DodinOptions{})
+		slot = &p.normal
 	}
+	slot.once.Do(func() {
+		ev, err := probdag.NewEvaluator(g)
+		if err != nil {
+			slot.err = err
+			return
+		}
+		switch m {
+		case PathApprox:
+			slot.v = ev.PathApprox()
+		case Normal:
+			slot.v = ev.Normal()
+		default: // Dodin
+			slot.v, slot.err = ev.Dodin(probdag.DodinOptions{})
+		}
+	})
+	return slot.v, slot.err
 }
 
 // SimResult summarizes a batch of discrete-event simulation trials.
