@@ -6,12 +6,15 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench-smoke perfbench-check bench bench-scaling golden-update fuzz-smoke serve-smoke stress-smoke replica-smoke lint lint-invariants
+.PHONY: check vet build test race bench-smoke perfbench-check bench-scaling golden-update fuzz-smoke serve-smoke stress-smoke replica-smoke lint lint-invariants
 
 check: vet build lint-invariants race bench-smoke perfbench-check
 
+# The scaling build tag gates scaling_test.go (see bench-scaling);
+# vetting with it compiles that file on every check and lint run.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags scaling .
 
 # The repo-invariant analyzers (internal/lint): determinism, error
 # discipline, lock hygiene, ctx flow, flag-block ownership. Exits 1 on
@@ -43,16 +46,13 @@ bench-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Full benchmark sweep, recorded as BENCH_<i>.json (see bench.sh).
-bench:
-	./bench.sh
-
-# Wall-clock scaling of the sweep/sim/batch hot paths at workers=1 vs
-# workers=NumCPU, written to scaling.json (CI uploads it as an
-# artifact). On a multicore host this FAILS when parallel is slower
-# than serial.
+# Wall-clock gates (scaling_test.go, behind the scaling build tag):
+# the sweep, streamed sweep, simulator and batch hot paths at one
+# worker vs NumCPU workers, and a batch of parameter variants of one
+# structure vs an equal batch of cold structures. On a multicore host
+# each FAILS when its speedup is below 1.0; each speedup is logged.
 bench-scaling:
-	$(GO) run ./cmd/benchscaling -out scaling.json
+	$(GO) test -tags scaling -run '^(TestParallelScaling|TestNearDupFastPath)$$' -count=1 -v .
 
 # Rewrite the golden paper-fidelity expectations after an INTENTIONAL
 # numeric change; inspect the testdata/golden diff before committing.

@@ -43,7 +43,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:    lf.Addr,
-		Handler: logRequests(router),
+		Handler: hanccr.AccessLog(router, log.Printf),
 		// Same server posture as cmd/serve: bound slow-loris headers and
 		// idle keep-alives, no blanket WriteTimeout (proxied NDJSON sweep
 		// streams are long-lived by design).
@@ -75,35 +75,6 @@ func main() {
 		fatal(err)
 	}
 	log.Printf("hanccr-lb: bye")
-}
-
-// logRequests is the same minimal access log cmd/serve keeps: method,
-// path, status, duration.
-func logRequests(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		log.Printf("%s %s %d %s", r.Method, r.URL.Path, sw.status, time.Since(start).Truncate(time.Microsecond))
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// Flush forwards so the access-log wrapper does not hide http.Flusher
-// from proxied NDJSON streams.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func fatal(err error) {

@@ -100,7 +100,7 @@ func main() {
 	gate := &hanccr.DrainGate{Logf: log.Printf}
 	srv := &http.Server{
 		Addr:    sf.Addr,
-		Handler: logRequests(gate.Wrap(hanccr.NewHandler(svc, handlerOpts...))),
+		Handler: hanccr.AccessLog(gate.Wrap(hanccr.NewHandler(svc, handlerOpts...)), log.Printf),
 		// ReadHeaderTimeout bounds slow-loris header dribble and
 		// IdleTimeout reclaims abandoned keep-alive connections. There is
 		// deliberately NO blanket WriteTimeout: it would sever streamed
@@ -195,36 +195,6 @@ func main() {
 	}
 	st := svc.Stats()
 	log.Printf("serve: bye (%d cached plans, %d hits / %d misses, %d store hits)", st.Entries, st.Hits, st.Misses, st.StoreHits)
-}
-
-// logRequests is a minimal access log: method, path, status, duration.
-func logRequests(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		log.Printf("%s %s %d %s", r.Method, r.URL.Path, sw.status, time.Since(start).Truncate(time.Microsecond))
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// Flush forwards to the wrapped writer so the access-log layer does
-// not hide http.Flusher from the streaming sweep path — without this
-// the daemon silently buffers whole NDJSON responses (make
-// serve-smoke's chunk assertion is what catches it).
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func fatal(err error) {

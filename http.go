@@ -1154,3 +1154,36 @@ func (g *DrainGate) Drain(ctx context.Context) error {
 		}
 	}
 }
+
+// AccessLog wraps next with a one-line access log through logf (e.g.
+// log.Printf): "METHOD PATH STATUS DURATION", the status being the one
+// the handler wrote (200 if it wrote none). The wrapper forwards Flush,
+// so streamed NDJSON responses still leave row by row.
+func AccessLog(next http.Handler, logf func(format string, args ...any)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		next.ServeHTTP(sw, r)
+		logf("%s %s %d %s", r.Method, r.URL.Path, sw.status, time.Since(start).Truncate(time.Microsecond))
+	})
+}
+
+// statusWriter records the status a handler writes.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(status int) {
+	w.status = status
+	w.ResponseWriter.WriteHeader(status)
+}
+
+// Flush forwards to the wrapped writer: without it the access log would
+// hide http.Flusher from the streaming sweep path and buffer whole
+// NDJSON responses.
+func (w *statusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}

@@ -1,6 +1,7 @@
 package wfdag
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -10,34 +11,37 @@ import (
 // shadow models a Graph by its mutation log; every accessor is
 // recomputed from it by a plain scan.
 type shadow struct {
-	tasks     int
+	tasks     []Task
 	producers []TaskID // per file
 	deps      [][2]int // (consumer task, file), in AddDependency order
 }
 
 func (m *shadow) clone() *shadow {
-	return &shadow{tasks: m.tasks, producers: slices.Clone(m.producers), deps: slices.Clone(m.deps)}
+	return &shadow{tasks: slices.Clone(m.tasks), producers: slices.Clone(m.producers), deps: slices.Clone(m.deps)}
 }
 
-// mutate applies one random mutation to both g and m. Files are drawn
-// from a small pool, so files gain several consumers, task pairs gain
-// several edges and a consumer sometimes reads the same file twice.
+// mutate applies one random mutation to both g and m. Every task gets
+// its own name and weight, so a task table shared between a clone and
+// its original shows up in Task. Files are drawn from a small pool, so
+// files gain several consumers, task pairs gain several edges and a
+// consumer sometimes reads the same file twice.
 func mutate(rng *rand.Rand, g *Graph, m *shadow) {
 	switch {
-	case m.tasks == 0 || rng.Intn(5) == 0:
-		g.AddTask("t", "k", 1)
-		m.tasks++
+	case len(m.tasks) == 0 || rng.Intn(5) == 0:
+		task := Task{ID: TaskID(len(m.tasks)), Name: fmt.Sprintf("t%d", rng.Intn(1000)), Kind: "k", Weight: float64(1 + rng.Intn(1000))}
+		g.AddTask(task.Name, task.Kind, task.Weight)
+		m.tasks = append(m.tasks, task)
 	case len(m.producers) == 0 || rng.Intn(4) == 0:
 		producer := NoTask
 		if rng.Intn(3) > 0 {
-			producer = TaskID(rng.Intn(m.tasks))
+			producer = TaskID(rng.Intn(len(m.tasks)))
 		}
 		g.AddFile("f", 1, producer)
 		m.producers = append(m.producers, producer)
 	default:
 		lo := max(0, len(m.producers)-6)
 		f := lo + rng.Intn(len(m.producers)-lo)
-		to := rng.Intn(m.tasks)
+		to := rng.Intn(len(m.tasks))
 		g.AddDependency(TaskID(to), FileID(f))
 		m.deps = append(m.deps, [2]int{to, f})
 	}
@@ -47,8 +51,13 @@ func mutate(rng *rand.Rand, g *Graph, m *shadow) {
 // brute-force recomputation from m.
 func checkAgainstShadow(t *testing.T, where string, g *Graph, m *shadow) {
 	t.Helper()
-	if g.NumTasks() != m.tasks || g.NumFiles() != len(m.producers) {
-		t.Fatalf("%s: %d tasks / %d files, want %d / %d", where, g.NumTasks(), g.NumFiles(), m.tasks, len(m.producers))
+	if g.NumTasks() != len(m.tasks) || g.NumFiles() != len(m.producers) {
+		t.Fatalf("%s: %d tasks / %d files, want %d / %d", where, g.NumTasks(), g.NumFiles(), len(m.tasks), len(m.producers))
+	}
+	for _, want := range m.tasks {
+		if got := g.Task(want.ID); got != want {
+			t.Fatalf("%s: Task(%d) = %+v, want %+v", where, want.ID, got, want)
+		}
 	}
 	consumed := make([]bool, len(m.producers))
 	for _, d := range m.deps {
@@ -65,7 +74,7 @@ func checkAgainstShadow(t *testing.T, where string, g *Graph, m *shadow) {
 			t.Fatalf("%s: Consumers(%d) = %v, want %v", where, f, got, want)
 		}
 	}
-	for task := 0; task < m.tasks; task++ {
+	for task := range m.tasks {
 		id := TaskID(task)
 		var pred, succ []TaskID
 		var predEdges, succEdges []Edge

@@ -7,10 +7,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/pegasus"
 	"repro/internal/platform"
+	"repro/internal/probdag"
 )
 
 // redundantDoc is a 6-task M-SPG (the chain a→b→c→d→e beside a→f→e)
@@ -181,6 +183,7 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 			checkRunPoint(t, ctx, name, sc, ref)
 		}
 		for _, path := range paths {
+			checkPathApproxOverDAG(t, ctx, name+": "+path.name, path.p)
 			got, err := planFingerprint(ctx, path.p)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, path.name, err)
@@ -192,6 +195,33 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 	}
 	if !sawRedundant {
 		t.Error("no case exercised a workflow with 2 redundant edges")
+	}
+}
+
+// checkPathApproxOverDAG demands that p's PathApprox estimate, which
+// Plan.Estimate answers from the planning-time result, be bit-equal to
+// PathApprox recomputed over a freshly built segment DAG (Theorem 1
+// under CkptNone).
+func checkPathApproxOverDAG(t *testing.T, ctx context.Context, name string, p *Plan) {
+	t.Helper()
+	got, err := p.Estimate(ctx, PathApprox)
+	if err != nil {
+		t.Fatalf("%s: PathApprox: %v", name, err)
+	}
+	want := ckpt.Theorem1(p.res.Schedule, p.res.Schedule.P)
+	if p.res.Strategy != ckpt.CkptNone {
+		g, err := ckpt.EvalDAG(p.res.Plan)
+		if err != nil {
+			t.Fatalf("%s: EvalDAG: %v", name, err)
+		}
+		ev, err := probdag.NewEvaluator(g)
+		if err != nil {
+			t.Fatalf("%s: NewEvaluator: %v", name, err)
+		}
+		want = ev.PathApprox()
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("%s: Estimate(PathApprox) = %v, PathApprox over the segment DAG = %v", name, got, want)
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 //
 // A plan keeps what its requests would otherwise recompute and what
 // depends on nothing but the plan: the 2-state segment DAG, and the
-// PathApprox, Normal and Dodin estimates over it, each built by the
-// first request that needs it (none at construction). Monte Carlo
+// Normal and Dodin estimates over it, each built by the first request
+// that needs it (none at construction); the PathApprox estimate is the
+// planning-time one, ExpectedMakespan. Monte Carlo
 // estimates and simulations are computed per request: their trial
 // count and seed are request inputs, so keeping them would be an
 // unbounded response cache. The segment DAG keeps their one
@@ -38,7 +39,7 @@ type Plan struct {
 	dag     *probdag.Graph
 	dagErr  error
 
-	pathApprox, normal, dodin estimateSlot
+	normal, dodin estimateSlot
 }
 
 // estimateSlot holds one deterministic estimate, computed at most once.
@@ -268,8 +269,9 @@ func (p *Plan) ensureDAG() (*probdag.Graph, error) {
 // Estimate evaluates the plan's expected makespan with the given
 // method. Under CkptNone every method degenerates to the Theorem 1
 // closed formula (there is no segment DAG). Deterministic methods
-// ignore the options, and the plan computes each of them once, on its
-// first request, and answers every later request from that result;
+// ignore the options: PathApprox answers the planning-time estimate,
+// and the plan computes Normal and Dodin once each, on its first
+// request, and answers every later request from that result;
 // MonteCarlo honours trials/seed/workers, runs on every request and is
 // bit-identical for every worker count.
 func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (float64, error) {
@@ -288,7 +290,9 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if p.res.Strategy == ckpt.CkptNone {
+	// Planning evaluated the plan with PathApprox (the Theorem 1 formula
+	// under CkptNone), so that estimate needs no segment DAG here.
+	if m == PathApprox || p.res.Strategy == ckpt.CkptNone {
 		return p.res.ExpectedMakespan, nil
 	}
 	g, err := p.ensureDAG()
@@ -303,10 +307,7 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 		return sum.Mean, nil
 	}
 	slot := &p.dodin
-	switch m {
-	case PathApprox:
-		slot = &p.pathApprox
-	case Normal:
+	if m == Normal {
 		slot = &p.normal
 	}
 	slot.once.Do(func() {
@@ -315,12 +316,9 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 			slot.err = err
 			return
 		}
-		switch m {
-		case PathApprox:
-			slot.v = ev.PathApprox()
-		case Normal:
+		if m == Normal {
 			slot.v = ev.Normal()
-		default: // Dodin
+		} else {
 			slot.v, slot.err = ev.Dodin(probdag.DodinOptions{})
 		}
 	})

@@ -190,6 +190,60 @@ func TestHTTPSweepStreamFlushes(t *testing.T) {
 	}
 }
 
+// TestAccessLog pins the daemons' access-log wrapper: a streamed sweep
+// still flushes once per line through it, and each request logs one
+// "METHOD PATH STATUS DURATION" line with the status the handler wrote
+// (200 when it wrote none).
+func TestAccessLog(t *testing.T) {
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	api := AccessLog(NewHandler(NewService()), logf)
+	cases := []struct {
+		name   string
+		h      http.Handler
+		method string
+		path   string
+		body   string
+		status int
+		lines  int // NDJSON lines of a streamed response, each flushed
+	}{
+		{"streamed sweep", api, http.MethodPost, "/v1/sweep",
+			`{"family":"genome","sizes":[40],"procs":[3],"pfails":[0.001],"ccr_min":0.001,"ccr_max":0.01,"points_per_decade":5,"stream":true}`,
+			http.StatusOK, 7}, // header + 6 rows
+		{"bad request", api, http.MethodPost, "/v1/plan", `{"family":"nope"}`, http.StatusBadRequest, 0},
+		{"method not allowed", api, http.MethodGet, "/v1/plan", "", http.StatusMethodNotAllowed, 0},
+		{"no WriteHeader", AccessLog(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, "ok")
+		}), logf), http.MethodGet, "/implicit", "", http.StatusOK, 0},
+	}
+	for _, tc := range cases {
+		logged = logged[:0]
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		tc.h.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if w.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, w.Code, tc.status, w.Body.String())
+		}
+		if len(logged) != 1 {
+			t.Fatalf("%s: %d log lines, want 1: %q", tc.name, len(logged), logged)
+		}
+		fields := strings.Split(logged[0], " ")
+		if len(fields) != 4 || fields[0] != tc.method || fields[1] != tc.path || fields[2] != fmt.Sprint(tc.status) {
+			t.Fatalf("%s: logged %q, want %q", tc.name, logged[0], fmt.Sprintf("%s %s %d <duration>", tc.method, tc.path, tc.status))
+		}
+		if d, err := time.ParseDuration(fields[3]); err != nil || d != d.Truncate(time.Microsecond) {
+			t.Fatalf("%s: duration field %q is not a microsecond-truncated duration (%v)", tc.name, fields[3], err)
+		}
+		if tc.lines > 0 {
+			if lines := streamLines(t, w.Body.String()); len(lines) != tc.lines {
+				t.Fatalf("%s: %d lines, want %d", tc.name, len(lines), tc.lines)
+			}
+			if got := w.flushes.Load(); got < int64(tc.lines) {
+				t.Fatalf("%s: flushed %d times through the access log for %d lines, want one flush per line", tc.name, got, tc.lines)
+			}
+		}
+	}
+}
+
 // TestHTTPSweepStreamLargeGridCancel is the scale half of the
 // streaming contract: a 100k-cell grid — far above the buffered cap —
 // must start streaming rows immediately (nothing buffers server-side;
