@@ -2,6 +2,9 @@ package hanccr
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/mspg"
@@ -93,5 +96,40 @@ func TestWorkflowCloneAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[1] > 4 {
 		t.Errorf("Workflow.Clone makes %v allocations at 300 and 1000 tasks, want the same count, at most 4", counts)
+	}
+}
+
+// TestHandlerHitAllocs guards the merged job handler on the resident
+// paths perfbench's hot-estimate workload times: a /v1/plan hit and a
+// /v1/estimate Dodin hit, each served by NewHandler through an
+// httptest recorder (the request and recorder are part of the count).
+// Before the single endpoints became one-job batches they made 51 and
+// 53 allocations; the bounds hold the merged handler to those.
+func TestHandlerHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	h := NewHandler(NewService())
+	for _, c := range []struct {
+		path, body string
+		parent     float64
+	}{
+		{"/v1/plan", `{"family":"genome","tasks":40,"procs":3,"seed":7}`, 51},
+		{"/v1/estimate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"method":"Dodin"}`, 53},
+	} {
+		serve := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+			return rec
+		}
+		serve() // the cold miss that makes the plan (and its Dodin estimate) resident
+		if rec := serve(); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != string(CacheHit) {
+			t.Fatalf("%s: %d X-Cache %q: %s", c.path, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+		}
+		allocs := testing.AllocsPerRun(100, func() { serve() })
+		t.Logf("%s hit: %.0f allocations per request", c.path, allocs)
+		if allocs > c.parent {
+			t.Errorf("%s hit makes %.0f allocations per request, want at most %.0f", c.path, allocs, c.parent)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/par"
 )
 
-// JobKind selects what one batch job computes.
+// JobKind selects what one job computes.
 type JobKind string
 
 const (
@@ -20,12 +20,16 @@ const (
 	JobSimulate JobKind = "simulate"
 )
 
-// Job is one unit of a Service.Batch request: a scenario plus what to
-// compute on it. Heterogeneous kinds mix freely in one batch.
+// Job is the one unit of request work: a scenario plus what to compute
+// on it. Plan, PlanDetail, Estimate, Simulate and every slot of a Batch
+// run one job each through the same executor, and so does every HTTP
+// plan, estimate, simulate and batch-slot request. Heterogeneous kinds
+// mix freely in one batch.
 type Job struct {
 	Kind     JobKind
 	Scenario Scenario
-	// Method is the estimator of a JobEstimate (ignored otherwise).
+	// Method is the estimator of a JobEstimate (ignored otherwise),
+	// matched case-insensitively (ParseMethod).
 	Method Method
 	// EstimateOptions tune a JobEstimate (trials, seed, inner workers).
 	EstimateOptions []EstimateOption
@@ -33,7 +37,7 @@ type Job struct {
 	SimOptions []SimOption
 }
 
-// JobResult is the outcome of one batch job. Exactly the fields of the
+// JobResult is the outcome of one job. Exactly the fields of the
 // job's kind are meaningful; Err is per job, so one failing job never
 // aborts its batch.
 type JobResult struct {
@@ -81,13 +85,24 @@ func (s *Service) Batch(ctx context.Context, jobs []Job, opts ...BatchOption) ([
 	})
 }
 
-// runJob executes one batch job against the cache. Each job claims its
-// own admission slot and request budget (the gated helpers), so a
+// runJob is the one gated executor of a job. It rejects an unknown
+// kind, an unknown estimator and an invalid scenario before it claims
+// an admission slot, so a malformed job never plans; then one admitted
+// request (s.do) plans through the cache and runs the kind's operation
+// under one request budget, so a slow estimator cannot outlive the
+// gate's accounting of it. Each batch job claims its own slot, so a
 // batch is shed job-by-job under saturation instead of all-or-nothing.
 func (s *Service) runJob(ctx context.Context, j Job) JobResult {
-	r := JobResult{Kind: j.Kind}
+	r := JobResult{Kind: j.Kind, Outcome: CacheMiss}
 	switch j.Kind {
-	case JobPlan, JobEstimate, JobSimulate:
+	case JobPlan, JobSimulate:
+	case JobEstimate:
+		m, err := ParseMethod(string(j.Method))
+		if err != nil {
+			r.Err = err
+			return r
+		}
+		j.Method = m
 	default:
 		r.Err = fmt.Errorf("%w: unknown batch job kind %q", ErrBadScenario, j.Kind)
 		return r
@@ -97,13 +112,19 @@ func (s *Service) runJob(ctx context.Context, j Job) JobResult {
 		return r
 	}
 	r.Key = j.Scenario.Key()
-	switch j.Kind {
-	case JobEstimate:
-		r.Plan, r.Estimate, r.Outcome, r.Err = s.estimateForKey(ctx, j.Scenario, r.Key, j.Method, j.EstimateOptions...)
-	case JobSimulate:
-		r.Plan, r.Sim, r.Outcome, r.Err = s.simulateForKey(ctx, j.Scenario, r.Key, j.SimOptions...)
-	default:
-		r.Plan, r.Outcome, r.Err = s.planGated(ctx, j.Scenario, r.Key)
-	}
+	r.Err = s.do(ctx, func(ctx context.Context) error {
+		var err error
+		r.Plan, r.Outcome, err = s.planForKey(ctx, j.Scenario, r.Key)
+		if err != nil {
+			return err
+		}
+		switch j.Kind {
+		case JobEstimate:
+			r.Estimate, err = r.Plan.Estimate(ctx, j.Method, j.EstimateOptions...)
+		case JobSimulate:
+			r.Sim, err = r.Plan.Simulate(ctx, j.SimOptions...)
+		}
+		return err
+	})
 	return r
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -136,6 +137,10 @@ func TestHTTPBatchByteIdenticalToSingleEndpoints(t *testing.T) {
 		{"/v1/simulate", "simulate", `{"family":"montage","tasks":40,"procs":3,"seed":7,"trials":200,"workers":2}`},
 		{"/v1/estimate", "estimate", `{"family":"ligo","tasks":40,"procs":3,"seed":9,"method":"MonteCarlo","mc_trials":2000}`},
 		{"/v1/plan", "plan", `{"family":"cybershake","tasks":40,"procs":3,"seed":3,"strategy":"CkptNone"}`},
+		// Lower-case names: the slot echoes the canonical method and
+		// strategy exactly as the single endpoint does.
+		{"/v1/estimate", "estimate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"method":"dodin"}`},
+		{"/v1/plan", "plan", `{"family":"montage","tasks":40,"procs":3,"seed":5,"strategy":"ckptall"}`},
 	}
 	refSrv := httptest.NewServer(NewHandler(NewService(WithShards(1))))
 	defer refSrv.Close()
@@ -189,6 +194,110 @@ func TestHTTPBatchByteIdenticalToSingleEndpoints(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestUnknownMethodRejectedBeforePlanning pins that an unknown
+// estimator is rejected before any planning, on every entry point: a
+// /v1/batch slot and /v1/estimate answer 400, Service.Batch and
+// Service.Estimate return ErrUnknownMethod, and none of them plans
+// (Stats().Misses stays put, nothing becomes resident).
+func TestUnknownMethodRejectedBeforePlanning(t *testing.T) {
+	ctx := context.Background()
+	svc := NewService()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	const scenario = `"family":"genome","tasks":40,"procs":3,"seed":7`
+	// One resident plan, so a wrongly planned job would show as a second
+	// miss rather than the first.
+	if status, body, _ := postJSON(t, srv.Client(), srv.URL+"/v1/plan", `{`+scenario+`}`); status != http.StatusOK {
+		t.Fatalf("plan: %d %s", status, body)
+	}
+	unchanged := func(entry string) {
+		t.Helper()
+		if st := svc.Stats(); st.Misses != 1 || st.Entries != 1 {
+			t.Fatalf("%s: stats %+v, want the 1 miss and 1 entry of the priming plan", entry, st)
+		}
+	}
+	other := `"family":"montage","tasks":40,"procs":3,"seed":7`
+
+	status, body, _ := postJSON(t, srv.Client(), srv.URL+"/v1/batch", `{"jobs":[{"kind":"estimate",`+other+`,"method":"Oracle"}]}`)
+	var wire batchWire
+	if err := json.Unmarshal([]byte(body), &wire); err != nil || status != http.StatusOK || len(wire.Results) != 1 {
+		t.Fatalf("batch: %d %s (%v)", status, body, err)
+	}
+	if res := wire.Results[0]; res.Status != http.StatusBadRequest || !strings.Contains(res.Error, "Oracle") {
+		t.Fatalf("batch slot = %d %q, want 400 naming the method", res.Status, res.Error)
+	}
+	unchanged("/v1/batch slot")
+
+	if status, body, _ := postJSON(t, srv.Client(), srv.URL+"/v1/estimate", `{`+other+`,"method":"Oracle"}`); status != http.StatusBadRequest {
+		t.Fatalf("/v1/estimate: %d %s, want 400", status, body)
+	}
+	unchanged("/v1/estimate")
+
+	sc := smallScenario("montage", 7, CkptSome)
+	got, err := svc.Batch(ctx, []Job{{Kind: JobEstimate, Scenario: sc, Method: "Oracle"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(got[0].Err, ErrUnknownMethod) || got[0].Plan != nil {
+		t.Fatalf("Service.Batch job: err %v plan %v, want ErrUnknownMethod and no plan", got[0].Err, got[0].Plan)
+	}
+	unchanged("Service.Batch job")
+
+	if _, err := svc.Estimate(ctx, sc, "Oracle"); !errors.Is(err, ErrUnknownMethod) {
+		t.Fatalf("Service.Estimate: %v, want ErrUnknownMethod", err)
+	}
+	unchanged("Service.Estimate")
+}
+
+// TestHTTPPlanIgnoresJobFields pins that /v1/plan takes its kind from
+// the path: a body that also carries another kind and that kind's
+// tuning fields answers exactly the plain PlanResponse bytes.
+func TestHTTPPlanIgnoresJobFields(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(NewService()))
+	defer srv.Close()
+	const scenario = `"family":"genome","tasks":40,"procs":3,"seed":7`
+	status, plain, _ := postJSON(t, srv.Client(), srv.URL+"/v1/plan", `{`+scenario+`}`)
+	if status != http.StatusOK {
+		t.Fatalf("plain plan: %d %s", status, plain)
+	}
+	status, loaded, hdr := postJSON(t, srv.Client(), srv.URL+"/v1/plan",
+		`{`+scenario+`,"kind":"simulate","method":"Oracle","trials":99000000,"mc_trials":5}`)
+	if status != http.StatusOK {
+		t.Fatalf("plan with job fields: %d %s", status, loaded)
+	}
+	if loaded != plain {
+		t.Fatalf("plan with job fields answered\n%s\nwant the plain plan\n%s", loaded, plain)
+	}
+	if got := hdr.Get("X-Cache"); got != string(CacheHit) {
+		t.Fatalf("X-Cache = %q, want hit", got)
+	}
+}
+
+// TestBatchJobRequestCoversSingleRequests guards decoding the single
+// endpoints into the batch job type: every field of EstimateRequest
+// and SimulateRequest must exist in BatchJobRequest with the same JSON
+// name and type, or a single-endpoint field would silently be dropped.
+func TestBatchJobRequestCoversSingleRequests(t *testing.T) {
+	union := reflect.TypeOf(BatchJobRequest{})
+	jsonName := func(f reflect.StructField) string {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		return name
+	}
+	for _, single := range []reflect.Type{reflect.TypeOf(EstimateRequest{}), reflect.TypeOf(SimulateRequest{})} {
+		for i := 0; i < single.NumField(); i++ {
+			f := single.Field(i)
+			u, ok := union.FieldByName(f.Name)
+			switch {
+			case !ok || len(u.Index) != 1:
+				t.Errorf("%s.%s has no top-level BatchJobRequest field", single.Name(), f.Name)
+			case u.Type != f.Type || u.Anonymous != f.Anonymous || jsonName(u) != jsonName(f):
+				t.Errorf("%s.%s is %v json:%q, BatchJobRequest.%s is %v json:%q",
+					single.Name(), f.Name, f.Type, jsonName(f), u.Name, u.Type, jsonName(u))
+			}
 		}
 	}
 }

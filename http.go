@@ -66,7 +66,9 @@ type SimulateResponse struct {
 
 // BatchJobRequest is one job of a POST /v1/batch body: a scenario plus
 // the kind of work ("plan" | "estimate" | "simulate") and that kind's
-// tuning fields — the union of the single-endpoint request shapes.
+// tuning fields — the union of the single-endpoint request shapes. The
+// single endpoints decode their bodies into it too, with Kind taken
+// from the path.
 type BatchJobRequest struct {
 	ScenarioRequest
 	Kind     string `json:"kind"`
@@ -288,47 +290,6 @@ const maxSweepCells = 10_000
 // of magnitude above the buffered cap.
 const DefaultStreamSweepCells = 1_000_000
 
-// shedBatch rejects a batch whose job count or total trial demand
-// exceeds the daemon's CURRENT headroom: the static caps scaled by the
-// admission gate's free fraction (see Service.shedCap). An idle daemon
-// accepts up to the static caps — this sheds nothing the fixed limits
-// would have allowed — while a saturated one answers heavy batches
-// with ErrOverloaded before any job runs.
-func (s *Service) shedBatch(jobs, trials int) error {
-	if limit := s.shedCap(maxBatchJobs); jobs > limit {
-		s.shed.Add(1)
-		return fmt.Errorf("%w: %d batch jobs above the current headroom of %d (%d free of %d in-flight slots)",
-			ErrOverloaded, jobs, limit, s.Headroom(), s.maxInFlight)
-	}
-	if limit := s.shedCap(maxBatchTrials); trials > limit {
-		s.shed.Add(1)
-		return fmt.Errorf("%w: %d total batch trials above the current headroom of %d (%d free of %d in-flight slots)",
-			ErrOverloaded, trials, limit, s.Headroom(), s.maxInFlight)
-	}
-	return nil
-}
-
-// shedSweep is shedBatch's analogue for a sweep grid: cells against
-// the request's static cell ceiling (buffered or streamed) scaled by
-// the free fraction of the admission gate.
-func (s *Service) shedSweep(cells, staticCap int) error {
-	if limit := s.shedCap(staticCap); cells > limit {
-		s.shed.Add(1)
-		return fmt.Errorf("%w: sweep grid of %d cells above the current headroom of %d (%d free of %d in-flight slots)",
-			ErrOverloaded, cells, limit, s.Headroom(), s.maxInFlight)
-	}
-	return nil
-}
-
-// checkTrials rejects per-request trial counts the daemon is unwilling
-// to allocate. Zero means "use the default" and passes.
-func checkTrials(n int) error {
-	if n > maxHTTPTrials {
-		return fmt.Errorf("%w: %d trials above the daemon limit of %d", ErrBadScenario, n, maxHTTPTrials)
-	}
-	return nil
-}
-
 // HandlerOption configures NewHandler.
 type HandlerOption func(*handlerConfig)
 
@@ -404,82 +365,30 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 		}
 		cfg.streamStore(w, r, svc.store)
 	})
-	mux.HandleFunc("/v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		var req ScenarioRequest
-		if !cfg.readJSON(w, r, &req) {
-			return
-		}
-		sc := req.Scenario()
-		plan, key, outcome, err := planOnce(r.Context(), svc, sc)
-		if err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		w.Header().Set("X-Cache", string(outcome))
-		cfg.writeJSON(w, http.StatusOK, planResponse(key, plan))
-	})
-	mux.HandleFunc("/v1/estimate", func(w http.ResponseWriter, r *http.Request) {
-		var req EstimateRequest
-		if !cfg.readJSON(w, r, &req) {
-			return
-		}
-		// Reject over-cap trial counts before planning: the cap exists to
-		// stop the work, so the request must not run at all (the batch
-		// endpoint's checkCaps makes the same promise).
-		if err := checkTrials(req.MCTrials); err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		// One shared name-to-Method conversion (case-insensitive), typed
-		// 400 before any planning work runs.
-		method, err := ParseMethod(req.Method)
-		if err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		sc := req.Scenario()
-		if err := sc.Validate(); err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		key := sc.Key()
-		_, em, outcome, err := svc.estimateForKey(r.Context(), sc, key, method,
-			estimateOptions(req.MCTrials, req.MCSeed, req.Workers)...)
-		if err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		w.Header().Set("X-Cache", string(outcome))
-		// Echo the canonical method name, not the request's casing.
-		cfg.writeJSON(w, http.StatusOK, EstimateResponse{Key: key, Method: string(method), ExpectedMakespan: em})
-	})
-	mux.HandleFunc("/v1/simulate", func(w http.ResponseWriter, r *http.Request) {
-		var req SimulateRequest
-		if !cfg.readJSON(w, r, &req) {
-			return
-		}
-		if err := checkTrials(req.Trials); err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		sc := req.Scenario()
-		if err := sc.Validate(); err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		key := sc.Key()
-		_, res, outcome, err := svc.simulateForKey(r.Context(), sc, key,
-			simOptions(req.Trials, req.SimSeed, req.Workers)...)
-		if err != nil {
-			cfg.writeError(w, r, err)
-			return
-		}
-		w.Header().Set("X-Cache", string(outcome))
-		cfg.writeJSON(w, http.StatusOK, SimulateResponse{
-			Key: key, Trials: res.Trials,
-			Mean: res.Mean, StdDev: res.StdDev, CI95: res.CI95, MeanFailures: res.MeanFailures,
+	for path, kind := range jobPaths {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			// A single request is a one-job batch: the same wire type, the
+			// same conversion, the same executor and the same renderer as
+			// a batch slot, so the two cannot drift apart.
+			var req BatchJobRequest
+			if !cfg.readJSON(w, r, &req) {
+				return
+			}
+			req.Kind = string(kind)
+			j, err := req.job()
+			if err != nil {
+				cfg.writeError(w, r, err)
+				return
+			}
+			res := svc.runJob(r.Context(), j)
+			if res.Err != nil {
+				cfg.writeError(w, r, res.Err)
+				return
+			}
+			w.Header().Set("X-Cache", string(res.Outcome))
+			cfg.writeJSON(w, http.StatusOK, jobResult(j, res).payload())
 		})
-	})
+	}
 	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
 		if !cfg.readJSON(w, r, &req) {
@@ -493,7 +402,10 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 			cfg.writeError(w, r, fmt.Errorf("%w: %d jobs above the daemon limit of %d", ErrBadScenario, len(req.Jobs), maxBatchJobs))
 			return
 		}
-		total := batchTrials(req.Jobs)
+		total := 0
+		for _, jr := range req.Jobs {
+			total += jr.trials()
+		}
 		if total > maxBatchTrials {
 			cfg.writeError(w, r, fmt.Errorf("%w: %d total trials across the batch above the daemon limit of %d", ErrBadScenario, total, maxBatchTrials))
 			return
@@ -503,22 +415,27 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 		// the admission gate's free fraction, so a heavy batch is rejected
 		// in microseconds instead of burning a worker pool to discover
 		// per-job 429s.
-		if err := svc.shedBatch(len(req.Jobs), total); err != nil {
+		err := svc.shedCost("batch jobs", len(req.Jobs), maxBatchJobs)
+		if err == nil {
+			err = svc.shedCost("total batch trials", total, maxBatchTrials)
+		}
+		if err != nil {
 			cfg.writeError(w, r, err)
 			return
 		}
 		resp := BatchResponse{Results: make([]BatchResult, len(req.Jobs))}
-		// Jobs with a trial count above the daemon cap are rejected up
-		// front — the cap exists to stop the allocation, so the job must
-		// not run at all. Everything else executes and reports per slot.
+		// A job the conversion rejects (over-cap trials, unknown method)
+		// answers in its slot without running; everything else executes
+		// and reports per slot.
 		var jobs []Job
 		var idx []int
 		for i, jr := range req.Jobs {
-			if err := jr.checkCaps(); err != nil {
-				resp.Results[i] = BatchResult{Error: err.Error(), Status: errorStatus(err)}
+			j, err := jr.job()
+			if err != nil {
+				resp.Results[i] = jobResult(j, JobResult{Err: err})
 				continue
 			}
-			jobs = append(jobs, jr.job())
+			jobs = append(jobs, j)
 			idx = append(idx, i)
 		}
 		results, err := svc.Batch(r.Context(), jobs, WithBatchWorkers(req.Workers))
@@ -527,8 +444,7 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 			return
 		}
 		for k, res := range results {
-			i := idx[k]
-			resp.Results[i] = batchResult(req.Jobs[i], res)
+			resp.Results[idx[k]] = jobResult(jobs[k], res)
 		}
 		cfg.writeJSON(w, http.StatusOK, resp)
 	})
@@ -547,37 +463,37 @@ func NewHandler(svc *Service, opts ...HandlerOption) http.Handler {
 			cfg.writeError(w, r, err)
 			return
 		}
-		// Cost-based load shedding, then one admission slot for the whole
-		// grid: a sweep's cells run on the experiment engine's own pool,
-		// so without the token the gate would never see sweep load — and
-		// without the cell pre-screen a saturated daemon would still
+		// Cost-based load shedding, then one admitted request for the
+		// whole grid: a sweep's cells run on the experiment engine's own
+		// pool, so without the slot the gate would never see sweep load —
+		// and without the cell pre-screen a saturated daemon would still
 		// accept million-cell grids.
-		if err := svc.shedSweep(scfg.NumCells(), capCells); err != nil {
+		if err := svc.shedCost("sweep grid cells", scfg.NumCells(), capCells); err != nil {
 			cfg.writeError(w, r, err)
 			return
 		}
-		if err := svc.acquire(); err != nil {
+		// A stream commits its status line as it starts, so only a shed
+		// or a buffered sweep can still answer with an error status.
+		committed := false
+		err = svc.do(r.Context(), func(ctx context.Context) error {
+			if stream {
+				committed = true
+				return cfg.streamSweep(w, r, ctx, scfg)
+			}
+			rows, err := expt.RunSweep(ctx, scfg)
+			if err != nil {
+				return err
+			}
+			resp := SweepResponse{Family: scfg.Family, Cells: len(rows), Rows: make([]SweepRow, len(rows))}
+			for i, row := range rows {
+				resp.Rows[i] = sweepRow(row)
+			}
+			cfg.writeJSON(w, http.StatusOK, resp)
+			return nil
+		})
+		if err != nil && !committed {
 			cfg.writeError(w, r, err)
-			return
 		}
-		defer svc.release()
-		ctx, cancel := svc.budget(r.Context())
-		defer cancel()
-		if stream {
-			svc.noteDeadline(r.Context(), cfg.streamSweep(w, r, ctx, scfg))
-			return
-		}
-		rows, err := expt.RunSweep(ctx, scfg)
-		if err != nil {
-			svc.noteDeadline(r.Context(), err)
-			cfg.writeError(w, r, err)
-			return
-		}
-		resp := SweepResponse{Family: scfg.Family, Cells: len(rows), Rows: make([]SweepRow, len(rows))}
-		for i, row := range rows {
-			resp.Rows[i] = sweepRow(row)
-		}
-		cfg.writeJSON(w, http.StatusOK, resp)
 	})
 	return mux
 }
@@ -700,71 +616,66 @@ func (c *handlerConfig) streamStore(w http.ResponseWriter, r *http.Request, st *
 	}
 }
 
-// batchTrials sums the simulation / Monte Carlo trial demand of a
-// batch, counting the documented defaults for unset fields.
-func batchTrials(jobs []BatchJobRequest) int {
-	total := 0
-	for _, jr := range jobs {
-		switch JobKind(jr.Kind) {
-		case JobEstimate:
-			if jr.MCTrials > 0 {
-				total += jr.MCTrials
-			} else {
-				total += DefaultMCTrials
-			}
-		case JobSimulate:
-			if jr.Trials > 0 {
-				total += jr.Trials
-			} else {
-				total += DefaultSimTrials
-			}
-		}
-	}
-	return total
+// jobPaths maps each single-job endpoint to the kind of work its body
+// asks for: the table NewHandler registers the endpoints from and the
+// router hashes scenario bodies by.
+var jobPaths = map[string]JobKind{
+	"/v1/plan":     JobPlan,
+	"/v1/estimate": JobEstimate,
+	"/v1/simulate": JobSimulate,
 }
 
-// job translates one wire job into a Service.Batch job, mirroring
-// exactly how the single endpoints translate their request fields so a
-// batch slot cannot drift from the equivalent single request.
-func (jr BatchJobRequest) job() Job {
+// trials is the job's Monte Carlo or simulation trial demand, counting
+// the documented default for an unset count (0 for a plan): what the
+// per-job cap and a batch's aggregate cap are checked against.
+func (jr BatchJobRequest) trials() int {
+	n, def := 0, 0
+	switch JobKind(jr.Kind) {
+	case JobEstimate:
+		n, def = jr.MCTrials, DefaultMCTrials
+	case JobSimulate:
+		n, def = jr.Trials, DefaultSimTrials
+	}
+	if n > 0 {
+		return n
+	}
+	return def
+}
+
+// job converts one wire request into a Job — the one conversion the
+// single endpoints and every batch slot share. It rejects a trial
+// count above the daemon cap (the samplers allocate one float64 per
+// trial, so the job must not run at all) and an unknown estimator, and
+// carries the canonical method name the response echoes.
+func (jr BatchJobRequest) job() (Job, error) {
+	if n := jr.trials(); n > maxHTTPTrials {
+		return Job{}, fmt.Errorf("%w: %d trials above the daemon limit of %d", ErrBadScenario, n, maxHTTPTrials)
+	}
 	j := Job{Kind: JobKind(jr.Kind), Scenario: jr.Scenario()}
 	switch j.Kind {
 	case JobEstimate:
-		// Canonicalize case-insensitively; an unknown name is carried
-		// through verbatim so the job's slot reports the typed
-		// ErrUnknownMethod instead of this conversion eating it.
-		if m, err := ParseMethod(jr.Method); err == nil {
-			j.Method = m
-		} else {
-			j.Method = Method(jr.Method)
+		m, err := ParseMethod(jr.Method)
+		if err != nil {
+			return Job{}, err
 		}
+		j.Method = m
 		j.EstimateOptions = estimateOptions(jr.MCTrials, jr.MCSeed, jr.Workers)
 	case JobSimulate:
 		j.SimOptions = simOptions(jr.Trials, jr.SimSeed, jr.Workers)
 	}
-	return j
+	return j, nil
 }
 
-// checkCaps rejects per-job trial counts above the daemon limit.
-func (jr BatchJobRequest) checkCaps() error {
-	switch JobKind(jr.Kind) {
-	case JobEstimate:
-		return checkTrials(jr.MCTrials)
-	case JobSimulate:
-		return checkTrials(jr.Trials)
-	}
-	return nil
-}
-
-// batchResult renders one job outcome with the same response structs
-// the single endpoints use (the byte-identity contract).
-func batchResult(jr BatchJobRequest, res JobResult) BatchResult {
+// jobResult renders one job outcome — the one renderer. A batch slot
+// is the result; a single endpoint answers with its payload, so a
+// batch slot is byte-identical to the single request by construction.
+func jobResult(j Job, res JobResult) BatchResult {
 	if res.Err != nil {
 		return BatchResult{Error: res.Err.Error(), Status: errorStatus(res.Err)}
 	}
 	switch res.Kind {
 	case JobEstimate:
-		return BatchResult{Estimate: &EstimateResponse{Key: res.Key, Method: jr.Method, ExpectedMakespan: res.Estimate}}
+		return BatchResult{Estimate: &EstimateResponse{Key: res.Key, Method: string(j.Method), ExpectedMakespan: res.Estimate}}
 	case JobSimulate:
 		return BatchResult{Simulate: &SimulateResponse{
 			Key: res.Key, Trials: res.Sim.Trials,
@@ -774,6 +685,18 @@ func batchResult(jr BatchJobRequest, res JobResult) BatchResult {
 		pr := planResponse(res.Key, res.Plan)
 		return BatchResult{Plan: &pr}
 	}
+}
+
+// payload is a successful slot's body: the response of the matching
+// single endpoint.
+func (b BatchResult) payload() any {
+	switch {
+	case b.Estimate != nil:
+		return b.Estimate
+	case b.Simulate != nil:
+		return b.Simulate
+	}
+	return b.Plan
 }
 
 // sweepConfig validates the request and translates it into the
@@ -874,8 +797,8 @@ func (r SweepRequest) sweepConfig(maxCells int) (expt.SweepConfig, error) {
 	return cfg, nil
 }
 
-// estimateOptions translates wire estimate knobs into façade options —
-// the one mapping /v1/estimate and /v1/batch share.
+// estimateOptions translates wire estimate knobs into façade options
+// (see job).
 func estimateOptions(trials int, seed *int64, workers int) []EstimateOption {
 	var opts []EstimateOption
 	if trials != 0 {
@@ -890,8 +813,8 @@ func estimateOptions(trials int, seed *int64, workers int) []EstimateOption {
 	return opts
 }
 
-// simOptions translates wire simulation knobs into façade options —
-// the one mapping /v1/simulate and /v1/batch share.
+// simOptions translates wire simulation knobs into façade options (see
+// job).
 func simOptions(trials int, seed *int64, workers int) []SimOption {
 	var opts []SimOption
 	if trials != 0 {
@@ -904,19 +827,6 @@ func simOptions(trials int, seed *int64, workers int) []SimOption {
 		opts = append(opts, WithSimWorkers(workers))
 	}
 	return opts
-}
-
-// planOnce validates, hashes and plans a request scenario through the
-// admission gate, computing the canonical key exactly once (it hashes
-// the full injected document, so recomputing it per response field
-// would double the cost).
-func planOnce(ctx context.Context, svc *Service, sc Scenario) (*Plan, string, CacheOutcome, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, "", CacheMiss, err
-	}
-	key := sc.Key()
-	plan, outcome, err := svc.planGated(ctx, sc, key)
-	return plan, key, outcome, err
 }
 
 func planResponse(key string, p *Plan) PlanResponse {
@@ -941,23 +851,40 @@ func (c *handlerConfig) readJSON(w http.ResponseWriter, r *http.Request, dst any
 		c.writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use POST"})
 		return false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	body, status, err := readBody(r)
 	if err != nil {
-		c.writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		c.writeJSON(w, status, map[string]string{"error": err.Error()})
 		return false
 	}
-	if len(body) > maxRequestBody {
-		c.writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body over 16 MiB"})
-		return false
-	}
-	if len(body) == 0 {
-		body = []byte("{}")
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
+	if err := decodeBody(body, dst); err != nil {
 		c.writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true
+}
+
+// readBody reads a request body under maxRequestBody — the one reader
+// the replica handlers and the router share — and returns the status
+// to answer with when the body is unusable.
+func readBody(r *http.Request) ([]byte, int, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if len(body) > maxRequestBody {
+		return nil, http.StatusRequestEntityTooLarge, errors.New("request body over 16 MiB")
+	}
+	return body, http.StatusOK, nil
+}
+
+// decodeBody decodes a request body into dst. An empty body means
+// "{}", the all-defaults request, for the router and the replica alike,
+// so the router hashes exactly the scenario the replica plans.
+func decodeBody(body []byte, dst any) error {
+	if len(body) == 0 {
+		body = []byte("{}")
+	}
+	return json.Unmarshal(body, dst)
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client

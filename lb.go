@@ -51,7 +51,7 @@ const maxRouterCooldown = 30 * time.Second
 type Router struct {
 	backends []*routerBackend
 	ring     []ringPoint
-	client   *http.Client
+	client   *http.Client // no global timeout: proxied sweep streams are long-lived
 	logf     func(format string, args ...any)
 	cooldown time.Duration
 	now      func() time.Time // test seam
@@ -96,7 +96,6 @@ type routerConfig struct {
 	vnodes   int
 	cooldown time.Duration
 	logf     func(format string, args ...any)
-	client   *http.Client
 }
 
 // WithRouterVNodes sets the virtual-node count per backend (default
@@ -129,17 +128,6 @@ func WithRouterLogf(logf func(format string, args ...any)) RouterOption {
 	}
 }
 
-// WithRouterClient replaces the outbound HTTP client (default: a fresh
-// client with no global timeout, since proxied sweep streams are
-// long-lived).
-func WithRouterClient(client *http.Client) RouterOption {
-	return func(c *routerConfig) {
-		if client != nil {
-			c.client = client
-		}
-	}
-}
-
 // NewRouter builds the consistent-hash router over the given backend
 // base URLs (e.g. "http://10.0.0.2:8080").
 func NewRouter(backends []string, opts ...RouterOption) (*Router, error) {
@@ -147,7 +135,6 @@ func NewRouter(backends []string, opts ...RouterOption) (*Router, error) {
 		vnodes:   DefaultRouterVNodes,
 		cooldown: DefaultRouterCooldown,
 		logf:     func(string, ...any) {},
-		client:   &http.Client{},
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -173,7 +160,7 @@ func NewRouter(backends []string, opts ...RouterOption) (*Router, error) {
 	}
 	r := &Router{
 		backends: bks,
-		client:   cfg.client,
+		client:   &http.Client{},
 		logf:     cfg.logf,
 		cooldown: cfg.cooldown,
 		now:      time.Now,
@@ -228,14 +215,6 @@ func (r *Router) candidatesRoundRobin() []int {
 		order = append(order, (start+i)%len(r.backends))
 	}
 	return order
-}
-
-// scenarioPaths are the endpoints whose body is one scenario — the
-// requests the router hashes to a home replica.
-var scenarioPaths = map[string]bool{
-	"/v1/plan":     true,
-	"/v1/estimate": true,
-	"/v1/simulate": true,
 }
 
 func (r *Router) cooling(b *routerBackend) bool {
@@ -325,24 +304,20 @@ func (r *Router) writeJSON(w http.ResponseWriter, req *http.Request, status int,
 // run out. The request body is buffered once up front, so a failover
 // replays identical bytes.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxRequestBody+1))
+	body, status, err := readBody(req)
 	if err != nil {
-		r.writeJSON(w, req, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if len(body) > maxRequestBody {
-		r.writeJSON(w, req, http.StatusRequestEntityTooLarge, map[string]string{"error": "request body over 16 MiB"})
+		r.writeJSON(w, req, status, map[string]string{"error": err.Error()})
 		return
 	}
 
 	order := r.candidatesRoundRobin()
-	if req.Method == http.MethodPost && scenarioPaths[req.URL.Path] {
-		var sreq ScenarioRequest
-		if jerr := json.Unmarshal(jsonBodyOrEmpty(body), &sreq); jerr == nil {
+	if _, ok := jobPaths[req.URL.Path]; ok && req.Method == http.MethodPost {
+		var jreq BatchJobRequest
+		if jerr := decodeBody(body, &jreq); jerr == nil {
 			// Hash the body the way the replica handlers do: wire request →
 			// Scenario → canonical key. A body the router cannot parse falls
 			// back to round-robin and lets the replica produce its 400.
-			order = r.candidatesForKey(sreq.Scenario().Key())
+			order = r.candidatesForKey(jreq.Scenario().Key())
 		}
 	}
 
@@ -417,16 +392,6 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	if err := copyFlush(w, lastResp.Body); err != nil {
 		r.logf("lb: %s %s: relaying response: %v", req.Method, req.URL.Path, err)
 	}
-}
-
-// jsonBodyOrEmpty mirrors the replica handlers' empty-body convention
-// (an empty POST body means "{}", the all-defaults scenario), so the
-// router hashes exactly the scenario the replica will plan.
-func jsonBodyOrEmpty(body []byte) []byte {
-	if len(body) == 0 {
-		return []byte("{}")
-	}
-	return body
 }
 
 // copyProxyHeaders forwards the request headers that change the

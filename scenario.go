@@ -331,7 +331,10 @@ type ScenarioRequest struct {
 
 // Scenario converts the request into a Scenario value.
 func (r ScenarioRequest) Scenario() Scenario {
-	var opts []ScenarioOption
+	// One option per field at most; the capacity keeps the slice on the
+	// stack (NewScenario does not retain it) instead of regrowing it on
+	// the heap for every request.
+	opts := make([]ScenarioOption, 0, 11)
 	if r.Family != "" {
 		opts = append(opts, WithFamily(r.Family))
 	}

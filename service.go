@@ -22,7 +22,7 @@ const DefaultShards = 8
 // DefaultStructureCacheCapacity bounds a Service's structure-scaffold
 // cache when no explicit capacity is configured. Scaffolds are an
 // order of magnitude smaller than plans (one workflow plus a chain
-// archive, no segment DAG or evaluator pools), so the default sits
+// archive, no segment DAG or memoized estimates), so the default sits
 // close to the plan cache's.
 const DefaultStructureCacheCapacity = 128
 
@@ -66,18 +66,16 @@ const DefaultInFlightPerCore = 16
 // Service has, and it is bounded (WithStructureCache): a cold plan
 // generates its workflow straight into its scaffold, and nothing
 // process-wide keeps it once the scaffold is evicted. Each cached plan
-// keeps an evaluator pool for its segment DAG, so concurrent estimate
-// traffic on one plan does not allocate.
+// builds its segment DAG and its Dodin and Normal estimates once, on
+// the first request that needs them, so repeated estimate traffic on
+// one plan is a lookup.
 //
 // Each level is split into hash-addressed shards with their own lock
 // and recency list, so concurrent traffic on distinct keys never
 // serializes on one mutex. Concurrent requests for the same cold key
 // coalesce onto one flight; failed flights are not cached. Eviction is
 // per shard, so the configured capacity is an upper bound distributed
-// across shards, not a single global recency order. Compare is three
-// strategy-pinned plan requests: strategy is part of the plan key but
-// not of the structure key, so the three share one scaffold — one
-// Algorithm 1 schedule, as the paper's comparison requires.
+// across shards, not a single global recency order.
 //
 // Admission is bounded: at most WithMaxInFlight requests execute at
 // once (planning, waiting on a coalesced cold plan, estimating or
@@ -206,7 +204,7 @@ func WithMaxInFlight(n int) ServiceOption {
 }
 
 // WithRequestTimeout wraps every admitted request — plan, estimate,
-// simulate, compare, each batch job — in a server-side context
+// simulate, each batch job, each sweep — in a server-side context
 // deadline (0 = none, the default). A deadline that fires surfaces as
 // context.DeadlineExceeded (HTTP 503) and is counted in
 // Stats.DeadlineExpired; the failed plan is never cached.
@@ -327,26 +325,8 @@ func NewService(opts ...ServiceOption) *Service {
 	return s
 }
 
-// acquire claims one admission slot, or sheds the request with
-// ErrOverloaded when the gate is full. It never blocks: shedding in
-// microseconds is the point — a client's retry lands after the burst,
-// where queueing here would pile goroutines until the process
-// thrashes.
-func (s *Service) acquire() error {
-	if s.inflight.Add(1) > s.maxInFlight {
-		s.inflight.Add(-1)
-		s.shed.Add(1)
-		return fmt.Errorf("%w: %d requests in flight", ErrOverloaded, s.maxInFlight)
-	}
-	return nil
-}
-
-// release returns an admission slot.
-func (s *Service) release() { s.inflight.Add(-1) }
-
 // Headroom reports how many admission slots are currently free — the
-// load-shedding signal the HTTP layer scales its batch/sweep cost caps
-// by.
+// load-shedding signal shedCost scales the batch/sweep cost caps by.
 func (s *Service) Headroom() int {
 	free := s.maxInFlight - s.inflight.Load()
 	if free < 0 {
@@ -355,46 +335,51 @@ func (s *Service) Headroom() int {
 	return int(free)
 }
 
-// shedCap scales a static request cap by the free fraction of the
-// admission gate: an idle service accepts up to the full static cap, a
-// half-busy one accepts half, a saturated one sheds heavy requests
-// entirely. Integer arithmetic keeps the result deterministic.
-func (s *Service) shedCap(static int) int {
-	return int(int64(static) * int64(s.Headroom()) / s.maxInFlight)
-}
-
-// budget derives the server-side request deadline, when one is
-// configured.
-func (s *Service) budget(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.timeout <= 0 {
-		return ctx, func() {}
+// shedCost rejects a batch or sweep whose cost (jobs, trials, cells)
+// exceeds the CURRENT headroom: the static cap scaled by the admission
+// gate's free fraction. An idle service accepts up to the full static
+// cap — this sheds nothing the fixed limits would have allowed — a
+// half-busy one half, and a saturated one answers heavy requests with
+// ErrOverloaded before any of their work runs. Integer arithmetic keeps
+// the limit deterministic.
+func (s *Service) shedCost(what string, cost, static int) error {
+	free := s.Headroom()
+	if limit := int(int64(static) * int64(free) / s.maxInFlight); cost > limit {
+		s.shed.Add(1)
+		return fmt.Errorf("%w: %d %s above the current headroom of %d (%d free of %d in-flight slots)",
+			ErrOverloaded, cost, what, limit, free, s.maxInFlight)
 	}
-	return context.WithTimeout(ctx, s.timeout)
+	return nil
 }
 
-// noteDeadline accounts a request whose server-side budget fired: the
-// operation died of DeadlineExceeded while the caller's own context
-// was still live (a client that brought its own expired deadline is
-// not the server's doing).
-func (s *Service) noteDeadline(parent context.Context, err error) {
-	if s.timeout > 0 && errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
+// do runs one admitted request. It claims an admission slot, or sheds
+// the request with ErrOverloaded when the gate is full; it never
+// blocks: shedding in microseconds is the point — a client's retry
+// lands after the burst, where queueing here would pile goroutines
+// until the process thrashes. It applies the server-side budget, when
+// one is configured, and accounts a budget that fired: the operation
+// died of DeadlineExceeded while the caller's own context was still
+// live (a client that brought its own expired deadline is not the
+// server's doing). Every job (runJob) and every sweep funnels through
+// it, so the in-flight gauge and the gate see all the work, not just
+// cold planning.
+func (s *Service) do(ctx context.Context, op func(ctx context.Context) error) error {
+	if s.inflight.Add(1) > s.maxInFlight {
+		s.inflight.Add(-1)
+		s.shed.Add(1)
+		return fmt.Errorf("%w: %d requests in flight", ErrOverloaded, s.maxInFlight)
+	}
+	defer s.inflight.Add(-1)
+	bctx := ctx
+	if s.timeout > 0 {
+		var cancel context.CancelFunc
+		bctx, cancel = context.WithTimeout(ctx, s.timeout)
+		defer cancel()
+	}
+	err := op(bctx)
+	if s.timeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 		s.expired.Add(1)
 	}
-}
-
-// do runs one admitted request: claim an admission slot (or shed),
-// apply the server-side budget, account a fired deadline. Every public
-// entry point funnels through it, so the in-flight gauge and the gate
-// see all the work, not just cold planning.
-func (s *Service) do(ctx context.Context, op func(ctx context.Context) error) error {
-	if err := s.acquire(); err != nil {
-		return err
-	}
-	defer s.release()
-	bctx, cancel := s.budget(ctx)
-	defer cancel()
-	err := op(bctx)
-	s.noteDeadline(ctx, err)
 	return err
 }
 
@@ -484,65 +469,13 @@ func (s *Service) Plan(ctx context.Context, sc Scenario) (*Plan, error) {
 // bit-identical plans; the outcome only reports how much work the
 // request cost.
 func (s *Service) PlanDetail(ctx context.Context, sc Scenario) (*Plan, CacheOutcome, error) {
-	// Validate before hashing so the cache only ever holds well-formed
-	// scenarios (and a malformed request cannot evict a resident plan).
-	if err := sc.Validate(); err != nil {
-		return nil, CacheMiss, err
-	}
-	return s.planGated(ctx, sc, sc.Key())
+	r := s.runJob(ctx, Job{Kind: JobPlan, Scenario: sc})
+	return r.Plan, r.Outcome, r.Err
 }
 
-// planGated is planForKey behind the admission gate and request
-// budget — the entry every external caller (public methods, HTTP
-// handlers, batch jobs) shares. Boot-time warm-up replay is the one
-// deliberate exception: it bounds itself by its worker pool and must
-// not compete with the gate it is trying to fill.
-func (s *Service) planGated(ctx context.Context, sc Scenario, key string) (p *Plan, outcome CacheOutcome, err error) {
-	outcome = CacheMiss
-	err = s.do(ctx, func(ctx context.Context) error {
-		var perr error
-		p, outcome, perr = s.planForKey(ctx, sc, key)
-		return perr
-	})
-	return p, outcome, err
-}
-
-// estimateForKey plans (through the cache) and estimates under one
-// admission slot and one request budget, so a slow estimator cannot
-// outlive the gate's accounting of it.
-func (s *Service) estimateForKey(ctx context.Context, sc Scenario, key string, m Method, opts ...EstimateOption) (p *Plan, em float64, outcome CacheOutcome, err error) {
-	outcome = CacheMiss
-	err = s.do(ctx, func(ctx context.Context) error {
-		var perr error
-		p, outcome, perr = s.planForKey(ctx, sc, key)
-		if perr != nil {
-			return perr
-		}
-		em, perr = p.Estimate(ctx, m, opts...)
-		return perr
-	})
-	return p, em, outcome, err
-}
-
-// simulateForKey plans (through the cache) and simulates under one
-// admission slot and one request budget.
-func (s *Service) simulateForKey(ctx context.Context, sc Scenario, key string, opts ...SimOption) (p *Plan, res SimResult, outcome CacheOutcome, err error) {
-	outcome = CacheMiss
-	err = s.do(ctx, func(ctx context.Context) error {
-		var perr error
-		p, outcome, perr = s.planForKey(ctx, sc, key)
-		if perr != nil {
-			return perr
-		}
-		res, perr = p.Simulate(ctx, opts...)
-		return perr
-	})
-	return p, res, outcome, err
-}
-
-// planForKey is PlanDetail after validation, with the canonical hash
-// already computed (HTTP handlers reuse it for the response instead of
-// hashing a potentially multi-megabyte injected document twice).
+// planForKey is the cache lookup behind runJob, after validation, with
+// the canonical hash already computed (the response reuses it instead
+// of hashing a potentially multi-megabyte injected document twice).
 func (s *Service) planForKey(ctx context.Context, sc Scenario, key string) (*Plan, CacheOutcome, error) {
 	v, resident, err := s.plans.get(ctx, key, func(ctx context.Context) (cachedPlan, error) {
 		// Try the persistent store before paying for a planner run: an
@@ -608,46 +541,17 @@ func (s *Service) planCold(ctx context.Context, sc Scenario) (*Plan, CacheOutcom
 }
 
 // Estimate plans sc through the cache and evaluates it with the given
-// method, under one admission slot and one request budget.
+// method (canonicalised through ParseMethod), under one admission slot
+// and one request budget.
 func (s *Service) Estimate(ctx context.Context, sc Scenario, m Method, opts ...EstimateOption) (float64, error) {
-	if err := sc.Validate(); err != nil {
-		return 0, err
-	}
-	_, em, _, err := s.estimateForKey(ctx, sc, sc.Key(), m, opts...)
-	return em, err
+	r := s.runJob(ctx, Job{Kind: JobEstimate, Scenario: sc, Method: m, EstimateOptions: opts})
+	return r.Estimate, r.Err
 }
 
 // Simulate plans sc through the cache and runs the discrete-event
 // simulator on the plan, under one admission slot and one request
 // budget.
 func (s *Service) Simulate(ctx context.Context, sc Scenario, opts ...SimOption) (SimResult, error) {
-	if err := sc.Validate(); err != nil {
-		return SimResult{}, err
-	}
-	_, res, _, err := s.simulateForKey(ctx, sc, sc.Key(), opts...)
-	return res, err
-}
-
-// Compare plans and evaluates the three paper strategies for sc as
-// three strategy-pinned plan requests through the cache. Strategy is
-// part of the plan key but not of the structure key, so a cold Compare
-// builds one scaffold (one Algorithm 1 schedule, the paper's shared
-// schedule) and answers the other two strategies from it: one miss and
-// two structure-hits, each plan bit-identical to the facade Compare's.
-// Each request claims its own admission slot and request budget.
-func (s *Service) Compare(ctx context.Context, sc Scenario) (*Comparison, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	var plans [3]*Plan
-	for i, st := range [...]Strategy{CkptSome, CkptAll, CkptNone} {
-		pinned := sc
-		pinned.strategy = st
-		p, _, err := s.planGated(ctx, pinned, pinned.Key())
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = p
-	}
-	return &Comparison{Some: plans[0], All: plans[1], None: plans[2]}, nil
+	r := s.runJob(ctx, Job{Kind: JobSimulate, Scenario: sc, SimOptions: opts})
+	return r.Sim, r.Err
 }

@@ -132,7 +132,7 @@ func TestServiceErrorsNotCached(t *testing.T) {
 // small scenario set (forcing heavy key collision and some eviction)
 // and checks every answer equals the serial reference. Run under -race
 // by `make check`, this is also the data-race proof for the LRU and the
-// per-plan evaluator pools.
+// per-plan segment DAG and memoized estimates.
 func TestServiceConcurrentMixedTraffic(t *testing.T) {
 	ctx := context.Background()
 	scenarios := []Scenario{
@@ -146,6 +146,7 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 	type ref struct {
 		em, dodin float64
 		simMean   float64
+		cmp       *Comparison
 	}
 	refs := make([]ref, len(scenarios))
 	for i, sc := range scenarios {
@@ -161,7 +162,11 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[i] = ref{em: p.ExpectedMakespan(), dodin: d, simMean: sim.Mean}
+		cmp, err := Compare(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref{em: p.ExpectedMakespan(), dodin: d, simMean: sim.Mean, cmp: cmp}
 	}
 
 	// Smaller than the scenario set to force eviction under load; one
@@ -179,7 +184,7 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				i := (g + it) % len(scenarios)
 				sc, want := scenarios[i], refs[i]
-				switch it % 3 {
+				switch it % 4 {
 				case 0:
 					p, err := svc.Plan(ctx, sc)
 					if err != nil {
@@ -200,7 +205,7 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 						errc <- fmt.Errorf("dodin %.17g != ref %.17g", d, want.dodin)
 						return
 					}
-				default:
+				case 2:
 					s, err := svc.Simulate(ctx, sc, WithSimTrials(200), WithSimWorkers(2))
 					if err != nil {
 						errc <- err
@@ -209,6 +214,18 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 					if s.Mean != want.simMean {
 						errc <- fmt.Errorf("sim mean %.17g != ref %.17g", s.Mean, want.simMean)
 						return
+					}
+				default:
+					cmp, err := comparePlans(ctx, svc, sc)
+					if err != nil {
+						errc <- err
+						return
+					}
+					for _, pair := range [][2]*Plan{{cmp.Some, want.cmp.Some}, {cmp.All, want.cmp.All}, {cmp.None, want.cmp.None}} {
+						if got, ref := pair[0].ExpectedMakespan(), pair[1].ExpectedMakespan(); got != ref {
+							errc <- fmt.Errorf("compare %s EM %.17g != ref %.17g", pair[0].Strategy(), got, ref)
+							return
+						}
 					}
 				}
 			}
@@ -228,10 +245,29 @@ func TestServiceConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestServiceCompareMatchesFacadeCompare pins Service.Compare (three
-// strategy-pinned plan requests sharing one cached scaffold) against
-// the one-shot Compare (one shared schedule): every family, several
-// seeds, all three strategies, byte-identical encoded plans.
+// comparePlans is how a Service compares the paper's three strategies:
+// three serial strategy-pinned PlanDetail calls, collected into a
+// Comparison. Strategy is part of the plan key but not of the structure
+// key, so the three share one scaffold — one Algorithm 1 schedule, as
+// the paper's comparison requires.
+func comparePlans(ctx context.Context, svc *Service, sc Scenario) (*Comparison, error) {
+	var plans [3]*Plan
+	for i, st := range [...]Strategy{CkptSome, CkptAll, CkptNone} {
+		pinned := sc
+		pinned.strategy = st
+		p, _, err := svc.PlanDetail(ctx, pinned)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = p
+	}
+	return &Comparison{Some: plans[0], All: plans[1], None: plans[2]}, nil
+}
+
+// TestServiceCompareMatchesFacadeCompare pins a Service comparison
+// (three strategy-pinned plan requests sharing one cached scaffold)
+// against the one-shot Compare (one shared schedule): every family,
+// several seeds, all three strategies, byte-identical encoded plans.
 func TestServiceCompareMatchesFacadeCompare(t *testing.T) {
 	ctx := context.Background()
 	svc := NewService()
@@ -242,7 +278,7 @@ func TestServiceCompareMatchesFacadeCompare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cached, err := svc.Compare(ctx, sc)
+			cached, err := comparePlans(ctx, svc, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,12 +304,12 @@ func assertComparisonsIdentical(t *testing.T, name string, got, want *Comparison
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g, w) {
-			t.Fatalf("%s %s: Service.Compare plan diverges from Compare", name, pair.strat)
+			t.Fatalf("%s %s: Service comparison plan diverges from Compare", name, pair.strat)
 		}
 	}
 }
 
-// TestServiceCompareCounters pins what a cold Service.Compare costs:
+// TestServiceCompareCounters pins what a cold Service comparison costs:
 // with the scaffold cache, one full miss builds the shared scaffold and
 // the other two strategies are structure-hits on it (Misses counts all
 // three, StructureHits the two); without it, three full misses. Either
@@ -296,7 +332,7 @@ func TestServiceCompareCounters(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc := NewService(tc.opts...)
-			cmp, err := svc.Compare(ctx, sc)
+			cmp, err := comparePlans(ctx, svc, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,15 +447,15 @@ func TestNonPositiveTrialsRejected(t *testing.T) {
 	}
 }
 
-// TestServiceCompareSeedsCache pins the shared-schedule Compare path:
-// a cold Service.Compare runs one comparison and seeds all three
-// per-strategy plans, so the follow-up single-strategy requests and a
-// second Compare are pure hits.
+// TestServiceCompareSeedsCache pins the shared-schedule comparison
+// path: a cold Service comparison seeds all three per-strategy plans,
+// so the follow-up single-strategy requests and a second comparison
+// are pure hits.
 func TestServiceCompareSeedsCache(t *testing.T) {
 	ctx := context.Background()
 	svc := NewService()
 	sc := smallScenario("genome", 31, CkptSome)
-	first, err := svc.Compare(ctx, sc)
+	first, err := comparePlans(ctx, svc, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +468,7 @@ func TestServiceCompareSeedsCache(t *testing.T) {
 			t.Fatalf("%s not seeded (outcome=%q, err=%v)", strat, outcome, err)
 		}
 	}
-	second, err := svc.Compare(ctx, sc)
+	second, err := comparePlans(ctx, svc, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
