@@ -17,8 +17,9 @@ vet:
 	$(GO) vet -tags scaling .
 
 # The repo-invariant analyzers (internal/lint): determinism, error
-# discipline, lock hygiene, ctx flow, flag-block ownership. Exits 1 on
-# any unsuppressed finding; //hanccr:allow documents the exceptions.
+# discipline, lock hygiene, ctx flow, flag-block ownership and unused
+# internal/ API (deadapi). Exits 1 on any unsuppressed finding;
+# //hanccr:allow documents the exceptions.
 lint-invariants:
 	$(GO) run ./cmd/hanccr-lint
 

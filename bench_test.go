@@ -256,7 +256,7 @@ func BenchmarkCheckpointDP1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ckpt.BuildPlan(s, pf, ckpt.CkptSome); err != nil {
+		if _, err := ckpt.BuildPlanWith(s, pf, ckpt.CkptSome, ckpt.ModelFirstOrder); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,8 +274,7 @@ func benchEvalDAG(b *testing.B) *probdag.Graph {
 
 // The estimator benches hold one reusable Evaluator, the engine's hot
 // configuration: repeated evaluations of a fixed segment DAG allocate
-// nothing (compare BenchmarkEstimatorPathApproxOneShot for the per-call
-// construction cost the old API paid every time).
+// nothing.
 func BenchmarkEstimatorPathApprox(b *testing.B) {
 	g := benchEvalDAG(b)
 	ev, err := probdag.NewEvaluator(g)
@@ -286,15 +285,6 @@ func BenchmarkEstimatorPathApprox(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.PathApprox()
-	}
-}
-
-func BenchmarkEstimatorPathApproxOneShot(b *testing.B) {
-	g := benchEvalDAG(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		probdag.PathApprox(g)
 	}
 }
 
@@ -355,23 +345,16 @@ func BenchmarkEstimatorDodinMontage(b *testing.B) {
 	}
 }
 
-func BenchmarkEstimatorDodinOneShot(b *testing.B) {
-	g := benchEvalDAG(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := probdag.Dodin(g, probdag.DodinOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEstimatorMonteCarlo10k(b *testing.B) {
 	g := benchEvalDAG(b)
+	ev, err := probdag.NewEvaluator(g)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		probdag.MonteCarlo(g, 10000, rng)
+		ev.MonteCarlo(10000, rng)
 	}
 }
 
@@ -382,15 +365,16 @@ func BenchmarkEstimatorMonteCarloSeeded10k(b *testing.B) {
 	g := benchEvalDAG(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		probdag.MonteCarloSeeded(g, 10000, int64(i+1), 0)
+		if _, err := probdag.MonteCarloSeededCtx(context.Background(), g, 10000, int64(i+1), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkSimulatorTrial measures one DES trial through the reusable
-// Runner — the configuration EstimateExpected's chunked trial loops run
-// in: the plan tables and all per-trial buffers are built once, so the
-// steady state allocates nothing (compare BenchmarkSimulatorTrialOneShot
-// for the per-call construction cost the old RunPlan API paid per trial).
+// Runner — the configuration EstimateExpectedDetail's chunked trial
+// loops run in: the plan tables and all per-trial buffers are built
+// once, so the steady state allocates nothing.
 func BenchmarkSimulatorTrial(b *testing.B) {
 	res, _ := benchWorkflow(b, "genome", 300, 18)
 	r, err := sim.NewRunner(res.Plan)
@@ -402,19 +386,6 @@ func BenchmarkSimulatorTrial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Run(rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimulatorTrialOneShot(b *testing.B) {
-	res, pf := benchWorkflow(b, "genome", 300, 18)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs := sim.NewPoissonFailures(pf.Processors, pf.Lambda, rng)
-		if _, err := sim.RunPlan(res.Plan, fs); err != nil {
 			b.Fatal(err)
 		}
 	}

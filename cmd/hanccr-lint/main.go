@@ -1,16 +1,19 @@
 // Command hanccr-lint runs the repo-invariant static analyzers of
 // internal/lint over the module: determinism (mapiter, walltime),
 // error discipline on write paths (discarderr), context plumbing
-// (ctxflow), lock hygiene (lockio) and flag-block ownership
-// (flagdrift).
+// (ctxflow), lock hygiene (lockio), flag-block ownership (flagdrift)
+// and unused internal/ API (deadapi).
 //
 //	hanccr-lint                  # lint the module containing the cwd
 //	hanccr-lint -json            # machine-readable report (CI artifact)
 //	hanccr-lint -checks mapiter,walltime
 //	hanccr-lint -tags lintfixture  # include build-tag-gated files
 //
-// Exit status: 0 clean, 1 unsuppressed findings, 2 usage or load
-// error. Suppressed findings (//hanccr:allow) are counted in the
+// Unsuppressed findings go to stdout, one per line, and a summary line
+// to stderr. With -json, stdout carries only the JSON report and the
+// findings and summary go to stderr, so one run both gates and writes
+// the report. Exit status: 0 clean, 1 unsuppressed findings, 2 usage or
+// load error. Suppressed findings (//hanccr:allow) are counted in the
 // summary and carried in the JSON report but do not fail the run.
 package main
 
@@ -79,14 +82,17 @@ func main() {
 		if err := enc.Encode(report); err != nil {
 			fatal(err)
 		}
-	} else {
-		for _, d := range diags {
-			if !d.Suppressed {
-				fmt.Println(d)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "hanccr-lint: %d finding(s), %d suppressed\n", unsuppressed, suppressed)
 	}
+	findings := os.Stdout
+	if *jsonOut {
+		findings = os.Stderr
+	}
+	for _, d := range diags {
+		if !d.Suppressed {
+			fmt.Fprintln(findings, d)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "hanccr-lint: %d finding(s), %d suppressed\n", unsuppressed, suppressed)
 	if unsuppressed > 0 {
 		os.Exit(1)
 	}

@@ -50,6 +50,7 @@ func TestLintGateExitCodes(t *testing.T) {
 		"internal/lint/brokenfixture/broken.go",
 		"[discarderr]",
 		"[ctxflow]",
+		"[deadapi]",
 	} {
 		if !strings.Contains(text, wantFrag) {
 			t.Errorf("broken-fixture output lacks %q:\n%s", wantFrag, text)
@@ -90,6 +91,43 @@ func TestLintJSONReport(t *testing.T) {
 		if !f.Suppressed || f.Reason == "" || f.Check == "" || f.Pos == "" {
 			t.Fatalf("malformed suppressed finding in report: %+v", f)
 		}
+	}
+}
+
+// TestLintJSONGate pins the one-run CI step: a -json run over the
+// broken fixture exits 1, its stdout is still the bare JSON report, and
+// its stderr names each unsuppressed finding and the summary.
+func TestLintJSONGate(t *testing.T) {
+	bin, root := buildLint(t)
+	cmd := exec.Command(bin, "-dir", root, "-tags", "lintfixture", "-json")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("json run over the broken fixture: err = %v (want exit 1)\n%s", err, stderr.String())
+	}
+	var report struct {
+		Findings []struct {
+			Check      string `json:"check"`
+			Pos        string `json:"pos"`
+			Suppressed bool   `json:"suppressed"`
+		} `json:"findings"`
+		Total int `json:"total"`
+	}
+	if err := json.Unmarshal(out, &report); err != nil {
+		t.Fatalf("stdout is not the JSON report: %v\n%s", err, out)
+	}
+	if report.Total == 0 {
+		t.Fatal("report counts no unsuppressed finding")
+	}
+	for _, f := range report.Findings {
+		if !f.Suppressed && !strings.Contains(stderr.String(), f.Pos+": ["+f.Check+"]") {
+			t.Errorf("stderr does not name finding %s [%s]:\n%s", f.Pos, f.Check, stderr.String())
+		}
+	}
+	if !strings.Contains(stderr.String(), "finding(s)") {
+		t.Errorf("stderr lacks the summary line:\n%s", stderr.String())
 	}
 }
 

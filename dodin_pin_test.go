@@ -47,7 +47,11 @@ func dodinFingerprint(t *testing.T, family string, seed int64) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := probdag.DodinDistribution(g, probdag.DodinOptions{})
+	ev, err := probdag.NewEvaluator(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ev.DodinDistribution(probdag.DodinOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

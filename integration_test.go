@@ -47,7 +47,7 @@ func TestIntegrationMatrix(t *testing.T) {
 					continue
 				}
 				// The DES agrees with the analytic estimate at this λ.
-				s, err := sim.EstimateExpected(context.Background(), res.Plan, 400, 11, 0)
+				s, _, err := sim.EstimateExpectedDetail(context.Background(), res.Plan, 400, 11, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

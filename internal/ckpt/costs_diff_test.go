@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/pegasus"
 	"repro/internal/platform"
 	"repro/internal/probdag"
@@ -129,19 +130,23 @@ func diffPlans(t *testing.T, where string, got, want *Plan) {
 // refExpectedMakespan is ExpectedMakespan's PathApprox path over the
 // reference segment edges.
 func refExpectedMakespan(p *Plan, deps [][2]int) float64 {
-	return probdag.PathApprox(refSegmentDAG(p, deps))
+	ev, err := probdag.NewEvaluator(refSegmentDAG(p, deps))
+	if err != nil {
+		panic(err)
+	}
+	return ev.PathApprox()
 }
 
-// refSegmentDAG builds the segment DAG node by node and edge by edge
-// through AddNode and AddEdge, one SegmentDist law per segment.
+// refSegmentDAG builds the segment DAG from one SegmentDist law per
+// segment and the given edges.
 func refSegmentDAG(p *Plan, deps [][2]int) *probdag.Graph {
-	g := probdag.NewGraph()
-	ids := make([]probdag.NodeID, len(p.Segments))
+	laws := make([]*dist.Discrete, len(p.Segments))
 	for i, seg := range p.Segments {
-		ids[i] = g.AddNode(p.Model.SegmentDist(seg.Span(), p.Platform.Lambda))
+		laws[i] = p.Model.SegmentDist(seg.Span(), p.Platform.Lambda)
 	}
-	for _, e := range deps {
-		g.AddEdge(ids[e[0]], ids[e[1]])
+	g, err := probdag.FromEdges(laws, deps)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }

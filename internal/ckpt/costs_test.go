@@ -3,6 +3,7 @@ package ckpt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mspg"
@@ -163,13 +164,13 @@ func TestSharedFileDedupInCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := newChainCosts(s, pf, s.Chain(a))
+	cc := newChainCosts(s, pf, chainOf(s, a))
 	_, _, cCost := cc.segmentCost(s.Pos(a), s.Pos(a))
 	if cCost != 100 {
 		t.Fatalf("shared file checkpointed twice? C = %g, want 100", cCost)
 	}
 	// And a reader that consumes the same file once pays it once.
-	ccB := newChainCosts(s, pf, s.Chain(b))
+	ccB := newChainCosts(s, pf, chainOf(s, b))
 	r, _, _ := ccB.segmentCost(s.Pos(b), s.Pos(b))
 	if r != 100 {
 		t.Fatalf("R = %g, want 100", r)
@@ -209,4 +210,14 @@ func TestWorkflowOutputsCountInC(t *testing.T) {
 	if c != 70 {
 		t.Fatalf("workflow output write C = %g, want 70", c)
 	}
+}
+
+// chainOf returns the superchain holding task t.
+func chainOf(s *sched.Schedule, t wfdag.TaskID) *sched.Superchain {
+	for _, sc := range s.Chains {
+		if slices.Contains(sc.Tasks, t) {
+			return sc
+		}
+	}
+	panic("task in no superchain")
 }

@@ -13,6 +13,38 @@ import (
 	"repro/internal/wfdag"
 )
 
+// OptimalCheckpoints is Algorithm 2 on superchain sc under the
+// first-order model.
+func OptimalCheckpoints(s *sched.Schedule, p platform.Platform, sc *sched.Superchain) ChainDP {
+	return optimalCheckpointsFromCosts(newChainCosts(s, p, sc), p.Lambda, ModelFirstOrder)
+}
+
+// SegmentsOf splits positions 0..n-1 into maximal runs ending at a
+// checkpointed position. checkpointAfter[n-1] must be true.
+func SegmentsOf(checkpointAfter []bool) [][2]int {
+	var out [][2]int
+	start := 0
+	for pos, ck := range checkpointAfter {
+		if ck {
+			out = append(out, [2]int{start, pos})
+			start = pos + 1
+		}
+	}
+	return out
+}
+
+// ExpectedChainTime returns the first-order expected execution time of a
+// superchain for a given checkpoint placement (not necessarily optimal):
+// the sum over segments of T(i, j).
+func ExpectedChainTime(cc *chainCosts, lambda float64, checkpointAfter []bool) float64 {
+	total := 0.0
+	for _, seg := range SegmentsOf(checkpointAfter) {
+		r, w, c := cc.segmentCost(seg[0], seg[1])
+		total += ModelFirstOrder.ExpectedTime(r+w+c, lambda)
+	}
+	return total
+}
+
 // bruteForceBest enumerates every checkpoint placement (last position
 // forced) and returns the minimal expected chain time.
 func bruteForceBest(cc *chainCosts, lambda float64) (float64, []bool) {

@@ -30,20 +30,24 @@ func EvalDAG(p *Plan) (*probdag.Graph, error) {
 }
 
 // segmentDAG is EvalDAG without the cycle check. Node i is segment i;
-// the segment laws share one backing block (dist.TwoStates) and
 // SegmentDeps's edges, already deduplicated, are packed in one pass.
 func segmentDAG(p *Plan) (*probdag.Graph, error) {
 	if p.Strategy == CkptNone {
 		return nil, fmt.Errorf("ckpt: CkptNone has no segment DAG; use Theorem1 or the simulator")
 	}
-	laws := dist.TwoStates(len(p.Segments), func(i int) (float64, float64, float64) {
-		return p.Model.segmentLaw(p.Segments[i].Span(), p.Platform.Lambda)
-	})
-	g, err := probdag.FromEdges(laws, SegmentDeps(p))
+	g, err := probdag.FromEdges(segmentLaws(p), SegmentDeps(p))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: segment DAG: %w", err)
 	}
 	return g, nil
+}
+
+// segmentLaws returns every segment's duration law, sharing one
+// backing block (dist.TwoStates).
+func segmentLaws(p *Plan) []*dist.Discrete {
+	return dist.TwoStates(len(p.Segments), func(i int) (float64, float64, float64) {
+		return p.Model.segmentLaw(p.Segments[i].Span(), p.Platform.Lambda)
+	})
 }
 
 // SegmentDeps returns the precedence edges between segments (pairs of

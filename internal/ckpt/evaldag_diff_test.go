@@ -11,12 +11,13 @@ import (
 )
 
 // TestEvalDAGMatchesReference pins the one-pass segment DAG (laws in
-// one block, edges packed by probdag.FromEdges) to the node-by-node
-// AddNode/AddEdge build over the map-based reference edges, on every
-// family × {CkptSome, CkptAll, ExitOnly} × both cost models × three
-// seeds: every node's Succ and Pred lists in order, bit-equal supports
-// and probabilities, and bit-equal PathApprox, Normal, Dodin and seeded
-// Monte Carlo estimates, both on the graph and through ExpectedMakespan.
+// one block, edges packed by probdag.FromEdges) to the reference built
+// from one SegmentDist law per segment and the map-based reference
+// edges, on every family × {CkptSome, CkptAll, ExitOnly} × both cost
+// models × three seeds: the edges in order, bit-equal supports and
+// probabilities, and bit-equal PathApprox, Normal, Dodin and seeded
+// Monte Carlo estimates, both on the graph and through
+// ExpectedMakespan.
 func TestEvalDAGMatchesReference(t *testing.T) {
 	const trials, mcSeed = 500, 7
 	for _, fam := range pegasus.Families() {
@@ -33,29 +34,10 @@ func TestEvalDAGMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := refSegmentDAG(p, refSegmentDeps(p))
-					diffSegmentDAG(t, where, g, ref)
-
-					refDodin, err := probdag.Dodin(ref, probdag.DodinOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := map[Estimator]float64{
-						EstPathApprox: probdag.PathApprox(ref),
-						EstNormal:     probdag.Normal(ref),
-						EstDodin:      refDodin,
-						EstMonteCarlo: probdag.MonteCarlo(ref, trials, rand.New(rand.NewSource(mcSeed))).Mean,
-					}
-					gotDodin, err := probdag.Dodin(g, probdag.DodinOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := map[Estimator]float64{
-						EstPathApprox: probdag.PathApprox(g),
-						EstNormal:     probdag.Normal(g),
-						EstDodin:      gotDodin,
-						EstMonteCarlo: probdag.MonteCarlo(g, trials, rand.New(rand.NewSource(mcSeed))).Mean,
-					}
+					refDeps := refSegmentDeps(p)
+					diffSegmentDAG(t, where, p, refDeps)
+					want := estimates(t, refSegmentDAG(p, refDeps), trials, mcSeed)
+					got := estimates(t, g, trials, mcSeed)
 					for _, est := range []Estimator{EstPathApprox, EstNormal, EstDodin, EstMonteCarlo} {
 						if !sameBits(got[est], want[est]) {
 							t.Fatalf("%s: %s on the graph = %v, reference %v", where, est, got[est], want[est])
@@ -74,18 +56,39 @@ func TestEvalDAGMatchesReference(t *testing.T) {
 	}
 }
 
-func diffSegmentDAG(t *testing.T, where string, g, ref *probdag.Graph) {
+// estimates runs the four estimators on g, Monte Carlo from seed.
+func estimates(t *testing.T, g *probdag.Graph, trials int, seed int64) map[Estimator]float64 {
 	t.Helper()
-	if g.Len() != ref.Len() {
-		t.Fatalf("%s: %d segment nodes, reference %d", where, g.Len(), ref.Len())
+	ev, err := probdag.NewEvaluator(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < g.Len(); i++ {
-		v := probdag.NodeID(i)
-		if !slices.Equal(g.Succ(v), ref.Succ(v)) || !slices.Equal(g.Pred(v), ref.Pred(v)) {
-			t.Fatalf("%s: node %d has succ %v pred %v, reference succ %v pred %v",
-				where, i, g.Succ(v), g.Pred(v), ref.Succ(v), ref.Pred(v))
-		}
-		d, rd := g.Dist(v), ref.Dist(v)
+	dodin, err := ev.Dodin(probdag.DodinOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[Estimator]float64{
+		EstPathApprox: ev.PathApprox(),
+		EstNormal:     ev.Normal(),
+		EstDodin:      dodin,
+		EstMonteCarlo: ev.MonteCarlo(trials, rand.New(rand.NewSource(seed))).Mean,
+	}
+}
+
+// diffSegmentDAG checks what EvalDAG hands probdag.FromEdges: the
+// segment edges in order, and each segment's law bit for bit against
+// SegmentDist.
+func diffSegmentDAG(t *testing.T, where string, p *Plan, refDeps [][2]int) {
+	t.Helper()
+	if deps := SegmentDeps(p); !slices.Equal(deps, refDeps) {
+		t.Fatalf("%s: segment edges differ from the reference (%d vs %d)", where, len(deps), len(refDeps))
+	}
+	laws := segmentLaws(p)
+	if len(laws) != len(p.Segments) {
+		t.Fatalf("%s: %d segment laws, %d segments", where, len(laws), len(p.Segments))
+	}
+	for i, d := range laws {
+		rd := p.Model.SegmentDist(p.Segments[i].Span(), p.Platform.Lambda)
 		if !slices.EqualFunc(d.Support(), rd.Support(), sameBits) || !slices.EqualFunc(d.Probs(), rd.Probs(), sameBits) {
 			t.Fatalf("%s: node %d law %v/%v, reference %v/%v", where, i, d.Support(), d.Probs(), rd.Support(), rd.Probs())
 		}

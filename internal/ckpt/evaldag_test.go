@@ -3,13 +3,11 @@ package ckpt
 import (
 	"math"
 	"testing"
-
-	"repro/internal/probdag"
 )
 
 func TestEvalDAGStructure(t *testing.T) {
 	s, pf := realSchedule(t, "genome", 100, 5, 0.001, 0.01)
-	p, err := BuildPlan(s, pf, CkptSome)
+	p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +21,10 @@ func TestEvalDAGStructure(t *testing.T) {
 	if _, err := g.TopoOrder(); err != nil {
 		t.Fatal(err)
 	}
-	// Each node distribution has mean >= the failure-free span.
+	// Each segment law has mean >= the failure-free span.
+	laws := segmentLaws(p)
 	for i, seg := range p.Segments {
-		d := g.Dist(probdag.NodeID(i))
+		d := laws[i]
 		if d.Mean() < seg.Span()-1e-9 {
 			t.Fatalf("segment %d mean %g < span %g", i, d.Mean(), seg.Span())
 		}
@@ -37,7 +36,7 @@ func TestEvalDAGStructure(t *testing.T) {
 
 func TestSegmentDepsCoverTaskEdges(t *testing.T) {
 	s, pf := realSchedule(t, "montage", 120, 7, 0.001, 0.1)
-	p, err := BuildPlan(s, pf, CkptSome)
+	p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,7 @@ func TestSegmentDepsCoverTaskEdges(t *testing.T) {
 	wg := s.W.G
 	for i := 0; i < wg.NumTasks(); i++ {
 		for _, succ := range wg.SuccTasks(taskID(i)) {
-			a, b := p.SegmentOf(taskID(i)), p.SegmentOf(succ)
+			a, b := p.segOf[i], p.segOf[succ]
 			if a != b && !deps[[2]int{a, b}] {
 				t.Fatalf("task edge %d->%d not reflected in segment deps", i, succ)
 			}
@@ -61,7 +60,7 @@ func TestSegmentDepsCoverTaskEdges(t *testing.T) {
 
 func TestSegmentDepsSequenceChains(t *testing.T) {
 	s, pf := realSchedule(t, "genome", 100, 5, 0.001, 0.01)
-	p, err := BuildPlan(s, pf, CkptSome)
+	p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestSegmentDepsSequenceChains(t *testing.T) {
 
 func TestExpectedMakespanEstimatorsAgree(t *testing.T) {
 	s, pf := realSchedule(t, "genome", 100, 5, 0.001, 0.01)
-	p, err := BuildPlan(s, pf, CkptSome)
+	p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestExpectedMakespanEstimatorsAgree(t *testing.T) {
 func TestExpectedMakespanAtLeastFailureFree(t *testing.T) {
 	for _, fam := range []string{"genome", "montage", "ligo"} {
 		s, pf := realSchedule(t, fam, 100, 5, 0.01, 0.1)
-		p, err := BuildPlan(s, pf, CkptSome)
+		p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +164,7 @@ func TestRelativeTrendsVsCCR(t *testing.T) {
 	for _, ccr := range []float64{1e-4, 1e-2, 1} {
 		s, pf := realSchedule(t, "genome", 120, 5, 0.01, ccr)
 		em := func(strat Strategy) float64 {
-			p, err := BuildPlan(s, pf, strat)
+			p, err := BuildPlanWith(s, pf, strat, ModelFirstOrder)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,14 +46,8 @@ func (m CostModel) ExpectedTime(span, lambda float64) float64 {
 	}
 }
 
-// SegmentDist returns the model's two-point duration distribution for a
-// segment: the node weight of the evaluation DAG, which EvalDAG builds
-// for all segments at once in one block (dist.TwoStates).
-func (m CostModel) SegmentDist(span, lambda float64) *dist.Discrete {
-	return dist.TwoState(m.segmentLaw(span, lambda))
-}
-
-// segmentLaw returns SegmentDist's parameters: the law is
+// segmentLaw returns the model's two-point duration law for a segment,
+// the node weight of the evaluation DAG: the law is
 // dist.TwoState(lo, hi, pHi).
 func (m CostModel) segmentLaw(span, lambda float64) (lo, hi, pHi float64) {
 	switch m {

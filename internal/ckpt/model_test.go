@@ -7,6 +7,12 @@ import (
 	"repro/internal/dist"
 )
 
+// SegmentDist is one segment's law on its own, the reference for the
+// block of laws EvalDAG builds at once (dist.TwoStates).
+func (m CostModel) SegmentDist(span, lambda float64) *dist.Discrete {
+	return dist.TwoState(m.segmentLaw(span, lambda))
+}
+
 func TestCostModelString(t *testing.T) {
 	if ModelFirstOrder.String() != "FirstOrder" || ModelExact.String() != "Exact" {
 		t.Fatal("model names")
@@ -53,7 +59,7 @@ func TestExactSegmentDistMatchesMean(t *testing.T) {
 			t.Fatalf("base value must be the failure-free span, got %g", d.Min())
 		}
 		// P(no failure) = e^{-λS}.
-		if p0 := d.CDF(span); math.Abs(p0-math.Exp(-lam*span)) > 1e-9 {
+		if p0 := d.Probs()[0]; math.Abs(p0-math.Exp(-lam*span)) > 1e-9 {
 			t.Fatalf("no-failure mass %g", p0)
 		}
 	}

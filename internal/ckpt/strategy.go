@@ -57,10 +57,6 @@ type Plan struct {
 	segOf           []int // task -> segment index, -1 for CkptNone
 }
 
-// SegmentOf returns the index of the segment containing task t (-1 under
-// CkptNone).
-func (p *Plan) SegmentOf(t wfdag.TaskID) int { return p.segOf[t] }
-
 // NumCheckpoints returns how many tasks are followed by a checkpoint.
 func (p *Plan) NumCheckpoints() int {
 	n := 0
@@ -72,35 +68,13 @@ func (p *Plan) NumCheckpoints() int {
 	return n
 }
 
-// TotalCheckpointTime returns the sum of all segments' C costs.
-func (p *Plan) TotalCheckpointTime() float64 {
-	s := 0.0
-	for _, seg := range p.Segments {
-		s += seg.C
-	}
-	return s
-}
-
-// TotalReadTime returns the sum of all segments' R costs.
-func (p *Plan) TotalReadTime() float64 {
-	s := 0.0
-	for _, seg := range p.Segments {
-		s += seg.R
-	}
-	return s
-}
-
-// BuildPlan applies a strategy to a schedule. For CkptSome it runs
-// Algorithm 2 on every superchain; for CkptAll it checkpoints after
-// every task; for ExitOnly it checkpoints only superchain ends; for
-// CkptNone no segments are built (evaluation goes through Theorem 1).
-func BuildPlan(s *sched.Schedule, p platform.Platform, strat Strategy) (*Plan, error) {
-	return BuildPlanWith(s, p, strat, ModelFirstOrder)
-}
-
-// BuildPlanWith is BuildPlan under an explicit segment cost model. It
-// builds each superchain's cost table once: under CkptSome the table
-// feeds Algorithm 2 and then cuts the segments of the marks it placed.
+// BuildPlanWith applies a strategy to a schedule under a segment cost
+// model. For CkptSome it runs Algorithm 2 on every superchain; for
+// CkptAll it checkpoints after every task; for ExitOnly it checkpoints
+// only superchain ends; for CkptNone no segments are built (evaluation
+// goes through Theorem 1). It builds each superchain's cost table once:
+// under CkptSome the table feeds Algorithm 2 and then cuts the segments
+// of the marks it placed.
 func BuildPlanWith(s *sched.Schedule, p platform.Platform, strat Strategy, model CostModel) (*Plan, error) {
 	n := s.W.G.NumTasks()
 	plan := &Plan{

@@ -26,7 +26,7 @@ func realSchedule(t *testing.T, fam string, tasks, procs int, pfail, ccr float64
 
 func TestBuildPlanCkptAll(t *testing.T) {
 	s, pf := realSchedule(t, "genome", 100, 5, 0.001, 0.01)
-	p, err := BuildPlan(s, pf, CkptAll)
+	p, err := BuildPlanWith(s, pf, CkptAll, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBuildPlanCkptAll(t *testing.T) {
 
 func TestBuildPlanExitOnly(t *testing.T) {
 	s, pf := realSchedule(t, "genome", 100, 5, 0.001, 0.01)
-	p, err := BuildPlan(s, pf, ExitOnly)
+	p, err := BuildPlanWith(s, pf, ExitOnly, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBuildPlanExitOnly(t *testing.T) {
 
 func TestBuildPlanCkptSomeExitGuarantee(t *testing.T) {
 	s, pf := realSchedule(t, "montage", 150, 7, 0.001, 0.1)
-	p, err := BuildPlan(s, pf, CkptSome)
+	p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBuildPlanCkptSomeExitGuarantee(t *testing.T) {
 
 func TestBuildPlanCkptNoneHasNoSegments(t *testing.T) {
 	s, pf := realSchedule(t, "ligo", 100, 5, 0.001, 0.01)
-	p, err := BuildPlan(s, pf, CkptNone)
+	p, err := BuildPlanWith(s, pf, CkptNone, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBuildPlanCkptNoneHasNoSegments(t *testing.T) {
 
 func TestBuildPlanUnknownStrategy(t *testing.T) {
 	s, pf := realSchedule(t, "genome", 60, 3, 0.001, 0.01)
-	if _, err := BuildPlan(s, pf, Strategy("Bogus")); err == nil {
+	if _, err := BuildPlanWith(s, pf, Strategy("Bogus"), ModelFirstOrder); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
 }
@@ -134,7 +134,7 @@ func TestCkptSomeNeverWorseThanBaselinePlacements(t *testing.T) {
 		for _, ccr := range []float64{0.001, 0.1, 1} {
 			s, pf := realSchedule(t, fam, 120, 5, 0.01, ccr)
 			sumFor := func(strat Strategy) float64 {
-				p, err := BuildPlan(s, pf, strat)
+				p, err := BuildPlanWith(s, pf, strat, ModelFirstOrder)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,15 +162,17 @@ func TestCkptSomeNeverWorseThanBaselinePlacements(t *testing.T) {
 
 func TestPlanAccountors(t *testing.T) {
 	s, pf := realSchedule(t, "montage", 100, 5, 0.001, 0.1)
-	p, err := BuildPlan(s, pf, CkptSome)
+	p, err := BuildPlanWith(s, pf, CkptSome, ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalCheckpointTime() < 0 || p.TotalReadTime() < 0 {
-		t.Fatal("negative accounting")
+	for _, seg := range p.Segments {
+		if seg.C < 0 || seg.R < 0 {
+			t.Fatal("negative accounting")
+		}
 	}
 	for i := 0; i < s.W.G.NumTasks(); i++ {
-		si := p.SegmentOf(taskID(i))
+		si := p.segOf[i]
 		if si < 0 || si >= len(p.Segments) {
 			t.Fatalf("task %d has bad segment %d", i, si)
 		}

@@ -5,12 +5,6 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-
-	"repro/internal/mspg"
-	"repro/internal/wfdag"
 )
 
 // ParseError reports a workflow file that could not be decoded, with as
@@ -37,6 +31,7 @@ func (e *ParseError) Error() string {
 	}
 }
 
+//hanccr:allow deadapi errors.Is and errors.As reach Unwrap through an anonymous interface
 func (e *ParseError) Unwrap() error { return e.Err }
 
 // NewParseError wraps a decoder error, pulling line/offset context out
@@ -55,33 +50,4 @@ func NewParseError(path string, err error) *ParseError {
 		pe.Offset = jsonType.Offset
 	}
 	return pe
-}
-
-// LoadWorkflow reads a workflow from disk — `.json` (this library's
-// native format) or `.dax`/`.xml` (the Pegasus DAX subset) — and
-// recovers its M-SPG structure by recognition, falling back to the
-// GSPG transitive-reduction route for graphs with redundant edges. The
-// returned redundant count is non-zero when the fallback was taken.
-// Decoding failures come back as a *ParseError with file/position
-// context; recognition failures keep the *mspg.NotMSPGError type.
-func LoadWorkflow(path string) (w *mspg.Workflow, redundant int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	var g *wfdag.Graph
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		g, err = wfdag.ReadJSON(f)
-	case ".dax", ".xml":
-		g, err = wfdag.ReadDAX(f)
-	default:
-		return nil, 0, NewParseError(path, fmt.Errorf("unsupported workflow format %q (want .json, .dax or .xml)", ext))
-	}
-	if err != nil {
-		return nil, 0, NewParseError(path, err)
-	}
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return mspg.WorkflowFromGraph(name, g)
 }

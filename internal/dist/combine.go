@@ -44,21 +44,13 @@ func (p *pairBuf) grow(n int) {
 	p.probs = p.probs[:n]
 }
 
-// Add returns the distribution of the sum of two independent variables
-// (the convolution).
-func (c *Combiner) Add(a, b *Discrete) *Discrete {
-	return c.AddQuantized(a, b, 0)
-}
-
-// MaxWith returns the distribution of the maximum of two independent
-// variables, walking both sorted supports once (no pair grid, no sort).
-func (c *Combiner) MaxWith(a, b *Discrete) *Discrete {
-	return c.MaxQuantized(a, b, 0)
-}
-
-// AddQuantized is Add followed by QuantizeNearest(maxBins) (maxBins <= 0
-// skips the cap), fused so no intermediate distribution is built. The
-// quantization arithmetic is identical to Discrete.QuantizeNearest.
+// AddQuantized returns the distribution of the sum of two independent
+// variables (the convolution) with its support capped at maxBins points
+// (maxBins <= 0 skips the cap): values are rounded upward onto a
+// uniform grid over [Min, Max], so the capped variable stochastically
+// dominates the exact one and estimates built on it stay upper-biased.
+// Convolution and cap are fused so no intermediate distribution is
+// built.
 func (c *Combiner) AddQuantized(a, b *Discrete, maxBins int) *Discrete {
 	p := &c.pairs
 	p.grow(len(a.vals) * len(b.vals))
@@ -82,9 +74,10 @@ func (c *Combiner) AddQuantized(a, b *Discrete, maxBins int) *Discrete {
 	return p.emit(p.coalesce(len(p.vals)), maxBins)
 }
 
-// MaxQuantized is MaxWith followed by QuantizeNearest(maxBins), fused.
-// It costs |a|·|b| multiply-adds over at most |a|+|b| atoms of scratch,
-// with no sort.
+// MaxQuantized returns the distribution of the maximum of two
+// independent variables, its support capped as in AddQuantized. It
+// walks both sorted supports once: |a|·|b| multiply-adds over at most
+// |a|+|b| atoms of scratch, no pair grid and no sort.
 func (c *Combiner) MaxQuantized(a, b *Discrete, maxBins int) *Discrete {
 	p := &c.pairs
 	p.grow(len(a.vals) + len(b.vals))
@@ -245,16 +238,16 @@ func (p *pairBuf) coalesce(n int) int {
 	return m
 }
 
-// quantize snaps the first n coalesced pairs onto QuantizeNearest's
-// upward-rounding uniform grid in place and returns the resulting
-// support size. The write index never passes the read index, so reading
+// quantize snaps the first n coalesced pairs onto the upward-rounding
+// uniform grid of maxBins steps over [lo, hi] in place and returns the
+// resulting support size (the tests' QuantizeNearest is the reference). The write index never passes the read index, so reading
 // and writing the same buffer is safe.
 func (p *pairBuf) quantize(n, maxBins int) int {
 	lo, hi := p.vals[0], p.vals[n-1]
 	step := (hi - lo) / float64(maxBins)
 	if step <= 0 {
-		// All mass collapses onto the minimum — QuantizeNearest returns
-		// Point(lo) here, whose probability is exactly 1.
+		// All mass collapses onto the minimum: Point(lo), whose
+		// probability is exactly 1.
 		p.vals[0] = lo
 		p.probs[0] = 1
 		return 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -25,6 +26,80 @@ func randomLaw(rng *rand.Rand, maxSupport int) *Discrete {
 	vals = append(vals, vals[0], float64(rng.Intn(4*maxSupport))/4)
 	probs = append(probs, rng.Float64(), 0)
 	return New(vals, probs)
+}
+
+// Add is AddQuantized without a cap: the exact convolution.
+func (c *Combiner) Add(a, b *Discrete) *Discrete {
+	return c.AddQuantized(a, b, 0)
+}
+
+// MaxWith is MaxQuantized without a cap: the exact maximum.
+func (c *Combiner) MaxWith(a, b *Discrete) *Discrete {
+	return c.MaxQuantized(a, b, 0)
+}
+
+// combineMap is the historical map-accumulator combine, superseded by
+// the Combiner. It is retained as the independent reference
+// implementation the property-based equivalence tests compare against;
+// the two must stay bit-identical. Each atom keeps the first value
+// inserted into its class, as the Combiner does: Go's map assignment
+// overwrites a float key with the one being stored, so on a -0/+0 tie
+// the map alone would keep the last one.
+func (d *Discrete) combineMap(o *Discrete, f func(a, b float64) float64) *Discrete {
+	acc := make(map[float64]float64, len(d.vals)*len(o.vals))
+	out := &Discrete{}
+	for i, a := range d.vals {
+		for j, b := range o.vals {
+			v := f(a, b)
+			if _, ok := acc[v]; !ok {
+				out.vals = append(out.vals, v)
+			}
+			acc[v] += d.probs[i] * o.probs[j]
+		}
+	}
+	sort.Float64s(out.vals)
+	for _, v := range out.vals {
+		out.probs = append(out.probs, acc[v])
+	}
+	return out
+}
+
+// QuantizeNearest caps the support at maxBins points by snapping values
+// onto a uniform grid over [Min, Max]. Values are rounded upward to the
+// next grid line, so the quantized variable stochastically dominates the
+// original and estimates built on it stay upper-biased (the bias
+// direction Dodin's duplication step already has). Distributions within
+// the cap are returned unchanged.
+func (d *Discrete) QuantizeNearest(maxBins int) *Discrete {
+	if maxBins <= 0 || len(d.vals) <= maxBins {
+		return d
+	}
+	lo, hi := d.Min(), d.Max()
+	step := (hi - lo) / float64(maxBins)
+	if step <= 0 {
+		return Point(lo)
+	}
+	out := &Discrete{}
+	for i, v := range d.vals {
+		// Round up to the next grid line (bin 0 keeps the exact minimum).
+		bin := int((v - lo) / step)
+		snapped := lo + float64(bin)*step
+		if snapped < v {
+			bin++
+			snapped = lo + float64(bin)*step
+		}
+		if snapped > hi {
+			snapped = hi
+		}
+		n := len(out.vals)
+		if n > 0 && out.vals[n-1] == snapped {
+			out.probs[n-1] += d.probs[i]
+		} else {
+			out.vals = append(out.vals, snapped)
+			out.probs = append(out.probs, d.probs[i])
+		}
+	}
+	return out
 }
 
 // requireIdentical fails unless the two distributions are bit-for-bit

@@ -24,6 +24,8 @@ type Discrete struct {
 // New builds a distribution from parallel value/probability slices.
 // Values are sorted, duplicates merged, non-positive masses dropped and
 // the result renormalized. It panics if no positive mass remains.
+//
+//hanccr:allow deadapi the dist and probdag tests build arbitrary multi-atom laws with it; production laws come from TwoState, TwoStates and the Combiner
 func New(vals, probs []float64) *Discrete {
 	if len(vals) != len(probs) {
 		panic(fmt.Sprintf("dist: %d values but %d probabilities", len(vals), len(probs)))
@@ -70,6 +72,8 @@ func Point(x float64) *Discrete {
 // TwoState returns the paper's 2-state law: value hi with probability
 // pHi, value lo otherwise. Degenerate parameters (pHi outside (0,1), or
 // lo == hi) collapse to a Point distribution.
+//
+//hanccr:allow deadapi tests across the module build single 2-state laws with it; production builds them in blocks with TwoStates
 func TwoState(lo, hi float64, pHi float64) *Discrete {
 	d := new(Discrete)
 	d.setTwoState(make([]float64, 4), lo, hi, pHi)
@@ -159,110 +163,6 @@ func (d *Discrete) Variance() float64 {
 		v += dx * dx * d.probs[i]
 	}
 	return v
-}
-
-// CDF returns P(X <= x).
-func (d *Discrete) CDF(x float64) float64 {
-	c := 0.0
-	for i, v := range d.vals {
-		if v > x {
-			break
-		}
-		c += d.probs[i]
-	}
-	return c
-}
-
-// Sample maps a uniform variate u in [0, 1) onto the support by inverse
-// CDF. It performs no allocation.
-func (d *Discrete) Sample(u float64) float64 {
-	c := 0.0
-	for i, p := range d.probs {
-		c += p
-		if u < c {
-			return d.vals[i]
-		}
-	}
-	return d.vals[len(d.vals)-1]
-}
-
-// Add returns the distribution of the sum of two independent variables
-// (the convolution), used by Dodin's serial reduction. Loops combining
-// many distributions should hold a Combiner to reuse its scratch.
-func (d *Discrete) Add(o *Discrete) *Discrete {
-	var c Combiner
-	return c.Add(d, o)
-}
-
-// MaxWith returns the distribution of the maximum of two independent
-// variables (product of CDFs), used by Dodin's parallel reduction.
-func (d *Discrete) MaxWith(o *Discrete) *Discrete {
-	var c Combiner
-	return c.MaxWith(d, o)
-}
-
-// combineMap is the historical map-accumulator combine, superseded by
-// the Combiner. It is retained as the independent reference
-// implementation the property-based equivalence tests compare against;
-// the two must stay bit-identical. Each atom keeps the first value
-// inserted into its class, as the Combiner does: Go's map assignment
-// overwrites a float key with the one being stored, so on a -0/+0 tie
-// the map alone would keep the last one.
-func (d *Discrete) combineMap(o *Discrete, f func(a, b float64) float64) *Discrete {
-	acc := make(map[float64]float64, len(d.vals)*len(o.vals))
-	out := &Discrete{}
-	for i, a := range d.vals {
-		for j, b := range o.vals {
-			v := f(a, b)
-			if _, ok := acc[v]; !ok {
-				out.vals = append(out.vals, v)
-			}
-			acc[v] += d.probs[i] * o.probs[j]
-		}
-	}
-	sort.Float64s(out.vals)
-	for _, v := range out.vals {
-		out.probs = append(out.probs, acc[v])
-	}
-	return out
-}
-
-// QuantizeNearest caps the support at maxBins points by snapping values
-// onto a uniform grid over [Min, Max]. Values are rounded upward to the
-// next grid line, so the quantized variable stochastically dominates the
-// original and estimates built on it stay upper-biased (the bias
-// direction Dodin's duplication step already has). Distributions within
-// the cap are returned unchanged.
-func (d *Discrete) QuantizeNearest(maxBins int) *Discrete {
-	if maxBins <= 0 || len(d.vals) <= maxBins {
-		return d
-	}
-	lo, hi := d.Min(), d.Max()
-	step := (hi - lo) / float64(maxBins)
-	if step <= 0 {
-		return Point(lo)
-	}
-	out := &Discrete{}
-	for i, v := range d.vals {
-		// Round up to the next grid line (bin 0 keeps the exact minimum).
-		bin := int((v - lo) / step)
-		snapped := lo + float64(bin)*step
-		if snapped < v {
-			bin++
-			snapped = lo + float64(bin)*step
-		}
-		if snapped > hi {
-			snapped = hi
-		}
-		n := len(out.vals)
-		if n > 0 && out.vals[n-1] == snapped {
-			out.probs[n-1] += d.probs[i]
-		} else {
-			out.vals = append(out.vals, snapped)
-			out.probs = append(out.probs, d.probs[i])
-		}
-	}
-	return out
 }
 
 // String implements fmt.Stringer.

@@ -11,14 +11,6 @@ type Exponential struct {
 	Lambda float64
 }
 
-// Mean returns 1/Lambda (infinite for a non-positive rate).
-func (e Exponential) Mean() float64 {
-	if e.Lambda <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / e.Lambda
-}
-
 // Draw samples an inter-failure time from rng. A non-positive rate never
 // fails and yields +Inf.
 func (e Exponential) Draw(rng *rand.Rand) float64 {

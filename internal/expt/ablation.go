@@ -75,7 +75,7 @@ func AblateCheckpointPlacement(ctx context.Context, cfg AblationConfig) ([]Ablat
 		return nil, err
 	}
 	strategy := func(st ckpt.Strategy) func() (*ckpt.Plan, error) {
-		return func() (*ckpt.Plan, error) { return ckpt.BuildPlan(s, s.P, st) }
+		return func() (*ckpt.Plan, error) { return ckpt.BuildPlanWith(s, s.P, st, ckpt.ModelFirstOrder) }
 	}
 	periodic := func(k int) func() (*ckpt.Plan, error) {
 		return func() (*ckpt.Plan, error) { return ckpt.PeriodicPlan(s, s.P, k) }

@@ -127,7 +127,7 @@ func RunAccuracy(ctx context.Context, cfg AccuracyConfig) ([]AccuracyRow, error)
 		}
 		base := AccuracyRow{Family: c.family, Tasks: c.size, Procs: procs, PFail: c.pfail, CCR: cfg.CCR,
 			Truth: truth.Mean, TruthCI95: truth.CI95}
-		return evalAll(g, base, cfg, rows[i*accuracyMethods:(i+1)*accuracyMethods])
+		return evalAll(ctx, g, base, cfg, rows[i*accuracyMethods:(i+1)*accuracyMethods])
 	})
 	if err != nil {
 		return nil, err
@@ -138,7 +138,7 @@ func RunAccuracy(ctx context.Context, cfg AccuracyConfig) ([]AccuracyRow, error)
 // evalAll runs the four estimators on one segment DAG, writing one row
 // per method into out (len accuracyMethods). Dodin, Normal and
 // PathApprox share one reusable Evaluator (and its convolution pool).
-func evalAll(g *probdag.Graph, base AccuracyRow, cfg AccuracyConfig, out []AccuracyRow) error {
+func evalAll(ctx context.Context, g *probdag.Graph, base AccuracyRow, cfg AccuracyConfig, out []AccuracyRow) error {
 	ev, err := probdag.NewEvaluator(g)
 	if err != nil {
 		return err
@@ -149,7 +149,8 @@ func evalAll(g *probdag.Graph, base AccuracyRow, cfg AccuracyConfig, out []Accur
 	}
 	methods := [accuracyMethods]method{
 		{"MonteCarlo(10k)", func() (float64, error) {
-			return probdag.MonteCarloSeeded(g, 10000, cfg.Seed+1, 1).Mean, nil
+			s, err := probdag.MonteCarloSeededCtx(ctx, g, 10000, cfg.Seed+1, 1)
+			return s.Mean, err
 		}},
 		{"Dodin", func() (float64, error) { return ev.Dodin(probdag.DodinOptions{}) }},
 		{"Normal", func() (float64, error) { return ev.Normal(), nil }},

@@ -54,7 +54,7 @@ func AblateCostModel(ctx context.Context, cfg AblationConfig, trials int) ([]Cos
 		if err != nil {
 			return nil, err
 		}
-		sum, err := sim.EstimateExpected(ctx, plan, trials, cfg.Seed, cfg.Workers)
+		sum, _, err := sim.EstimateExpectedDetail(ctx, plan, trials, cfg.Seed, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

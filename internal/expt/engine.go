@@ -9,7 +9,7 @@ import (
 // Engine is the worker-pool grid executor behind RunSweep, RunAccuracy
 // and RunSimCheck: every experiment enumerates its full parameter grid
 // up front, then fans the independent cells out over a fixed pool
-// (par.ForEach) and collects results by cell index, so the emitted rows
+// (par.ForEachCtx) and collects results by cell index, so the emitted rows
 // are byte-for-byte identical whatever the worker count or completion
 // order. Workers <= 0 selects GOMAXPROCS.
 type Engine struct {

@@ -21,6 +21,8 @@
 // be made slow, failing, or wedged.
 package faulty
 
+//hanccr:allow-file deadapi test-support package: resilience_test.go injects faults through it, and no production code may import it
+
 import (
 	"context"
 	"sync"

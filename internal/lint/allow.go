@@ -11,7 +11,8 @@ const (
 	allowBare       = "//hanccr:allow"
 )
 
-// allowSet indexes the suppression directives of one package. A
+// allowSet indexes the suppression directives of the analyzed
+// packages (keys carry the file, so one set serves a module). A
 // line-scoped allow covers its own line and the next (so it works both
 // as a trailing comment and on the line above); a file-scoped allow
 // covers the whole file.
@@ -41,16 +42,19 @@ func (a *allowSet) match(check, file string, line int) (string, bool) {
 	return "", false
 }
 
-// collectAllows scans a package's comments for //hanccr:allow
-// directives. Malformed directives — no check name, a check nobody
-// registered, or a missing reason — come back as findings under the
-// "directive" pseudo-check: an unreadable suppression must not
-// silently suppress, and must not silently rot either.
-func collectAllows(p *Package, root string) (*allowSet, []Diagnostic) {
-	allows := &allowSet{
+func newAllowSet() *allowSet {
+	return &allowSet{
 		byLine: make(map[allowKey]string),
 		byFile: make(map[allowKey]string),
 	}
+}
+
+// collectAllows adds a package's //hanccr:allow directives to allows.
+// Malformed directives — no check name, a check nobody registered, or a
+// missing reason — come back as findings under the "directive"
+// pseudo-check: an unreadable suppression must not
+// silently suppress, and must not silently rot either.
+func collectAllows(p *Package, root string, allows *allowSet) []Diagnostic {
 	var diags []Diagnostic
 	bad := func(c *ast.Comment, msg string) {
 		diags = append(diags, makeDiag(p.Fset, root, "directive", c.Pos(), msg))
@@ -94,7 +98,7 @@ func collectAllows(p *Package, root string) (*allowSet, []Diagnostic) {
 			}
 		}
 	}
-	return allows, diags
+	return diags
 }
 
 func strconvQuote(s string) string {

@@ -5,9 +5,11 @@
 // is sorted (mapiter — the bit-identity guarantee), planning code never
 // reads the wall clock or the global rand (walltime), a received
 // context.Context is the one that flows onward (ctxflow), cache mutexes
-// are never held across planner/disk/network calls (lockio), and
+// are never held across planner/disk/network calls (lockio),
 // scenario/serve knob flags live only in the Bind*Flags blocks
-// (flagdrift — the PR 3 drift class).
+// (flagdrift — the drift of knob defaults between binaries), and every
+// exported function or method under internal/ has a non-test caller
+// (deadapi).
 //
 // The framework is stdlib-only: go/ast + go/parser for syntax,
 // go/types with go/importer's source mode for semantics. No x/tools.
@@ -61,6 +63,15 @@ type Checker interface {
 	Check(p *Package, report func(pos token.Pos, format string, args ...any))
 }
 
+// ModuleChecker is a Checker that also needs the whole module at once
+// (deadapi: a reference may sit in any package). Run calls CheckModule
+// once, after every package went through Check, with every loaded
+// package; all of them share one FileSet.
+type ModuleChecker interface {
+	Checker
+	CheckModule(pkgs []*Package, report func(pos token.Pos, format string, args ...any))
+}
+
 var registry = map[string]Checker{}
 
 // Register adds a checker to the global registry; each checker file
@@ -110,10 +121,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	var diags []Diagnostic
-	for _, p := range pkgs {
-		diags = append(diags, checkPackage(p, checkers, cfg.Dir)...)
-	}
+	diags := checkPackages(pkgs, checkers, cfg.Dir)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.file != b.file {
@@ -130,10 +138,31 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// checkPackage applies the checkers to one package and resolves
-// suppressions. Shared by Run and the fixture test harness.
-func checkPackage(p *Package, checkers []Checker, root string) []Diagnostic {
-	allows, diags := collectAllows(p, root)
+// checkPackages applies the checkers to each package, then the module
+// checkers to all of them, and resolves suppressions. Shared by Run and
+// the fixture test harness.
+func checkPackages(pkgs []*Package, checkers []Checker, root string) []Diagnostic {
+	allows := newAllowSet()
+	var diags []Diagnostic
+	for _, p := range pkgs {
+		diags = append(diags, checkPackage(p, checkers, root, allows)...)
+	}
+	if len(pkgs) == 0 {
+		return diags
+	}
+	fset := pkgs[0].Fset
+	for _, c := range checkers {
+		if mc, ok := c.(ModuleChecker); ok {
+			mc.CheckModule(pkgs, reporter(fset, root, mc.Name(), allows, &diags))
+		}
+	}
+	return diags
+}
+
+// checkPackage applies the checkers to one package, adding its
+// suppression directives to allows.
+func checkPackage(p *Package, checkers []Checker, root string, allows *allowSet) []Diagnostic {
+	diags := collectAllows(p, root, allows)
 	for _, err := range p.TypeErrors {
 		if te, ok := err.(types.Error); ok {
 			diags = append(diags, makeDiag(p.Fset, root, "typecheck", te.Pos, te.Msg))
@@ -142,18 +171,23 @@ func checkPackage(p *Package, checkers []Checker, root string) []Diagnostic {
 		}
 	}
 	for _, c := range checkers {
-		name := c.Name()
-		report := func(pos token.Pos, format string, args ...any) {
-			d := makeDiag(p.Fset, root, name, pos, fmt.Sprintf(format, args...))
-			if reason, ok := allows.match(name, d.file, d.line); ok {
-				d.Suppressed = true
-				d.Reason = reason
-			}
-			diags = append(diags, d)
-		}
-		c.Check(p, report)
+		c.Check(p, reporter(p.Fset, root, c.Name(), allows, &diags))
 	}
 	return diags
+}
+
+// reporter is the report callback handed to a checker: it turns a
+// finding into a Diagnostic, marks it suppressed when a directive
+// covers it, and appends it to diags.
+func reporter(fset *token.FileSet, root, check string, allows *allowSet, diags *[]Diagnostic) func(token.Pos, string, ...any) {
+	return func(pos token.Pos, format string, args ...any) {
+		d := makeDiag(fset, root, check, pos, fmt.Sprintf(format, args...))
+		if reason, ok := allows.match(check, d.file, d.line); ok {
+			d.Suppressed = true
+			d.Reason = reason
+		}
+		*diags = append(*diags, d)
+	}
 }
 
 func makeDiag(fset *token.FileSet, root, check string, pos token.Pos, msg string) Diagnostic {

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -28,6 +30,7 @@ var fixtureCases = []struct {
 	{"ctxflow", 1},
 	{"lockio", 1},
 	{"flagdrift", 1},
+	{"deadapi", 1},
 	{"", 0}, // directive
 }
 
@@ -41,7 +44,7 @@ func TestFixtures(t *testing.T) {
 		}
 		t.Run(dir, func(t *testing.T) {
 			fixDir := filepath.Join("testdata", "src", dir)
-			p, err := LoadFixtureDir(fixDir, nil)
+			p, err := loadFixtureDir(fixDir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +59,7 @@ func TestFixtures(t *testing.T) {
 				}
 				checkers = append(checkers, c)
 			}
-			diags := checkPackage(p, checkers, fixDir)
+			diags := checkPackages([]*Package{p}, checkers, fixDir)
 
 			want := parseWants(t, fixDir)
 			suppressed := 0
@@ -80,6 +83,22 @@ func TestFixtures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loadFixtureDir parses and type-checks a single standalone directory
+// (one fixture package, stdlib imports only) with scoped checkers
+// forced on.
+func loadFixtureDir(dir string) (*Package, error) {
+	fset := token.NewFileSet()
+	p, err := loadPackage(fset, newSourceImporter(fset), dir, "fixture/"+filepath.Base(dir), nil)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	p.ForceScope = true
+	return p, nil
 }
 
 type wantExpect struct {

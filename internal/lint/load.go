@@ -69,22 +69,6 @@ func loadModule(root string, tags []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFixtureDir parses and type-checks a single standalone directory
-// (one fixture package, stdlib imports only) with scoped checkers
-// forced on. The test harness uses it against testdata/src/<check>.
-func LoadFixtureDir(dir string, tags []string) (*Package, error) {
-	fset := token.NewFileSet()
-	p, err := loadPackage(fset, newSourceImporter(fset), dir, "fixture/"+filepath.Base(dir), tags)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s (tags %v)", dir, tags)
-	}
-	p.ForceScope = true
-	return p, nil
-}
-
 // newSourceImporter builds the stdlib source-mode importer. Cgo is
 // disabled first so go/build selects the pure-Go variants of net,
 // os/user etc. — source mode cannot run the cgo preprocessor.

@@ -61,6 +61,8 @@ func NewAtomic(t wfdag.TaskID) *Node { return &Node{Kind: Atomic, Task: t} }
 
 // NewChain returns the serial composition of the given tasks as atoms.
 // An empty argument list yields the empty M-SPG (nil).
+//
+//hanccr:allow deadapi the mspg, ckpt and sim tests build chain workflows with it; production trees come from Recognize and the generators
 func NewChain(tasks ...wfdag.TaskID) *Node {
 	if len(tasks) == 0 {
 		return nil
@@ -208,10 +210,6 @@ func (n *Node) Weight(g *wfdag.Graph) float64 {
 // children).
 func (n *Node) Sources() []wfdag.TaskID { return n.appendSources(nil) }
 
-// Sinks returns the sink tasks of the sub-M-SPG: tasks with no successor
-// inside the subtree.
-func (n *Node) Sinks() []wfdag.TaskID { return n.appendSinks(nil) }
-
 // appendSources appends the subtree's sources to dst. It visits only
 // the nodes on the way down to them, which in a canonical tree are
 // fewer than twice as many as the sources.
@@ -298,6 +296,8 @@ func (n *Node) String() string {
 
 // IsNormalized reports whether the subtree is in the canonical form
 // produced by Normalize.
+//
+//hanccr:allow deadapi the mspg and pegasus tests check canonical form with it; production trees are normalized when built
 func (n *Node) IsNormalized() bool {
 	if n == nil {
 		return true

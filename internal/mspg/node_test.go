@@ -97,14 +97,14 @@ func TestSourcesSinks(t *testing.T) {
 	if src := n.Sources(); len(src) != 1 || src[0] != 0 {
 		t.Fatalf("sources = %v", src)
 	}
-	if snk := n.Sinks(); len(snk) != 1 || snk[0] != 4 {
+	if snk := n.appendSinks(nil); len(snk) != 1 || snk[0] != 4 {
 		t.Fatalf("sinks = %v", snk)
 	}
 	mid := n.Children[1]
 	if src := mid.Sources(); len(src) != 2 || src[0] != 1 || src[1] != 2 {
 		t.Fatalf("mid sources = %v", src)
 	}
-	if snk := mid.Sinks(); len(snk) != 2 || snk[0] != 1 || snk[1] != 3 {
+	if snk := mid.appendSinks(nil); len(snk) != 2 || snk[0] != 1 || snk[1] != 3 {
 		t.Fatalf("mid sinks = %v", snk)
 	}
 }

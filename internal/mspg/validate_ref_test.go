@@ -65,7 +65,7 @@ func TreeEdgeSet(n *Node) map[[2]wfdag.TaskID]bool {
 		}
 		if n.Kind == Serial {
 			for i := 0; i+1 < len(n.Children); i++ {
-				for _, u := range n.Children[i].Sinks() {
+				for _, u := range n.Children[i].appendSinks(nil) {
 					for _, v := range n.Children[i+1].Sources() {
 						out[[2]wfdag.TaskID{u, v}] = true
 					}
@@ -103,7 +103,8 @@ func mapLeaves(n *Node, f func(wfdag.TaskID) wfdag.TaskID) *Node {
 // produces dropped, which removes the task-edge u→v.
 func withoutEdge(g *wfdag.Graph, u, v wfdag.TaskID) *wfdag.Graph {
 	out := wfdag.New()
-	for _, t := range g.Tasks() {
+	for id := range g.NumTasks() {
+		t := g.Task(wfdag.TaskID(id))
 		out.AddTask(t.Name, t.Kind, t.Weight)
 	}
 	for i := range g.NumFiles() {

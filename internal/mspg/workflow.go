@@ -149,16 +149,6 @@ func (c *edgeCheck) visit(n *Node) error {
 	return nil
 }
 
-// SubtreeWeights returns the weight of each child of a Parallel node (or
-// of the single node itself otherwise), used by PropMap.
-func SubtreeWeights(g *wfdag.Graph, parts []*Node) []float64 {
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		out[i] = p.Weight(g)
-	}
-	return out
-}
-
 // SortPartsByWeight returns indices of parts ordered by non-increasing
 // weight (ties broken by smaller first-task ID for determinism), as
 // required by PropMap line 20.

@@ -109,9 +109,10 @@ func TestSubtreeWeights(t *testing.T) {
 		g.AddTask("t", "k", float64(i+1))
 	}
 	parts := []*Node{NewAtomic(0), NewChain(1, 2), NewAtomic(3)}
-	w := SubtreeWeights(g, parts)
-	if w[0] != 1 || w[1] != 5 || w[2] != 4 {
-		t.Fatalf("weights = %v", w)
+	for i, want := range []float64{1, 5, 4} {
+		if w := parts[i].Weight(g); w != want {
+			t.Fatalf("part %d weight = %v, want %v", i, w, want)
+		}
 	}
 }
 

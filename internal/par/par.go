@@ -12,20 +12,15 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(0), …, fn(n-1) on a pool of the given size (0 or less
-// selects GOMAXPROCS). fn must write its result into an index-addressed
-// slot of a caller-owned slice — never append in arrival order. On
-// failure the error with the smallest index among the executed items is
-// returned (what a serial loop stopping at the first error reports) and
-// remaining items may be skipped.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach under a context: cancellation is observed
-// between work items on every worker, remaining items are skipped, and
-// the context's error is returned (unless an earlier item already
-// failed at a smaller index).
+// ForEachCtx runs fn(0), …, fn(n-1) on a pool of the given size (0 or
+// less selects GOMAXPROCS). fn must write its result into an
+// index-addressed slot of a caller-owned slice — never append in
+// arrival order. On failure the error with the smallest index among the
+// executed items is returned (what a serial loop stopping at the first
+// error reports) and remaining items may be skipped. Cancellation is
+// observed between work items on every worker, remaining items are
+// skipped, and the context's error is returned (unless an earlier item
+// already failed at a smaller index).
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ForEachWithCtx(ctx, workers, n,
 		func() struct{} { return struct{}{} },
@@ -130,7 +125,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // all). emit is called from a single goroutine, never concurrently
 // with itself.
 //
-// Errors keep the ForEach contract: an fn failure (or a cancellation
+// Errors keep the ForEachCtx contract: an fn failure (or a cancellation
 // observed between work items) with the smallest index wins, remaining
 // items are skipped, and rows already handed to emit stay emitted — the
 // stream is simply cut short. An emit failure aborts the run and is

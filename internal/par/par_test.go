@@ -12,7 +12,7 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 5, 64} {
 		const n = 200
 		var hits [n]atomic.Int32
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -29,7 +29,7 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 func TestForEachSmallestIndexError(t *testing.T) {
 	first := errors.New("first")
 	later := errors.New("later")
-	err := ForEach(8, 50, func(i int) error {
+	err := ForEachCtx(context.Background(), 8, 50, func(i int) error {
 		switch i {
 		case 2:
 			return first
@@ -44,7 +44,7 @@ func TestForEachSmallestIndexError(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { t.Fatal("no items"); return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { t.Fatal("no items"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

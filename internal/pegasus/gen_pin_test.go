@@ -85,7 +85,8 @@ func generationFingerprint(w *mspg.Workflow) uint64 {
 	g := w.G
 	p.str(w.Name)
 	p.int(int64(g.NumTasks()))
-	for _, t := range g.Tasks() {
+	for id := range g.NumTasks() {
+		t := g.Task(wfdag.TaskID(id))
 		p.str(t.Name)
 		p.str(t.Kind)
 		p.float(t.Weight)

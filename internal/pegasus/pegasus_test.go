@@ -104,7 +104,8 @@ func TestMontageStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
-	for _, task := range w.G.Tasks() {
+	for id := range w.G.NumTasks() {
+		task := w.G.Task(wfdag.TaskID(id))
 		kinds[task.Kind]++
 	}
 	for _, unique := range []string{"mConcatFit", "mBgModel", "mImgtbl", "mAdd", "mJPEG"} {
@@ -137,7 +138,8 @@ func TestGenomeStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
-	for _, task := range w.G.Tasks() {
+	for id := range w.G.NumTasks() {
+		task := w.G.Task(wfdag.TaskID(id))
 		kinds[task.Kind]++
 	}
 	// The 4-stage pipelines are balanced.
@@ -159,7 +161,8 @@ func TestLigoStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
-	for _, task := range w.G.Tasks() {
+	for id := range w.G.NumTasks() {
+		task := w.G.Task(wfdag.TaskID(id))
 		kinds[task.Kind]++
 	}
 	if kinds["TmpltBank"] == 0 || kinds["Inspiral"] == 0 || kinds["Thinca"] == 0 || kinds["TrigBank"] == 0 {
@@ -202,7 +205,8 @@ func TestCyberShakeStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
-	for _, task := range w.G.Tasks() {
+	for id := range w.G.NumTasks() {
+		task := w.G.Task(wfdag.TaskID(id))
 		kinds[task.Kind]++
 	}
 	if kinds["SeismogramSynthesis"] != kinds["PeakValCalc"] {
@@ -220,7 +224,8 @@ func TestWeightsPositiveAndVaried(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[float64]bool{}
-		for _, task := range w.G.Tasks() {
+		for id := range w.G.NumTasks() {
+			task := w.G.Task(wfdag.TaskID(id))
 			if task.Weight <= 0 {
 				t.Fatalf("%s: non-positive weight", fam)
 			}

@@ -51,6 +51,12 @@ func Families() []string {
 	return out
 }
 
+// Known reports whether family names a registered generator.
+func Known(family string) bool {
+	_, ok := families[family]
+	return ok
+}
+
 // Generate builds a workflow of the named family.
 func Generate(family string, opts Options) (*mspg.Workflow, error) {
 	gen, ok := families[family]

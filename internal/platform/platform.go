@@ -53,9 +53,6 @@ func (p Platform) FileCost(g *wfdag.Graph, f wfdag.FileID) float64 {
 	return p.IOCost(g.File(f).Size)
 }
 
-// Failure returns the failure process of one processor.
-func (p Platform) Failure() dist.Exponential { return dist.Exponential{Lambda: p.Lambda} }
-
 // WithLambdaForPFail returns a copy of the platform whose λ is calibrated
 // so that a task of mean weight w̄ fails with probability pfail
 // (pfail = 1 − e^(−λ·w̄), §VI-A).

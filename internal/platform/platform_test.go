@@ -78,10 +78,3 @@ func TestWithLambdaForPFail(t *testing.T) {
 		t.Fatalf("pfail round trip = %g", got)
 	}
 }
-
-func TestFailureProcess(t *testing.T) {
-	p := New(1, 0.25, 1)
-	if p.Failure().Lambda != 0.25 {
-		t.Fatal("failure process lambda mismatch")
-	}
-}

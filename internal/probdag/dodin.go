@@ -29,45 +29,8 @@ func (o DodinOptions) withDefaults() DodinOptions {
 	return o
 }
 
-// Dodin estimates the expected makespan with Dodin's series-parallel
-// approximation (Dodin 1985, as described by Möhring 2001 and Canon &
-// Jeannot 2016), adapted to activity-on-node networks:
-//
-//   - serial reduction: a node v with a single predecessor u, where u has
-//     a single successor, merges into u with the convolved distribution;
-//   - parallel reduction: two nodes with identical predecessor and
-//     successor sets merge into one with the max distribution (product of
-//     CDFs — exact under independence);
-//   - when the graph is not series-parallel reducible, a node with
-//     in-degree >= 2 is duplicated, one copy per predecessor, and the
-//     copies are treated as independent. This is the approximation step:
-//     it preserves the set of paths but ignores the positive correlation
-//     induced by the shared node, biasing the estimated maximum upward.
-//
-// Intermediate supports are quantized to MaxBins points. Dodin returns
-// an error if the step budget is exhausted.
-//
-// Every reduction step folds two supports through a dist.Combiner — a
-// sorted-merge convolution for serial steps, a two-pointer max for
-// parallel ones — so one scratch buffer serves the whole reduction;
-// repeated estimates should go through Evaluator.Dodin, which keeps that
-// scratch alive across calls. Parallel passes only revisit the nodes
-// whose neighbourhood changed since the previous one.
-func Dodin(g *Graph, opts DodinOptions) (float64, error) {
-	d, err := DodinDistribution(g, opts)
-	if err != nil {
-		return 0, err
-	}
-	return d.Mean(), nil
-}
-
-// DodinDistribution returns the full approximated makespan distribution.
-func DodinDistribution(g *Graph, opts DodinOptions) (*dist.Discrete, error) {
-	var comb dist.Combiner
-	return dodinDistribution(g, opts, &comb)
-}
-
-// dodinDistribution runs the reduction with the caller's combine scratch.
+// dodinDistribution runs the reduction of Evaluator.Dodin with the
+// caller's combine scratch.
 func dodinDistribution(g *Graph, opts DodinOptions, comb *dist.Combiner) (*dist.Discrete, error) {
 	opts = opts.withDefaults()
 	if g.Len() == 0 {

@@ -20,7 +20,11 @@ import (
 // atoms agree bit for bit.
 func requireSameDodin(t *testing.T, tag string, g *probdag.Graph, opts probdag.DodinOptions) {
 	t.Helper()
-	got, err := probdag.DodinDistribution(g, opts)
+	ev, err := probdag.NewEvaluator(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ev.DodinDistribution(opts)
 	want, wantErr := refDodinDistribution(g, opts)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: error %v, reference %v", tag, err, wantErr)
@@ -96,8 +100,8 @@ func TestDodinMatchesFullSortReducer(t *testing.T) {
 // shuffled so they do not follow the topological order, and the laws
 // sit on a coarse grid so parallel folds meet tied atoms.
 func randomForest(rng *rand.Rand) *probdag.Graph {
-	g := probdag.NewGraph()
 	n := 2 + rng.Intn(28)
+	dists := make([]*dist.Discrete, n)
 	for i := 0; i < n; i++ {
 		k := 1 + rng.Intn(3)
 		vals, probs := make([]float64, k), make([]float64, k)
@@ -105,7 +109,7 @@ func randomForest(rng *rand.Rand) *probdag.Graph {
 			vals[j] = float64(1 + rng.Intn(12))
 			probs[j] = 0.1 + rng.Float64()
 		}
-		g.AddNode(dist.New(vals, probs))
+		dists[i] = dist.New(vals, probs)
 	}
 	perm := rng.Perm(n)
 	comps := 1 + rng.Intn(5)
@@ -114,12 +118,17 @@ func randomForest(rng *rand.Rand) *probdag.Graph {
 		comp[i] = rng.Intn(comps)
 	}
 	p := 0.1 + 0.3*rng.Float64()
+	var edges [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if comp[i] == comp[j] && rng.Float64() < p {
-				g.AddEdge(probdag.NodeID(perm[i]), probdag.NodeID(perm[j]))
+				edges = append(edges, [2]int{perm[i], perm[j]})
 			}
 		}
+	}
+	g, err := probdag.FromEdges(dists, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }

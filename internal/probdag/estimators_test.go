@@ -10,10 +10,69 @@ import (
 	"repro/internal/dist"
 )
 
+// mustEvaluator returns a fresh Evaluator for g, so that an estimate
+// through it is a one-shot estimate. It panics if g is cyclic.
+func mustEvaluator(g *Graph) *Evaluator {
+	e, err := NewEvaluator(g)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// Exact is the small-DAG oracle: the exact expected makespan, by
+// enumerating every joint realization of the node durations. The
+// number of combinations is the product of support sizes; Exact returns
+// ok=false when it exceeds maxCombos.
+func Exact(g *Graph, maxCombos int) (mean float64, ok bool) {
+	combos := 1
+	for _, d := range g.dists {
+		combos *= d.Len()
+		if combos > maxCombos {
+			return 0, false
+		}
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	n := g.Len()
+	durs := make([]float64, n)
+	finish := make([]float64, n)
+	var rec func(i int, p float64)
+	total := 0.0
+	rec = func(i int, p float64) {
+		if i == n {
+			max := 0.0
+			for _, v := range order {
+				start := 0.0
+				for _, pr := range g.pred[v] {
+					if finish[pr] > start {
+						start = finish[pr]
+					}
+				}
+				finish[v] = start + durs[int(v)]
+				if finish[v] > max {
+					max = finish[v]
+				}
+			}
+			total += p * max
+			return
+		}
+		vals, probs := g.dists[i].Support(), g.dists[i].Probs()
+		for j := range vals {
+			durs[i] = vals[j]
+			rec(i+1, p*probs[j])
+		}
+	}
+	rec(0, 1)
+	return total, true
+}
+
 func TestExactSingleNode(t *testing.T) {
-	g := NewGraph()
-	g.AddNode(dist.TwoState(10, 15, 0.2))
-	mean, ok := Exact(g, 1<<20)
+	var b graphBuilder
+	b.node(dist.TwoState(10, 15, 0.2))
+	mean, ok := Exact(b.graph(), 1<<20)
 	if !ok {
 		t.Fatal("exact must handle one node")
 	}
@@ -65,7 +124,7 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 		if !ok {
 			t.Fatal("budget")
 		}
-		mc := MonteCarlo(g, 60000, rand.New(rand.NewSource(int64(trial))))
+		mc := mustEvaluator(g).MonteCarlo(60000, rand.New(rand.NewSource(int64(trial))))
 		if math.Abs(mc.Mean-exact) > 4*mc.CI95+1e-9 {
 			t.Fatalf("trial %d: MC %g ± %g vs exact %g", trial, mc.Mean, mc.CI95, exact)
 		}
@@ -77,17 +136,17 @@ func TestPathApproxExactToFirstOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g0 := randomProbDAG(rng, 9, 0.25)
 	rebuild := func(p float64) *Graph {
-		g := NewGraph()
+		var b graphBuilder
 		for i := 0; i < g0.Len(); i++ {
-			base := g0.Dist(NodeID(i)).Min()
-			g.AddNode(dist.TwoState(base, 1.5*base, p))
+			base := g0.dists[i].Min()
+			b.node(dist.TwoState(base, 1.5*base, p))
 		}
 		for i := 0; i < g0.Len(); i++ {
-			for _, s := range g0.Succ(NodeID(i)) {
-				g.AddEdge(NodeID(i), s)
+			for _, s := range g0.succ[i] {
+				b.edge(NodeID(i), s)
 			}
 		}
-		return g
+		return b.graph()
 	}
 	var prevErr float64
 	for i, p := range []float64{0.1, 0.01, 0.001} {
@@ -96,7 +155,7 @@ func TestPathApproxExactToFirstOrder(t *testing.T) {
 		if !ok {
 			t.Fatal("budget")
 		}
-		err := math.Abs(PathApprox(g) - exact)
+		err := math.Abs(mustEvaluator(g).PathApprox() - exact)
 		if i > 0 && prevErr > 1e-12 {
 			// Error should fall at least ~50x for a 10x drop in p (p² scaling,
 			// with slack).
@@ -112,7 +171,7 @@ func TestPathApproxAtLeastCriticalPath(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomProbDAG(rng, 3+rng.Intn(20), 0.3)
-		return PathApprox(g) >= CriticalPathBase(g)-1e-9
+		return mustEvaluator(g).PathApprox() >= g.MakespanGiven(g.BaseDurations())-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -124,7 +183,7 @@ func TestPathApproxChainClosedForm(t *testing.T) {
 	// (each inflation adds independently on a chain).
 	g := chainGraph(7, 10, 15, 0.01)
 	want := 7*10 + 7*0.01*5
-	if got := PathApprox(g); math.Abs(got-want) > 1e-9 {
+	if got := mustEvaluator(g).PathApprox(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("chain PathApprox = %g, want %g", got, want)
 	}
 	// And the chain case is *exact*: every inflation contributes linearly.
@@ -138,7 +197,7 @@ func TestNormalChain(t *testing.T) {
 	// On a pure chain Sculli is exact for the mean (sum of means).
 	g := chainGraph(9, 10, 15, 0.2)
 	want := 9 * (0.8*10 + 0.2*15)
-	if got := Normal(g); math.Abs(got-want) > 1e-9 {
+	if got := mustEvaluator(g).Normal(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Sculli chain = %g, want %g", got, want)
 	}
 }
@@ -146,16 +205,17 @@ func TestNormalChain(t *testing.T) {
 func TestNormalUpwardBiasOnWideJoin(t *testing.T) {
 	// Sculli/Clark is exact-ish for 2 branches and biased for many; it
 	// must at least exceed the base critical path and stay sane.
-	g := NewGraph()
-	src := g.AddNode(dist.Point(0))
-	sink := g.AddNode(dist.Point(0))
+	var b graphBuilder
+	src := b.node(dist.Point(0))
+	sink := b.node(dist.Point(0))
 	for i := 0; i < 20; i++ {
-		n := g.AddNode(dist.TwoState(10, 15, 0.1))
-		g.AddEdge(src, n)
-		g.AddEdge(n, sink)
+		n := b.node(dist.TwoState(10, 15, 0.1))
+		b.edge(src, n)
+		b.edge(n, sink)
 	}
-	exact := MonteCarlo(g, 200000, rand.New(rand.NewSource(1))).Mean
-	got := Normal(g)
+	g := b.graph()
+	exact := mustEvaluator(g).MonteCarlo(200000, rand.New(rand.NewSource(1))).Mean
+	got := mustEvaluator(g).Normal()
 	if got < 10 || got > 16 {
 		t.Fatalf("Sculli wide join = %g out of range", got)
 	}
@@ -172,7 +232,7 @@ func TestDodinExactOnSeriesParallel(t *testing.T) {
 	b := dist.TwoState(2, 4, 0.5)
 	c := dist.TwoState(3, 5, 0.5)
 	g := diamondGraph(dist.Point(1), b, c, dist.Point(1))
-	got, err := Dodin(g, DodinOptions{MaxBins: 1024})
+	got, err := mustEvaluator(g).Dodin(DodinOptions{MaxBins: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +244,7 @@ func TestDodinExactOnSeriesParallel(t *testing.T) {
 
 func TestDodinChainExact(t *testing.T) {
 	g := chainGraph(5, 10, 15, 0.25)
-	got, err := Dodin(g, DodinOptions{MaxBins: 4096})
+	got, err := mustEvaluator(g).Dodin(DodinOptions{MaxBins: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,15 +256,12 @@ func TestDodinChainExact(t *testing.T) {
 
 func TestDodinHandlesNonSP(t *testing.T) {
 	// The N-graph needs a duplication step.
-	g := NewGraph()
-	a := g.AddNode(dist.TwoState(1, 2, 0.3))
-	b := g.AddNode(dist.TwoState(1, 2, 0.3))
-	c := g.AddNode(dist.TwoState(1, 2, 0.3))
-	d := g.AddNode(dist.TwoState(1, 2, 0.3))
-	g.AddEdge(a, c)
-	g.AddEdge(b, c)
-	g.AddEdge(b, d)
-	got, err := Dodin(g, DodinOptions{MaxBins: 512})
+	law := dist.TwoState(1, 2, 0.3)
+	g, err := FromEdges([]*dist.Discrete{law, law, law, law}, [][2]int{{0, 2}, {1, 2}, {1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mustEvaluator(g).Dodin(DodinOptions{MaxBins: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +279,7 @@ func TestDodinRandomAgainstExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 12; trial++ {
 		g := randomProbDAG(rng, 9, 0.3)
-		got, err := Dodin(g, DodinOptions{MaxBins: 256})
+		got, err := mustEvaluator(g).Dodin(DodinOptions{MaxBins: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,15 +294,15 @@ func TestDodinRandomAgainstExact(t *testing.T) {
 }
 
 // TestDodinDeterministic pins the reducer's determinism after the
-// sorted-slice rewrite: repeated reductions of one graph — one-shot,
-// through a fresh Evaluator, and through a reused Evaluator whose
-// convolution pool has already served other graphs — must return the
-// bit-identical distribution.
+// sorted-slice rewrite: repeated reductions of one graph — through a
+// fresh Evaluator, and through a reused Evaluator whose convolution
+// pool has already served other graphs — must return the bit-identical
+// distribution.
 func TestDodinDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 8; trial++ {
 		g := randomProbDAG(rng, 12, 0.4)
-		want, err := DodinDistribution(g, DodinOptions{})
+		want, err := mustEvaluator(g).DodinDistribution(DodinOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +316,7 @@ func TestDodinDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.Support(), want.Support()) || !slices.Equal(got.Probs(), want.Probs()) {
-				t.Fatalf("trial %d rep %d: evaluator Dodin diverged from one-shot", trial, rep)
+				t.Fatalf("trial %d rep %d: reused evaluator's Dodin diverged from a fresh one's", trial, rep)
 			}
 		}
 	}
@@ -268,13 +325,17 @@ func TestDodinDeterministic(t *testing.T) {
 func TestDodinBudgetError(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomProbDAG(rng, 30, 0.5)
-	if _, err := Dodin(g, DodinOptions{Budget: 3}); err == nil {
+	if _, err := mustEvaluator(g).Dodin(DodinOptions{Budget: 3}); err == nil {
 		t.Fatal("tiny budget must error")
 	}
 }
 
 func TestDodinEmptyGraph(t *testing.T) {
-	d, err := DodinDistribution(NewGraph(), DodinOptions{})
+	g, err := FromEdges(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mustEvaluator(g).DodinDistribution(DodinOptions{})
 	if err != nil || d.Mean() != 0 {
 		t.Fatalf("empty graph: %v, %v", d, err)
 	}
@@ -284,16 +345,16 @@ func TestEstimatorsOnPointDistributions(t *testing.T) {
 	// All estimators agree with the deterministic critical path.
 	g := diamondGraph(dist.Point(1), dist.Point(2), dist.Point(3), dist.Point(4))
 	want := 8.0
-	if got := PathApprox(g); got != want {
+	if got := mustEvaluator(g).PathApprox(); got != want {
 		t.Fatalf("PathApprox = %g", got)
 	}
-	if got := Normal(g); math.Abs(got-want) > 1e-9 {
+	if got := mustEvaluator(g).Normal(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Normal = %g", got)
 	}
-	if got, err := Dodin(g, DodinOptions{}); err != nil || math.Abs(got-want) > 1e-9 {
+	if got, err := mustEvaluator(g).Dodin(DodinOptions{}); err != nil || math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Dodin = %g, %v", got, err)
 	}
-	mc := MonteCarlo(g, 100, rand.New(rand.NewSource(1)))
+	mc := mustEvaluator(g).MonteCarlo(100, rand.New(rand.NewSource(1)))
 	if mc.Mean != want || mc.StdDev != 0 {
 		t.Fatalf("MC = %+v", mc)
 	}
@@ -308,9 +369,9 @@ func TestEstimatorConsistencyProperty(t *testing.T) {
 		if !ok {
 			return true // skip
 		}
-		pa := PathApprox(g)
-		no := Normal(g)
-		do, err := Dodin(g, DodinOptions{MaxBins: 128})
+		pa := mustEvaluator(g).PathApprox()
+		no := mustEvaluator(g).Normal()
+		do, err := mustEvaluator(g).Dodin(DodinOptions{MaxBins: 128})
 		if err != nil {
 			return false
 		}
@@ -328,14 +389,14 @@ func TestPathApproxBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomProbDAG(rng, 3+rng.Intn(25), 0.3)
-		pa := PathApprox(g)
-		if pa < CriticalPathBase(g)-1e-9 {
+		pa := mustEvaluator(g).PathApprox()
+		if pa < g.MakespanGiven(g.BaseDurations())-1e-9 {
 			return false
 		}
 		// Upper bound: every node at its maximum.
 		upper := make([]float64, g.Len())
 		for i := 0; i < g.Len(); i++ {
-			upper[i] = g.Dist(NodeID(i)).Max()
+			upper[i] = g.dists[i].Max()
 		}
 		return pa <= g.MakespanGiven(upper)+1e-9
 	}
@@ -349,26 +410,27 @@ func TestPathApproxMatchesPlainSumAtLowMass(t *testing.T) {
 	// estimate equals the unclamped first-order sum computed by hand.
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 20; trial++ {
-		g := NewGraph()
+		var b graphBuilder
 		n := 3 + rng.Intn(10)
 		for i := 0; i < n; i++ {
 			base := 1 + 9*rng.Float64()
-			g.AddNode(dist.TwoState(base, 1.5*base, 1e-4*rng.Float64()))
+			b.node(dist.TwoState(base, 1.5*base, 1e-4*rng.Float64()))
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Float64() < 0.3 {
-					g.AddEdge(NodeID(i), NodeID(j))
+					b.edge(NodeID(i), NodeID(j))
 				}
 			}
 		}
+		g := b.graph()
 		// Hand computation of the plain first-order sum.
 		base := g.BaseDurations()
 		m0 := g.MakespanGiven(base)
 		sum := m0
 		for v := 0; v < n; v++ {
 			durs := append([]float64(nil), base...)
-			vals, probs := g.Dist(NodeID(v)).Support(), g.Dist(NodeID(v)).Probs()
+			vals, probs := g.dists[v].Support(), g.dists[v].Probs()
 			for j := range vals {
 				if vals[j] == base[v] {
 					continue
@@ -382,7 +444,7 @@ func TestPathApproxMatchesPlainSumAtLowMass(t *testing.T) {
 				durs[v] = base[v]
 			}
 		}
-		if got := PathApprox(g); math.Abs(got-sum) > 1e-9*math.Max(1, sum) {
+		if got := mustEvaluator(g).PathApprox(); math.Abs(got-sum) > 1e-9*math.Max(1, sum) {
 			t.Fatalf("trial %d: PathApprox %g vs plain sum %g", trial, got, sum)
 		}
 	}
@@ -403,23 +465,21 @@ func TestPathApproxMonotoneInProbability(t *testing.T) {
 			}
 		}
 		build := func(pv float64, target int) *Graph {
-			g := NewGraph()
+			var b graphBuilder
 			for i := 0; i < n; i++ {
 				p := 0.05
 				if i == target {
 					p = pv
 				}
-				g.AddNode(dist.TwoState(10, 15, p))
+				b.node(dist.TwoState(10, 15, p))
 			}
-			for _, e := range edges {
-				g.AddEdge(NodeID(e[0]), NodeID(e[1]))
-			}
-			return g
+			b.edges = edges
+			return b.graph()
 		}
 		target := rng.Intn(n)
 		prev := -1.0
 		for _, p := range []float64{0.01, 0.05, 0.2, 0.5} {
-			got := PathApprox(build(p, target))
+			got := mustEvaluator(build(p, target)).PathApprox()
 			if got < prev-1e-9 {
 				t.Fatalf("trial %d: estimate fell from %g to %g as p rose", trial, prev, got)
 			}

@@ -56,19 +56,29 @@ func NewEvaluator(g *Graph) (*Evaluator, error) {
 	}, nil
 }
 
-// mustEvaluator backs the package-level one-shot wrappers, which keep
-// the historical panic-on-cycle contract.
-func mustEvaluator(g *Graph) *Evaluator {
-	e, err := NewEvaluator(g)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// PathApprox is the allocation-free form of the package-level PathApprox
-// (see pathapprox.go for the derivation of the clamped first-order
-// tail-integral estimate).
+// PathApprox implements the longest-path first-order approximation of
+// the expected makespan (the reconstruction of the method of [23] that
+// §VI-B selects as the method of choice).
+//
+// Writing M(x) for the makespan when node v lasts x_v, let b be the
+// base (most likely) duration vector and M₀ = M(b). A single-node
+// deviation only matters through the longest path crossing that node:
+// with L_v the longest base-duration path through v, deviation (v, x)
+// raises the makespan to U = L_v + (x − b_v) when U > M₀. Writing the
+// expectation through the tail integral E[M] − M₀ = ∫ P(M > t) dt and
+// union-bounding the tail by the sum of single-deviation tails,
+//
+//	E[M] ≈ M₀ + ∫_{M₀}^∞ min(1, Σ_{(v,x): U_{v,x} > t} P[X_v = x]) dt ,
+//
+// which expands to the plain first-order sum
+// Σ p_{v,x}·(max(M₀, U_{v,x}) − M₀) whenever the deviation
+// probabilities are small (error Θ(λ²), the same order as the paper's
+// task-weight model), while the min(1, ·) clamp keeps the estimate
+// below the all-deviations horizon when λ·n is no longer small —
+// without it the additive form diverges in the high-failure panels.
+// All L_v come from forward ("top") and backward ("bottom") longest-
+// path sweeps; total cost O(V + E + D log D) for D deviation terms.
+// Repeated calls reuse the Evaluator's buffers and do not allocate.
 func (e *Evaluator) PathApprox() float64 {
 	g := e.g
 	n := g.Len()
@@ -162,21 +172,15 @@ func (e *Evaluator) baseTop() {
 	}
 }
 
-// CriticalPathBase returns the makespan with every node at its base
-// duration, without allocating.
-func (e *Evaluator) CriticalPathBase() float64 {
-	e.baseTop()
-	max := 0.0
-	for _, v := range e.order {
-		if e.top[v] > max {
-			max = e.top[v]
-		}
-	}
-	return max
-}
-
-// NormalMoments is the reusable-buffer form of the package-level
-// NormalMoments (Sculli's method).
+// NormalMoments returns the mean and standard deviation of the makespan
+// under Sculli's method (Sculli 1983, as described by Canon & Jeannot
+// 2016): every completion time is approximated by a normal
+// distribution identified by its first two moments. In topological
+// order, a node's start time is the maximum of its predecessors'
+// completion times — maxima are folded pairwise with Clark's formulas
+// assuming independence — and its completion time adds the node's
+// duration moments. The makespan is the pairwise maximum over all sink
+// completions. Repeated calls reuse the moment buffer.
 func (e *Evaluator) NormalMoments() (mean, sigma float64) {
 	g := e.g
 	if len(e.order) == 0 {
@@ -218,11 +222,29 @@ func (e *Evaluator) Normal() float64 {
 	return m
 }
 
-// Dodin runs Dodin's series-parallel reduction with the Evaluator's
-// pooled dist.Combiner: every serial (convolution) and parallel (max)
-// step of every call reuses one scratch buffer, so repeated estimates of
-// segment DAGs stop paying the per-step allocations the one-shot path
-// does. Results are bit-identical to the package-level Dodin.
+// Dodin estimates the expected makespan with Dodin's series-parallel
+// approximation (Dodin 1985, as described by Möhring 2001 and Canon &
+// Jeannot 2016), adapted to activity-on-node networks:
+//
+//   - serial reduction: a node v with a single predecessor u, where u has
+//     a single successor, merges into u with the convolved distribution;
+//   - parallel reduction: two nodes with identical predecessor and
+//     successor sets merge into one with the max distribution (product of
+//     CDFs — exact under independence);
+//   - when the graph is not series-parallel reducible, a node with
+//     in-degree >= 2 is duplicated, one copy per predecessor, and the
+//     copies are treated as independent. This is the approximation step:
+//     it preserves the set of paths but ignores the positive correlation
+//     induced by the shared node, biasing the estimated maximum upward.
+//
+// Intermediate supports are quantized to MaxBins points. Dodin returns
+// an error if the step budget is exhausted.
+//
+// Every reduction step folds two supports through the Evaluator's
+// pooled dist.Combiner — a sorted-merge convolution for serial steps, a
+// two-pointer max for parallel ones — so one scratch buffer serves
+// every step of every call. Parallel passes only revisit the nodes
+// whose neighbourhood changed since the previous one.
 func (e *Evaluator) Dodin(opts DodinOptions) (float64, error) {
 	d, err := e.DodinDistribution(opts)
 	if err != nil {
@@ -237,12 +259,11 @@ func (e *Evaluator) DodinDistribution(opts DodinOptions) (*dist.Discrete, error)
 	return dodinDistribution(e.g, opts, &e.comb)
 }
 
-// MonteCarlo estimates the expected makespan by sampling trials
-// realizations from rng with the graph's incremental kernel (see the
-// package-level MonteCarlo), reusing the trial and sample buffers. The
-// sampling order is identical to the historical package-level
-// MonteCarlo, so a given (graph, rng state) pair yields bit-identical
-// summaries.
+// MonteCarlo estimates the expected makespan from trials realizations
+// drawn sequentially from rng with the graph's incremental kernel (see
+// MonteCarloSeededCtx), reusing the trial and sample buffers. Consuming
+// rng trial by trial pins it to one goroutine; MonteCarloSeededCtx is
+// the parallel form.
 func (e *Evaluator) MonteCarlo(trials int, rng *rand.Rand) dist.Summary {
 	if trials <= 0 {
 		return dist.Summary{}

@@ -1,6 +1,7 @@
 package probdag
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,9 @@ import (
 	"repro/internal/par"
 )
 
+// TestEvaluatorMatchesOneShotEstimators checks that repeated calls on
+// one Evaluator stay bit-identical to one-shot estimates through a
+// fresh Evaluator: buffer reuse must not leak state.
 func TestEvaluatorMatchesOneShotEstimators(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
@@ -16,24 +20,19 @@ func TestEvaluatorMatchesOneShotEstimators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Repeated calls on the same evaluator stay bit-identical to the
-		// one-shot functions (buffer reuse must not leak state).
 		for rep := 0; rep < 3; rep++ {
-			if got, want := ev.PathApprox(), PathApprox(g); got != want {
+			if got, want := ev.PathApprox(), mustEvaluator(g).PathApprox(); got != want {
 				t.Fatalf("trial %d rep %d: evaluator PathApprox %g != %g", trial, rep, got, want)
 			}
 			em, es := ev.NormalMoments()
-			wm, ws := NormalMoments(g)
+			wm, ws := mustEvaluator(g).NormalMoments()
 			if em != wm || es != ws {
 				t.Fatalf("trial %d rep %d: evaluator Normal (%g,%g) != (%g,%g)", trial, rep, em, es, wm, ws)
-			}
-			if got, want := ev.CriticalPathBase(), CriticalPathBase(g); got != want {
-				t.Fatalf("trial %d rep %d: evaluator CPB %g != %g", trial, rep, got, want)
 			}
 		}
 		// Same rng state => bit-identical Monte Carlo summaries.
 		a := ev.MonteCarlo(500, rand.New(rand.NewSource(9)))
-		b := MonteCarlo(g, 500, rand.New(rand.NewSource(9)))
+		b := mustEvaluator(g).MonteCarlo(500, rand.New(rand.NewSource(9)))
 		if a != b {
 			t.Fatalf("trial %d: evaluator MC %+v != %+v", trial, a, b)
 		}
@@ -41,18 +40,21 @@ func TestEvaluatorMatchesOneShotEstimators(t *testing.T) {
 }
 
 func TestEvaluatorRejectsCycles(t *testing.T) {
-	g := NewGraph()
-	a := g.AddNode(dist.Point(1))
-	b := g.AddNode(dist.Point(1))
-	g.AddEdge(a, b)
-	g.AddEdge(b, a)
+	g, err := FromEdges([]*dist.Discrete{dist.Point(1), dist.Point(1)}, [][2]int{{0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewEvaluator(g); err == nil {
 		t.Fatal("cyclic graph must be rejected")
 	}
 }
 
 func TestEvaluatorEmptyGraph(t *testing.T) {
-	ev, err := NewEvaluator(NewGraph())
+	g, err := FromEdges(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +71,15 @@ func TestMonteCarloSeededWorkerInvariance(t *testing.T) {
 	g := randomProbDAG(rng, 12, 0.3)
 	// Trials chosen to exercise several chunks plus a ragged final one.
 	for _, trials := range []int{100, par.Chunk, 3*par.Chunk + 17} {
-		serial := MonteCarloSeeded(g, trials, 7, 1)
+		serial, err := MonteCarloSeededCtx(context.Background(), g, trials, 7, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{2, 4, 9} {
-			fanned := MonteCarloSeeded(g, trials, 7, workers)
+			fanned, err := MonteCarloSeededCtx(context.Background(), g, trials, 7, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if fanned != serial {
 				t.Fatalf("trials=%d workers=%d: %+v != serial %+v", trials, workers, fanned, serial)
 			}
@@ -85,15 +93,18 @@ func TestMonteCarloSeededMatchesLaw(t *testing.T) {
 	if !ok {
 		t.Fatal("budget")
 	}
-	s := MonteCarloSeeded(g, 60000, 3, 4)
+	s, err := MonteCarloSeededCtx(context.Background(), g, 60000, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.N != 60000 {
 		t.Fatalf("N = %d", s.N)
 	}
 	if diff := s.Mean - exact; diff > 4*s.CI95+1e-9 || diff < -4*s.CI95-1e-9 {
 		t.Fatalf("seeded MC %g ± %g vs exact %g", s.Mean, s.CI95, exact)
 	}
-	if z := MonteCarloSeeded(g, 0, 3, 4); z != (dist.Summary{}) {
-		t.Fatalf("0 trials: %+v", z)
+	if z, err := MonteCarloSeededCtx(context.Background(), g, 0, 3, 4); err != nil || z != (dist.Summary{}) {
+		t.Fatalf("0 trials: %+v, %v", z, err)
 	}
 }
 

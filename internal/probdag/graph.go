@@ -1,14 +1,15 @@
 // Package probdag implements probabilistic task DAGs — DAGs whose node
 // durations are independent finite discrete random variables, in
 // particular the 2-state DAGs produced by the paper's first-order
-// approximation — together with four expected-makespan estimators:
+// approximation — together with the four expected-makespan estimators
+// of §VI-B. An Evaluator is the one estimator surface: built once per
+// graph, it owns the scratch every estimator reuses.
 //
-//   - MonteCarlo: sampling (the ground-truth method, §II-B)
+//   - MonteCarlo: sampling (the ground-truth method, §II-B); its
+//     parallel, seeded form is MonteCarloSeededCtx
 //   - Normal:     Sculli's method (normal moments + Clark's maximum)
 //   - Dodin:      series-parallel reduction with duplication
 //   - PathApprox: first-order longest-path expansion (method of choice)
-//
-// plus an exact exhaustive evaluator used as a test oracle on small DAGs.
 package probdag
 
 import (
@@ -30,24 +31,19 @@ type Graph struct {
 	pred  [][]NodeID
 
 	// mc is the Monte Carlo sampling kernel, built by the first
-	// sampling pass over the graph and dropped by AddNode and AddEdge.
+	// sampling pass over the graph.
 	mc atomic.Pointer[mcKernel]
 }
 
-// NewGraph returns an empty probabilistic DAG.
-func NewGraph() *Graph { return &Graph{} }
-
 // FromEdges returns the DAG whose node i lasts dists[i], with the
-// precedence edges u -> v given as {u, v} pairs. It builds the graph
-// AddNode and AddEdge would, in one pass: every Succ and Pred list
-// holds its edges in the order given, as AddEdge appends them. The
-// lists are capped windows of one shared backing array, so a later
-// AddEdge reallocates the list it appends to instead of writing into
-// its neighbour's. The graph takes ownership of dists.
+// precedence edges u -> v given as {u, v} pairs. Every node's successor
+// and predecessor lists hold its edges in the order given, as capped
+// windows of one shared backing array. The graph takes ownership of
+// dists and is immutable.
 //
 // It fails on an edge with an endpoint out of range, a self edge or a
-// repeated edge, which AddEdge would drop. It does not check for
-// cycles: NewEvaluator and TopoOrder do.
+// repeated edge. It does not check for cycles: NewEvaluator and
+// TopoOrder do.
 func FromEdges(dists []*dist.Discrete, edges [][2]int) (*Graph, error) {
 	n := len(dists)
 	for _, e := range edges {
@@ -93,28 +89,6 @@ func pack(lists [][]NodeID, flat []NodeID, edges [][2]int, side int, next []int)
 	}
 }
 
-// AddNode appends a node with the given duration distribution.
-func (g *Graph) AddNode(d *dist.Discrete) NodeID {
-	id := NodeID(len(g.dists))
-	g.dists = append(g.dists, d)
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	g.mc.Store(nil)
-	return id
-}
-
-// AddEdge adds the precedence u -> v. Duplicate edges are ignored.
-func (g *Graph) AddEdge(u, v NodeID) {
-	for _, s := range g.succ[u] {
-		if s == v {
-			return
-		}
-	}
-	g.succ[u] = append(g.succ[u], v)
-	g.pred[v] = append(g.pred[v], u)
-	g.mc.Store(nil)
-}
-
 // mustKernel returns g's Monte Carlo kernel, building it on first use;
 // concurrent first users may each build one, and they are identical.
 // It panics if g is cyclic, the sampling entry points' historical
@@ -133,15 +107,6 @@ func (g *Graph) mustKernel() *mcKernel {
 
 // Len returns the node count.
 func (g *Graph) Len() int { return len(g.dists) }
-
-// Dist returns node n's duration distribution.
-func (g *Graph) Dist(n NodeID) *dist.Discrete { return g.dists[n] }
-
-// Succ returns the successors of n (not to be modified).
-func (g *Graph) Succ(n NodeID) []NodeID { return g.succ[n] }
-
-// Pred returns the predecessors of n (not to be modified).
-func (g *Graph) Pred(n NodeID) []NodeID { return g.pred[n] }
 
 // TopoOrder returns a topological order (Kahn, smallest-ID first), or an
 // error if the graph is cyclic.
@@ -182,48 +147,4 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 		return nil, fmt.Errorf("probdag: graph is cyclic")
 	}
 	return out, nil
-}
-
-// MakespanGiven computes the longest path when node i lasts exactly
-// durs[i].
-func (g *Graph) MakespanGiven(durs []float64) float64 {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	finish := make([]float64, len(durs))
-	max := 0.0
-	for _, v := range order {
-		start := 0.0
-		for _, p := range g.pred[v] {
-			if finish[p] > start {
-				start = finish[p]
-			}
-		}
-		finish[v] = start + durs[int(v)]
-		if finish[v] > max {
-			max = finish[v]
-		}
-	}
-	return max
-}
-
-// BaseDurations returns, per node, the support value with the highest
-// probability (ties to the smaller value). For 2-state paper DAGs this
-// is the no-failure duration.
-func (g *Graph) BaseDurations() []float64 {
-	out := make([]float64, len(g.dists))
-	for i, d := range g.dists {
-		out[i] = d.Base()
-	}
-	return out
-}
-
-// MeanDurations returns each node's expected duration.
-func (g *Graph) MeanDurations() []float64 {
-	out := make([]float64, len(g.dists))
-	for i, d := range g.dists {
-		out[i] = d.Mean()
-	}
-	return out
 }

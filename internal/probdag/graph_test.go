@@ -8,60 +8,102 @@ import (
 	"repro/internal/dist"
 )
 
-// chainGraph builds a linear chain of n two-state nodes.
-func chainGraph(n int, base, inflated, p float64) *Graph {
-	g := NewGraph()
-	var prev NodeID
-	for i := 0; i < n; i++ {
-		id := g.AddNode(dist.TwoState(base, inflated, p))
-		if i > 0 {
-			g.AddEdge(prev, id)
-		}
-		prev = id
+// graphBuilder collects nodes and edges node by node, edge by edge,
+// for FromEdges.
+type graphBuilder struct {
+	dists []*dist.Discrete
+	edges [][2]int
+}
+
+func (b *graphBuilder) node(d *dist.Discrete) NodeID {
+	b.dists = append(b.dists, d)
+	return NodeID(len(b.dists) - 1)
+}
+
+func (b *graphBuilder) edge(u, v NodeID) { b.edges = append(b.edges, [2]int{int(u), int(v)}) }
+
+// graph returns the built graph; a rejected edge is a bug in the test.
+func (b *graphBuilder) graph() *Graph {
+	g, err := FromEdges(b.dists, b.edges)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }
 
+// chainGraph builds a linear chain of n two-state nodes.
+func chainGraph(n int, base, inflated, p float64) *Graph {
+	var b graphBuilder
+	var prev NodeID
+	for i := 0; i < n; i++ {
+		id := b.node(dist.TwoState(base, inflated, p))
+		if i > 0 {
+			b.edge(prev, id)
+		}
+		prev = id
+	}
+	return b.graph()
+}
+
 // diamondGraph builds a 4-node diamond with the given distributions.
 func diamondGraph(ds ...*dist.Discrete) *Graph {
-	g := NewGraph()
-	a := g.AddNode(ds[0])
-	b := g.AddNode(ds[1])
-	c := g.AddNode(ds[2])
-	d := g.AddNode(ds[3])
-	g.AddEdge(a, b)
-	g.AddEdge(a, c)
-	g.AddEdge(b, d)
-	g.AddEdge(c, d)
+	g, err := FromEdges(ds[:4:4], [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
+	if err != nil {
+		panic(err)
+	}
 	return g
 }
 
 // randomProbDAG builds a random 2-state DAG.
 func randomProbDAG(rng *rand.Rand, n int, p float64) *Graph {
-	g := NewGraph()
+	var b graphBuilder
 	for i := 0; i < n; i++ {
 		base := 1 + 9*rng.Float64()
-		g.AddNode(dist.TwoState(base, 1.5*base, 0.05+0.3*rng.Float64()))
+		b.node(dist.TwoState(base, 1.5*base, 0.05+0.3*rng.Float64()))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < p {
-				g.AddEdge(NodeID(i), NodeID(j))
+				b.edge(NodeID(i), NodeID(j))
 			}
 		}
 	}
-	return g
+	return b.graph()
 }
 
-func TestAddEdgeDeduplicates(t *testing.T) {
-	g := NewGraph()
-	a := g.AddNode(dist.Point(1))
-	b := g.AddNode(dist.Point(1))
-	g.AddEdge(a, b)
-	g.AddEdge(a, b)
-	if len(g.Succ(a)) != 1 || len(g.Pred(b)) != 1 {
-		t.Fatal("duplicate edges must be ignored")
+// MakespanGiven is the reference longest path: the makespan when node i lasts exactly
+// durs[i].
+func (g *Graph) MakespanGiven(durs []float64) float64 {
+	order, err := g.TopoOrder()
+	if err != nil {
+		panic(err)
 	}
+	finish := make([]float64, len(durs))
+	max := 0.0
+	for _, v := range order {
+		start := 0.0
+		for _, p := range g.pred[v] {
+			if finish[p] > start {
+				start = finish[p]
+			}
+		}
+		finish[v] = start + durs[int(v)]
+		if finish[v] > max {
+			max = finish[v]
+		}
+	}
+	return max
+}
+
+// BaseDurations returns, per node, the support value with the highest
+// probability (ties to the smaller value). For 2-state paper DAGs this
+// is the no-failure duration.
+func (g *Graph) BaseDurations() []float64 {
+	out := make([]float64, len(g.dists))
+	for i, d := range g.dists {
+		out[i] = d.Base()
+	}
+	return out
 }
 
 func TestTopoOrder(t *testing.T) {
@@ -76,11 +118,10 @@ func TestTopoOrder(t *testing.T) {
 }
 
 func TestTopoOrderCycle(t *testing.T) {
-	g := NewGraph()
-	a := g.AddNode(dist.Point(1))
-	b := g.AddNode(dist.Point(1))
-	g.AddEdge(a, b)
-	g.AddEdge(b, a)
+	g, err := FromEdges([]*dist.Discrete{dist.Point(1), dist.Point(1)}, [][2]int{{0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := g.TopoOrder(); err == nil {
 		t.Fatal("cycle must be detected")
 	}
@@ -95,36 +136,27 @@ func TestMakespanGiven(t *testing.T) {
 }
 
 func TestBaseDurations(t *testing.T) {
-	g := NewGraph()
-	g.AddNode(dist.TwoState(10, 15, 0.2)) // base = 10 (p=0.8)
-	g.AddNode(dist.TwoState(10, 15, 0.7)) // base = 15 (p=0.7)
-	base := g.BaseDurations()
+	var b graphBuilder
+	b.node(dist.TwoState(10, 15, 0.2)) // base = 10 (p=0.8)
+	b.node(dist.TwoState(10, 15, 0.7)) // base = 15 (p=0.7)
+	base := b.graph().BaseDurations()
 	if base[0] != 10 || base[1] != 15 {
 		t.Fatalf("base = %v", base)
 	}
 }
 
-func TestMeanDurations(t *testing.T) {
-	g := NewGraph()
-	g.AddNode(dist.TwoState(10, 20, 0.5))
-	if m := g.MeanDurations(); m[0] != 15 {
-		t.Fatalf("means = %v", m)
-	}
-}
-
 // TestFromEdgesMatchesAddEdge builds random DAGs, with edges in random
-// order, both through FromEdges and through AddNode/AddEdge: every
-// node's Succ and Pred lists must agree in order, and appending to the
-// packed graph must not write into a neighbouring list.
+// order, both through FromEdges and through the edge-by-edge reference
+// below: every node's successor and predecessor lists must agree in
+// order, each node must hold the law it was given, and every list must
+// be capped so that an append cannot write into a neighbouring list.
 func TestFromEdgesMatchesAddEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
 		ds := make([]*dist.Discrete, n)
-		ref := NewGraph()
 		for i := range ds {
 			ds[i] = dist.TwoState(1, 2, rng.Float64())
-			ref.AddNode(ds[i])
 		}
 		var edges [][2]int
 		for i := 0; i < n; i++ {
@@ -135,39 +167,30 @@ func TestFromEdgesMatchesAddEdge(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
-		for _, e := range edges {
-			ref.AddEdge(NodeID(e[0]), NodeID(e[1]))
-		}
-		g, err := FromEdges(ds, edges)
+		g, err := FromEdges(slices.Clone(ds), edges)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAdjacency(t, g, ref)
-		// Append through both graphs: the packed lists are capped, so
-		// the appends reallocate instead of landing in a neighbour.
-		sink := dist.Point(1)
-		last := g.AddNode(sink)
-		ref.AddNode(sink)
-		for u := 0; u < n; u++ {
-			g.AddEdge(NodeID(u), last)
-			ref.AddEdge(NodeID(u), last)
+		// The reference appends each edge to both endpoints' lists in
+		// the order given.
+		succ, pred := make([][]NodeID, n), make([][]NodeID, n)
+		for _, e := range edges {
+			succ[e[0]] = append(succ[e[0]], NodeID(e[1]))
+			pred[e[1]] = append(pred[e[1]], NodeID(e[0]))
 		}
-		sameAdjacency(t, g, ref)
-	}
-}
-
-func sameAdjacency(t *testing.T, g, ref *Graph) {
-	t.Helper()
-	if g.Len() != ref.Len() {
-		t.Fatalf("%d nodes, reference %d", g.Len(), ref.Len())
-	}
-	for v := 0; v < g.Len(); v++ {
-		if !slices.Equal(g.Succ(NodeID(v)), ref.Succ(NodeID(v))) || !slices.Equal(g.Pred(NodeID(v)), ref.Pred(NodeID(v))) {
-			t.Fatalf("node %d: succ %v pred %v, reference succ %v pred %v",
-				v, g.Succ(NodeID(v)), g.Pred(NodeID(v)), ref.Succ(NodeID(v)), ref.Pred(NodeID(v)))
+		if g.Len() != n {
+			t.Fatalf("%d nodes, reference %d", g.Len(), n)
 		}
-		if g.Dist(NodeID(v)) != ref.Dist(NodeID(v)) {
-			t.Fatalf("node %d does not hold the distribution it was given", v)
+		for v := 0; v < n; v++ {
+			if !slices.Equal(g.succ[v], succ[v]) || !slices.Equal(g.pred[v], pred[v]) {
+				t.Fatalf("node %d: succ %v pred %v, reference succ %v pred %v", v, g.succ[v], g.pred[v], succ[v], pred[v])
+			}
+			if cap(g.succ[v]) != len(g.succ[v]) || cap(g.pred[v]) != len(g.pred[v]) {
+				t.Fatalf("node %d: lists are not capped", v)
+			}
+			if g.dists[v] != ds[v] {
+				t.Fatalf("node %d does not hold the distribution it was given", v)
+			}
 		}
 	}
 }

@@ -10,11 +10,22 @@ import (
 	"repro/internal/par"
 )
 
-// MonteCarlo estimates the expected makespan by sampling: each trial
-// draws every node duration independently from its distribution and
-// computes the longest path. The paper uses 300,000 trials as the
+// MonteCarloSeededCtx estimates the expected makespan by sampling: each
+// trial draws every node duration independently from its distribution
+// and computes the longest path. The paper uses 300,000 trials as the
 // ground truth. The returned Summary includes a 95% confidence interval
 // on the mean.
+//
+// The trials are split into fixed-size chunks (par.Chunk trials each),
+// each drawn from its own deterministic sub-seeded generator and written
+// into its own slice of the sample buffer. Chunks are executed by up to
+// workers goroutines (0 means GOMAXPROCS) that share the graph's
+// sampling kernel and own only its duration and finish-time scratch,
+// and because neither the chunk boundaries nor the sub-seeds depend on
+// scheduling, the returned Summary is bit-identical for every worker
+// count — the serial path is simply workers = 1. Cancellation is
+// observed between chunks and reported as an error (the summary is
+// meaningless in that case).
 //
 // A trial draws one uniform per node in ID order, the order the
 // package has always consumed the generator in, so a given generator
@@ -29,30 +40,6 @@ import (
 // order: the recomputation resumes the running maximum of the
 // untouched prefix, the same comparisons in the same order as a full
 // pass, so every sample is bit-identical to the full pass's.
-//
-// MonteCarlo consumes rng sequentially, trial by trial, which pins it to
-// a single goroutine; MonteCarloSeeded is the parallel form.
-func MonteCarlo(g *Graph, trials int, rng *rand.Rand) dist.Summary {
-	return mustEvaluator(g).MonteCarlo(trials, rng)
-}
-
-// MonteCarloSeeded estimates the expected makespan from trials samples
-// split into fixed-size chunks (par.Chunk trials each), each drawn from
-// its own deterministic sub-seeded generator and written into its own
-// slice of the sample buffer. Chunks are executed by up to workers
-// goroutines (0 means GOMAXPROCS) that share the graph's sampling
-// kernel and own only its duration and finish-time scratch, and because
-// neither the chunk boundaries nor the sub-seeds depend on scheduling,
-// the returned Summary is bit-identical for every worker count — the
-// serial path is simply workers = 1.
-func MonteCarloSeeded(g *Graph, trials int, seed int64, workers int) dist.Summary {
-	s, _ := MonteCarloSeededCtx(context.Background(), g, trials, seed, workers)
-	return s
-}
-
-// MonteCarloSeededCtx is MonteCarloSeeded under a context: cancellation
-// is observed between chunks and reported as an error (the summary is
-// meaningless in that case).
 func MonteCarloSeededCtx(ctx context.Context, g *Graph, trials int, seed int64, workers int) (dist.Summary, error) {
 	if trials <= 0 {
 		return dist.Summary{}, nil
@@ -77,7 +64,7 @@ func MonteCarloSeededCtx(ctx context.Context, g *Graph, trials int, seed int64, 
 //
 // Per node, in ID order: node i's inverse-CDF thresholds are
 // thr[cut[i]:cut[i+1]], the running sums of all but its last
-// probability, accumulated as Discrete.Sample accumulates them, and its
+// probability, accumulated as an inverse-CDF draw accumulates them, and its
 // support is vals[cut[i]+i : cut[i+1]+i+1]. first[i] repeats its first
 // threshold (+Inf for a point mass), so the common draw, one that
 // stays on the first value, reads one float. Everything else is
@@ -210,53 +197,4 @@ func (k *mcKernel) fill(out []float64, rng *rand.Rand, s *mcScratch) {
 		copy(dur[from:], k.dur0[from:])
 		copy(fin[from:], k.fin0[from:])
 	}
-}
-
-// Exact computes the exact expected makespan by enumerating every joint
-// realization of the node durations. The number of combinations is the
-// product of support sizes; Exact returns ok=false when it exceeds
-// maxCombos (use it only as a small-DAG test oracle).
-func Exact(g *Graph, maxCombos int) (mean float64, ok bool) {
-	combos := 1
-	for _, d := range g.dists {
-		combos *= d.Len()
-		if combos > maxCombos {
-			return 0, false
-		}
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	n := g.Len()
-	durs := make([]float64, n)
-	finish := make([]float64, n)
-	var rec func(i int, p float64)
-	total := 0.0
-	rec = func(i int, p float64) {
-		if i == n {
-			max := 0.0
-			for _, v := range order {
-				start := 0.0
-				for _, pr := range g.pred[v] {
-					if finish[pr] > start {
-						start = finish[pr]
-					}
-				}
-				finish[v] = start + durs[int(v)]
-				if finish[v] > max {
-					max = finish[v]
-				}
-			}
-			total += p * max
-			return
-		}
-		vals, probs := g.dists[i].Support(), g.dists[i].Probs()
-		for j := range vals {
-			durs[i] = vals[j]
-			rec(i+1, p*probs[j])
-		}
-	}
-	rec(0, 1)
-	return total, true
 }

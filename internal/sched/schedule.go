@@ -104,48 +104,12 @@ func Rebuild(w *mspg.Workflow, p platform.Platform, procs []int, chains [][]wfda
 	return s, nil
 }
 
-// Proc returns the processor executing task t.
-func (s *Schedule) Proc(t wfdag.TaskID) int { return s.procOf[t] }
-
-// Chain returns the superchain containing task t.
-func (s *Schedule) Chain(t wfdag.TaskID) *Superchain { return s.Chains[s.chainOf[t]] }
-
 // Pos returns the position of t inside its superchain.
 func (s *Schedule) Pos(t wfdag.TaskID) int { return s.posOf[t] }
 
 // ProcSequence returns the superchain indices run by processor p, in
 // temporal order.
 func (s *Schedule) ProcSequence(p int) []int { return s.procSeq[p] }
-
-// EntryTasks returns the tasks of sc with at least one predecessor
-// outside sc, in linearized order.
-func (s *Schedule) EntryTasks(sc *Superchain) []wfdag.TaskID {
-	var out []wfdag.TaskID
-	for _, t := range sc.Tasks {
-		for _, p := range s.W.G.PredTasks(t) {
-			if s.chainOf[p] != sc.Index {
-				out = append(out, t)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// ExitTasks returns the tasks of sc with at least one successor outside
-// sc, in linearized order.
-func (s *Schedule) ExitTasks(sc *Superchain) []wfdag.TaskID {
-	var out []wfdag.TaskID
-	for _, t := range sc.Tasks {
-		for _, u := range s.W.G.SuccTasks(t) {
-			if s.chainOf[u] != sc.Index {
-				out = append(out, t)
-				break
-			}
-		}
-	}
-	return out
-}
 
 // Validate checks that every task is assigned exactly once, that each
 // superchain's linearization respects the internal dependencies, and

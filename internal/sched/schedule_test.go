@@ -102,34 +102,13 @@ func TestScheduleBookkeeping(t *testing.T) {
 	}
 	for i := 0; i < w.G.NumTasks(); i++ {
 		tid := wfdag.TaskID(i)
-		sc := s.Chain(tid)
+		sc := s.Chains[s.chainOf[tid]]
 		if sc.Tasks[s.Pos(tid)] != tid {
 			t.Fatalf("Pos/Chain mismatch for %d", i)
 		}
-		if s.Proc(tid) != sc.Proc {
+		if s.procOf[tid] != sc.Proc {
 			t.Fatalf("Proc mismatch for %d", i)
 		}
-	}
-}
-
-func TestEntryExitTasks(t *testing.T) {
-	w := forkJoin(t, 4, 10)
-	s, err := Allocate(w, pf(4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The source superchain has no entries and one exit.
-	src := s.Chain(0)
-	if len(s.EntryTasks(src)) != 0 {
-		t.Fatalf("source entries = %v", s.EntryTasks(src))
-	}
-	if ex := s.ExitTasks(src); len(ex) != 1 || ex[0] != 0 {
-		t.Fatalf("source exits = %v", ex)
-	}
-	// A middle branch has one entry and one exit (the same task).
-	mid := s.Chain(1)
-	if len(s.EntryTasks(mid)) != 1 || len(s.ExitTasks(mid)) != 1 {
-		t.Fatalf("branch entry/exit = %v / %v", s.EntryTasks(mid), s.ExitTasks(mid))
 	}
 }
 
@@ -178,7 +157,7 @@ func TestLinearOrderCoversProcessorTasks(t *testing.T) {
 		order := s.LinearOrder(p)
 		count += len(order)
 		for _, tid := range order {
-			if s.Proc(tid) != p {
+			if s.procOf[tid] != p {
 				t.Fatalf("task %d in wrong processor order", tid)
 			}
 		}

@@ -30,14 +30,6 @@ type PoissonFailures struct {
 	next   []float64
 }
 
-// NewPoissonFailures returns a failure source for procs processors with
-// rate lambda, drawing from rng.
-func NewPoissonFailures(procs int, lambda float64, rng *rand.Rand) *PoissonFailures {
-	p := newPoissonScratch(procs, lambda)
-	p.Reset(rng)
-	return p
-}
-
 // newPoissonScratch allocates the per-processor state without drawing;
 // the source is unusable until Reset seeds it with a generator.
 func newPoissonScratch(procs int, lambda float64) *PoissonFailures {

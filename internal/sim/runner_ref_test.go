@@ -109,7 +109,7 @@ func generatedPlan(t *testing.T, family string, tasks, procs int, seed int64, pf
 	if k > 0 {
 		p, err = ckpt.PeriodicPlan(s, pf, k)
 	} else {
-		p, err = ckpt.BuildPlan(s, pf, strat)
+		p, err = ckpt.BuildPlanWith(s, pf, strat, ckpt.ModelFirstOrder)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func deadlockedPlan(t *testing.T) *ckpt.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ckpt.BuildPlan(s, pf, ckpt.CkptAll)
+	p, err := ckpt.BuildPlanWith(s, pf, ckpt.CkptAll, ckpt.ModelFirstOrder)
 	if err != nil {
 		t.Fatal(err)
 	}

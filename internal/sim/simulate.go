@@ -64,6 +64,8 @@ type step struct {
 // segments to execute; use EstimateExpectedNoneDetail instead. It
 // fails if the plan's processor sequences and segment dependencies
 // deadlock.
+//
+//hanccr:allow deadapi the root BenchmarkSimulatorTrial and the sim tests hold a Runner through it; production Runners come from the plan's step list
 func NewRunner(p *ckpt.Plan) (*Runner, error) {
 	st, err := newSteps(p)
 	if err != nil {
@@ -205,18 +207,6 @@ func (r *Runner) RunWith(fs FailureSource) (Result, error) {
 	return res, nil
 }
 
-// RunPlan simulates one execution of a segmented plan (CkptAll,
-// CkptSome, ExitOnly, Periodic) under the given failure source. It is
-// the one-shot form of Runner.RunWith; callers simulating many trials
-// should hold a Runner instead.
-func RunPlan(p *ckpt.Plan, fs FailureSource) (Result, error) {
-	r, err := NewRunner(p)
-	if err != nil {
-		return Result{}, err
-	}
-	return r.RunWith(fs)
-}
-
 // executeWithFailures runs one work unit of nominal duration d starting
 // at time start on proc, restarting from scratch on every failure.
 func executeWithFailures(fs FailureSource, proc int, start, d float64) (end float64, failures int) {
@@ -255,23 +245,17 @@ func runNone(wpar float64, e dist.Exponential, rng *rand.Rand) Result {
 	}
 }
 
-// EstimateExpected runs trials independent simulations of the plan and
-// summarizes the makespans (mean, CI95, ...). It is the empirical
-// counterpart of the analytic estimators. Trials are split into
+// EstimateExpectedDetail runs trials independent simulations of the
+// plan and summarizes the makespans (mean, CI95, ...), the empirical
+// counterpart of the analytic estimators, plus the mean number of
+// failures that struck a busy processor per run. Trials are split into
 // fixed-size chunks (par.Chunk), each drawn from its own deterministic
 // sub-seeded generator, and fanned over up to workers goroutines (0
 // means GOMAXPROCS) with one Runner of scratch per goroutine — the
 // summary is bit-identical for every worker count. ctx cancellation is
-// observed between chunks.
-func EstimateExpected(ctx context.Context, p *ckpt.Plan, trials int, seed int64, workers int) (dist.Summary, error) {
-	s, _, err := EstimateExpectedDetail(ctx, p, trials, seed, workers)
-	return s, err
-}
-
-// EstimateExpectedDetail is EstimateExpected plus the mean number of
-// failures that struck a busy processor per run. The plan's step list
-// is built once, before the fan-out, so a CkptNone or deadlocking plan
-// is reported as an error whatever the trial count.
+// observed between chunks. The plan's step list is built once, before
+// the fan-out, so a CkptNone or deadlocking plan is reported as an
+// error whatever the trial count.
 func EstimateExpectedDetail(ctx context.Context, p *ckpt.Plan, trials int, seed int64, workers int) (dist.Summary, float64, error) {
 	st, err := newSteps(p)
 	if err != nil {

@@ -223,9 +223,6 @@ func (g *Graph) File(id FileID) File {
 	return File{ID: id, Name: m.name, Size: g.sizes[id], Producer: m.producer}
 }
 
-// Tasks returns a copy of the task slice.
-func (g *Graph) Tasks() []Task { return slices.Clone(g.tasks) }
-
 // Succ returns the outgoing edges of t (shared, read-only).
 func (g *Graph) Succ(t TaskID) []Edge { return g.index().succ.at(int(t)) }
 
@@ -329,17 +326,6 @@ func dedupTasks(edges packedLists[Edge], key func(Edge) TaskID) packedLists[Task
 		l.off[t+1] = int32(len(l.flat))
 	}
 	return l
-}
-
-// Sources returns tasks with no predecessor, in ascending ID order.
-func (g *Graph) Sources() []TaskID {
-	var out []TaskID
-	for i := range g.tasks {
-		if len(g.PredTasks(TaskID(i))) == 0 {
-			out = append(out, TaskID(i))
-		}
-	}
-	return out
 }
 
 // TotalWeight returns the sum of all task weights.

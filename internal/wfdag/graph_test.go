@@ -111,14 +111,17 @@ func TestOutputFiles(t *testing.T) {
 
 func TestSourcesAndSinks(t *testing.T) {
 	g := diamond(t)
-	if s := g.Sources(); len(s) != 1 || s[0] != 0 {
-		t.Fatalf("Sources = %v", s)
-	}
-	var sinks []TaskID
+	var sources, sinks []TaskID
 	for i := 0; i < g.NumTasks(); i++ {
+		if len(g.PredTasks(TaskID(i))) == 0 {
+			sources = append(sources, TaskID(i))
+		}
 		if len(g.SuccTasks(TaskID(i))) == 0 {
 			sinks = append(sinks, TaskID(i))
 		}
+	}
+	if len(sources) != 1 || sources[0] != 0 {
+		t.Fatalf("sources = %v", sources)
 	}
 	if len(sinks) != 1 || sinks[0] != 3 {
 		t.Fatalf("sinks = %v", sinks)

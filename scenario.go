@@ -2,6 +2,7 @@ package hanccr
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -180,14 +181,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("%w: %v", ErrBadScenario, s.err)
 	}
 	if s.graph == nil {
-		known := false
-		for _, f := range pegasus.Families() {
-			if f == s.family {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !pegasus.Known(s.family) {
 			return fmt.Errorf("%w: unknown family %q (have %v)", ErrBadScenario, s.family, pegasus.Families())
 		}
 		if s.tasks < 1 {
@@ -329,36 +323,32 @@ type ScenarioRequest struct {
 	WorkflowName string `json:"workflow_name,omitempty"`
 }
 
-// Scenario converts the request into a Scenario value.
+// Scenario converts the request into a Scenario value: the defaults of
+// NewScenario with every set field written over them.
 func (r ScenarioRequest) Scenario() Scenario {
-	// One option per field at most; the capacity keeps the slice on the
-	// stack (NewScenario does not retain it) instead of regrowing it on
-	// the heap for every request.
-	opts := make([]ScenarioOption, 0, 11)
+	s := NewScenario()
 	if r.Family != "" {
-		opts = append(opts, WithFamily(r.Family))
+		s.family = r.Family
 	}
 	if r.Tasks != 0 {
-		opts = append(opts, WithTasks(r.Tasks))
+		s.tasks = r.Tasks
 	}
 	if r.Procs != 0 {
-		opts = append(opts, WithProcs(r.Procs))
+		s.procs = r.Procs
 	}
 	if r.PFail != nil {
-		opts = append(opts, WithPFail(*r.PFail))
+		s.pfail = *r.PFail
 	}
 	if r.CCR != nil {
-		opts = append(opts, WithCCR(*r.CCR))
+		s.ccr = *r.CCR
 	}
 	if r.Seed != nil {
-		opts = append(opts, WithSeed(*r.Seed))
+		s.seed = *r.Seed
 	}
 	if r.Bandwidth != 0 {
-		opts = append(opts, WithBandwidth(r.Bandwidth))
+		s.bandwidth = r.Bandwidth
 	}
-	if r.Ragged {
-		opts = append(opts, WithRagged(true))
-	}
+	s.ragged = r.Ragged
 	if r.Strategy != "" {
 		// Canonicalize case-insensitively; an unknown name is carried
 		// through verbatim so Validate reports the typed
@@ -367,19 +357,16 @@ func (r ScenarioRequest) Scenario() Scenario {
 		if err != nil {
 			st = Strategy(r.Strategy)
 		}
-		opts = append(opts, WithStrategy(st))
+		s.strategy = st
 	}
-	if r.ExactModel {
-		opts = append(opts, WithExactCostModel())
-	}
+	s.exact = r.ExactModel
 	if len(r.WorkflowJSON) > 0 {
-		name := r.WorkflowName
-		if name == "" {
-			name = "inline"
-		}
-		opts = append(opts, WithWorkflow(name, "json", r.WorkflowJSON))
+		// As WithWorkflow: the document is captured eagerly.
+		s.source = cmp.Or(r.WorkflowName, "inline")
+		s.format = "json"
+		s.graph = bytes.Clone(r.WorkflowJSON)
 	}
-	return NewScenario(opts...)
+	return s
 }
 
 // materialize produces the scenario's workflow with the generator's
