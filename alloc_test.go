@@ -114,8 +114,8 @@ func TestHandlerHitAllocs(t *testing.T) {
 		path, body string
 		bound      float64
 	}{
-		{"/v1/plan", `{"family":"genome","tasks":40,"procs":3,"seed":7}`, 44},
-		{"/v1/estimate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"method":"Dodin"}`, 45},
+		{"/v1/plan", `{"family":"genome","tasks":40,"procs":3,"seed":7}`, 35},
+		{"/v1/estimate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"method":"Dodin"}`, 36},
 	} {
 		serve := func() *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()

@@ -20,6 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -432,6 +434,56 @@ func BenchmarkColdMix(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkStoreWriteThrough measures the plan store's write-through
+// on BenchmarkColdMix's 12 plans (seed 1): each op encodes the 12
+// records in one pass and appends them to a fresh store, as
+// Service.storePut does on a cold miss. Opening the store is not timed.
+func BenchmarkStoreWriteThrough(b *testing.B) {
+	ctx := context.Background()
+	var (
+		keys  []string
+		plans []*Plan
+	)
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for _, n := range []int{200, 300, 400} {
+			sc := NewScenario(WithFamily(fam), WithTasks(n), WithSeed(1))
+			p, err := NewPlan(ctx, sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			keys, plans = append(keys, sc.Key()), append(plans, p)
+		}
+	}
+	dir := filepath.Join(b.TempDir(), "store")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		st, err := OpenPlanStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j, p := range plans {
+			line, payload, err := encodeRecord(keys[j], p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.appendLine(keys[j], line, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

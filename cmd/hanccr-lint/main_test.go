@@ -2,26 +2,55 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// buildLint compiles the binary once per test binary into a temp dir.
+// lintBuild is the binary built once per test binary, in a temp dir
+// that TestMain removes.
+var lintBuild struct {
+	once      sync.Once
+	dir       string
+	bin, root string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if lintBuild.dir != "" {
+		os.RemoveAll(lintBuild.dir) //hanccr:allow discarderr best-effort removal of the build dir; the exit code is the tests'
+	}
+	os.Exit(code)
+}
+
+// buildLint compiles the binary once per test binary into a temp dir
+// and returns it with the module root.
 func buildLint(t *testing.T) (bin, root string) {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+	lintBuild.once.Do(func() {
+		b := &lintBuild
+		if b.root, b.err = filepath.Abs(filepath.Join("..", "..")); b.err != nil {
+			return
+		}
+		if b.dir, b.err = os.MkdirTemp("", "hanccr-lint-test-"); b.err != nil {
+			return
+		}
+		b.bin = filepath.Join(b.dir, "hanccr-lint")
+		cmd := exec.Command("go", "build", "-o", b.bin, "./cmd/hanccr-lint")
+		cmd.Dir = b.root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			b.err = fmt.Errorf("build: %v\n%s", err, out)
+		}
+	})
+	if lintBuild.err != nil {
+		t.Fatal(lintBuild.err)
 	}
-	bin = filepath.Join(t.TempDir(), "hanccr-lint")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/hanccr-lint")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	return bin, root
+	return lintBuild.bin, lintBuild.root
 }
 
 // TestLintGateExitCodes is the guardrail the whole PR rests on: the

@@ -87,6 +87,54 @@ func TestEstimateOncePerPlanConcurrent(t *testing.T) {
 	hammer(t, want, func(m Method) (float64, error) { return svc.Estimate(ctx, sc, m, memoTrials) })
 }
 
+// TestSimulateStepsOncePerPlanConcurrent checks the plan's step-list
+// slot under concurrent first use: 8 goroutines simulate one shared
+// plan with varied seeds and worker counts, and every summary is
+// bit-equal to a fresh plan's.
+func TestSimulateStepsOncePerPlanConcurrent(t *testing.T) {
+	ctx := context.Background()
+	sc := NewScenario(WithFamily("genome"), WithTasks(120), WithSeed(5), WithPFail(0.01))
+	opts := func(g int) []SimOption {
+		return []SimOption{WithSimTrials(200), WithSimSeed(int64(g % 3)), WithSimWorkers(1 + g%2)}
+	}
+	want := make([]SimResult, 8)
+	for g := range want {
+		fresh, err := NewPlan(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[g], err = fresh.Simulate(ctx, opts(g)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewPlan(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				got, err := p.Simulate(ctx, opts(g)...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Trials != want[g].Trials || math.Float64bits(got.Mean) != math.Float64bits(want[g].Mean) ||
+					math.Float64bits(got.StdDev) != math.Float64bits(want[g].StdDev) ||
+					math.Float64bits(got.CI95) != math.Float64bits(want[g].CI95) ||
+					math.Float64bits(got.MeanFailures) != math.Float64bits(want[g].MeanFailures) {
+					t.Errorf("goroutine %d: %+v, fresh plan %+v", g, got, want[g])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestRepeatedDodinEstimateAllocs checks that a plan answers a repeated
 // Dodin request from its slot without allocating.
 func TestRepeatedDodinEstimateAllocs(t *testing.T) {

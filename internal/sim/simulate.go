@@ -37,15 +37,17 @@ type Result struct {
 // buffers and its Poisson failure source, which are reset in place on
 // every Run. A Runner is not safe for concurrent use.
 type Runner struct {
-	*steps
+	steps  *Steps
 	finish []float64
 	clock  []float64
 	fs     *PoissonFailures
 }
 
-// steps is a plan's fixed execution order: list[k]'s predecessor
-// segments are preds[list[k].lo:list[k].hi].
-type steps struct {
+// Steps is a plan's fixed execution order: list[k]'s predecessor
+// segments are preds[list[k].lo:list[k].hi]. It depends only on the
+// plan and is immutable, so one Steps serves every simulation of the
+// plan, concurrently too.
+type Steps struct {
 	list   []step
 	preds  []int32
 	nseg   int
@@ -67,15 +69,17 @@ type step struct {
 //
 //hanccr:allow deadapi the root BenchmarkSimulatorTrial and the sim tests hold a Runner through it; production Runners come from the plan's step list
 func NewRunner(p *ckpt.Plan) (*Runner, error) {
-	st, err := newSteps(p)
+	st, err := NewSteps(p)
 	if err != nil {
 		return nil, err
 	}
 	return st.runner(), nil
 }
 
-// newSteps fixes the plan's execution order.
-func newSteps(p *ckpt.Plan) (*steps, error) {
+// NewSteps fixes the plan's execution order. CkptNone plans have no
+// segments to execute, and a plan whose processor sequences and
+// segment dependencies deadlock has no order: both are errors.
+func NewSteps(p *ckpt.Plan) (*Steps, error) {
 	if p.Strategy == ckpt.CkptNone {
 		return nil, fmt.Errorf("sim: use EstimateExpectedNoneDetail for the CkptNone strategy")
 	}
@@ -97,7 +101,7 @@ func newSteps(p *ckpt.Plan) (*steps, error) {
 	}
 	// Scan the processors round by round, running each one's segments
 	// while their predecessors are done, until every segment has run.
-	st := &steps{list: make([]step, 0, nseg), nseg: nseg, procs: procs, lambda: p.Platform.Lambda}
+	st := &Steps{list: make([]step, 0, nseg), nseg: nseg, procs: procs, lambda: p.Platform.Lambda}
 	done, cursor, ran := make([]bool, nseg), make([]int, procs), make([]int32, nseg)
 	remaining := nseg
 	for remaining > 0 {
@@ -158,7 +162,7 @@ func group(n, m int, key, val func(i int) int) (off, out []int32) {
 }
 
 // runner returns a Runner walking st with scratch of its own.
-func (st *steps) runner() *Runner {
+func (st *Steps) runner() *Runner {
 	return &Runner{
 		steps:  st,
 		finish: make([]float64, st.nseg),
@@ -187,9 +191,9 @@ func (r *Runner) RunWith(fs FailureSource) (Result, error) {
 	clear(finish)
 	clear(clock)
 	res := Result{}
-	for _, st := range r.list {
+	for _, st := range r.steps.list {
 		ready := clock[st.proc]
-		for _, pr := range r.preds[st.lo:st.hi] {
+		for _, pr := range r.steps.preds[st.lo:st.hi] {
 			if finish[pr] > ready {
 				ready = finish[pr]
 			}
@@ -246,27 +250,34 @@ func runNone(wpar float64, e dist.Exponential, rng *rand.Rand) Result {
 }
 
 // EstimateExpectedDetail runs trials independent simulations of the
-// plan and summarizes the makespans (mean, CI95, ...), the empirical
-// counterpart of the analytic estimators, plus the mean number of
-// failures that struck a busy processor per run. Trials are split into
-// fixed-size chunks (par.Chunk), each drawn from its own deterministic
-// sub-seeded generator, and fanned over up to workers goroutines (0
-// means GOMAXPROCS) with one Runner of scratch per goroutine — the
-// summary is bit-identical for every worker count. ctx cancellation is
-// observed between chunks. The plan's step list is built once, before
-// the fan-out, so a CkptNone or deadlocking plan is reported as an
-// error whatever the trial count.
+// plan and summarizes the makespans (see Steps.EstimateDetail). The
+// plan's step list is built first, so a CkptNone or deadlocking plan
+// is reported as an error whatever the trial count.
 func EstimateExpectedDetail(ctx context.Context, p *ckpt.Plan, trials int, seed int64, workers int) (dist.Summary, float64, error) {
-	st, err := newSteps(p)
+	st, err := NewSteps(p)
 	if err != nil {
 		return dist.Summary{}, 0, err
 	}
+	return st.EstimateDetail(ctx, trials, seed, workers)
+}
+
+// EstimateDetail runs trials independent simulations of the plan st
+// was built from and summarizes the makespans (mean, CI95, ...), the
+// empirical counterpart of the analytic estimators, plus the mean
+// number of failures that struck a busy processor per run. Trials are
+// split into fixed-size chunks (par.Chunk), each drawn from its own
+// deterministic sub-seeded generator, and fanned over up to workers
+// goroutines (0 means GOMAXPROCS) with one Runner of scratch per
+// goroutine — the summary is bit-identical for every worker count, and
+// for every caller sharing st. ctx cancellation is observed between
+// chunks.
+func (st *Steps) EstimateDetail(ctx context.Context, trials int, seed int64, workers int) (dist.Summary, float64, error) {
 	if trials <= 0 {
 		return dist.Summary{}, 0, nil
 	}
 	samples := make([]float64, trials)
 	failures := make([]int, par.Chunks(trials))
-	err = par.ForEachWithCtx(ctx, workers, par.Chunks(trials), st.runner,
+	err := par.ForEachWithCtx(ctx, workers, par.Chunks(trials), st.runner,
 		func(r *Runner, c int) error {
 			lo, hi := par.ChunkBounds(c, trials)
 			rng := rand.New(rand.NewSource(par.SubSeed(seed, c)))

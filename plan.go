@@ -22,14 +22,15 @@ import (
 // plan to many requests.
 //
 // A plan keeps what its requests would otherwise recompute and what
-// depends on nothing but the plan: the 2-state segment DAG, and the
-// Normal and Dodin estimates over it, each built by the first request
-// that needs it (none at construction); the PathApprox estimate is the
-// planning-time one, ExpectedMakespan. Monte Carlo
-// estimates and simulations are computed per request: their trial
-// count and seed are request inputs, so keeping them would be an
-// unbounded response cache. The segment DAG keeps their one
-// request-independent part, Monte Carlo's sampling kernel.
+// depends on nothing but the plan: the 2-state segment DAG, the Normal
+// and Dodin estimates over it, and the simulator's step list, each
+// built by the first request that needs it (none at construction); the
+// PathApprox estimate is the planning-time one, ExpectedMakespan.
+// Monte Carlo estimates and simulations are computed per request:
+// their trial count and seed are request inputs, so keeping them would
+// be an unbounded response cache. The segment DAG and the step list
+// keep their request-independent parts, Monte Carlo's sampling kernel
+// and the simulator's execution order.
 type Plan struct {
 	scenario Scenario
 	res      *core.Result
@@ -38,6 +39,10 @@ type Plan struct {
 	dagOnce sync.Once
 	dag     *probdag.Graph
 	dagErr  error
+
+	stepsOnce sync.Once
+	steps     *sim.Steps
+	stepsErr  error
 
 	normal, dodin estimateSlot
 }
@@ -266,6 +271,14 @@ func (p *Plan) ensureDAG() (*probdag.Graph, error) {
 	return p.dag, p.dagErr
 }
 
+// ensureSteps builds the simulator's step list once.
+func (p *Plan) ensureSteps() (*sim.Steps, error) {
+	p.stepsOnce.Do(func() {
+		p.steps, p.stepsErr = sim.NewSteps(p.res.Plan)
+	})
+	return p.steps, p.stepsErr
+}
+
 // Estimate evaluates the plan's expected makespan with the given
 // method. Under CkptNone every method degenerates to the Theorem 1
 // closed formula (there is no segment DAG). Deterministic methods
@@ -373,7 +386,10 @@ func (p *Plan) Simulate(ctx context.Context, opts ...SimOption) (SimResult, erro
 	if p.res.Strategy == ckpt.CkptNone {
 		sum, fails, err = sim.EstimateExpectedNoneDetail(ctx, p.res.Schedule, p.res.Schedule.P, cfg.trials, cfg.seed, cfg.workers)
 	} else {
-		sum, fails, err = sim.EstimateExpectedDetail(ctx, p.res.Plan, cfg.trials, cfg.seed, cfg.workers)
+		var st *sim.Steps
+		if st, err = p.ensureSteps(); err == nil {
+			sum, fails, err = st.EstimateDetail(ctx, cfg.trials, cfg.seed, cfg.workers)
+		}
 	}
 	if err != nil {
 		return SimResult{}, err

@@ -9,10 +9,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/ckpt"
@@ -216,7 +216,7 @@ func (s Scenario) model() string {
 	return "first-order"
 }
 
-// writeInjected appends the injected-document fields to a hash
+// appendInjected appends the injected-document fields to a hash
 // preimage. Every variable-length, user-controlled field is
 // length-prefixed so no (source, format, document) triple can collide
 // with another by moving bytes across a field boundary. The two
@@ -226,16 +226,49 @@ func (s Scenario) model() string {
 // (only constructible by hand, but a future format must not reopen
 // the hole) is length-prefixed like its neighbors — unambiguous
 // because a prefixed format starts with a digit, never 'j' or 'd'.
-func (s Scenario) writeInjected(h hash.Hash) {
-	fmt.Fprintf(h, "src=%d:%s|", len(s.source), s.source)
+func (s Scenario) appendInjected(b []byte) []byte {
+	b = appendLenPrefixed(append(b, "src="...), s.source)
 	switch s.format {
 	case "json", "dax":
-		fmt.Fprintf(h, "format=%s|", s.format)
+		b = append(append(b, "format="...), s.format...)
+		b = append(b, '|')
 	default:
-		fmt.Fprintf(h, "format=%d:%s|", len(s.format), s.format)
+		b = appendLenPrefixed(append(b, "format="...), s.format)
 	}
-	fmt.Fprintf(h, "doc=%d:", len(s.graph))
-	h.Write(s.graph)
+	b = strconv.AppendInt(append(b, "doc="...), int64(len(s.graph)), 10)
+	b = append(b, ':')
+	return append(b, s.graph...)
+}
+
+// appendLenPrefixed appends "<len(v)>:<v>|".
+func appendLenPrefixed(b []byte, v string) []byte {
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, ':')
+	b = append(b, v...)
+	return append(b, '|')
+}
+
+// appendHex16 appends v as 16 lowercase hex digits, zero-padded (the
+// preimage spelling of a float's bit pattern).
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
+}
+
+// keyPreimageLen sizes the stack buffer a key's preimage is appended
+// into; a preimage that outgrows it, such as one holding an injected
+// document, moves to the heap.
+const keyPreimageLen = 256
+
+// hashKey returns the hex SHA-256 of a key preimage.
+func hashKey(preimage []byte) string {
+	sum := sha256.Sum256(preimage)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Key returns the canonical scenario hash: a hex SHA-256 over every
@@ -250,16 +283,28 @@ func (s Scenario) writeInjected(h hash.Hash) {
 // but they partition the same fields: every knob hashed by Key is
 // hashed by exactly one of StructureKey and ParamKey, which is what
 // makes the (StructureKey, ParamKey) pair injective w.r.t. Key.
+//
+// The preimage is "family=%s|tasks=%d|procs=%d|pfail=%016x|ccr=%016x|
+// seed=%d|bw=%016x|ragged=%t|strategy=%s|model=%s|" in fmt's verbs,
+// floats by bit pattern, then the injected-document fields; the
+// golden keys test pins it.
 func (s Scenario) Key() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "family=%s|tasks=%d|procs=%d|pfail=%016x|ccr=%016x|seed=%d|bw=%016x|ragged=%t|strategy=%s|model=%s|",
-		s.family, s.tasks, s.procs,
-		math.Float64bits(s.pfail), math.Float64bits(s.ccr), s.seed,
-		math.Float64bits(s.bandwidth), s.ragged, s.strategy, s.model())
+	var buf [keyPreimageLen]byte
+	b := append(append(buf[:0], "family="...), s.family...)
+	b = strconv.AppendInt(append(b, "|tasks="...), int64(s.tasks), 10)
+	b = strconv.AppendInt(append(b, "|procs="...), int64(s.procs), 10)
+	b = appendHex16(append(b, "|pfail="...), math.Float64bits(s.pfail))
+	b = appendHex16(append(b, "|ccr="...), math.Float64bits(s.ccr))
+	b = strconv.AppendInt(append(b, "|seed="...), s.seed, 10)
+	b = appendHex16(append(b, "|bw="...), math.Float64bits(s.bandwidth))
+	b = strconv.AppendBool(append(b, "|ragged="...), s.ragged)
+	b = append(append(b, "|strategy="...), s.strategy...)
+	b = append(append(b, "|model="...), s.model()...)
+	b = append(b, '|')
 	if s.graph != nil {
-		s.writeInjected(h)
+		b = s.appendInjected(b)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hashKey(b)
 }
 
 // StructureKey returns the structure-level scenario hash: a hex
@@ -275,15 +320,21 @@ func (s Scenario) Key() string {
 // The bandwidth, pfail, ccr, strategy and model knobs are deliberately
 // absent: the schedule is built from task weights and graph topology
 // only, so none of them can change it (pinned by the façade's
-// byte-identity tests).
+// byte-identity tests). The preimage is
+// "structure|family=%s|tasks=%d|procs=%d|seed=%d|ragged=%t|", then
+// the injected-document fields.
 func (s Scenario) StructureKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "structure|family=%s|tasks=%d|procs=%d|seed=%d|ragged=%t|",
-		s.family, s.tasks, s.procs, s.seed, s.ragged)
+	var buf [keyPreimageLen]byte
+	b := append(append(buf[:0], "structure|family="...), s.family...)
+	b = strconv.AppendInt(append(b, "|tasks="...), int64(s.tasks), 10)
+	b = strconv.AppendInt(append(b, "|procs="...), int64(s.procs), 10)
+	b = strconv.AppendInt(append(b, "|seed="...), s.seed, 10)
+	b = strconv.AppendBool(append(b, "|ragged="...), s.ragged)
+	b = append(b, '|')
 	if s.graph != nil {
-		s.writeInjected(h)
+		b = s.appendInjected(b)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hashKey(b)
 }
 
 // ParamKey returns the parameter-level scenario hash: a hex SHA-256
@@ -292,13 +343,16 @@ func (s Scenario) StructureKey() string {
 // parameter-dependent planning tail (platform calibration, CCR
 // rescaling, checkpoint placement and makespan evaluation) on a fixed
 // scaffold. (StructureKey, ParamKey) identifies a scenario exactly as
-// Key does.
+// Key does. The preimage is
+// "param|pfail=%016x|ccr=%016x|bw=%016x|strategy=%s|model=%s|".
 func (s Scenario) ParamKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "param|pfail=%016x|ccr=%016x|bw=%016x|strategy=%s|model=%s|",
-		math.Float64bits(s.pfail), math.Float64bits(s.ccr),
-		math.Float64bits(s.bandwidth), s.strategy, s.model())
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [keyPreimageLen]byte
+	b := appendHex16(append(buf[:0], "param|pfail="...), math.Float64bits(s.pfail))
+	b = appendHex16(append(b, "|ccr="...), math.Float64bits(s.ccr))
+	b = appendHex16(append(b, "|bw="...), math.Float64bits(s.bandwidth))
+	b = append(append(b, "|strategy="...), s.strategy...)
+	b = append(append(b, "|model="...), s.model()...)
+	return hashKey(append(b, '|'))
 }
 
 // ScenarioRequest is the wire shape of a scenario: the JSON schema

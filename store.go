@@ -15,6 +15,19 @@ package hanccr
 //
 //	{"key":"<64-hex scenario key>","crc":<IEEE CRC32 of plan>,"plan":{...}}
 //
+// The write side encodes a record in one pass. encodeRecord writes the
+// payload by hand (appendPlan: strconv for the numeric bulk, json.Marshal
+// only for the small scenario object) and frames the line around it in
+// the same buffer (frameRecord); its output is pinned byte for byte to
+// json.Marshal of storedPlan and storeRecord by the reference model in
+// store_ref_test.go. The Service's write-through (storePut) appends that
+// line without re-validating it: the bytes come from our own encoder,
+// and a JSON rescan would only re-prove what the reference test pins.
+// The exported Put frames any caller's payload the same way but first
+// checks that it is valid JSON, since its bytes may come from anywhere.
+// The read side (scanSegment, Get, the follower's readStoreStream)
+// decodes with encoding/json and checks every record's CRC.
+//
 // Records are immutable once written; a re-written key supersedes its
 // older record by replay order (segments are scanned in ascending
 // sequence number, later records win). A torn record at the tail of
@@ -48,6 +61,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -125,7 +139,8 @@ type storedSegment struct {
 
 // storedPlan is the record payload: the scenario, the schedule shape,
 // the checkpoint marks, and bit-exact cross-check values for
-// everything the decode path recomputes.
+// everything the decode path recomputes. decodePlan unmarshals it;
+// appendPlan writes its JSON by hand, field for field.
 type storedPlan struct {
 	Version     int             `json:"v"`
 	Scenario    storedScenario  `json:"scenario"`
@@ -137,57 +152,244 @@ type storedPlan struct {
 	Redundant   int             `json:"redundant,omitempty"`
 }
 
-// encodePlan serializes a solved plan into the store's record payload.
-// The encoding is deterministic — a fixed struct marshalled by
-// encoding/json — so two encodings of the same plan are byte-identical
-// and a stored record can be golden-checked against a fresh plan.
+// stored returns the scenario portion of a record: decodePlan's
+// storedScenario.scenario in reverse.
+func (s Scenario) stored() storedScenario {
+	return storedScenario{
+		Family:    s.family,
+		Tasks:     s.tasks,
+		Procs:     s.procs,
+		PFailBits: math.Float64bits(s.pfail),
+		CCRBits:   math.Float64bits(s.ccr),
+		Seed:      s.seed,
+		BWBits:    math.Float64bits(s.bandwidth),
+		Ragged:    s.ragged,
+		Strategy:  string(s.strategy),
+		Exact:     s.exact,
+		Source:    s.source,
+		Format:    s.format,
+		Graph:     s.graph,
+	}
+}
+
+// encodePlan serializes a solved plan into the store's record payload
+// (see appendPlan).
 func encodePlan(p *Plan) ([]byte, error) {
-	s := p.scenario
-	sp := storedPlan{
-		Version: storeFormatVersion,
-		Scenario: storedScenario{
-			Family:    s.family,
-			Tasks:     s.tasks,
-			Procs:     s.procs,
-			PFailBits: math.Float64bits(s.pfail),
-			CCRBits:   math.Float64bits(s.ccr),
-			Seed:      s.seed,
-			BWBits:    math.Float64bits(s.bandwidth),
-			Ragged:    s.ragged,
-			Strategy:  string(s.strategy),
-			Exact:     s.exact,
-			Source:    s.source,
-			Format:    s.format,
-			Graph:     s.graph,
-		},
-		EMBits:    math.Float64bits(p.res.ExpectedMakespan),
-		FFMBits:   math.Float64bits(p.res.FailureFreeMakespan),
-		Redundant: p.info.RedundantEdges,
+	scen, err := json.Marshal(p.scenario.stored())
+	if err != nil {
+		return nil, err
 	}
+	return appendPlan(make([]byte, 0, planSize(p, len(scen))), p, scen), nil
+}
+
+// encodeRecord writes key's whole store record for p in one pass into
+// one buffer sized from the plan: the payload (appendPlan) behind
+// headroom, then the line framing it (frameRecord). It returns the line,
+// newline included, and the payload inside it.
+func encodeRecord(key string, p *Plan) (line, payload []byte, err error) {
+	scen, err := json.Marshal(p.scenario.stored())
+	if err != nil {
+		return nil, nil, err
+	}
+	head := recordHeadroom(key)
+	buf := make([]byte, head, head+planSize(p, len(scen))+len("}\n"))
+	line, payload = frameRecord(appendPlan(buf, p, scen), head, key)
+	return line, payload, nil
+}
+
+// appendPlan appends p's record payload, the storedPlan object, to
+// dst: exactly the bytes json.Marshal(storedPlan) writes (pinned by
+// TestEncodePlanMatchesReference and FuzzDecodePlan against
+// refEncodePlan), so two encodings of one plan are byte-identical and
+// a stored record can be golden-checked against a fresh plan. scen is
+// the marshalled storedScenario; the numeric bulk — superchains,
+// checkpoints, segments and bit patterns — is written by hand.
+func appendPlan(dst []byte, p *Plan, scen []byte) []byte {
 	sched := p.res.Schedule
-	for _, sc := range sched.Chains {
-		c := storedChain{Proc: sc.Proc, Tasks: make([]int, len(sc.Tasks))}
-		for i, t := range sc.Tasks {
-			c.Tasks[i] = int(t)
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, storeFormatVersion, 10)
+	dst = append(dst, `,"scenario":`...)
+	dst = append(dst, scen...)
+	dst = append(dst, `,"chains":`...)
+	if len(sched.Chains) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		for i, sc := range sched.Chains {
+			dst = append(dst, listSep(i))
+			dst = append(dst, `{"proc":`...)
+			dst = strconv.AppendInt(dst, int64(sc.Proc), 10)
+			dst = append(dst, `,"tasks":[`...)
+			for j, t := range sc.Tasks {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendInt(dst, int64(t), 10)
+			}
+			dst = append(dst, "]}"...)
 		}
-		sp.Chains = append(sp.Chains, c)
+		dst = append(dst, ']')
 	}
+	dst = append(dst, `,"checkpoints":`...)
+	nck := 0
 	for t, ck := range p.res.Plan.CheckpointAfter {
 		if ck {
-			sp.Checkpoints = append(sp.Checkpoints, t)
+			dst = append(dst, listSep(nck))
+			dst = strconv.AppendInt(dst, int64(t), 10)
+			nck++
 		}
 	}
-	for _, seg := range p.res.Plan.Segments {
-		sp.Segments = append(sp.Segments, storedSegment{
-			Chain: seg.Chain,
-			Start: sched.Pos(seg.Tasks[0]),
-			Len:   len(seg.Tasks),
-			RBits: math.Float64bits(seg.R),
-			WBits: math.Float64bits(seg.W),
-			CBits: math.Float64bits(seg.C),
-		})
+	if nck == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, ']')
 	}
-	return json.Marshal(sp)
+	for i, seg := range p.res.Plan.Segments {
+		if i == 0 {
+			dst = append(dst, `,"segments":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"chain":`...)
+		dst = strconv.AppendInt(dst, int64(seg.Chain), 10)
+		dst = append(dst, `,"start":`...)
+		dst = strconv.AppendInt(dst, int64(sched.Pos(seg.Tasks[0])), 10)
+		dst = append(dst, `,"len":`...)
+		dst = strconv.AppendInt(dst, int64(len(seg.Tasks)), 10)
+		dst = append(dst, `,"r_bits":`...)
+		dst = strconv.AppendUint(dst, math.Float64bits(seg.R), 10)
+		dst = append(dst, `,"w_bits":`...)
+		dst = strconv.AppendUint(dst, math.Float64bits(seg.W), 10)
+		dst = append(dst, `,"c_bits":`...)
+		dst = strconv.AppendUint(dst, math.Float64bits(seg.C), 10)
+		dst = append(dst, '}')
+	}
+	if len(p.res.Plan.Segments) > 0 {
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"em_bits":`...)
+	dst = strconv.AppendUint(dst, math.Float64bits(p.res.ExpectedMakespan), 10)
+	dst = append(dst, `,"ffm_bits":`...)
+	dst = strconv.AppendUint(dst, math.Float64bits(p.res.FailureFreeMakespan), 10)
+	if p.info.RedundantEdges != 0 {
+		dst = append(dst, `,"redundant":`...)
+		dst = strconv.AppendInt(dst, int64(p.info.RedundantEdges), 10)
+	}
+	return append(dst, '}')
+}
+
+// listSep returns the byte before element i of a JSON array: its
+// opening bracket, or a comma.
+func listSep(i int) byte {
+	if i == 0 {
+		return '['
+	}
+	return ','
+}
+
+// decimalLen returns the length of n in decimal.
+func decimalLen(n int) int {
+	l := 1
+	if n < 0 {
+		l, n = 2, -n
+	}
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
+}
+
+// maxIntLen is the widest decimal an int64 or a uint64 can take.
+const maxIntLen = 20
+
+// planSize bounds the length of appendPlan's output, so the record
+// buffer is allocated once: it is exact but for the version, the
+// redundant-edge count and the bit patterns, each costed at its widest.
+func planSize(p *Plan, scenLen int) int {
+	sched, plan := p.res.Schedule, p.res.Plan
+	size := len(`{"v":,"scenario":,"chains":,"checkpoints":,"em_bits":,"ffm_bits":,"redundant":}`) +
+		scenLen + 2*len("null") + 4*maxIntLen // "null" is wider than "[]"
+	for _, sc := range sched.Chains {
+		size += len(`{"proc":,"tasks":[]},`) + decimalLen(sc.Proc)
+		for _, t := range sc.Tasks {
+			size += decimalLen(int(t)) + len(",")
+		}
+	}
+	for t, ck := range plan.CheckpointAfter {
+		if ck {
+			size += decimalLen(t) + len(",")
+		}
+	}
+	size += len(`,"segments":[]`)
+	for _, seg := range plan.Segments {
+		size += len(`{"chain":,"start":,"len":,"r_bits":,"w_bits":,"c_bits":},`) + 3*maxIntLen +
+			decimalLen(seg.Chain) + decimalLen(sched.Pos(seg.Tasks[0])) + decimalLen(len(seg.Tasks))
+	}
+	return size
+}
+
+// plainKey reports whether json.Marshal writes key as itself between
+// quotes: printable ASCII with no quote, backslash or HTML-escaped
+// byte. Every scenario key (64 hex digits) is plain.
+func plainKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendKey appends key as a JSON string, exactly as json.Marshal
+// writes it.
+func appendKey(dst []byte, key string) []byte {
+	if plainKey(key) {
+		dst = append(dst, '"')
+		dst = append(dst, key...)
+		return append(dst, '"')
+	}
+	q, _ := json.Marshal(key) //hanccr:allow discarderr marshalling a string cannot fail
+	return append(dst, q...)
+}
+
+// recordHead is the fixed text of a record line's head,
+// {"key":…,"crc":…,"plan":.
+const recordHead = `{"key":,"crc":,"plan":`
+
+// keyLen returns the length of appendKey's output for key.
+func keyLen(key string) int {
+	if plainKey(key) {
+		return len(key) + len(`""`)
+	}
+	return len(appendKey(nil, key))
+}
+
+// recordHeadroom is the room frameRecord needs before a payload for
+// key's head: the widest head, with a ten-digit CRC.
+func recordHeadroom(key string) int {
+	return len(recordHead) + keyLen(key) + len("4294967295")
+}
+
+// frameRecord makes buf, whose payload buf[off:] sits behind
+// off >= recordHeadroom(key) bytes of headroom, into key's record line
+// {"key":…,"crc":…,"plan":…}\n: it writes the head right-aligned
+// before the payload and appends the closing brace and the newline.
+// The line is exactly json.Marshal(storeRecord) plus "\n" for a
+// payload that is compact JSON as json.Marshal writes it (pinned by
+// FuzzStoreLine). It returns the line and the payload inside it.
+func frameRecord(buf []byte, off int, key string) (line, payload []byte) {
+	payload = buf[off:]
+	var crcBuf [len("4294967295")]byte
+	crc := strconv.AppendUint(crcBuf[:0], uint64(crc32.ChecksumIEEE(payload)), 10)
+	start := off - (recordHeadroom(key) - len(crcBuf) + len(crc))
+	head := append(buf[start:start], `{"key":`...)
+	head = appendKey(head, key)
+	head = append(head, `,"crc":`...)
+	head = append(head, crc...)
+	head = append(head, `,"plan":`...)
+	if len(head) != off-start {
+		panic("store: keyLen disagrees with appendKey")
+	}
+	return append(buf, "}\n"...)[start:], payload
 }
 
 // scenario reconstructs the Scenario value the record was encoded
@@ -519,21 +721,37 @@ func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 	return rec.Plan, true, nil
 }
 
-// Put appends a record for key, superseding any previous one. An
-// identical payload already live under the key is deduplicated (the
-// common case: every cache miss writes through, restarts re-plan
-// nothing new). Put may rotate the active segment or trigger a
-// size-based compaction.
+// Put appends a record for key, superseding any previous one. The
+// payload must be one compact JSON value, as json.Marshal writes it:
+// the record frames it verbatim and its CRC covers exactly these
+// bytes. Because a payload may come from anywhere, Put refuses one
+// that is not valid JSON or that holds a newline, which would split
+// the record's line. An identical payload already live under the key
+// is deduplicated (the common case: every cache miss writes through,
+// restarts re-plan nothing new). Put may rotate the active segment or
+// trigger a size-based compaction.
 func (st *PlanStore) Put(key string, payload []byte) error {
-	rec := storeRecord{Key: key, CRC: crc32.ChecksumIEEE(payload), Plan: json.RawMessage(payload)}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	if !json.Valid(payload) {
+		return errors.New("store: payload is not valid JSON")
 	}
-	if len(line) > maxStoreLine {
-		return fmt.Errorf("store: record of %d bytes above the %d-byte line limit", len(line), maxStoreLine)
+	if bytes.IndexByte(payload, '\n') >= 0 {
+		return errors.New("store: payload holds a newline")
 	}
-	line = append(line, '\n')
+	head := recordHeadroom(key)
+	buf := make([]byte, head, head+len(payload)+len("}\n"))
+	line, payload := frameRecord(append(buf, payload...), head, key)
+	return st.appendLine(key, line, payload)
+}
+
+// appendLine appends line, key's record framing payload (newline
+// included), to the active segment: the locked append routine behind
+// Put and the Service's write-through, which owns the line cap,
+// deduplication, the torn-tail recovery newline, rotation and
+// compaction.
+func (st *PlanStore) appendLine(key string, line, payload []byte) error {
+	if len(line)-1 > maxStoreLine {
+		return fmt.Errorf("store: record of %d bytes above the %d-byte line limit", len(line)-1, maxStoreLine)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if old, ok := st.index[key]; ok {
@@ -832,17 +1050,20 @@ func (s *Service) verifyStored(ctx context.Context, p *Plan, payload []byte) err
 // logged, not returned: the in-memory result is already correct, the
 // store just missed an entry it can re-create on the next miss. A
 // record above maxStoreLine is refused (and logged) the same way, so
-// the store never holds a line its readers would skip.
+// the store never holds a line its readers would skip. The record is
+// encoded in one pass (encodeRecord) and appended without Put's JSON
+// validation: its bytes come from appendPlan, which is pinned to
+// json.Marshal's output, so the rescan could only re-prove that.
 func (s *Service) storePut(key string, p *Plan) {
 	if s.store == nil {
 		return
 	}
-	payload, err := encodePlan(p)
+	line, payload, err := encodeRecord(key, p)
 	if err != nil {
 		s.logf("store: encode %.12s: %v", key, err)
 		return
 	}
-	if err := s.store.Put(key, payload); err != nil {
+	if err := s.store.appendLine(key, line, payload); err != nil {
 		s.logf("store: write %.12s: %v", key, err)
 	}
 }

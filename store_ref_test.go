@@ -1,0 +1,195 @@
+package hanccr
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// refEncodePlan is the reference model of appendPlan: the record
+// payload as encoding/json writes the storedPlan struct.
+func refEncodePlan(p *Plan) ([]byte, error) {
+	sp := storedPlan{
+		Version:   storeFormatVersion,
+		Scenario:  p.scenario.stored(),
+		EMBits:    math.Float64bits(p.res.ExpectedMakespan),
+		FFMBits:   math.Float64bits(p.res.FailureFreeMakespan),
+		Redundant: p.info.RedundantEdges,
+	}
+	sched := p.res.Schedule
+	for _, sc := range sched.Chains {
+		c := storedChain{Proc: sc.Proc, Tasks: make([]int, len(sc.Tasks))}
+		for i, t := range sc.Tasks {
+			c.Tasks[i] = int(t)
+		}
+		sp.Chains = append(sp.Chains, c)
+	}
+	for t, ck := range p.res.Plan.CheckpointAfter {
+		if ck {
+			sp.Checkpoints = append(sp.Checkpoints, t)
+		}
+	}
+	for _, seg := range p.res.Plan.Segments {
+		sp.Segments = append(sp.Segments, storedSegment{
+			Chain: seg.Chain,
+			Start: sched.Pos(seg.Tasks[0]),
+			Len:   len(seg.Tasks),
+			RBits: math.Float64bits(seg.R),
+			WBits: math.Float64bits(seg.W),
+			CBits: math.Float64bits(seg.C),
+		})
+	}
+	return json.Marshal(sp)
+}
+
+// encodeTestScenarios covers every shape appendPlan writes: the four
+// families under each of the four strategies, with and without the
+// exact cost model, a plan at the benchmarks' largest size, and
+// injected DAX and JSON documents whose labels need JSON and HTML
+// escaping.
+func encodeTestScenarios(t testing.TB) []Scenario {
+	t.Helper()
+	var out []Scenario
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for _, st := range []Strategy{CkptSome, CkptAll, CkptNone, ExitOnly} {
+			for _, exact := range []bool{false, true} {
+				opts := []ScenarioOption{WithFamily(fam), WithTasks(30), WithProcs(3), WithStrategy(st), WithPFail(0.01)}
+				if exact {
+					opts = append(opts, WithExactCostModel())
+				}
+				out = append(out, NewScenario(opts...))
+			}
+		}
+	}
+	wf, err := GenerateWorkflow(context.Background(), NewScenario(WithFamily("ligo"), WithTasks(40), WithSeed(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dax, doc bytes.Buffer
+	if err := wf.WriteDAX(&dax); err != nil {
+		t.Fatal(err)
+	}
+	if err := wf.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return append(out,
+		NewScenario(WithFamily("montage"), WithTasks(400), WithProcs(20)),
+		NewScenario(WithWorkflow("dax <&> \u00e9\u2028", "dax", dax.Bytes()), WithProcs(4), WithStrategy(ExitOnly)),
+		NewScenario(WithWorkflow("json \"inline\"\\", "json", doc.Bytes()), WithProcs(4), WithExactCostModel()),
+	)
+}
+
+// TestEncodePlanMatchesReference pins the one-pass encoder to
+// encoding/json: every payload equals refEncodePlan's and every record
+// line equals recordLine's, byte for byte. A record costs three
+// allocations: json.Marshal's boxed scenario object and its output,
+// and the line buffer, which is never regrown.
+func TestEncodePlanMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	for _, sc := range encodeTestScenarios(t) {
+		p, err := NewPlan(ctx, sc)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", sc.family, sc.strategy, err)
+		}
+		want, err := refEncodePlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodePlan(p)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s/%s exact=%t: encodePlan differs from encoding/json (%v):\n got %s\nwant %s",
+				sc.family, sc.strategy, sc.exact, err, got, want)
+		}
+		key := sc.Key()
+		line, payload, err := encodeRecord(key, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLine := append(recordLine(t, key, want), '\n')
+		if !bytes.Equal(line, wantLine) || !bytes.Equal(payload, want) {
+			t.Fatalf("%s/%s: record line differs from encoding/json:\n got %s\nwant %s", sc.family, sc.strategy, line, wantLine)
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { encodeRecord(key, p) }); allocs > 3 {
+			t.Errorf("%s/%s: encodeRecord makes %.0f allocations, want at most 3", sc.family, sc.strategy, allocs)
+		}
+	}
+}
+
+// storeLineSeeds returns the encoded payloads of a few small plans, the
+// seed corpus of the store fuzzers.
+func storeLineSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	var out [][]byte
+	for _, sc := range []Scenario{
+		NewScenario(WithFamily("genome"), WithTasks(20), WithProcs(3)),
+		NewScenario(WithFamily("montage"), WithTasks(20), WithProcs(3), WithStrategy(CkptAll)),
+		NewScenario(WithFamily("ligo"), WithTasks(20), WithProcs(2), WithStrategy(CkptNone)),
+		NewScenario(WithFamily("cybershake"), WithTasks(20), WithProcs(3), WithStrategy(ExitOnly), WithExactCostModel()),
+	} {
+		p, err := NewPlan(context.Background(), sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := encodePlan(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, payload)
+	}
+	return out
+}
+
+// FuzzStoreLine fuzzes the record key, any string including invalid
+// UTF-8, over the seed payloads: the framed line must equal
+// encoding/json's, and a store reopened over the record must return
+// the payload under the key as JSON decodes it.
+func FuzzStoreLine(f *testing.F) {
+	payloads := storeLineSeeds(f)
+	for _, key := range []string{
+		"2c35cc7947f705482dd1afccc1313111c6739e0580109020a8a6ad00153142f6",
+		"", "k", `q"uote`, `back\slash`, "<", ">", "&", "tab\t", "\x00\x1f\x7f", "\u2028\u2029", "\xff\xfe", "é\xc3",
+	} {
+		f.Add(key, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, key string, which uint8) {
+		payload := payloads[int(which)%len(payloads)]
+		head := recordHeadroom(key)
+		line, got := frameRecord(append(make([]byte, head), payload...), head, key)
+		want := append(recordLine(t, key, payload), '\n')
+		if !bytes.Equal(line, want) || !bytes.Equal(got, payload) {
+			t.Fatalf("key %q: framed line differs from encoding/json:\n got %s\nwant %s", key, line, want)
+		}
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "plans-000001.seg"), line, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenPlanStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var rec storeRecord // the key as the record holds it
+		if err := json.Unmarshal(want, &rec); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := st.Get(rec.Key)
+		if rec.Key == "" {
+			// An empty key marks a corrupt record: scanSegment skips it.
+			if ok {
+				t.Fatal("a record with an empty key was indexed")
+			}
+			return
+		}
+		if err != nil || !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("key %q: reopened Get = (%d bytes, %v, %v), want the payload", key, len(got), ok, err)
+		}
+	})
+}
