@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"strconv"
 	"strings"
 )
 
@@ -12,14 +13,11 @@ const (
 )
 
 // allowSet indexes the suppression directives of the analyzed
-// packages (keys carry the file, so one set serves a module). A
-// line-scoped allow covers its own line and the next (so it works both
-// as a trailing comment and on the line above); a file-scoped allow
-// covers the whole file.
-type allowSet struct {
-	byLine map[allowKey]string // reason
-	byFile map[allowKey]string
-}
+// packages (keys carry the file, so one set serves a module) and maps
+// each to its reason. A line-scoped allow covers its own line and the
+// next (so it works both as a trailing comment and on the line above);
+// a file-scoped allow, keyed on line 0, covers the whole file.
+type allowSet map[allowKey]string
 
 type allowKey struct {
 	file  string
@@ -29,24 +27,13 @@ type allowKey struct {
 
 // match reports whether a finding of check at file:line is suppressed,
 // and by which documented reason.
-func (a *allowSet) match(check, file string, line int) (string, bool) {
-	if r, ok := a.byFile[allowKey{file, check, 0}]; ok {
-		return r, true
-	}
-	if r, ok := a.byLine[allowKey{file, check, line}]; ok {
-		return r, true
-	}
-	if r, ok := a.byLine[allowKey{file, check, line - 1}]; ok {
-		return r, true
+func (a allowSet) match(check, file string, line int) (string, bool) {
+	for _, l := range []int{0, line, line - 1} {
+		if r, ok := a[allowKey{file, check, l}]; ok {
+			return r, true
+		}
 	}
 	return "", false
-}
-
-func newAllowSet() *allowSet {
-	return &allowSet{
-		byLine: make(map[allowKey]string),
-		byFile: make(map[allowKey]string),
-	}
 }
 
 // collectAllows adds a package's //hanccr:allow directives to allows.
@@ -54,7 +41,7 @@ func newAllowSet() *allowSet {
 // missing reason — come back as findings under the "directive"
 // pseudo-check: an unreadable suppression must not
 // silently suppress, and must not silently rot either.
-func collectAllows(p *Package, root string, allows *allowSet) []Diagnostic {
+func collectAllows(p *Package, root string, allows allowSet) []Diagnostic {
 	var diags []Diagnostic
 	bad := func(c *ast.Comment, msg string) {
 		diags = append(diags, makeDiag(p.Fset, root, "directive", c.Pos(), msg))
@@ -80,7 +67,7 @@ func collectAllows(p *Package, root string, allows *allowSet) []Diagnostic {
 				check, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
 				reason = strings.TrimSpace(reason)
 				if _, known := registry[check]; !known {
-					bad(c, "hanccr:allow names unknown check "+strconvQuote(check))
+					bad(c, "hanccr:allow names unknown check "+strconv.Quote(check))
 					continue
 				}
 				if reason == "" {
@@ -89,18 +76,12 @@ func collectAllows(p *Package, root string, allows *allowSet) []Diagnostic {
 				}
 				d := makeDiag(p.Fset, root, "directive", c.Pos(), "")
 				key := allowKey{file: d.file, check: check}
-				if fileScoped {
-					allows.byFile[key] = reason
-				} else {
+				if !fileScoped {
 					key.line = d.line
-					allows.byLine[key] = reason
 				}
+				allows[key] = reason
 			}
 		}
 	}
 	return diags
-}
-
-func strconvQuote(s string) string {
-	return `"` + s + `"`
 }

@@ -10,17 +10,13 @@ import (
 
 // deadapi flags an exported function or method declared in a non-test
 // file under internal/ that no non-test file in the module references:
-// API kept alive only by its own tests is surface nobody runs. A method
-// that makes its type satisfy a named interface (declared in the
-// module, in a package the module imports, or the universe error) is
-// exempt; one that satisfies only an anonymous interface, such as the
-// Unwrap errors.Is looks for, needs a //hanccr:allow with its reason.
-//
-// The source importer type-checks an imported package apart from the
-// copy the runner loaded, so one function can be several types.Object
-// values. Declarations and references are therefore matched by package
-// path, receiver type name and name, and interface satisfaction by
-// method names and signature strings.
+// API kept alive only by its own tests is surface nobody runs. A use of
+// a generic function or of a method of a generic type counts for its
+// declaration. A method that makes its type satisfy a named interface
+// (declared in the module, in a package the module imports, or the
+// universe error) is exempt; one that satisfies only an anonymous
+// interface, such as the Unwrap errors.Is looks for, needs a
+// //hanccr:allow with its reason.
 type deadapi struct{}
 
 func init() { Register(deadapi{}) }
@@ -34,24 +30,20 @@ func (deadapi) Doc() string {
 func (deadapi) Check(*Package, func(token.Pos, string, ...any)) {}
 
 func (deadapi) CheckModule(pkgs []*Package, report func(pos token.Pos, format string, args ...any)) {
-	used := make(map[string]bool)
+	used := make(map[*types.Func]bool)
 	for _, p := range pkgs {
 		var decls []*ast.FuncDecl
 		eachFuncDecl(p, func(fd *ast.FuncDecl) { decls = append(decls, fd) })
 		for id, obj := range p.Info.Uses {
 			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil {
+			if !ok {
 				continue
 			}
-			key := funcKey(fn)
-			if fn.Pkg().Path() == p.Path {
-				if fd := enclosingDecl(decls, id.Pos()); fd != nil {
-					if decl, ok := p.Info.Defs[fd.Name].(*types.Func); ok && funcKey(decl) == key {
-						continue // recursion keeps nothing alive
-					}
-				}
+			fn = fn.Origin()
+			if fd := enclosingDecl(decls, id.Pos()); fd != nil && p.Info.Defs[fd.Name] == types.Object(fn) {
+				continue // recursion keeps nothing alive
 			}
-			used[key] = true
+			used[fn] = true
 		}
 	}
 	ifaces := moduleInterfaces(pkgs)
@@ -61,10 +53,10 @@ func (deadapi) CheckModule(pkgs []*Package, report func(pos token.Pos, format st
 		}
 		eachFuncDecl(p, func(fd *ast.FuncDecl) {
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !fd.Name.IsExported() || used[funcKey(fn)] {
+			if !ok || !fd.Name.IsExported() || used[fn] {
 				return
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && satisfiesInterface(recv.Type(), fn.Name(), ifaces) {
+			if recv := fn.Signature().Recv(); recv != nil && satisfiesInterface(recv.Type(), fn.Name(), ifaces) {
 				return
 			}
 			report(fd.Name.Pos(), "%s has no non-test reference in the module; delete it, or move a test's reference model into a _test.go file", displayName(fn))
@@ -72,21 +64,17 @@ func (deadapi) CheckModule(pkgs []*Package, report func(pos token.Pos, format st
 	}
 }
 
-// funcKey names a function across type-checked copies of its package:
-// "path.Name" or "path.Recv.Name".
-func funcKey(fn *types.Func) string {
-	key := fn.Pkg().Path() + "."
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+// displayName is "pkg.Name" or "pkg.Recv.Name", pkg being the last
+// element of the import path.
+func displayName(fn *types.Func) string {
+	name := fn.Name()
+	if recv := fn.Signature().Recv(); recv != nil {
 		if n := namedOf(recv.Type()); n != nil {
-			key += n.Obj().Name() + "."
+			name = n.Obj().Name() + "." + name
 		}
 	}
-	return key + fn.Name()
-}
-
-func displayName(fn *types.Func) string {
-	key := funcKey(fn)
-	return key[strings.LastIndex(fn.Pkg().Path(), "/")+1:]
+	path := fn.Pkg().Path()
+	return path[strings.LastIndex(path, "/")+1:] + "." + name
 }
 
 // enclosingDecl returns the declaration in decls (in source order)
@@ -112,9 +100,7 @@ func moduleInterfaces(pkgs []*Package) []*types.Interface {
 		}
 		seen[tp] = true
 		scope := tp.Scope()
-		names := scope.Names()
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
 				continue
@@ -140,53 +126,13 @@ func satisfiesInterface(recv types.Type, name string, ifaces []*types.Interface)
 	if n == nil {
 		return false
 	}
-	mset := types.NewMethodSet(types.NewPointer(n))
+	ptr := types.NewPointer(n)
 	for _, it := range ifaces {
-		if implementsByName(mset, it, name) {
-			return true
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == name && types.Implements(ptr, it) {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// implementsByName reports whether mset covers every method of it,
-// one of them called name. Signatures match when identical or, for
-// types from different copies of a package, when their strings do.
-func implementsByName(mset *types.MethodSet, it *types.Interface, name string) bool {
-	has := false
-	for i := 0; i < it.NumMethods(); i++ {
-		m := it.Method(i)
-		if m.Name() == name {
-			has = true
-		}
-		sel := mset.Lookup(m.Pkg(), m.Name())
-		if sel == nil {
-			return false
-		}
-		if got := sel.Obj().Type(); !types.Identical(got, m.Type()) && sigString(got) != sigString(m.Type()) {
-			return false
-		}
-	}
-	return has
-}
-
-// sigString renders a signature's parameter and result types without
-// names or receiver.
-func sigString(t types.Type) string {
-	sig := t.(*types.Signature)
-	var b strings.Builder
-	tuple := func(tup *types.Tuple) {
-		b.WriteByte('(')
-		for i := 0; i < tup.Len(); i++ {
-			b.WriteString(types.TypeString(tup.At(i).Type(), nil))
-			b.WriteByte(',')
-		}
-		b.WriteByte(')')
-	}
-	tuple(sig.Params())
-	tuple(sig.Results())
-	if sig.Variadic() {
-		b.WriteString("...")
-	}
-	return b.String()
 }

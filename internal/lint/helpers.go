@@ -95,8 +95,8 @@ func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
-// enclosingFuncs yields every function body in the package (decls and
-// literals are visited by walking decls; literals are found inside).
+// eachFuncDecl visits every function declaration with a body in the
+// package, in source order; literals are found by walking the bodies.
 func eachFuncDecl(p *Package, fn func(decl *ast.FuncDecl)) {
 	for _, f := range p.Files {
 		for _, d := range f.Decls {

@@ -11,8 +11,10 @@
 // exported function or method under internal/ has a non-test caller
 // (deadapi).
 //
-// The framework is stdlib-only: go/ast + go/parser for syntax,
-// go/types with go/importer's source mode for semantics. No x/tools.
+// The framework is stdlib-only: go/ast + go/parser for syntax, go/types
+// for semantics. Each module package is type-checked once, and its
+// imports from outside the module are read from compiler export data
+// that one go list -export call locates. No x/tools.
 //
 // Findings are suppressed in place with
 //
@@ -142,7 +144,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 // checkers to all of them, and resolves suppressions. Shared by Run and
 // the fixture test harness.
 func checkPackages(pkgs []*Package, checkers []Checker, root string) []Diagnostic {
-	allows := newAllowSet()
+	allows := allowSet{}
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		diags = append(diags, checkPackage(p, checkers, root, allows)...)
@@ -161,7 +163,7 @@ func checkPackages(pkgs []*Package, checkers []Checker, root string) []Diagnosti
 
 // checkPackage applies the checkers to one package, adding its
 // suppression directives to allows.
-func checkPackage(p *Package, checkers []Checker, root string, allows *allowSet) []Diagnostic {
+func checkPackage(p *Package, checkers []Checker, root string, allows allowSet) []Diagnostic {
 	diags := collectAllows(p, root, allows)
 	for _, err := range p.TypeErrors {
 		if te, ok := err.(types.Error); ok {
@@ -179,7 +181,7 @@ func checkPackage(p *Package, checkers []Checker, root string, allows *allowSet)
 // reporter is the report callback handed to a checker: it turns a
 // finding into a Diagnostic, marks it suppressed when a directive
 // covers it, and appends it to diags.
-func reporter(fset *token.FileSet, root, check string, allows *allowSet, diags *[]Diagnostic) func(token.Pos, string, ...any) {
+func reporter(fset *token.FileSet, root, check string, allows allowSet, diags *[]Diagnostic) func(token.Pos, string, ...any) {
 	return func(pos token.Pos, format string, args ...any) {
 		d := makeDiag(fset, root, check, pos, fmt.Sprintf(format, args...))
 		if reason, ok := allows.match(check, d.file, d.line); ok {
@@ -220,18 +222,13 @@ func selectCheckers(names []string) ([]Checker, error) {
 		}
 		c, ok := registry[n]
 		if !ok {
-			return nil, fmt.Errorf("lint: unknown check %q (have %s)", n, strings.Join(checkerNames(), ", "))
+			var have []string
+			for _, c := range Checkers() {
+				have = append(have, c.Name())
+			}
+			return nil, fmt.Errorf("lint: unknown check %q (have %s)", n, strings.Join(have, ", "))
 		}
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-func checkerNames() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

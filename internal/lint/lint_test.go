@@ -90,12 +90,15 @@ func TestFixtures(t *testing.T) {
 // forced on.
 func loadFixtureDir(dir string) (*Package, error) {
 	fset := token.NewFileSet()
-	p, err := loadPackage(fset, newSourceImporter(fset), dir, "fixture/"+filepath.Base(dir), nil)
+	p, err := parsePackage(fset, dir, "fixture/"+filepath.Base(dir), nil)
 	if err != nil {
 		return nil, err
 	}
 	if p == nil {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	if err := typeCheck(dir, fset, []*Package{p}); err != nil {
+		return nil, err
 	}
 	p.ForceScope = true
 	return p, nil

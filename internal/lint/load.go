@@ -8,9 +8,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -47,7 +50,6 @@ func loadModule(root string, tags []string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := newSourceImporter(fset)
 	var pkgs []*Package
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
@@ -58,7 +60,7 @@ func loadModule(root string, tags []string) ([]*Package, error) {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		p, err := loadPackage(fset, imp, dir, path, tags)
+		p, err := parsePackage(fset, dir, path, tags)
 		if err != nil {
 			return nil, err
 		}
@@ -66,21 +68,16 @@ func loadModule(root string, tags []string) ([]*Package, error) {
 			pkgs = append(pkgs, p)
 		}
 	}
+	if err := typeCheck(root, fset, pkgs); err != nil {
+		return nil, err
+	}
 	return pkgs, nil
 }
 
-// newSourceImporter builds the stdlib source-mode importer. Cgo is
-// disabled first so go/build selects the pure-Go variants of net,
-// os/user etc. — source mode cannot run the cgo preprocessor.
-func newSourceImporter(fset *token.FileSet) types.Importer {
-	build.Default.CgoEnabled = false
-	return importer.ForCompiler(fset, "source", nil)
-}
-
-// loadPackage parses the build-selected non-test files of one
-// directory and type-checks them. Returns nil if no file survives the
-// build constraints (e.g. a fixture gated behind an absent tag).
-func loadPackage(fset *token.FileSet, imp types.Importer, dir, path string, tags []string) (*Package, error) {
+// parsePackage parses the build-selected non-test files of one
+// directory. Returns nil if no file survives the build constraints
+// (e.g. a fixture gated behind an absent tag).
+func parsePackage(fset *token.FileSet, dir, path string, tags []string) (*Package, error) {
 	ctx := build.Default
 	ctx.CgoEnabled = false
 	ctx.BuildTags = append(append([]string{}, ctx.BuildTags...), tags...)
@@ -88,7 +85,6 @@ func loadPackage(fset *token.FileSet, imp types.Importer, dir, path string, tags
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
@@ -99,25 +95,103 @@ func loadPackage(fset *token.FileSet, imp types.Importer, dir, path string, tags
 		if err != nil {
 			return nil, fmt.Errorf("lint: match %s: %w", filepath.Join(dir, name), err)
 		}
-		if !ok {
-			continue
+		if ok {
+			names = append(names, filepath.Join(dir, name))
 		}
-		names = append(names, filepath.Join(dir, name))
 	}
 	if len(names) == 0 {
 		return nil, nil
 	}
 	sort.Strings(names)
+	p := &Package{Path: path, Dir: dir, Fset: fset}
 	for _, fn := range names {
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse: %w", err)
 		}
-		files = append(files, f)
+		p.Files = append(p.Files, f)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: fset, Files: files}
+	return p, nil
+}
+
+// loader type-checks parsed packages, each exactly once. An import of
+// one of them resolves to its own checked *types.Package, checked on
+// demand; any other import is read from compiler export data.
+type loader struct {
+	pkgs map[string]*Package
+	gc   types.Importer
+}
+
+// typeCheck type-checks pkgs, which share fset. The export data of
+// every other package they import comes from one go list call run in
+// dir; a path go list cannot build has none, and importing it is a
+// type error in the importing package.
+func typeCheck(dir string, fset *token.FileSet, pkgs []*Package) error {
+	l := &loader{pkgs: make(map[string]*Package, len(pkgs))}
+	for _, p := range pkgs {
+		l.pkgs[p.Path] = p
+	}
+	var external []string
+	seen := map[string]bool{"unsafe": true, "C": true}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value) // the parser only accepts a string literal here
+				if l.pkgs[path] == nil && !seen[path] {
+					seen[path] = true
+					external = append(external, path)
+				}
+			}
+		}
+	}
+	exports := make(map[string]string)
+	if len(external) > 0 {
+		cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, external...)...)
+		cmd.Dir = dir
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return fmt.Errorf("lint: go list -export: %w", err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "\t"); ok {
+				exports[path] = file
+			}
+		}
+	}
+	l.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	})
+	for _, p := range pkgs {
+		l.check(p)
+	}
+	return nil
+}
+
+// Import resolves a parsed package to its own checked *types.Package
+// and anything else through the export data.
+func (l *loader) Import(path string) (*types.Package, error) {
+	p := l.pkgs[path]
+	if p == nil {
+		return l.gc.Import(path)
+	}
+	l.check(p)
+	if p.Pkg == nil {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	return p.Pkg, nil
+}
+
+// check type-checks p unless that has started already.
+func (l *loader) check(p *Package) {
+	if p.Info != nil {
+		return
+	}
 	conf := types.Config{
-		Importer: imp,
+		Importer: l,
 		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
 	p.Info = &types.Info{
@@ -128,8 +202,7 @@ func loadPackage(fset *token.FileSet, imp types.Importer, dir, path string, tags
 	}
 	// Check reports errors through conf.Error and still returns a
 	// usable (partial) package; checkers run on what type-checked.
-	p.Pkg, _ = conf.Check(path, fset, files, p.Info)
-	return p, nil
+	p.Pkg, _ = conf.Check(p.Path, p.Fset, p.Files, p.Info)
 }
 
 // packageDirs walks root collecting every directory that holds .go

@@ -46,43 +46,30 @@ func mapiterInScope(p *Package, filename string) bool {
 }
 
 func (mapiter) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	for _, f := range p.Files {
-		if !mapiterInScope(p, p.Fset.Position(f.Pos()).Filename) {
-			continue
+	eachFuncDecl(p, func(fd *ast.FuncDecl) {
+		if !mapiterInScope(p, p.Fset.Position(fd.Pos()).Filename) {
+			return
 		}
-		eachFuncIn(f, func(body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				t := p.Info.TypeOf(rng.X)
-				if t == nil {
-					return true
-				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if collectThenSort(p.Info, body, rng) {
-					return true
-				}
-				report(rng.Pos(), "iteration over map %s is unordered in deterministic code; collect and sort the keys first",
-					types.TypeString(t, types.RelativeTo(nil)))
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			rng, ok := n.(*ast.RangeStmt)
+			if !ok {
 				return true
-			})
+			}
+			t := p.Info.TypeOf(rng.X)
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			if collectThenSort(p.Info, fd.Body, rng) {
+				return true
+			}
+			report(rng.Pos(), "iteration over map %s is unordered in deterministic code; collect and sort the keys first",
+				types.TypeString(t, types.RelativeTo(nil)))
+			return true
 		})
-	}
-}
-
-// eachFuncIn visits the body of every function declaration and
-// literal in the file exactly once, giving sort-idiom checks a
-// function-sized horizon.
-func eachFuncIn(f *ast.File, fn func(body *ast.BlockStmt)) {
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			fn(fd.Body)
-		}
-	}
+	})
 }
 
 // collectThenSort reports whether rng is the benign half of the

@@ -49,3 +49,16 @@ func (w *Wrapped) Error() string { return w.err.Error() }
 
 //hanccr:allow deadapi errors.Is and errors.As reach Unwrap through an anonymous interface
 func (w *Wrapped) Unwrap() error { return w.err }
+
+// Apply is generic; its one use instantiates it, and a use of an
+// instantiation counts for the generic declaration.
+func Apply[T any](x T, f func(T) T) T { return f(x) }
+
+// Box is generic; Get's one use is through Box[int], Set has none.
+type Box[T any] struct{ v T }
+
+func (b Box[T]) Get() T { return b.v }
+
+func (b Box[T]) Set(v T) Box[T] { return Box[T]{v: v} } // want "Box.Set has no non-test reference"
+
+var _ = Apply(Box[int]{v: 1}.Get(), func(n int) int { return n + 1 })

@@ -64,6 +64,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -726,11 +727,17 @@ func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 // the record frames it verbatim and its CRC covers exactly these
 // bytes. Because a payload may come from anywhere, Put refuses one
 // that is not valid JSON or that holds a newline, which would split
-// the record's line. An identical payload already live under the key
+// the record's line. It refuses an empty key, which a reopen skips as
+// corrupt, and one that is not valid UTF-8, which the record would
+// carry with its invalid bytes replaced: neither reads back under the
+// key it was put with. An identical payload already live under the key
 // is deduplicated (the common case: every cache miss writes through,
 // restarts re-plan nothing new). Put may rotate the active segment or
 // trigger a size-based compaction.
 func (st *PlanStore) Put(key string, payload []byte) error {
+	if key == "" || !utf8.ValidString(key) {
+		return fmt.Errorf("store: key %q is empty or not valid UTF-8", key)
+	}
 	if !json.Valid(payload) {
 		return errors.New("store: payload is not valid JSON")
 	}

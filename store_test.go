@@ -505,6 +505,45 @@ func TestStorePutFramesVerbatim(t *testing.T) {
 	}
 }
 
+// TestStorePutRefusesUnreadableKeys pins Put's key contract: an empty
+// key or one that is not valid UTF-8 could not be read back under
+// itself, so Put refuses it and writes nothing; a valid key still
+// round-trips through a reopen.
+func TestStorePutRefusesUnreadableKeys(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenPlanStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"a":1}`)
+	for _, bad := range []string{"", "k\xff", "\xc3"} {
+		if err := st.Put(bad, payload); err == nil {
+			t.Errorf("Put(%q) was accepted", bad)
+		}
+	}
+	if st.Records() != 0 {
+		t.Fatalf("store holds %d records after refused Puts, want 0", st.Records())
+	}
+	const key = "kéy"
+	if err := st.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenPlanStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Records() != 1 {
+		t.Fatalf("reopened store holds %d records, want 1", st.Records())
+	}
+	if got, ok, err := st.Get(key); err != nil || !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get(%q) = (%q, %v, %v), want %q", key, got, ok, err, payload)
+	}
+}
+
 // TestStoreCompaction pins the compaction contract: superseded and
 // dropped records are reclaimed, live ones survive (also across
 // rotated segments), and the rewritten store reopens identically.
