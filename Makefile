@@ -39,7 +39,7 @@ race:
 	$(GO) test -race ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EstimatorPathApprox$$|EstimatorDodin$$|EstimatorDodinMontage$$|SimulatorTrial$$|PlanFromScaffold$$|FullPipeline300$$|ColdMix$$|RunSweepWorkers/workers=1$$|Generate1000$$|EstimateHotMonteCarlo$$|SimulateHot$$|StoreWriteThrough$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'EstimatorPathApprox$$|EstimatorDodin$$|EstimatorDodinMontage$$|SimulatorTrial$$|PlanFromScaffold$$|FullPipeline300$$|ColdMix$$|RunSweepWorkers/workers=1$$|Generate1000$$|EstimateHotMonteCarlo$$|SimulateHot$$|StoreWriteThrough$$|StoreLoad$$' -benchtime 1x -benchmem .
 
 # perfbench/ is a Go module of its own (repro/perfbench, replace repro
 # => ../), so the root ./... patterns skip it: vet and test it here so a

@@ -487,6 +487,42 @@ func BenchmarkStoreWriteThrough(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreLoad measures a restart over a store shaped like
+// perfbench hot-estimate's: 64 records (the four families × 16 seeds at
+// 300 tasks, default parameters), written by a Service's write-through
+// outside the timer. Each op opens the store (NewService(WithStore))
+// and rehydrates every record with one worker (LoadStore), as the
+// daemon's boot does.
+func BenchmarkStoreLoad(b *testing.B) {
+	ctx := context.Background()
+	dir := filepath.Join(b.TempDir(), "store")
+	writer := NewService(WithStore(dir))
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for seed := int64(1); seed <= 16; seed++ {
+			if _, err := writer.Plan(ctx, NewScenario(WithFamily(fam), WithTasks(300), WithSeed(seed))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := writer.CloseStore(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := NewService(WithStore(dir))
+		loaded, dropped, err := svc.LoadStore(ctx, 1)
+		if err != nil || loaded != 64 || dropped != 0 {
+			b.Fatalf("LoadStore: %d loaded, %d dropped, %v; want 64, 0, nil", loaded, dropped, err)
+		}
+		b.StopTimer()
+		if err := svc.CloseStore(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkAblationCostModel measures the A4 extension: the exact
 // restart cost model vs the paper's first-order Eq. (2), each validated
 // by discrete-event simulation; the reported metrics are the two models'

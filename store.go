@@ -25,8 +25,15 @@ package hanccr
 // and a JSON rescan would only re-prove what the reference test pins.
 // The exported Put frames any caller's payload the same way but first
 // checks that it is valid JSON, since its bytes may come from anywhere.
-// The read side (scanSegment, Get, the follower's readStoreStream)
-// decodes with encoding/json and checks every record's CRC.
+// The read side is the write side's inverse and checks every record's
+// CRC. parseRecordLine splits a line in frameRecord's canonical form by
+// position, checking its payload with json.Valid only; a line in any
+// other form, which this code never writes, falls back to
+// json.Unmarshal. The index keeps each payload's place inside its line
+// and its CRC, so Get reads just the payload and checks the CRC without
+// parsing the line, and decodeStoredPlan, appendPlan's inverse, reads
+// the payload's canonical bytes with json.Unmarshal only for the small
+// scenario object.
 //
 // Records are immutable once written; a re-written key supersedes its
 // older record by replay order (segments are scanned in ascending
@@ -140,8 +147,9 @@ type storedSegment struct {
 
 // storedPlan is the record payload: the scenario, the schedule shape,
 // the checkpoint marks, and bit-exact cross-check values for
-// everything the decode path recomputes. decodePlan unmarshals it;
-// appendPlan writes its JSON by hand, field for field.
+// everything the decode path recomputes. appendPlan writes its JSON by
+// hand, field for field, and decodeStoredPlan reads it back the same
+// way.
 type storedPlan struct {
 	Version     int             `json:"v"`
 	Scenario    storedScenario  `json:"scenario"`
@@ -331,7 +339,7 @@ func planSize(p *Plan, scenLen int) int {
 // plainKey reports whether json.Marshal writes key as itself between
 // quotes: printable ASCII with no quote, backslash or HTML-escaped
 // byte. Every scenario key (64 hex digits) is plain.
-func plainKey(key string) bool {
+func plainKey[K string | []byte](key K) bool {
 	for i := 0; i < len(key); i++ {
 		if c := key[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
@@ -393,6 +401,124 @@ func frameRecord(buf []byte, off int, key string) (line, payload []byte) {
 	return append(buf, "}\n"...)[start:], payload
 }
 
+// recordFrame is a parsed record line: its key and CRC field, and where
+// its payload sits inside the line.
+type recordFrame struct {
+	key        string
+	crc        uint32
+	poff, plen int
+}
+
+// payload returns the frame's payload inside its line.
+func (f recordFrame) payload(line []byte) []byte { return line[f.poff : f.poff+f.plen] }
+
+// parseRecordLine parses a record line, newline stripped: the inverse
+// of frameRecord. A line in frameRecord's canonical form (see
+// parseCanonicalRecord) is split by position. Any other line, which
+// this code never writes, is decoded by json.Unmarshal into a
+// storeRecord. ok is false for a line that is no record: not JSON, or
+// keyless. The CRC is not checked.
+func parseRecordLine(line []byte) (f recordFrame, ok bool) {
+	if f, ok := parseCanonicalRecord(line); ok {
+		return f, true
+	}
+	var rec storeRecord
+	if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+		return recordFrame{}, false
+	}
+	// The payload's bytes sit in the line verbatim; whichever copy the
+	// index points at reads back as the same bytes.
+	poff := bytes.LastIndex(line, rec.Plan)
+	return recordFrame{key: rec.Key, crc: rec.CRC, poff: poff, plen: len(rec.Plan)}, true
+}
+
+// parseCanonicalRecord parses a line in frameRecord's canonical form,
+// {"key":"<plain key>","crc":<digits>,"plan":<payload>}, whose payload
+// has no surrounding whitespace and passes json.Valid. On such a line
+// json.Unmarshal yields the same key, CRC and payload. ok is false for
+// a line in any other form.
+func parseCanonicalRecord(line []byte) (f recordFrame, ok bool) {
+	r := planReader{b: line}
+	r.lit(`{"key":"`)
+	key, _, _ := bytes.Cut(r.b, []byte{'"'})
+	r.b = r.b[len(key):]
+	r.lit(`","crc":`)
+	crc := r.uint()
+	r.lit(`,"plan":`)
+	if r.bad || len(key) == 0 || !plainKey(key) || crc > math.MaxUint32 || len(r.b) < 2 || r.b[len(r.b)-1] != '}' {
+		return recordFrame{}, false
+	}
+	payload := r.b[:len(r.b)-1]
+	if isSpace(payload[0]) || isSpace(payload[len(payload)-1]) || !json.Valid(payload) {
+		return recordFrame{}, false
+	}
+	return recordFrame{key: string(key), crc: uint32(crc), poff: len(line) - len(r.b), plen: len(payload)}, true
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// planReader reads canonical JSON front to back: the store's record
+// frames and payloads. The first mismatch marks it bad and empties it,
+// so every later read fails too and a decode checks once, at the end.
+type planReader struct {
+	b   []byte // the unread bytes
+	bad bool
+}
+
+// fail marks the reader bad.
+func (r *planReader) fail() { r.b, r.bad = nil, true }
+
+// skip consumes s if the unread bytes start with it.
+func (r *planReader) skip(s string) bool {
+	if len(r.b) < len(s) || string(r.b[:len(s)]) != s {
+		return false
+	}
+	r.b = r.b[len(s):]
+	return true
+}
+
+// lit consumes s, which must come next.
+func (r *planReader) lit(s string) {
+	if !r.skip(s) {
+		r.fail()
+	}
+}
+
+// uint reads a JSON number that is a uint64 in canonical decimal: no
+// sign, no leading zero, no fraction or exponent (what follows it is
+// checked by the next read).
+func (r *planReader) uint() uint64 {
+	b := r.b
+	var v uint64
+	i := 0
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		v = v*10 + uint64(b[i]-'0')
+	}
+	// v wrapped only if the digits exceed MaxUint64, which has
+	// maxIntLen of them; digit strings of one length compare as numbers.
+	if i == 0 || (i > 1 && b[0] == '0') || i > maxIntLen || (i == maxIntLen && string(b[:i]) > "18446744073709551615") {
+		r.fail()
+		return 0
+	}
+	r.b = b[i:]
+	return v
+}
+
+// int reads a JSON number that is an int in canonical decimal (no -0).
+func (r *planReader) int() int {
+	neg := r.skip("-")
+	u := r.uint()
+	switch {
+	case neg && u != 0 && u <= uint64(math.MaxInt)+1:
+		return int(-u)
+	case !neg && u <= math.MaxInt:
+		return int(u)
+	}
+	r.fail()
+	return 0
+}
+
 // scenario reconstructs the Scenario value the record was encoded
 // from.
 func (ss storedScenario) scenario() Scenario {
@@ -413,6 +539,135 @@ func (ss storedScenario) scenario() Scenario {
 	}
 }
 
+// decodeStoredPlan reads a record payload: the inverse of appendPlan.
+// It accepts exactly the canonical bytes appendPlan and
+// json.Marshal(storedPlan) write — the fields in order, no whitespace,
+// null for an empty list, segments and redundant omitted when empty —
+// and yields what json.Unmarshal would (pinned by
+// FuzzStoredPlanDecode). The scenario object goes through
+// json.Unmarshal on its own bytes, the mirror of the write side's
+// json.Marshal. Any other payload is an error, so its record is dropped
+// and re-planned like any other unusable record. Each list is allocated
+// once, at its counted length.
+func decodeStoredPlan(payload []byte) (storedPlan, error) {
+	var sp storedPlan
+	r := planReader{b: payload}
+	r.lit(`{"v":`)
+	sp.Version = r.int()
+	r.lit(`,"scenario":`)
+	if scen := r.object(); !r.bad {
+		var ss storedScenario
+		if err := json.Unmarshal(scen, &ss); err != nil {
+			return storedPlan{}, fmt.Errorf("decode: scenario: %w", err)
+		}
+		sp.Scenario = ss
+	}
+	r.lit(`,"chains":`)
+	sp.Chains = readList(&r, func(rest []byte) int { return bytes.Count(rest, []byte(`{"proc":`)) }, func() storedChain {
+		var c storedChain
+		r.lit(`{"proc":`)
+		c.Proc = r.int()
+		r.lit(`,"tasks":`)
+		c.Tasks = r.ints()
+		r.lit("}")
+		return c
+	})
+	r.lit(`,"checkpoints":`)
+	sp.Checkpoints = r.ints()
+	if r.skip(`,"segments":`) {
+		sp.Segments = readList(&r, func(rest []byte) int { return bytes.Count(untilBracket(rest), []byte("{")) }, func() storedSegment {
+			var seg storedSegment
+			r.lit(`{"chain":`)
+			seg.Chain = r.int()
+			r.lit(`,"start":`)
+			seg.Start = r.int()
+			r.lit(`,"len":`)
+			seg.Len = r.int()
+			r.lit(`,"r_bits":`)
+			seg.RBits = r.uint()
+			r.lit(`,"w_bits":`)
+			seg.WBits = r.uint()
+			r.lit(`,"c_bits":`)
+			seg.CBits = r.uint()
+			r.lit("}")
+			return seg
+		})
+	}
+	r.lit(`,"em_bits":`)
+	sp.EMBits = r.uint()
+	r.lit(`,"ffm_bits":`)
+	sp.FFMBits = r.uint()
+	if r.skip(`,"redundant":`) {
+		sp.Redundant = r.int()
+	}
+	r.lit("}")
+	if r.bad || len(r.b) != 0 {
+		return storedPlan{}, errors.New("decode: payload is not in the store's canonical form")
+	}
+	return sp, nil
+}
+
+// object reads a JSON object whose values hold no object or list —
+// storedScenario's shape — and returns its bytes unvalidated: it ends
+// at the first closing brace outside a string.
+func (r *planReader) object() []byte {
+	if len(r.b) == 0 || r.b[0] != '{' {
+		r.fail()
+		return nil
+	}
+	for i, str := 1, false; i < len(r.b); i++ {
+		switch c := r.b[i]; {
+		case str && c == '\\':
+			i++
+		case c == '"':
+			str = !str
+		case !str && c == '}':
+			obj := r.b[:i+1]
+			r.b = r.b[i+1:]
+			return obj
+		}
+	}
+	r.fail()
+	return nil
+}
+
+// ints reads a list of ints, presized by counting its commas.
+func (r *planReader) ints() []int {
+	return readList(r, func(rest []byte) int { return bytes.Count(untilBracket(rest), []byte(",")) + 1 }, r.int)
+}
+
+// untilBracket returns rest up to its first closing bracket: the body
+// of a list that holds no list.
+func untilBracket(rest []byte) []byte {
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		return rest[:end]
+	}
+	return rest
+}
+
+// readList reads a JSON list whose elements elem reads. null leaves the
+// list nil and [] makes it empty but not nil, as json.Unmarshal does;
+// otherwise the list is allocated once with room for size(rest)
+// elements, rest being the bytes after its opening bracket.
+func readList[T any](r *planReader, size func(rest []byte) int, elem func() T) []T {
+	if r.skip("null") {
+		return nil
+	}
+	r.lit("[")
+	if r.skip("]") {
+		return []T{}
+	}
+	out := make([]T, 0, size(r.b))
+	for !r.bad {
+		out = append(out, elem())
+		if !r.skip(",") {
+			break
+		}
+	}
+	r.lit("]")
+	return out
+}
+
 // decodePlan reconstructs a *Plan from a record payload without
 // re-running Algorithm 1 or 2: it materializes the scenario's workflow
 // through memo (owned by the calling scope; nil: generated afresh —
@@ -422,9 +677,9 @@ func (ss storedScenario) scenario() Scenario {
 // against the result; any mismatch fails the decode so the caller
 // re-plans instead of serving a corrupt plan.
 func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
-	var sp storedPlan
-	if err := json.Unmarshal(payload, &sp); err != nil {
-		return nil, fmt.Errorf("decode: %w", err)
+	sp, err := decodeStoredPlan(payload)
+	if err != nil {
+		return nil, err
 	}
 	if sp.Version != storeFormatVersion {
 		return nil, fmt.Errorf("decode: record format v%d, want v%d", sp.Version, storeFormatVersion)
@@ -448,12 +703,18 @@ func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.M
 		Procs:  make([]int, len(sp.Chains)),
 		Chains: make([][]wfdag.TaskID, len(sp.Chains)),
 	}
+	total := 0
+	for _, c := range sp.Chains {
+		total += len(c.Tasks)
+	}
+	ids := make([]wfdag.TaskID, 0, total) // one backing array, cut per chain
 	for i, c := range sp.Chains {
 		sf.Procs[i] = c.Proc
-		sf.Chains[i] = make([]wfdag.TaskID, len(c.Tasks))
-		for j, t := range c.Tasks {
-			sf.Chains[i][j] = wfdag.TaskID(t)
+		start := len(ids)
+		for _, t := range c.Tasks {
+			ids = append(ids, wfdag.TaskID(t))
 		}
+		sf.Chains[i] = ids[start:len(ids):len(ids)]
 	}
 	n := w.G.NumTasks()
 	marks := make([]bool, n)
@@ -492,11 +753,15 @@ func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.M
 }
 
 // storeRef locates one live record: segment sequence number, byte
-// offset, and line length (newline included).
+// offset, and line length (newline included); and, inside the line,
+// its payload (offset from the line's start, length) and the payload's
+// CRC, so Get reads and checks the payload without parsing the line.
 type storeRef struct {
-	seq uint64
-	off int64
-	n   int64
+	seq        uint64
+	off        int64
+	n          int64
+	poff, plen int
+	crc        uint32
 }
 
 // StoreOption tunes OpenPlanStore.
@@ -648,7 +913,12 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 	for {
 		line, n, err := lr.next()
 		tail := err != nil && err != errLineTooLong // n bytes after the last newline
-		var rec storeRecord
+		var f recordFrame
+		ok := false
+		if err == nil {
+			f, ok = parseRecordLine(line)
+			ok = ok && crc32.ChecksumIEEE(f.payload(line)) == f.crc
+		}
 		switch {
 		case tail && n == 0:
 			return nil
@@ -659,12 +929,12 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 			st.dead += n
 			st.needNewline = true
 			return nil
-		case err == nil && json.Unmarshal(line, &rec) == nil && rec.Key != "" && crc32.ChecksumIEEE(rec.Plan) == rec.CRC:
-			if old, ok := st.index[rec.Key]; ok {
+		case ok:
+			if old, ok := st.index[f.key]; ok {
 				st.dead += old.n
 				st.live -= old.n
 			}
-			st.index[rec.Key] = storeRef{seq: seq, off: off, n: n}
+			st.index[f.key] = storeRef{seq: seq, off: off, n: n, poff: f.poff, plen: f.plen, crc: f.crc}
 			st.live += n
 		default:
 			st.dead += n
@@ -677,15 +947,25 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 	}
 }
 
-// readLocked returns the raw record line at ref. Caller holds st.mu.
-func (st *PlanStore) readLocked(ref storeRef) ([]byte, error) {
-	f, err := os.Open(st.segPath(ref.seq))
+// readAt returns the n bytes at offset off of segment seq. Caller
+// holds st.mu.
+func (st *PlanStore) readAt(seq uint64, off int64, n int) ([]byte, error) {
+	f, err := os.Open(st.segPath(seq))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	line := make([]byte, ref.n)
-	if _, err := f.ReadAt(line, ref.off); err != nil {
+	b := make([]byte, n)
+	if _, err := f.ReadAt(b, off); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// readLocked returns the raw record line at ref. Caller holds st.mu.
+func (st *PlanStore) readLocked(ref storeRef) ([]byte, error) {
+	line, err := st.readAt(ref.seq, ref.off, int(ref.n))
+	if err != nil {
 		return nil, err
 	}
 	if line[len(line)-1] != '\n' {
@@ -696,8 +976,10 @@ func (st *PlanStore) readLocked(ref storeRef) ([]byte, error) {
 
 // Get returns the payload stored under key. ok is false when the key
 // has no live record; err reports a record that exists but cannot be
-// trusted (unreadable, re-framed, or CRC mismatch — bit-rot since the
-// open-time scan).
+// trusted (unreadable, or a payload that fails the CRC its line was
+// indexed with — bit-rot since the open-time scan). Get reads only the
+// payload's bytes: the index knows where they sit and their CRC, and
+// the key is checked again when the payload is decoded (decodePlan).
 func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -705,21 +987,14 @@ func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 	if !ok {
 		return nil, false, nil
 	}
-	line, err := st.readLocked(ref)
+	payload, err = st.readAt(ref.seq, ref.off+int64(ref.poff), ref.plen)
 	if err != nil {
 		return nil, true, err
 	}
-	var rec storeRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, true, fmt.Errorf("store: %w", err)
-	}
-	if rec.Key != key {
-		return nil, true, fmt.Errorf("store: record at %d is keyed %.12s, want %.12s", ref.off, rec.Key, key)
-	}
-	if crc32.ChecksumIEEE(rec.Plan) != rec.CRC {
+	if crc32.ChecksumIEEE(payload) != ref.crc {
 		return nil, true, errors.New("store: record payload fails its CRC")
 	}
-	return rec.Plan, true, nil
+	return payload, true, nil
 }
 
 // Put appends a record for key, superseding any previous one. The
@@ -750,23 +1025,23 @@ func (st *PlanStore) Put(key string, payload []byte) error {
 	return st.appendLine(key, line, payload)
 }
 
-// appendLine appends line, key's record framing payload (newline
-// included), to the active segment: the locked append routine behind
-// Put and the Service's write-through, which owns the line cap,
-// deduplication, the torn-tail recovery newline, rotation and
-// compaction.
+// appendLine appends line, key's record framing payload as
+// frameRecord writes it (newline included), to the active segment: the
+// locked append routine behind Put and the Service's write-through,
+// which owns the line cap, deduplication, the torn-tail recovery
+// newline, rotation and compaction.
 func (st *PlanStore) appendLine(key string, line, payload []byte) error {
 	if len(line)-1 > maxStoreLine {
 		return fmt.Errorf("store: record of %d bytes above the %d-byte line limit", len(line)-1, maxStoreLine)
 	}
+	ref := storeRef{n: int64(len(line)), poff: len(line) - len(payload) - len("}\n"), plen: len(payload), crc: crc32.ChecksumIEEE(payload)}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if old, ok := st.index[key]; ok {
-		if prev, err := st.readLocked(old); err == nil {
-			var oldRec storeRecord
-			if json.Unmarshal(prev, &oldRec) == nil && bytes.Equal(oldRec.Plan, payload) {
-				return nil
-			}
+	// A line frameRecord wrote for key equals the new one just when the
+	// payloads are equal; a line in any other form is superseded.
+	if old, ok := st.index[key]; ok && old.n == ref.n && old.crc == ref.crc {
+		if prev, err := st.readLocked(old); err == nil && bytes.Equal(prev, line) {
+			return nil
 		}
 	}
 	if st.needNewline {
@@ -794,8 +1069,9 @@ func (st *PlanStore) appendLine(key string, line, payload []byte) error {
 		st.dead += old.n
 		st.live -= old.n
 	}
-	st.index[key] = storeRef{seq: st.activeSeq, off: off, n: int64(len(line))}
-	st.live += int64(len(line))
+	ref.seq, ref.off = st.activeSeq, off
+	st.index[key] = ref
+	st.live += ref.n
 	if st.activeSize >= st.segBytes {
 		if err := st.rotateLocked(); err != nil {
 			return err
@@ -883,7 +1159,8 @@ func (st *PlanStore) compactLocked() error {
 	newIndex := make(map[string]storeRef, len(keys))
 	var off int64
 	for _, k := range keys {
-		line, err := st.readLocked(st.index[k])
+		ref := st.index[k]
+		line, err := st.readLocked(ref)
 		if err != nil {
 			// The record was live a moment ago; losing it only costs a
 			// re-plan, so log and carry on rather than fail the rewrite.
@@ -895,8 +1172,10 @@ func (st *PlanStore) compactLocked() error {
 			os.Remove(tmp)
 			return err
 		}
-		newIndex[k] = storeRef{seq: newSeq, off: off, n: int64(len(line))}
-		off += int64(len(line))
+		// The line is copied verbatim, so its payload's place and CRC hold.
+		ref.seq, ref.off = newSeq, off
+		newIndex[k] = ref
+		off += ref.n
 	}
 	if err := f.Sync(); err != nil {
 		f.Close() //hanccr:allow discarderr error-path cleanup; the tmp segment is removed and the Sync error surfaces

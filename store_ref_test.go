@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -190,6 +191,89 @@ func FuzzStoreLine(f *testing.F) {
 		}
 		if err != nil || !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("key %q: reopened Get = (%d bytes, %v, %v), want the payload", key, len(got), ok, err)
+		}
+	})
+}
+
+// refDecodePlan is the reference model of decodeStoredPlan: the record
+// payload as encoding/json reads it into the storedPlan struct.
+func refDecodePlan(payload []byte) (storedPlan, error) {
+	var sp storedPlan
+	err := json.Unmarshal(payload, &sp)
+	return sp, err
+}
+
+// encodeTestPayloads returns the record payload of every
+// encodeTestScenarios plan.
+func encodeTestPayloads(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, sc := range encodeTestScenarios(tb) {
+		p, err := NewPlan(context.Background(), sc)
+		if err != nil {
+			tb.Fatalf("%s/%s: %v", sc.family, sc.strategy, err)
+		}
+		payload, err := encodePlan(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, payload)
+	}
+	return out
+}
+
+// TestDecodeStoredPlanAllocs pins the typed decoder's allocations on
+// every shape appendPlan writes: each list once — the superchains, each
+// chain's tasks, the checkpoints and the segments — plus json.Unmarshal
+// of the scenario object.
+func TestDecodeStoredPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, payload := range encodeTestPayloads(t) {
+		sp, err := decodeStoredPlan(payload)
+		if err != nil {
+			t.Fatalf("canonical payload refused: %v\n%s", err, payload)
+		}
+		limit := float64(len(sp.Chains) + decodeAllocSlack)
+		if allocs := testing.AllocsPerRun(10, func() { decodeStoredPlan(payload) }); allocs > limit {
+			t.Errorf("%s/%s: decodeStoredPlan makes %.0f allocations, want at most %.0f",
+				sp.Scenario.Family, sp.Scenario.Strategy, allocs, limit)
+		}
+	}
+}
+
+// decodeAllocSlack is decodeStoredPlan's allocation budget beyond one
+// per superchain: the chain list, the checkpoints and the segments, and
+// json.Unmarshal of the scenario object, which makes 7 for a generated
+// workflow and 11 for an injected document (its source, format and
+// graph).
+const decodeAllocSlack = 14
+
+// FuzzStoredPlanDecode differentially fuzzes the typed decoder against
+// encoding/json: any payload decodeStoredPlan accepts, json.Unmarshal
+// must accept too, into a reflect.DeepEqual storedPlan. The seeds —
+// storeLineSeeds and every encodeTestScenarios payload, escaped
+// document labels, the exact cost model and CkptNone's null
+// checkpoints among them — are canonical, and each must be accepted.
+func FuzzStoredPlanDecode(f *testing.F) {
+	for _, payload := range append(storeLineSeeds(f), encodeTestPayloads(f)...) {
+		if _, err := decodeStoredPlan(payload); err != nil {
+			f.Fatalf("canonical payload refused: %v\n%s", err, payload)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, err := decodeStoredPlan(payload)
+		if err != nil {
+			return
+		}
+		want, err := refDecodePlan(payload)
+		if err != nil {
+			t.Fatalf("decodeStoredPlan accepts a payload encoding/json refuses (%v):\n%s", err, payload)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeStoredPlan differs from encoding/json:\n got %+v\nwant %+v\n%s", got, want, payload)
 		}
 	})
 }

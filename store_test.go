@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -386,6 +387,140 @@ func TestStoreCorruptRecordSkipped(t *testing.T) {
 	}
 	if payload, ok, err := st.Get("k2"); err != nil || !ok || string(payload) != `{"b":2}` {
 		t.Fatalf("Get(k2) = (%q, %v, %v)", payload, ok, err)
+	}
+}
+
+// TestStoreBitRotAfterOpen flips a payload byte on disk after the
+// open-time scan indexed the record. Get reads only the payload and
+// checks it against the CRC it was indexed with, so it reports the
+// record as present but untrusted; a Service over the store drops it,
+// re-plans it once and answers exactly as a cold plan does.
+func TestStoreBitRotAfterOpen(t *testing.T) {
+	ctx := context.Background()
+	sc := NewScenario(WithFamily("genome"), WithTasks(40), WithProcs(3))
+	cold, err := NewPlan(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := encodePlan(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	writer := NewService(WithStore(dir))
+	if _, err := writer.Plan(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenPlanStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "plans-000001.seg")
+	blob, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(blob, []byte(`"em_bits":`)) + len(`"em_bits":`)
+	rot := []byte{'1'}
+	if blob[i] == '1' {
+		rot[0] = '2'
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(rot, int64(i)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.Get(sc.Key()); !ok || err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("Get after bit-rot = (ok %v, %v), want the record with a CRC error", ok, err)
+	}
+
+	svc := NewService(WithPlanStore(st))
+	defer svc.CloseStore()
+	p, outcome, err := svc.PlanDetail(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := svc.Stats(); outcome != CacheMiss || stats.Misses != 1 || stats.StoreHits != 0 {
+		t.Fatalf("outcome %s, %d misses, %d store hits; want one re-plan", outcome, stats.Misses, stats.StoreHits)
+	}
+	if got, _ := encodePlan(p); !bytes.Equal(got, want) {
+		t.Fatalf("re-planned answer differs from a cold NewPlan:\n%s\n%s", got, want)
+	}
+}
+
+// TestStoreNonCanonicalPayloadDropped puts a real plan's payload that
+// is valid JSON, and decodes under encoding/json to the very same
+// storedPlan, but is not in the store's canonical form: re-spaced, or
+// with its fields reordered. The typed decoder refuses it, so LoadStore
+// drops the record, the next request re-plans it to the cold answer,
+// and the write-through leaves the canonical record behind.
+func TestStoreNonCanonicalPayloadDropped(t *testing.T) {
+	ctx := context.Background()
+	sc := NewScenario(WithFamily("montage"), WithTasks(40), WithProcs(4))
+	cold, err := NewPlan(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := encodePlan(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(canonical, &fields); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := json.Marshal(fields) // keys sorted: "chains" before "v"
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced := bytes.Replace(canonical, []byte(`,"chains":`), []byte(`, "chains": `), 1)
+	wantSP, err := refDecodePlan(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{"re-spaced": spaced, "reordered": reordered} {
+		if sp, err := refDecodePlan(payload); err != nil || !reflect.DeepEqual(sp, wantSP) || bytes.Equal(payload, canonical) {
+			t.Fatalf("%s: want a non-canonical spelling of the same storedPlan (%v)", name, err)
+		}
+		dir := t.TempDir()
+		st, err := OpenPlanStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(sc.Key(), payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var calls atomic.Int64
+		svc := NewService(WithStore(dir), WithPlanner(countingPlanner(&calls)))
+		if loaded, dropped, err := svc.LoadStore(ctx, 1); err != nil || loaded != 0 || dropped != 1 {
+			t.Fatalf("%s: LoadStore = (%d loaded, %d dropped, %v), want (0, 1, nil)", name, loaded, dropped, err)
+		}
+		p, outcome, err := svc.PlanDetail(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := encodePlan(p); outcome != CacheMiss || calls.Load() != 1 || !bytes.Equal(got, canonical) {
+			t.Fatalf("%s: outcome %s after %d planner runs; want one re-plan to the cold answer", name, outcome, calls.Load())
+		}
+		if got, ok, err := svc.store.Get(sc.Key()); err != nil || !ok || !bytes.Equal(got, canonical) {
+			t.Fatalf("%s: store holds (%d bytes, %v, %v), want the canonical record", name, len(got), ok, err)
+		}
+		if err := svc.CloseStore(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

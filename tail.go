@@ -2,6 +2,7 @@ package hanccr
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -347,26 +348,46 @@ func readStoreStream(body io.Reader, cur *storeCursor, fn func(rec storeRecord, 
 		if err != nil && err != errLineTooLong {
 			return nil
 		}
+		var rec storeRecord
+		if err == nil {
+			var header *storeCursor
+			if rec, header, err = parseStreamLine(line); header != nil {
+				*cur = *header
+				continue
+			}
+		}
+		if ferr := fn(rec, *cur, err); ferr != nil {
+			return ferr
+		}
+		cur.Offset += n
+	}
+}
+
+// parseStreamLine parses one store stream line: a CRC-checked record,
+// whose payload it copies out of line, or a cursor header. A record in
+// frameRecord's canonical form is split by position
+// (parseCanonicalRecord); any other line is decoded by json.Unmarshal.
+func parseStreamLine(line []byte) (rec storeRecord, header *storeCursor, err error) {
+	if f, ok := parseCanonicalRecord(line); ok {
+		rec = storeRecord{Key: f.key, CRC: f.crc, Plan: bytes.Clone(f.payload(line))}
+	} else {
 		var msg struct {
 			storeRecord
 			Segment *uint64 `json:"segment"`
 			Offset  *int64  `json:"offset"`
 		}
 		switch {
-		case err != nil:
 		case json.Unmarshal(line, &msg) != nil:
-			err = errNotRecord
+			return msg.storeRecord, nil, errNotRecord
 		case msg.Segment != nil && msg.Offset != nil && *msg.Offset >= 0:
-			*cur = storeCursor{Segment: *msg.Segment, Offset: *msg.Offset}
-			continue
+			return storeRecord{}, &storeCursor{Segment: *msg.Segment, Offset: *msg.Offset}, nil
 		case msg.Key == "":
-			err = errNotRecord
-		case crc32.ChecksumIEEE(msg.Plan) != msg.CRC:
-			err = errors.New("record payload fails its CRC")
+			return msg.storeRecord, nil, errNotRecord
 		}
-		if ferr := fn(msg.storeRecord, *cur, err); ferr != nil {
-			return ferr
-		}
-		cur.Offset += n
+		rec = msg.storeRecord
 	}
+	if crc32.ChecksumIEEE(rec.Plan) != rec.CRC {
+		return rec, nil, errors.New("record payload fails its CRC")
+	}
+	return rec, nil, nil
 }
