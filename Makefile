@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench-smoke perfbench-check bench-scaling golden-update fuzz-smoke serve-smoke stress-smoke replica-smoke lint lint-invariants
+.PHONY: check vet build test race bench-smoke perfbench-check bench-scaling golden-update fuzz-smoke fuzz-store serve-smoke stress-smoke replica-smoke lint lint-invariants
 
 check: vet build lint-invariants race bench-smoke perfbench-check
 
@@ -194,6 +194,18 @@ fuzz-smoke:
 			echo "fuzz $$pkg $$fz ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) $$pkg; \
 		done; \
+	done
+
+# The plan store's parsers of untrusted bytes — segment files
+# (FuzzScanSegment), record framing (FuzzStoreLine), a peer's GET
+# /v1/store stream (FuzzStoreStream) — and the payload decoders behind
+# them, each fuzzed for $(FUZZTIME): the PR-time pass CI runs, where
+# fuzz-smoke is the nightly one over every target.
+fuzz-store:
+	@set -e; \
+	for fz in FuzzScanSegment FuzzStoreLine FuzzStoreStream FuzzStoredPlanDecode FuzzDecodePlan; do \
+		echo "fuzz $$fz ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME) .; \
 	done
 
 # Boot a 3-replica fleet behind cmd/hanccr-lb, drive mixed scenario

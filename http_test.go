@@ -251,15 +251,12 @@ func TestHTTPMethodContract(t *testing.T) {
 // reach the service log while the planning request that produced it
 // still succeeds.
 func TestHTTPRecordFailureLogged(t *testing.T) {
-	st, err := OpenPlanStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil { // every later Put fails
-		t.Fatal(err)
-	}
 	var log logRecorder
-	srv := httptest.NewServer(NewHandler(NewService(WithPlanStore(st), WithServiceLogf(log.logf))))
+	svc := NewService(WithStore(t.TempDir()), WithServiceLogf(log.logf))
+	if err := svc.CloseStore(); err != nil { // every later Put fails
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
 	status, body, _ := postJSON(t, srv.Client(), srv.URL+"/v1/plan",
@@ -277,12 +274,11 @@ func TestHTTPRecordFailureLogged(t *testing.T) {
 // cursor resumes mid-segment, and a bad cursor is a 400 — the contract
 // serve -tail's follower builds on.
 func TestHTTPStoreEndpoint(t *testing.T) {
-	st, err := OpenPlanStore(t.TempDir(), WithStoreSegmentBytes(4<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv := httptest.NewServer(NewHandler(NewService(WithPlanStore(st))))
+	svc := NewService(WithStore(t.TempDir()))
+	defer svc.CloseStore()
+	st := svc.store
+	st.segBytes = 4 << 10
+	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
 	for seed := 1; seed <= 3; seed++ {

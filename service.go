@@ -116,8 +116,8 @@ type Service struct {
 	planner func(ctx context.Context, sc Scenario) (*Plan, error)
 
 	// store is the optional persistent write-through layer under the
-	// LRU (WithStore / WithPlanStore); storeErr holds a deferred
-	// WithStore open failure. storeHits counts plans served from disk
+	// LRU (WithStore); storeErr holds a deferred WithStore open
+	// failure. storeHits counts plans served from disk
 	// on the request path (instead of a planner run), storeLoads plans
 	// rehydrated at boot by LoadStore. storeVerify enables the
 	// golden-check integrity mode (WithStoreVerify).
@@ -151,7 +151,6 @@ type serviceConfig struct {
 	timeout        time.Duration
 	planner        func(ctx context.Context, sc Scenario) (*Plan, error)
 	storeDir       string
-	store          *PlanStore
 	storeVerify    bool
 	logf           func(string, ...any)
 }
@@ -248,17 +247,6 @@ func WithStore(dir string) ServiceOption {
 	}
 }
 
-// WithPlanStore attaches an already-open PlanStore (for tuned segment
-// or compaction thresholds; see OpenPlanStore). It takes precedence
-// over WithStore. The Service adopts the store: CloseStore closes it.
-func WithPlanStore(st *PlanStore) ServiceOption {
-	return func(c *serviceConfig) {
-		if st != nil {
-			c.store = st
-		}
-	}
-}
-
 // WithStoreVerify enables the store's integrity mode: every record
 // read from disk is golden-checked byte-for-byte against a freshly
 // planned reference before it is served, so silent corruption that
@@ -311,11 +299,8 @@ func NewService(opts ...ServiceOption) *Service {
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	switch {
-	case cfg.store != nil:
-		s.store = cfg.store
-	case cfg.storeDir != "":
-		st, err := OpenPlanStore(cfg.storeDir, WithStoreLogf(s.logf))
+	if cfg.storeDir != "" {
+		st, err := openPlanStore(cfg.storeDir, s.logf)
 		if err != nil {
 			s.storeErr = fmt.Errorf("open plan store %s: %w", cfg.storeDir, err)
 		} else {

@@ -11,28 +11,33 @@ package hanccr
 // and peer replicas follow it over GET /v1/store (Service.Follow).
 //
 // On disk the store is a directory of append-only segment files
-// (plans-NNNNNN.seg), one JSON record per line:
+// (plans-NNNNNN.seg), one record per line, in exactly one form:
 //
-//	{"key":"<64-hex scenario key>","crc":<IEEE CRC32 of plan>,"plan":{...}}
+//	{"key":"<key>","crc":<IEEE CRC32 of plan>,"plan":{...}}
+//
+// The key is printable ASCII without a quote, backslash, <, > or &
+// (plainKey; every scenario key, 64 hex digits, is one), so it needs
+// no escaping; the CRC is canonical decimal; the payload is one JSON
+// value with no surrounding whitespace. This is the line json.Marshal
+// writes for such a key and a compact payload, pinned byte for byte by
+// the encoding/json reference model in store_ref_test.go.
 //
 // The write side encodes a record in one pass. encodeRecord writes the
 // payload by hand (appendPlan: strconv for the numeric bulk, json.Marshal
 // only for the small scenario object) and frames the line around it in
-// the same buffer (frameRecord); its output is pinned byte for byte to
-// json.Marshal of storedPlan and storeRecord by the reference model in
-// store_ref_test.go. The Service's write-through (storePut) appends that
-// line without re-validating it: the bytes come from our own encoder,
-// and a JSON rescan would only re-prove what the reference test pins.
-// The exported Put frames any caller's payload the same way but first
-// checks that it is valid JSON, since its bytes may come from anywhere.
+// the same buffer (frameRecord). The Service's write-through (storePut)
+// appends that line without re-validating it: the bytes come from our
+// own encoder. The exported Put frames any caller's payload the same
+// way but first refuses a key that is not plain and a payload that is
+// not valid JSON, since its bytes may come from anywhere.
 // The read side is the write side's inverse and checks every record's
-// CRC. parseRecordLine splits a line in frameRecord's canonical form by
-// position, checking its payload with json.Valid only; a line in any
-// other form, which this code never writes, falls back to
-// json.Unmarshal. The index keeps each payload's place inside its line
-// and its CRC, so Get reads just the payload and checks the CRC without
-// parsing the line, and decodeStoredPlan, appendPlan's inverse, reads
-// the payload's canonical bytes with json.Unmarshal only for the small
+// CRC. parseRecordLine, the one record parser for segment files and for
+// the GET /v1/store stream, splits a line by position and checks its
+// payload with json.Valid; a line in any other form is a corrupt
+// record. The index keeps each payload's place inside its line and its
+// CRC, so Get reads just the payload and checks the CRC without parsing
+// the line, and decodeStoredPlan, appendPlan's inverse, reads the
+// payload's canonical bytes with json.Unmarshal only for the small
 // scenario object.
 //
 // Records are immutable once written; a re-written key supersedes its
@@ -71,7 +76,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -79,28 +83,19 @@ import (
 	"repro/internal/wfdag"
 )
 
-// DefaultStoreSegmentBytes is the size at which the active segment
-// file is rotated (WithStoreSegmentBytes overrides it).
-const DefaultStoreSegmentBytes = 64 << 20
+// storeSegmentBytes is the size at which the active segment file is
+// rotated.
+const storeSegmentBytes = 64 << 20
 
-// defaultStoreCompactMinBytes is the minimum volume of dead bytes
-// before a size-triggered compaction fires; below it a rewrite costs
-// more than the space it reclaims.
-const defaultStoreCompactMinBytes = 1 << 20
+// storeCompactMinBytes is the minimum volume of dead bytes before a
+// size-triggered compaction fires; below it a rewrite costs more than
+// the space it reclaims.
+const storeCompactMinBytes = 1 << 20
 
 // storeFormatVersion is bumped on any incompatible change to the
 // record payload schema; records with another version are dropped and
 // re-planned.
 const storeFormatVersion = 1
-
-// storeRecord is one line of a segment file. CRC is the IEEE CRC32 of
-// the Plan bytes exactly as they appear on disk, so bit-rot inside the
-// payload is detected before a record is trusted.
-type storeRecord struct {
-	Key  string          `json:"key"`
-	CRC  uint32          `json:"crc"`
-	Plan json.RawMessage `json:"plan"`
-}
 
 // storedScenario is the scenario portion of a record. Every knob that
 // feeds Scenario.Key is present — floats as exact bit patterns, an
@@ -336,68 +331,46 @@ func planSize(p *Plan, scenLen int) int {
 	return size
 }
 
-// plainKey reports whether json.Marshal writes key as itself between
-// quotes: printable ASCII with no quote, backslash or HTML-escaped
-// byte. Every scenario key (64 hex digits) is plain.
+// plainKey reports whether key can key a store record: non-empty
+// printable ASCII with no quote, backslash or HTML-escaped byte, which
+// json.Marshal writes as itself between quotes. Every scenario key (64
+// hex digits) is plain.
 func plainKey[K string | []byte](key K) bool {
 	for i := 0; i < len(key); i++ {
 		if c := key[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
 		}
 	}
-	return true
-}
-
-// appendKey appends key as a JSON string, exactly as json.Marshal
-// writes it.
-func appendKey(dst []byte, key string) []byte {
-	if plainKey(key) {
-		dst = append(dst, '"')
-		dst = append(dst, key...)
-		return append(dst, '"')
-	}
-	q, _ := json.Marshal(key) //hanccr:allow discarderr marshalling a string cannot fail
-	return append(dst, q...)
+	return len(key) > 0
 }
 
 // recordHead is the fixed text of a record line's head,
-// {"key":…,"crc":…,"plan":.
-const recordHead = `{"key":,"crc":,"plan":`
-
-// keyLen returns the length of appendKey's output for key.
-func keyLen(key string) int {
-	if plainKey(key) {
-		return len(key) + len(`""`)
-	}
-	return len(appendKey(nil, key))
-}
+// {"key":"…","crc":…,"plan":.
+const recordHead = `{"key":"","crc":,"plan":`
 
 // recordHeadroom is the room frameRecord needs before a payload for
 // key's head: the widest head, with a ten-digit CRC.
 func recordHeadroom(key string) int {
-	return len(recordHead) + keyLen(key) + len("4294967295")
+	return len(recordHead) + len(key) + len("4294967295")
 }
 
 // frameRecord makes buf, whose payload buf[off:] sits behind
-// off >= recordHeadroom(key) bytes of headroom, into key's record line
-// {"key":…,"crc":…,"plan":…}\n: it writes the head right-aligned
-// before the payload and appends the closing brace and the newline.
-// The line is exactly json.Marshal(storeRecord) plus "\n" for a
-// payload that is compact JSON as json.Marshal writes it (pinned by
-// FuzzStoreLine). It returns the line and the payload inside it.
+// off >= recordHeadroom(key) bytes of headroom, into the record line
+// {"key":"…","crc":…,"plan":…}\n for plain key: it writes the head
+// right-aligned before the payload and appends the closing brace and
+// the newline. The line is exactly json.Marshal of the record plus "\n"
+// for a payload that is compact JSON as json.Marshal writes it (pinned
+// by FuzzStoreLine). It returns the line and the payload inside it.
 func frameRecord(buf []byte, off int, key string) (line, payload []byte) {
 	payload = buf[off:]
 	var crcBuf [len("4294967295")]byte
 	crc := strconv.AppendUint(crcBuf[:0], uint64(crc32.ChecksumIEEE(payload)), 10)
 	start := off - (recordHeadroom(key) - len(crcBuf) + len(crc))
-	head := append(buf[start:start], `{"key":`...)
-	head = appendKey(head, key)
-	head = append(head, `,"crc":`...)
+	head := append(buf[start:start], `{"key":"`...)
+	head = append(head, key...)
+	head = append(head, `","crc":`...)
 	head = append(head, crc...)
 	head = append(head, `,"plan":`...)
-	if len(head) != off-start {
-		panic("store: keyLen disagrees with appendKey")
-	}
 	return append(buf, "}\n"...)[start:], payload
 }
 
@@ -413,31 +386,12 @@ type recordFrame struct {
 func (f recordFrame) payload(line []byte) []byte { return line[f.poff : f.poff+f.plen] }
 
 // parseRecordLine parses a record line, newline stripped: the inverse
-// of frameRecord. A line in frameRecord's canonical form (see
-// parseCanonicalRecord) is split by position. Any other line, which
-// this code never writes, is decoded by json.Unmarshal into a
-// storeRecord. ok is false for a line that is no record: not JSON, or
-// keyless. The CRC is not checked.
+// of frameRecord. It accepts exactly the one record form,
+// {"key":"<plain key>","crc":<canonical digits>,"plan":<payload>},
+// whose payload has no surrounding whitespace and passes json.Valid,
+// and splits it by position. ok is false for a line in any other form,
+// which is a corrupt record. The CRC is not checked.
 func parseRecordLine(line []byte) (f recordFrame, ok bool) {
-	if f, ok := parseCanonicalRecord(line); ok {
-		return f, true
-	}
-	var rec storeRecord
-	if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
-		return recordFrame{}, false
-	}
-	// The payload's bytes sit in the line verbatim; whichever copy the
-	// index points at reads back as the same bytes.
-	poff := bytes.LastIndex(line, rec.Plan)
-	return recordFrame{key: rec.Key, crc: rec.CRC, poff: poff, plen: len(rec.Plan)}, true
-}
-
-// parseCanonicalRecord parses a line in frameRecord's canonical form,
-// {"key":"<plain key>","crc":<digits>,"plan":<payload>}, whose payload
-// has no surrounding whitespace and passes json.Valid. On such a line
-// json.Unmarshal yields the same key, CRC and payload. ok is false for
-// a line in any other form.
-func parseCanonicalRecord(line []byte) (f recordFrame, ok bool) {
 	r := planReader{b: line}
 	r.lit(`{"key":"`)
 	key, _, _ := bytes.Cut(r.b, []byte{'"'})
@@ -445,7 +399,7 @@ func parseCanonicalRecord(line []byte) (f recordFrame, ok bool) {
 	r.lit(`","crc":`)
 	crc := r.uint()
 	r.lit(`,"plan":`)
-	if r.bad || len(key) == 0 || !plainKey(key) || crc > math.MaxUint32 || len(r.b) < 2 || r.b[len(r.b)-1] != '}' {
+	if r.bad || !plainKey(key) || crc > math.MaxUint32 || len(r.b) < 2 || r.b[len(r.b)-1] != '}' {
 		return recordFrame{}, false
 	}
 	payload := r.b[:len(r.b)-1]
@@ -764,54 +718,14 @@ type storeRef struct {
 	crc        uint32
 }
 
-// StoreOption tunes OpenPlanStore.
-type StoreOption func(*storeConfig)
-
-type storeConfig struct {
-	segmentBytes int64
-	compactMin   int64
-	logf         func(string, ...any)
-}
-
-// WithStoreSegmentBytes sets the size at which the active segment file
-// is rotated (default DefaultStoreSegmentBytes).
-func WithStoreSegmentBytes(n int64) StoreOption {
-	return func(c *storeConfig) {
-		if n > 0 {
-			c.segmentBytes = n
-		}
-	}
-}
-
-// WithStoreCompactMinBytes sets the minimum volume of dead bytes
-// before a size-triggered compaction fires (default 1 MiB).
-func WithStoreCompactMinBytes(n int64) StoreOption {
-	return func(c *storeConfig) {
-		if n > 0 {
-			c.compactMin = n
-		}
-	}
-}
-
-// WithStoreLogf routes the store's recovery/compaction diagnostics
-// (skipped corrupt records, undeletable stale segments) to fn.
-func WithStoreLogf(fn func(string, ...any)) StoreOption {
-	return func(c *storeConfig) {
-		if fn != nil {
-			c.logf = fn
-		}
-	}
-}
-
 // PlanStore is the append-only keyed record store under the Service's
 // LRU. It is goroutine-safe; the Service is its intended caller, but
-// it can be opened directly (and handed to WithPlanStore) to tune the
-// segment and compaction thresholds. One process per directory: the
-// store does no cross-process locking.
+// it can be opened directly to read or write records. One process per
+// directory: the store does no cross-process locking.
 type PlanStore struct {
 	dir        string
-	segBytes   int64
-	compactMin int64
+	segBytes   int64 // storeSegmentBytes
+	compactMin int64 // storeCompactMinBytes
 	logf       func(string, ...any)
 
 	mu          sync.Mutex
@@ -835,23 +749,22 @@ func (st *PlanStore) segPath(seq uint64) string {
 // dir and replays its segments into the in-memory index. Corrupt or
 // torn records are skipped and counted as dead bytes — recovery never
 // fails the open, it only narrows what the store can serve.
-func OpenPlanStore(dir string, opts ...StoreOption) (*PlanStore, error) {
-	cfg := storeConfig{
-		segmentBytes: DefaultStoreSegmentBytes,
-		compactMin:   defaultStoreCompactMinBytes,
-		logf:         func(string, ...any) {},
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func OpenPlanStore(dir string) (*PlanStore, error) {
+	return openPlanStore(dir, func(string, ...any) {})
+}
+
+// openPlanStore is OpenPlanStore with the store's recovery and
+// compaction diagnostics (skipped corrupt records, undeletable stale
+// segments) routed to logf.
+func openPlanStore(dir string, logf func(string, ...any)) (*PlanStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	st := &PlanStore{
 		dir:        dir,
-		segBytes:   cfg.segmentBytes,
-		compactMin: cfg.compactMin,
-		logf:       cfg.logf,
+		segBytes:   storeSegmentBytes,
+		compactMin: storeCompactMinBytes,
+		logf:       logf,
 		index:      make(map[string]storeRef),
 	}
 	entries, err := os.ReadDir(dir)
@@ -888,8 +801,7 @@ func OpenPlanStore(dir string, opts ...StoreOption) (*PlanStore, error) {
 	}
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close() //hanccr:allow discarderr error-path cleanup of a just-opened empty segment; the Stat error is what the caller sees
-		return nil, err
+		return nil, errors.Join(err, f.Close())
 	}
 	st.active = f
 	st.activeSize = fi.Size()
@@ -1002,16 +914,14 @@ func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 // the record frames it verbatim and its CRC covers exactly these
 // bytes. Because a payload may come from anywhere, Put refuses one
 // that is not valid JSON or that holds a newline, which would split
-// the record's line. It refuses an empty key, which a reopen skips as
-// corrupt, and one that is not valid UTF-8, which the record would
-// carry with its invalid bytes replaced: neither reads back under the
-// key it was put with. An identical payload already live under the key
-// is deduplicated (the common case: every cache miss writes through,
-// restarts re-plan nothing new). Put may rotate the active segment or
-// trigger a size-based compaction.
+// the record's line. It refuses a key that is not plain (see plainKey),
+// so every record it writes reads back under its key. An identical
+// payload already live under the key is deduplicated (the common case:
+// every cache miss writes through, restarts re-plan nothing new). Put
+// may rotate the active segment or trigger a size-based compaction.
 func (st *PlanStore) Put(key string, payload []byte) error {
-	if key == "" || !utf8.ValidString(key) {
-		return fmt.Errorf("store: key %q is empty or not valid UTF-8", key)
+	if !plainKey(key) {
+		return fmt.Errorf("store: key %q is not printable ASCII free of quote, backslash, <, > and &", key)
 	}
 	if !json.Valid(payload) {
 		return errors.New("store: payload is not valid JSON")
@@ -1037,8 +947,8 @@ func (st *PlanStore) appendLine(key string, line, payload []byte) error {
 	ref := storeRef{n: int64(len(line)), poff: len(line) - len(payload) - len("}\n"), plen: len(payload), crc: crc32.ChecksumIEEE(payload)}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// A line frameRecord wrote for key equals the new one just when the
-	// payloads are equal; a line in any other form is superseded.
+	// Two lines frameRecord wrote for key are equal just when their
+	// payloads are.
 	if old, ok := st.index[key]; ok && old.n == ref.n && old.crc == ref.crc {
 		if prev, err := st.readLocked(old); err == nil && bytes.Equal(prev, line) {
 			return nil
@@ -1113,7 +1023,7 @@ func (st *PlanStore) rotateLocked() error {
 }
 
 // maybeCompactLocked compacts when the dead volume both exceeds the
-// configured minimum and outweighs the live data — the point where a
+// minimum (compactMin) and outweighs the live data — the point where a
 // rewrite halves the store. Caller holds st.mu.
 func (st *PlanStore) maybeCompactLocked() error {
 	if st.dead >= st.compactMin && st.dead > st.live {
@@ -1168,9 +1078,7 @@ func (st *PlanStore) compactLocked() error {
 			continue
 		}
 		if _, err := f.Write(line); err != nil {
-			f.Close() //hanccr:allow discarderr error-path cleanup; the tmp segment is removed and the Write error surfaces
-			os.Remove(tmp)
-			return err
+			return errors.Join(err, f.Close(), os.Remove(tmp))
 		}
 		// The line is copied verbatim, so its payload's place and CRC hold.
 		ref.seq, ref.off = newSeq, off
@@ -1178,9 +1086,7 @@ func (st *PlanStore) compactLocked() error {
 		off += ref.n
 	}
 	if err := f.Sync(); err != nil {
-		f.Close() //hanccr:allow discarderr error-path cleanup; the tmp segment is removed and the Sync error surfaces
-		os.Remove(tmp)
-		return err
+		return errors.Join(err, f.Close(), os.Remove(tmp))
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
@@ -1249,9 +1155,6 @@ func (st *PlanStore) Compactions() uint64 {
 	defer st.mu.Unlock()
 	return st.compactions
 }
-
-// Dir returns the store's root directory.
-func (st *PlanStore) Dir() string { return st.dir }
 
 // Close closes the active segment file. The store must not be used
 // afterwards.

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -147,28 +150,84 @@ func storeLineSeeds(f *testing.F) [][]byte {
 	return out
 }
 
+// storeRecord is the encoding/json reference model of a record line:
+// json.Marshal of it is the line frameRecord writes for a plain key and
+// a compact payload, and json.Unmarshal into it reads any line as
+// encoding/json would. CRC is the IEEE CRC32 of the Plan bytes exactly
+// as they appear on disk.
+type storeRecord struct {
+	Key  string          `json:"key"`
+	CRC  uint32          `json:"crc"`
+	Plan json.RawMessage `json:"plan"`
+}
+
+// refPlainKey is the reference model of plainKey: a non-empty key of
+// printable ASCII without a quote, backslash, <, > or &.
+func refPlainKey(key string) bool {
+	return key != "" && !strings.ContainsFunc(key, func(r rune) bool {
+		return r < ' ' || r > '~' || strings.ContainsRune(`"\<>&`, r)
+	})
+}
+
+// refParseRecord is the reference model of parseRecordLine followed by
+// the CRC check: line is a record just when encoding/json reads it into
+// a storeRecord with a plain key and writing that record back in the
+// one form, its CRC recomputed, yields line again. That pins the field
+// order, the compact framing, a canonical CRC that holds and a payload
+// that is valid JSON without surrounding whitespace.
+func refParseRecord(line []byte) (key string, payload []byte, ok bool) {
+	var rec storeRecord
+	if json.Unmarshal(line, &rec) != nil || !refPlainKey(rec.Key) {
+		return "", nil, false
+	}
+	canonical := fmt.Appendf(nil, `{"key":"%s","crc":%d,"plan":%s}`, rec.Key, crc32.ChecksumIEEE(rec.Plan), rec.Plan)
+	if !bytes.Equal(line, canonical) {
+		return "", nil, false
+	}
+	return rec.Key, rec.Plan, true
+}
+
 // FuzzStoreLine fuzzes the record key, any string including invalid
-// UTF-8, over the seed payloads: the framed line must equal
-// encoding/json's, and a store reopened over the record must return
-// the payload under the key as JSON decodes it.
+// UTF-8, over the seed payloads. A plain key's framed line must equal
+// encoding/json's, and a store reopened over it must return the payload
+// under the key. Put must refuse any other key and write nothing.
 func FuzzStoreLine(f *testing.F) {
 	payloads := storeLineSeeds(f)
 	for _, key := range []string{
 		"2c35cc7947f705482dd1afccc1313111c6739e0580109020a8a6ad00153142f6",
-		"", "k", `q"uote`, `back\slash`, "<", ">", "&", "tab\t", "\x00\x1f\x7f", "\u2028\u2029", "\xff\xfe", "é\xc3",
+		"", "k", "plain key/1.0~", `q"uote`, `back\slash`, "<", ">", "&", "tab\t", "\x00\x1f\x7f", "\u2028\u2029", "\xff\xfe", "é\xc3", "kéy",
 	} {
 		f.Add(key, uint8(0))
 	}
 	f.Fuzz(func(t *testing.T, key string, which uint8) {
 		payload := payloads[int(which)%len(payloads)]
+		dir := t.TempDir()
+		if !refPlainKey(key) {
+			st, err := OpenPlanStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.Put("k", payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(key, payload); err == nil {
+				t.Fatalf("Put accepted the key %q, which is not plain", key)
+			}
+			if n := st.Records(); n != 1 {
+				t.Fatalf("a refused Put moved Records() to %d", n)
+			}
+			if st.Bytes() != int64(len(recordLine(t, "k", payload))+1) {
+				t.Fatalf("a refused Put wrote bytes: the store holds %d", st.Bytes())
+			}
+			return
+		}
 		head := recordHeadroom(key)
 		line, got := frameRecord(append(make([]byte, head), payload...), head, key)
 		want := append(recordLine(t, key, payload), '\n')
 		if !bytes.Equal(line, want) || !bytes.Equal(got, payload) {
 			t.Fatalf("key %q: framed line differs from encoding/json:\n got %s\nwant %s", key, line, want)
 		}
-
-		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "plans-000001.seg"), line, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -177,19 +236,7 @@ func FuzzStoreLine(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		var rec storeRecord // the key as the record holds it
-		if err := json.Unmarshal(want, &rec); err != nil {
-			t.Fatal(err)
-		}
-		got, ok, err := st.Get(rec.Key)
-		if rec.Key == "" {
-			// An empty key marks a corrupt record: scanSegment skips it.
-			if ok {
-				t.Fatal("a record with an empty key was indexed")
-			}
-			return
-		}
-		if err != nil || !ok || !bytes.Equal(got, payload) {
+		if got, ok, err := st.Get(key); err != nil || !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("key %q: reopened Get = (%d bytes, %v, %v), want the payload", key, len(got), ok, err)
 		}
 	})

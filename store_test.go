@@ -346,9 +346,12 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptRecordSkipped flips a byte inside a mid-file record:
-// the CRC catches it at open, the record is dropped, and the later
-// record survives.
+// TestStoreCorruptRecordSkipped flips a byte inside a mid-file record,
+// and plants records that encoding/json reads with a CRC that holds but
+// that are not in the store's one form: fields reordered, or a space
+// after a colon. The CRC catches the flip at open; the others fail the
+// frame parser. Each is dropped, counted as dead bytes and logged with
+// its offset, and the records around them survive.
 func TestStoreCorruptRecordSkipped(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenPlanStore(dir)
@@ -374,19 +377,49 @@ func TestStoreCorruptRecordSkipped(t *testing.T) {
 		t.Fatal("payload not found in segment")
 	}
 	blob[i] = '9'
+	flipped := bytes.IndexByte(blob, '\n') + 1
+	c3 := []byte(`{"c":3}`)
+	crc3 := crc32.ChecksumIEEE(c3)
+	nonCanonical := [][]byte{
+		fmt.Appendf(nil, `{"crc":%d,"key":"k3","plan":%s}`, crc3, c3),
+		fmt.Appendf(nil, `{"key": "k3","crc":%d,"plan":%s}`, crc3, c3),
+	}
+	var offsets []int
+	for _, line := range nonCanonical {
+		var rec storeRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Key != "k3" || rec.CRC != crc3 {
+			t.Fatalf("%s: want a record encoding/json reads with a CRC that holds (%v)", line, err)
+		}
+		offsets = append(offsets, len(blob))
+		blob = append(append(blob, line...), '\n')
+	}
+	blob = append(append(blob, recordLine(t, "k4", []byte(`{"d":4}`))...), '\n')
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err = OpenPlanStore(dir)
+	var log logRecorder
+	st, err = openPlanStore(dir, log.logf)
 	if err != nil {
 		t.Fatalf("open with corrupt record failed: %v", err)
 	}
 	defer st.Close()
-	if _, ok, _ := st.Get("k1"); ok {
-		t.Fatal("corrupt k1 still served")
+	for _, key := range []string{"k1", "k3"} {
+		if _, ok, _ := st.Get(key); ok {
+			t.Fatalf("corrupt %s still served", key)
+		}
 	}
-	if payload, ok, err := st.Get("k2"); err != nil || !ok || string(payload) != `{"b":2}` {
-		t.Fatalf("Get(k2) = (%q, %v, %v)", payload, ok, err)
+	for key, want := range map[string]string{"k2": `{"b":2}`, "k4": `{"d":4}`} {
+		if payload, ok, err := st.Get(key); err != nil || !ok || string(payload) != want {
+			t.Fatalf("Get(%s) = (%q, %v, %v), want %q", key, payload, ok, err, want)
+		}
+	}
+	if want := int64(flipped + len(nonCanonical[0]) + len(nonCanonical[1]) + 2); st.dead != want {
+		t.Fatalf("%d dead bytes, want %d: the flipped record and the two lines in another form", st.dead, want)
+	}
+	for _, off := range append([]int{0}, offsets...) {
+		if !log.has(fmt.Sprintf("skipping corrupt record at offset %d ", off)) {
+			t.Fatalf("corrupt record at offset %d not logged; log: %q", off, log.lines)
+		}
 	}
 }
 
@@ -415,10 +448,9 @@ func TestStoreBitRotAfterOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := OpenPlanStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := NewService(WithStore(dir))
+	defer svc.CloseStore()
+	st := svc.store
 	seg := filepath.Join(dir, "plans-000001.seg")
 	blob, err := os.ReadFile(seg)
 	if err != nil {
@@ -443,8 +475,6 @@ func TestStoreBitRotAfterOpen(t *testing.T) {
 		t.Fatalf("Get after bit-rot = (ok %v, %v), want the record with a CRC error", ok, err)
 	}
 
-	svc := NewService(WithPlanStore(st))
-	defer svc.CloseStore()
 	p, outcome, err := svc.PlanDetail(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +563,7 @@ func TestStoreNonCanonicalPayloadDropped(t *testing.T) {
 func TestStoreLineCap(t *testing.T) {
 	dir := t.TempDir()
 	var log logRecorder
-	st, err := OpenPlanStore(dir, WithStoreLogf(log.logf))
+	st, err := openPlanStore(dir, log.logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +606,7 @@ func TestStoreLineCap(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err = OpenPlanStore(dir, WithStoreLogf(log.logf))
+	st, err = openPlanStore(dir, log.logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,10 +670,11 @@ func TestStorePutFramesVerbatim(t *testing.T) {
 	}
 }
 
-// TestStorePutRefusesUnreadableKeys pins Put's key contract: an empty
-// key or one that is not valid UTF-8 could not be read back under
-// itself, so Put refuses it and writes nothing; a valid key still
-// round-trips through a reopen.
+// TestStorePutRefusesUnreadableKeys pins Put's key contract: a key
+// that is not plain — empty, not printable ASCII, or holding a quote,
+// backslash, <, > or & — has no place in the store's one record form,
+// so Put refuses it and writes nothing; a plain key still round-trips
+// through a reopen.
 func TestStorePutRefusesUnreadableKeys(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenPlanStore(dir)
@@ -651,15 +682,18 @@ func TestStorePutRefusesUnreadableKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"a":1}`)
-	for _, bad := range []string{"", "k\xff", "\xc3"} {
+	for _, bad := range []string{"", "k\xff", "\xc3", "kéy", `q"uote`, `back\slash`, "<", "&", "tab\t", "\x7f"} {
 		if err := st.Put(bad, payload); err == nil {
 			t.Errorf("Put(%q) was accepted", bad)
 		}
 	}
-	if st.Records() != 0 {
-		t.Fatalf("store holds %d records after refused Puts, want 0", st.Records())
+	if st.Records() != 0 || st.Bytes() != 0 {
+		t.Fatalf("store holds %d records in %d bytes after refused Puts, want nothing", st.Records(), st.Bytes())
 	}
-	const key = "kéy"
+	if fi, err := os.Stat(filepath.Join(dir, "plans-000001.seg")); err != nil || fi.Size() != 0 {
+		t.Fatalf("segment after refused Puts: %v, %v; want an empty file", fi, err)
+	}
+	const key = "plain key/1.0~"
 	if err := st.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -684,10 +718,11 @@ func TestStorePutRefusesUnreadableKeys(t *testing.T) {
 // rotated segments), and the rewritten store reopens identically.
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenPlanStore(dir, WithStoreCompactMinBytes(1<<30)) // no auto-compaction
+	st, err := OpenPlanStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.compactMin = 1 << 30 // no auto-compaction
 	big := bytes.Repeat([]byte("x"), 4096)
 	if err := st.Put("k1", []byte(fmt.Sprintf(`{"v":%q}`, big))); err != nil {
 		t.Fatal(err)
@@ -746,10 +781,11 @@ func TestStoreCompaction(t *testing.T) {
 // Put itself.
 func TestStoreRotationAndAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenPlanStore(dir, WithStoreSegmentBytes(1), WithStoreCompactMinBytes(1<<30))
+	st, err := OpenPlanStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.segBytes, st.compactMin = 1, 1<<30
 	for i := 0; i < 3; i++ {
 		if err := st.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
 			t.Fatal(err)
@@ -771,11 +807,12 @@ func TestStoreRotationAndAutoCompaction(t *testing.T) {
 	}
 	st.Close()
 
-	auto, err := OpenPlanStore(t.TempDir(), WithStoreCompactMinBytes(1))
+	auto, err := OpenPlanStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer auto.Close()
+	auto.compactMin = 1
 	big := fmt.Sprintf(`{"v":%q}`, bytes.Repeat([]byte("y"), 4096))
 	if err := auto.Put("k", []byte(big)); err != nil {
 		t.Fatal(err)
@@ -807,10 +844,10 @@ func TestStoreDecodeGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := OpenPlanStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	var calls atomic.Int64
+	svc := NewService(WithStore(t.TempDir()), WithPlanner(countingPlanner(&calls)))
+	defer svc.CloseStore()
+	st := svc.store
 	// scA's plan filed under scB's key: the decoded scenario hashes to
 	// scA, so the key check must reject it.
 	if err := st.Put(scB.Key(), payloadA); err != nil {
@@ -831,9 +868,6 @@ func TestStoreDecodeGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var calls atomic.Int64
-	svc := NewService(WithPlanStore(st), WithPlanner(countingPlanner(&calls)))
-	defer svc.CloseStore()
 	for i, sc := range []Scenario{scA, scB} {
 		p, err := svc.Plan(ctx, sc)
 		if err != nil {
@@ -906,21 +940,20 @@ func TestStoreVerifyMode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	makeStore := func() *PlanStore {
-		st, err := OpenPlanStore(t.TempDir())
-		if err != nil {
+	// storedService returns a Service over a store holding the spliced
+	// record.
+	storedService := func(opts ...ServiceOption) *Service {
+		svc := NewService(append(opts, WithStore(t.TempDir()))...)
+		if err := svc.store.Put(some.Key(), payload); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(some.Key(), payload); err != nil {
-			t.Fatal(err)
-		}
-		return st
+		return svc
 	}
 
 	// Without verify the spliced record is structurally fine and gets
 	// served — demonstrating exactly the gap verify mode closes.
 	var lazyCalls atomic.Int64
-	lazy := NewService(WithPlanStore(makeStore()), WithPlanner(countingPlanner(&lazyCalls)))
+	lazy := storedService(WithPlanner(countingPlanner(&lazyCalls)))
 	defer lazy.CloseStore()
 	p, err := lazy.Plan(ctx, some)
 	if err != nil {
@@ -934,7 +967,7 @@ func TestStoreVerifyMode(t *testing.T) {
 	// With verify the golden check against a fresh reference rejects
 	// it: the scenario is re-planned and the record repaired.
 	var verifyCalls atomic.Int64
-	strict := NewService(WithPlanStore(makeStore()), WithStoreVerify(), WithPlanner(countingPlanner(&verifyCalls)))
+	strict := storedService(WithStoreVerify(), WithPlanner(countingPlanner(&verifyCalls)))
 	defer strict.CloseStore()
 	p, err = strict.Plan(ctx, some)
 	if err != nil {
@@ -1009,9 +1042,10 @@ func FuzzDecodePlan(f *testing.F) {
 
 // FuzzScanSegment opens a store over an arbitrary segment file. The
 // open must not panic; the index must hold exactly the keys of the
-// complete, CRC-valid record lines (later lines win), each readable
-// through Get as its line's payload; and the store stream must emit
-// exactly the file's complete lines behind one header.
+// complete lines in the store's one record form, with a plain key, a
+// CRC that holds and a valid payload (refParseRecord; later lines
+// win), each readable through Get as its line's payload; and the store
+// stream must emit exactly the file's complete lines behind one header.
 func FuzzScanSegment(f *testing.F) {
 	var seg bytes.Buffer
 	for _, rec := range []storeRecord{
@@ -1029,6 +1063,17 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(seg.Bytes())
 	f.Add(append(bytes.Clone(seg.Bytes()), `{"key":"k3","crc":`...))
 	f.Add([]byte("\n\nnot json\n{}\n"))
+	// Records encoding/json reads, with a CRC that holds, in other forms.
+	var other []byte
+	for _, format := range []string{
+		`{"crc":%d,"key":"k4","plan":{"v":4}}`,
+		`{"key": "k4","crc":%d,"plan":{"v":4}}`,
+		`{"key":"k4","crc":%d,"plan": {"v":4}}`,
+		`{"key":"k\u0034","crc":%d,"plan":{"v":4}}`,
+	} {
+		other = append(fmt.Appendf(other, format, crc32.ChecksumIEEE([]byte(`{"v":4}`))), '\n')
+	}
+	f.Add(other)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -1045,9 +1090,8 @@ func FuzzScanSegment(f *testing.F) {
 		complete := lines[:len(lines)-1]
 		want := map[string][]byte{}
 		for _, line := range complete {
-			var rec storeRecord
-			if json.Unmarshal(line, &rec) == nil && rec.Key != "" && crc32.ChecksumIEEE(rec.Plan) == rec.CRC {
-				want[rec.Key] = rec.Plan
+			if key, payload, ok := refParseRecord(line); ok {
+				want[key] = payload
 			}
 		}
 		keys := st.Keys()

@@ -235,8 +235,9 @@ func (s *Service) Follow(ctx context.Context, peer string, workers int) (absorbe
 		workers = runtime.GOMAXPROCS(0)
 	}
 	type queued struct {
-		rec storeRecord
-		at  storeCursor
+		key     string
+		payload []byte
+		at      storeCursor
 	}
 	var ok, bad atomic.Int64
 	reject := func(at storeCursor, err error) {
@@ -252,7 +253,7 @@ func (s *Service) Follow(ctx context.Context, peer string, workers int) (absorbe
 		go func() {
 			defer wg.Done()
 			for q := range ch {
-				switch err := s.absorb(ctx, q.rec); {
+				switch err := s.absorb(ctx, q.key, q.payload); {
 				case err == nil:
 					ok.Add(1)
 				case ctx.Err() == nil: // a cancelled decode is not a bad record
@@ -261,13 +262,13 @@ func (s *Service) Follow(ctx context.Context, peer string, workers int) (absorbe
 			}
 		}()
 	}
-	err = followStream(ctx, base+"/v1/store", func(rec storeRecord, at storeCursor, err error) error {
+	err = followStream(ctx, base+"/v1/store", func(key string, payload []byte, at storeCursor, err error) error {
 		if err != nil {
 			reject(at, err)
 			return nil
 		}
 		select {
-		case ch <- queued{rec, at}:
+		case ch <- queued{key, payload, at}:
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
@@ -287,15 +288,15 @@ func isPeerURL(s string) bool {
 
 // absorb makes one peer record resident and writes it through to this
 // Service's store.
-func (s *Service) absorb(ctx context.Context, rec storeRecord) error {
-	p, err := s.decodeStored(ctx, rec.Key, rec.Plan, nil)
+func (s *Service) absorb(ctx context.Context, key string, payload []byte) error {
+	p, err := s.decodeStored(ctx, key, payload, nil)
 	if err != nil {
 		return err
 	}
-	if s.plans.add(rec.Key, cachedPlan{p, CacheMiss}) {
+	if s.plans.add(key, cachedPlan{p, CacheMiss}) {
 		s.storeLoads.Add(1)
 	}
-	s.storePut(rec.Key, p)
+	s.storePut(key, p)
 	return nil
 }
 
@@ -307,7 +308,7 @@ func (s *Service) absorb(ctx context.Context, rec storeRecord) error {
 // reason it is not one. A trailing partial line never reaches fn and
 // is re-requested from its first byte. followStream returns fn's
 // error, or ctx.Err().
-func followStream(ctx context.Context, url string, fn func(rec storeRecord, at storeCursor, err error) error) error {
+func followStream(ctx context.Context, url string, fn func(key string, payload []byte, at storeCursor, err error) error) error {
 	client := &http.Client{} // no global timeout: the stream is long-lived
 	var cur storeCursor
 	for {
@@ -336,58 +337,52 @@ func followStream(ctx context.Context, url string, fn func(rec storeRecord, at s
 }
 
 // errNotRecord rejects a stream line that is neither a header nor a
-// keyed record.
+// record in the store's one form.
 var errNotRecord = errors.New("not a store record")
 
 // readStoreStream relays one connection's lines to fn, advancing cur.
 // It returns fn's error; the end of the stream is not an error.
-func readStoreStream(body io.Reader, cur *storeCursor, fn func(rec storeRecord, at storeCursor, err error) error) error {
+func readStoreStream(body io.Reader, cur *storeCursor, fn func(key string, payload []byte, at storeCursor, err error) error) error {
 	lr := newLineReader(body)
 	for {
 		line, n, err := lr.next()
 		if err != nil && err != errLineTooLong {
 			return nil
 		}
-		var rec storeRecord
+		var key string
+		var payload []byte
 		if err == nil {
 			var header *storeCursor
-			if rec, header, err = parseStreamLine(line); header != nil {
+			if key, payload, header, err = parseStreamLine(line); header != nil {
 				*cur = *header
 				continue
 			}
 		}
-		if ferr := fn(rec, *cur, err); ferr != nil {
+		if ferr := fn(key, payload, *cur, err); ferr != nil {
 			return ferr
 		}
 		cur.Offset += n
 	}
 }
 
-// parseStreamLine parses one store stream line: a CRC-checked record,
-// whose payload it copies out of line, or a cursor header. A record in
-// frameRecord's canonical form is split by position
-// (parseCanonicalRecord); any other line is decoded by json.Unmarshal.
-func parseStreamLine(line []byte) (rec storeRecord, header *storeCursor, err error) {
-	if f, ok := parseCanonicalRecord(line); ok {
-		rec = storeRecord{Key: f.key, CRC: f.crc, Plan: bytes.Clone(f.payload(line))}
-	} else {
-		var msg struct {
-			storeRecord
+// parseStreamLine parses one store stream line: a CRC-checked record
+// (parseRecordLine), whose payload it copies out of line, or a cursor
+// header, the only line read with encoding/json.
+func parseStreamLine(line []byte) (key string, payload []byte, header *storeCursor, err error) {
+	f, ok := parseRecordLine(line)
+	if !ok {
+		var h struct {
 			Segment *uint64 `json:"segment"`
 			Offset  *int64  `json:"offset"`
 		}
-		switch {
-		case json.Unmarshal(line, &msg) != nil:
-			return msg.storeRecord, nil, errNotRecord
-		case msg.Segment != nil && msg.Offset != nil && *msg.Offset >= 0:
-			return storeRecord{}, &storeCursor{Segment: *msg.Segment, Offset: *msg.Offset}, nil
-		case msg.Key == "":
-			return msg.storeRecord, nil, errNotRecord
+		if json.Unmarshal(line, &h) != nil || h.Segment == nil || h.Offset == nil || *h.Offset < 0 {
+			return "", nil, nil, errNotRecord
 		}
-		rec = msg.storeRecord
+		return "", nil, &storeCursor{Segment: *h.Segment, Offset: *h.Offset}, nil
 	}
-	if crc32.ChecksumIEEE(rec.Plan) != rec.CRC {
-		return rec, nil, errors.New("record payload fails its CRC")
+	payload = f.payload(line)
+	if crc32.ChecksumIEEE(payload) != f.crc {
+		return "", nil, nil, errors.New("record payload fails its CRC")
 	}
-	return rec, nil, nil
+	return f.key, bytes.Clone(payload), nil, nil
 }

@@ -24,7 +24,7 @@ func tailScenario(seed int64) Scenario {
 
 // recordLine is the segment line Put writes for (key, payload),
 // newline stripped.
-func recordLine(t *testing.T, key string, payload []byte) []byte {
+func recordLine(t testing.TB, key string, payload []byte) []byte {
 	t.Helper()
 	line, err := json.Marshal(storeRecord{Key: key, CRC: crc32.ChecksumIEEE(payload), Plan: payload})
 	if err != nil {
@@ -132,11 +132,12 @@ func waitStoreLoads(t *testing.T, svc *Service, want uint64) {
 // stream: records Put after the stream started arrive in write order
 // without a reconnect, across segment rotations.
 func TestTailLogFollowsAppends(t *testing.T) {
-	st, err := OpenPlanStore(t.TempDir(), WithStoreSegmentBytes(200))
+	st, err := OpenPlanStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	st.segBytes = 200
 	put := func(i int) {
 		t.Helper()
 		if err := st.Put(fakeKey(i), []byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
@@ -203,11 +204,12 @@ func TestTailLogFollowsAppends(t *testing.T) {
 // segment's size restarts from the oldest.
 func TestTailLogOnceAndOffset(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenPlanStore(dir, WithStoreSegmentBytes(200))
+	st, err := OpenPlanStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	st.segBytes = 200
 	const n = 5
 	for i := 0; i < n; i++ {
 		if err := st.Put(fakeKey(i), []byte(fmt.Sprintf(`{"n":%d}`, i))); err != nil {
@@ -305,15 +307,13 @@ func TestTailLogSkipsSalvagedFragment(t *testing.T) {
 	if err := os.WriteFile(seg, append(append(line1, '\n'), frag...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenPlanStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	peerSvc := NewService(WithStore(dir))
+	defer peerSvc.CloseStore()
+	st := peerSvc.store
 	if got := streamSnapshot(t, st, storeCursor{}); len(got) != 2 || got[1] != string(line1) {
 		t.Fatalf("torn store streamed %q, want the header and the one complete record", got)
 	}
-	peer := httptest.NewServer(NewHandler(NewService(WithPlanStore(st))))
+	peer := httptest.NewServer(NewHandler(peerSvc))
 	t.Cleanup(peer.Close)
 
 	follower := NewService(WithPlanner(failingPlanner(t)))
@@ -343,12 +343,10 @@ func TestTailLogSkipsSalvagedFragment(t *testing.T) {
 // -race. Every key the peer planned must reach the follower, none of
 // them replanned.
 func TestTailUnderWriteRace(t *testing.T) {
-	st, err := OpenPlanStore(t.TempDir(), WithStoreSegmentBytes(4<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	peerSvc := NewService(WithPlanStore(st))
+	peerSvc := NewService(WithStore(t.TempDir()))
+	defer peerSvc.CloseStore()
+	st := peerSvc.store
+	st.segBytes = 4 << 10
 	peer := httptest.NewServer(NewHandler(peerSvc))
 	t.Cleanup(peer.Close)
 
@@ -525,27 +523,35 @@ func TestWarmFromLogOverlongLineNamesLine(t *testing.T) {
 }
 
 // TestWarmFromLogBadLine pins how a follower treats broken lines in a
-// peer's stream: garbage and a record failing its CRC are each counted
-// as failed and named by cursor, and the records around them are
-// absorbed — a live stream is never aborted by one bad line.
+// peer's stream: garbage, a record failing its CRC, and a record that
+// encoding/json reads with a CRC that holds but whose fields are out of
+// the store's one order are each counted as failed and named by
+// cursor, and the records around them are absorbed — a live stream is
+// never aborted by one bad line.
 func TestWarmFromLogBadLine(t *testing.T) {
 	key1, payload1 := planRecord(t, 1)
 	key2, payload2 := planRecord(t, 2)
 	good1 := recordLine(t, key1, payload1)
+	garbage := []byte("this is not json")
 	badCRC := bytes.Replace(recordLine(t, key2, payload2), []byte(`"crc":`), []byte(`"crc":1`), 1)
-	peer := fakePeer(t, []byte(headerLine(1, 0)), good1, []byte("this is not json"), badCRC, recordLine(t, key2, payload2))
+	reordered := fmt.Appendf(nil, `{"plan":%s,"key":"%s","crc":%d}`, payload2, key2, crc32.ChecksumIEEE(payload2))
+	if err := json.Unmarshal(reordered, new(storeRecord)); err != nil {
+		t.Fatal(err)
+	}
+	peer := fakePeer(t, []byte(headerLine(1, 0)), good1, garbage, badCRC, reordered, recordLine(t, key2, payload2))
 
 	var log logRecorder
 	follower := NewService(WithPlanner(failingPlanner(t)), WithServiceLogf(log.logf))
 	stop := follow(t, follower, peer.URL, 2)
 	waitStoreLoads(t, follower, 2)
 	absorbed, failed, _ := stop()
-	if absorbed != 2 || failed != 2 {
-		t.Fatalf("absorbed %d / failed %d, want 2 / 2", absorbed, failed)
+	if absorbed != 2 || failed != 3 {
+		t.Fatalf("absorbed %d / failed %d, want 2 / 3", absorbed, failed)
 	}
 	garbageAt := fmt.Sprintf("segment 1 offset %d", len(good1)+1)
-	if !log.has(garbageAt, "not a store record") || !log.has("fails its CRC") {
-		t.Fatalf("bad lines not logged with their cursors (want %q); log: %q", garbageAt, log.lines)
+	reorderedAt := fmt.Sprintf("segment 1 offset %d", len(good1)+len(garbage)+len(badCRC)+3)
+	if !log.has(garbageAt, "not a store record") || !log.has("fails its CRC") || !log.has(reorderedAt, "not a store record") {
+		t.Fatalf("bad lines not logged with their cursors (want %q and %q); log: %q", garbageAt, reorderedAt, log.lines)
 	}
 }
 
@@ -626,4 +632,72 @@ func TestWarmFromLogCancellation(t *testing.T) {
 	if _, _, err := NewService().Follow(context.Background(), t.TempDir(), 2); err == nil {
 		t.Fatal("Follow accepted a directory; a store belongs to one process")
 	}
+}
+
+// FuzzStoreStream feeds an arbitrary peer stream body to
+// readStoreStream, the follower's parser of bytes from another
+// process. It must not panic. Every complete line is either a header,
+// which sets the cursor, or reaches fn once, at the cursor it starts
+// at, and then advances the cursor by its length plus one. fn gets a
+// nil error just for a line in the store's one record form whose CRC
+// holds (refParseRecord), together with that line's key and payload. A
+// trailing partial line never reaches fn.
+func FuzzStoreStream(f *testing.F) {
+	payload := []byte(`{"n":1}`)
+	good := recordLine(f, fakeKey(1), payload)
+	for _, lines := range [][]string{
+		{headerLine(1, 0), string(good), "this is not json", string(good)},
+		{headerLine(2, 7), strings.Replace(string(good), `"crc":`, `"crc":1`, 1), `{"segment":3,"offset":-1}`, string(good[:20])},
+		{fmt.Sprintf(`{"crc":%d,"key":"k","plan":{"n":1}}`, crc32.ChecksumIEEE(payload)), `{"segment":1}`, "", string(good)},
+	} {
+		f.Add([]byte(strings.Join(lines, "\n")))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		type call struct {
+			key     string
+			payload []byte
+			at      storeCursor
+			err     error
+		}
+		var calls []call
+		var cur storeCursor
+		if err := readStoreStream(bytes.NewReader(body), &cur, func(key string, payload []byte, at storeCursor, err error) error {
+			calls = append(calls, call{key, payload, at, err})
+			return nil
+		}); err != nil {
+			t.Fatalf("readStoreStream: %v", err)
+		}
+		var want storeCursor
+		lines := bytes.Split(body, []byte("\n"))
+		n := 0
+		for _, line := range lines[:len(lines)-1] {
+			key, payload, ok := refParseRecord(line)
+			var h struct {
+				Segment *uint64 `json:"segment"`
+				Offset  *int64  `json:"offset"`
+			}
+			if !ok && json.Unmarshal(line, &h) == nil && h.Segment != nil && h.Offset != nil && *h.Offset >= 0 {
+				want = storeCursor{Segment: *h.Segment, Offset: *h.Offset}
+				continue
+			}
+			if n == len(calls) {
+				t.Fatalf("line %q never reached fn", line)
+			}
+			c := calls[n]
+			n++
+			if c.at != want {
+				t.Fatalf("line %q reached fn at %+v, want %+v", line, c.at, want)
+			}
+			if ok != (c.err == nil) || ok && (c.key != key || !bytes.Equal(c.payload, payload)) {
+				t.Fatalf("line %q reached fn as (%q, %q, %v), want a record %t", line, c.key, c.payload, c.err, ok)
+			}
+			want.Offset += int64(len(line)) + 1
+		}
+		if n != len(calls) {
+			t.Fatalf("fn got %d calls for %d complete non-header lines", len(calls), n)
+		}
+		if cur != want {
+			t.Fatalf("cursor %+v after the stream, want %+v", cur, want)
+		}
+	})
 }
