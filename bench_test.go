@@ -353,10 +353,9 @@ func BenchmarkEstimatorMonteCarlo10k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.MonteCarlo(10000, rng)
+		ev.MonteCarlo(10000, int64(i+1))
 	}
 }
 

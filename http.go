@@ -770,13 +770,13 @@ func (r SweepRequest) sweepConfig(maxCells int) (expt.SweepConfig, error) {
 		cfg.Workers = 0
 	}
 	for _, n := range cfg.Sizes {
-		if n < 1 {
-			return expt.SweepConfig{}, fmt.Errorf("%w: need at least one task, got size %d", ErrBadScenario, n)
+		if err := checkTasks(n); err != nil {
+			return expt.SweepConfig{}, err
 		}
 	}
 	for _, p := range cfg.Procs {
-		if p < 1 {
-			return expt.SweepConfig{}, fmt.Errorf("%w: need at least one processor, got %d", ErrBadScenario, p)
+		if err := checkProcs(p); err != nil {
+			return expt.SweepConfig{}, err
 		}
 	}
 	for _, pf := range cfg.PFails {

@@ -3,6 +3,7 @@ package hanccr
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -199,6 +200,55 @@ func TestHTTPNegativeTrialsRejected(t *testing.T) {
 		if status != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d, want 400 (%s)", tc.path, tc.body, status, body)
 		}
+	}
+}
+
+// TestHTTPScenarioSizeCap pins the size caps: a generated task count,
+// a processor count or a sweep size just above its cap is a 400 that
+// never reaches the planner (the miss counter stays at 0), and an
+// injected document one task above the cap is a 400 too.
+func TestHTTPScenarioSizeCap(t *testing.T) {
+	svc := NewService()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	tasks, procs := maxScenarioTasks+1, maxScenarioProcs+1
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/plan", fmt.Sprintf(`{"family":"genome","tasks":%d}`, tasks)},
+		{"/v1/plan", fmt.Sprintf(`{"family":"genome","tasks":10,"procs":%d}`, procs)},
+		{"/v1/estimate", fmt.Sprintf(`{"family":"genome","tasks":10,"procs":%d,"method":"MonteCarlo"}`, procs)},
+		{"/v1/simulate", fmt.Sprintf(`{"family":"ligo","tasks":%d,"procs":3}`, tasks)},
+		{"/v1/sweep", fmt.Sprintf(`{"family":"genome","sizes":[50,%d],"procs":[3]}`, tasks)},
+		{"/v1/sweep", fmt.Sprintf(`{"family":"genome","sizes":[50],"procs":[3,%d]}`, procs)},
+	} {
+		status, body, _ := postJSON(t, srv.Client(), srv.URL+tc.path, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(body, "above the limit") {
+			t.Errorf("%s %s: status %d, want 400 naming the limit (%s)", tc.path, tc.body, status, body)
+		}
+	}
+	if m := svc.Stats().Misses; m != 0 {
+		t.Fatalf("over-cap requests reached the planner: %d misses", m)
+	}
+	for _, sc := range []Scenario{
+		NewScenario(WithTasks(tasks)),
+		NewScenario(WithTasks(10), WithProcs(procs)),
+	} {
+		if err := sc.Validate(); !errors.Is(err, ErrBadScenario) {
+			t.Errorf("Validate: %v, want ErrBadScenario", err)
+		}
+	}
+
+	var doc strings.Builder
+	doc.WriteString(`{"tasks":[`)
+	for i := 0; i < tasks; i++ {
+		if i > 0 {
+			doc.WriteByte(',')
+		}
+		fmt.Fprintf(&doc, `{"id":%d,"name":"t%d","weight":1}`, i, i)
+	}
+	doc.WriteString(`],"files":[]}`)
+	status, body, _ := postJSON(t, srv.Client(), srv.URL+"/v1/plan", fmt.Sprintf(`{"procs":3,"workflow_json":%s}`, doc.String()))
+	if status != http.StatusBadRequest || !strings.Contains(body, "above the limit") {
+		t.Errorf("document of %d tasks: status %d, want 400 naming the limit (%.200s)", tasks, status, body)
 	}
 }
 

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/probdag"
@@ -206,7 +205,7 @@ func ExpectedMakespan(p *Plan, opts EvalOptions) (float64, error) {
 	case EstPathApprox:
 		return ev.PathApprox(), nil
 	case EstMonteCarlo:
-		return ev.MonteCarlo(opts.MCTrials, rand.New(rand.NewSource(opts.MCSeed))).Mean, nil
+		return ev.MonteCarlo(opts.MCTrials, opts.MCSeed).Mean, nil
 	case EstNormal:
 		return ev.Normal(), nil
 	case EstDodin:

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -71,7 +70,7 @@ func estimates(t *testing.T, g *probdag.Graph, trials int, seed int64) map[Estim
 		EstPathApprox: ev.PathApprox(),
 		EstNormal:     ev.Normal(),
 		EstDodin:      dodin,
-		EstMonteCarlo: ev.MonteCarlo(trials, rand.New(rand.NewSource(seed))).Mean,
+		EstMonteCarlo: ev.MonteCarlo(trials, seed).Mean,
 	}
 }
 

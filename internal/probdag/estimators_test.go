@@ -124,7 +124,7 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 		if !ok {
 			t.Fatal("budget")
 		}
-		mc := mustEvaluator(g).MonteCarlo(60000, rand.New(rand.NewSource(int64(trial))))
+		mc := mustEvaluator(g).MonteCarlo(60000, int64(trial))
 		if math.Abs(mc.Mean-exact) > 4*mc.CI95+1e-9 {
 			t.Fatalf("trial %d: MC %g ± %g vs exact %g", trial, mc.Mean, mc.CI95, exact)
 		}
@@ -214,7 +214,7 @@ func TestNormalUpwardBiasOnWideJoin(t *testing.T) {
 		b.edge(n, sink)
 	}
 	g := b.graph()
-	exact := mustEvaluator(g).MonteCarlo(200000, rand.New(rand.NewSource(1))).Mean
+	exact := mustEvaluator(g).MonteCarlo(200000, 1).Mean
 	got := mustEvaluator(g).Normal()
 	if got < 10 || got > 16 {
 		t.Fatalf("Sculli wide join = %g out of range", got)
@@ -354,7 +354,7 @@ func TestEstimatorsOnPointDistributions(t *testing.T) {
 	if got, err := mustEvaluator(g).Dodin(DodinOptions{}); err != nil || math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Dodin = %g, %v", got, err)
 	}
-	mc := mustEvaluator(g).MonteCarlo(100, rand.New(rand.NewSource(1)))
+	mc := mustEvaluator(g).MonteCarlo(100, 1)
 	if mc.Mean != want || mc.StdDev != 0 {
 		t.Fatalf("MC = %+v", mc)
 	}

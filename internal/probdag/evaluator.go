@@ -1,7 +1,6 @@
 package probdag
 
 import (
-	"math/rand"
 	"slices"
 
 	"repro/internal/dist"
@@ -260,11 +259,13 @@ func (e *Evaluator) DodinDistribution(opts DodinOptions) (*dist.Discrete, error)
 }
 
 // MonteCarlo estimates the expected makespan from trials realizations
-// drawn sequentially from rng with the graph's incremental kernel (see
-// MonteCarloSeededCtx), reusing the trial and sample buffers. Consuming
-// rng trial by trial pins it to one goroutine; MonteCarloSeededCtx is
-// the parallel form.
-func (e *Evaluator) MonteCarlo(trials int, rng *rand.Rand) dist.Summary {
+// drawn sequentially with the graph's incremental kernel (see
+// MonteCarloSeededCtx), reusing the trial and sample buffers and the
+// stream. The uniforms are those rand.New(rand.NewSource(seed)) would
+// return from Float64, one stream for all trials, so a seed gives the
+// same samples bit for bit as drawing through that generator.
+// MonteCarloSeededCtx is the chunked, parallel form.
+func (e *Evaluator) MonteCarlo(trials int, seed int64) dist.Summary {
 	if trials <= 0 {
 		return dist.Summary{}
 	}
@@ -276,6 +277,7 @@ func (e *Evaluator) MonteCarlo(trials int, rng *rand.Rand) dist.Summary {
 	if e.mc == nil {
 		e.mc = k.newScratch()
 	}
-	k.fill(samples, rng, e.mc)
+	e.mc.rng.seed(seed)
+	k.fill(samples, e.mc)
 	return dist.Summarize(samples)
 }

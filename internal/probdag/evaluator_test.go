@@ -30,9 +30,9 @@ func TestEvaluatorMatchesOneShotEstimators(t *testing.T) {
 				t.Fatalf("trial %d rep %d: evaluator Normal (%g,%g) != (%g,%g)", trial, rep, em, es, wm, ws)
 			}
 		}
-		// Same rng state => bit-identical Monte Carlo summaries.
-		a := ev.MonteCarlo(500, rand.New(rand.NewSource(9)))
-		b := mustEvaluator(g).MonteCarlo(500, rand.New(rand.NewSource(9)))
+		// Same seed => bit-identical Monte Carlo summaries.
+		a := ev.MonteCarlo(500, 9)
+		b := mustEvaluator(g).MonteCarlo(500, 9)
 		if a != b {
 			t.Fatalf("trial %d: evaluator MC %+v != %+v", trial, a, b)
 		}
@@ -61,7 +61,7 @@ func TestEvaluatorEmptyGraph(t *testing.T) {
 	if ev.PathApprox() != 0 || ev.Normal() != 0 {
 		t.Fatal("empty graph estimates must be 0")
 	}
-	if s := ev.MonteCarlo(10, rand.New(rand.NewSource(1))); s.Mean != 0 || s.N != 10 {
+	if s := ev.MonteCarlo(10, 1); s.Mean != 0 || s.N != 10 {
 		t.Fatalf("empty graph MC: %+v", s)
 	}
 }

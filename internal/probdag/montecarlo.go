@@ -3,7 +3,6 @@ package probdag
 import (
 	"context"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/dist"
@@ -17,29 +16,33 @@ import (
 // on the mean.
 //
 // The trials are split into fixed-size chunks (par.Chunk trials each),
-// each drawn from its own deterministic sub-seeded generator and written
+// each drawn from its own deterministic sub-seeded stream and written
 // into its own slice of the sample buffer. Chunks are executed by up to
 // workers goroutines (0 means GOMAXPROCS) that share the graph's
-// sampling kernel and own only its duration and finish-time scratch,
-// and because neither the chunk boundaries nor the sub-seeds depend on
-// scheduling, the returned Summary is bit-identical for every worker
-// count — the serial path is simply workers = 1. Cancellation is
-// observed between chunks and reported as an error (the summary is
-// meaningless in that case).
+// sampling kernel and own only its scratch (durations, finish times
+// and the stream, reseeded per chunk), and because neither the chunk
+// boundaries nor the sub-seeds depend on scheduling, the returned
+// Summary is bit-identical for every worker count — the serial path is
+// simply workers = 1. Cancellation is observed between chunks and
+// reported as an error (the summary is meaningless in that case).
 //
-// A trial draws one uniform per node in ID order, the order the
-// package has always consumed the generator in, so a given generator
-// state yields the same samples bit for bit. The longest path is
-// computed incrementally (see mcKernel): the forward pass with every
-// node at its first support value is done once per graph, and a trial
-// recomputes finish times only from the first topological position
-// whose draw left that value. Discrete keeps its support ascending, so
-// the first value is the shortest and, for the paper's 2-state laws,
-// the failure-free one that most draws land on; a trial with no
-// deviation costs its draws alone. Exactness does not rest on that
-// order: the recomputation resumes the running maximum of the
-// untouched prefix, the same comparisons in the same order as a full
-// pass, so every sample is bit-identical to the full pass's.
+// A chunk's uniforms are the values rand.New(rand.NewSource(subseed))
+// would return from Float64, in the same order: the stream (mcStream)
+// reproduces math/rand's Int63 sequence, and a trial consumes one
+// uniform per node in ID order, plus one more for each raw value that
+// Float64 would draw again because it rounds to 1. So every sample is
+// bit for bit the one the package drew through *rand.Rand. Most draws
+// are settled on the raw integer (see mcKernel). The longest path is
+// computed incrementally: the forward pass with every node at its
+// first support value is done once per graph, and a trial recomputes
+// finish times only from the first topological position whose draw
+// left that value. Discrete keeps its support ascending, so the first
+// value is the shortest and, for the paper's 2-state laws, the
+// failure-free one that most draws land on; a trial with no deviation
+// costs its draws alone. Exactness does not rest on that order: the
+// recomputation resumes the running maximum of the untouched prefix,
+// the same comparisons in the same order as a full pass, so every
+// sample is bit-identical to the full pass's.
 func MonteCarloSeededCtx(ctx context.Context, g *Graph, trials int, seed int64, workers int) (dist.Summary, error) {
 	if trials <= 0 {
 		return dist.Summary{}, nil
@@ -49,7 +52,8 @@ func MonteCarloSeededCtx(ctx context.Context, g *Graph, trials int, seed int64, 
 	err := par.ForEachWithCtx(ctx, workers, par.Chunks(trials), k.newScratch,
 		func(s *mcScratch, c int) error {
 			lo, hi := par.ChunkBounds(c, trials)
-			k.fill(samples[lo:hi], rand.New(rand.NewSource(par.SubSeed(seed, c))), s)
+			s.rng.seed(par.SubSeed(seed, c))
+			k.fill(samples[lo:hi], s)
 			return nil
 		})
 	if err != nil {
@@ -66,8 +70,14 @@ func MonteCarloSeededCtx(ctx context.Context, g *Graph, trials int, seed int64, 
 // thr[cut[i]:cut[i+1]], the running sums of all but its last
 // probability, accumulated as an inverse-CDF draw accumulates them, and its
 // support is vals[cut[i]+i : cut[i+1]+i+1]. first[i] repeats its first
-// threshold (+Inf for a point mass), so the common draw, one that
-// stays on the first value, reads one float. Everything else is
+// threshold (+Inf for a point mass). ifirst[i] is that threshold on
+// the raw stream: the least 63-bit x whose uniform float64(x)/2^63 is
+// not below first[i], clamped to mcRedraw. So the common draw, one
+// that stays on the first value, is the integer test x < ifirst[i];
+// any other x takes the float path, which draws again while the
+// uniform is 1, as rand.(*Rand).Float64 does, and then walks the
+// thresholds. The clamp sends every raw value that rounds to 1, and
+// every draw of a point mass, down that path. Everything else is
 // indexed by topological position: pos maps a node ID to its position,
 // and position q's predecessors are the positions pred[off[q]:off[q+1]],
 // in the graph's Pred order.
@@ -75,6 +85,7 @@ type mcKernel struct {
 	pos              []int32
 	cut              []int32
 	first, thr, vals []float64
+	ifirst           []uint64
 	off, pred        []int32
 	// dur0 holds every node at its first support value and fin0 the
 	// finish times of that forward pass; run0[q] is the running maximum
@@ -84,8 +95,31 @@ type mcKernel struct {
 
 // mcScratch is one goroutine's trial state: durations and finish times
 // by topological position, equal to the kernel's dur0 and fin0 between
-// trials.
-type mcScratch struct{ dur, fin []float64 }
+// trials, and the stream the trials draw from.
+type mcScratch struct {
+	dur, fin []float64
+	rng      mcStream
+}
+
+// mcRedraw is the least 63-bit x with float64(x)/2^63 == 1: from it
+// on, the conversion rounds up to 2^63 and Float64 draws again.
+const mcRedraw = 1<<63 - 512
+
+// rawThreshold returns the least x in [0, mcRedraw] for which
+// float64(x)/2^63 < t is false, or mcRedraw if there is none below it.
+// The uniform is monotone in x, so a binary search finds it.
+func rawThreshold(t float64) uint64 {
+	lo, hi := uint64(0), uint64(mcRedraw)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 // newMCKernel flattens g. It fails if g is cyclic.
 func newMCKernel(g *Graph) (*mcKernel, error) {
@@ -95,13 +129,14 @@ func newMCKernel(g *Graph) (*mcKernel, error) {
 	}
 	n := len(order)
 	k := &mcKernel{
-		pos:   make([]int32, n),
-		cut:   make([]int32, n+1),
-		first: make([]float64, n),
-		off:   make([]int32, n+1),
-		dur0:  make([]float64, n),
-		fin0:  make([]float64, n),
-		run0:  make([]float64, n+1),
+		pos:    make([]int32, n),
+		cut:    make([]int32, n+1),
+		first:  make([]float64, n),
+		ifirst: make([]uint64, n),
+		off:    make([]int32, n+1),
+		dur0:   make([]float64, n),
+		fin0:   make([]float64, n),
+		run0:   make([]float64, n+1),
 	}
 	for q, v := range order {
 		k.pos[v] = int32(q)
@@ -123,6 +158,7 @@ func newMCKernel(g *Graph) (*mcKernel, error) {
 		if k.cut[i] < k.cut[i+1] {
 			k.first[i] = k.thr[k.cut[i]]
 		}
+		k.ifirst[i] = rawThreshold(k.first[i])
 		k.vals = append(k.vals, d.Support()...)
 		k.dur0[k.pos[i]] = d.Min()
 	}
@@ -167,27 +203,58 @@ func (k *mcKernel) forward(dur, fin []float64, from int, m float64) float64 {
 	return m
 }
 
-// fill draws one makespan sample per out slot. A trial whose draws all
-// land on first support values is the all-first-value makespan; any
-// other recomputes the suffix from its first deviating position,
-// resuming the prefix's running maximum, then restores that suffix.
-func (k *mcKernel) fill(out []float64, rng *rand.Rand, s *mcScratch) {
+// scanFirst computes the run's outputs in order (out[r] += lag[r]) up
+// to the first whose raw value is not below its threshold in lim, and
+// returns that one's index, or len(out) if there is none.
+func scanFirst(out, lag, lim []uint64) int {
+	lag, lim = lag[:len(out)], lim[:len(out)]
+	for r := range out {
+		out[r] += lag[r]
+		if out[r]&mcMask >= lim[r] {
+			return r
+		}
+	}
+	return len(out)
+}
+
+// fill draws one makespan sample per out slot from s.rng, as seeded
+// by the caller. A trial whose draws all land on first support values
+// is the all-first-value makespan; any other recomputes the suffix from
+// its first deviating position, resuming the prefix's running maximum,
+// then restores that suffix. Draws are claimed from the stream in runs
+// that end at the trial's end or the stream's half cycle; scanFirst
+// computes each output as it reads it and stops at the first that
+// needs the float path, so the common draw costs one add, one mask and
+// one integer compare.
+func (k *mcKernel) fill(out []float64, s *mcScratch) {
 	n := len(k.pos)
-	dur, fin := s.dur, s.fin
+	dur, fin, st := s.dur, s.fin, &s.rng
 	for t := range out {
 		from := n
-		for i := 0; i < n; i++ {
-			u := rng.Float64()
-			if u < k.first[i] {
+		for i := 0; i < n; {
+			run, lag := st.run(n - i)
+			r := scanFirst(run, lag, k.ifirst[i:i+len(run)])
+			i += r
+			if r == len(run) {
 				continue
 			}
-			j, hi := int(k.cut[i])+1, int(k.cut[i+1])
-			for j < hi && u >= k.thr[j] {
-				j++
+			// Draw r takes the float path. Hand back the unread rest of
+			// the run: a redraw consumes the next output.
+			st.p -= len(run) - r - 1
+			u := float64(run[r]&mcMask) / (1 << 63)
+			if u == 1 {
+				u = st.float64()
 			}
-			q := int(k.pos[i])
-			dur[q] = k.vals[j+i]
-			from = min(from, q)
+			if !(u < k.first[i]) {
+				j, hi := int(k.cut[i])+1, int(k.cut[i+1])
+				for j < hi && u >= k.thr[j] {
+					j++
+				}
+				q := int(k.pos[i])
+				dur[q] = k.vals[j+i]
+				from = min(from, q)
+			}
+			i++
 		}
 		if from == n {
 			out[t] = k.run0[n]

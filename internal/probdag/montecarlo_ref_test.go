@@ -130,43 +130,63 @@ func randomShuffledDAG(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
-// edgeSource is a math/rand source that mixes a real generator's output
-// with uniforms on the inverse-CDF boundaries of a graph's laws: exactly
-// a threshold, the float just below it, and the largest Float64 below 1.
-type edgeSource struct {
-	rng   *rand.Rand
-	edges []int64
-}
+// streamSource reads an mcStream through math/rand's Source
+// interface, so the reference sampler can draw, through
+// rand.(*Rand).Float64, the very raw values a hand-written stream
+// holds. The stream itself is pinned to math/rand by
+// TestMCStreamMatchesMathRand.
+type streamSource struct{ st *mcStream }
 
-func newEdgeSource(g *Graph, seed int64) *edgeSource {
-	s := &edgeSource{rng: rand.New(rand.NewSource(seed)), edges: []int64{0, 1<<63 - 1024}}
+func (s streamSource) Int63() int64 { return int64(s.st.int63()) }
+
+func (s streamSource) Seed(int64) { panic("streamSource: Seed") }
+
+// edgeValues lists raw 63-bit values on the inverse-CDF boundaries of
+// g's laws: for each threshold c below 1, c·2^63 and that value minus
+// 1 024, and the kernel's integer threshold and the value below it;
+// then the bounds of the 63-bit range, the largest value whose uniform
+// is below 1 and the values Float64 draws again.
+func edgeValues(g *Graph) []uint64 {
+	edges := []uint64{0, 1, mcRedraw - 1, mcRedraw, mcMask}
 	for _, d := range g.dists {
 		c := 0.0
 		for _, p := range d.Probs() {
 			c += p
 			if c < 1 {
-				x := int64(c * (1 << 63))
-				s.edges = append(s.edges, x, x-1024)
+				x := uint64(c * (1 << 63))
+				edges = append(edges, x, x-1024)
+			}
+			if x := rawThreshold(c); x > 0 {
+				edges = append(edges, x, x-1)
 			}
 		}
 	}
-	return s
+	return edges
 }
 
-func (s *edgeSource) Int63() int64 {
-	if s.rng.Intn(3) == 0 {
-		return s.edges[s.rng.Intn(len(s.edges))]
+// writeEdgeCycle makes the stream's next 607 raw values hand-written:
+// a third of them drawn from edges, the rest from rng, each with a
+// random top bit, which Int63 masks off.
+func writeEdgeCycle(st *mcStream, edges []uint64, rng *rand.Rand) {
+	for j := range st.reg {
+		x := rng.Uint64()
+		if rng.Intn(3) == 0 {
+			x = edges[rng.Intn(len(edges))] | x&^mcMask
+		}
+		st.reg[j] = x
 	}
-	return s.rng.Int63()
+	st.replay()
 }
-
-func (s *edgeSource) Seed(int64) { panic("edgeSource: Seed") }
 
 // TestMonteCarloMatchesReference checks the incremental kernel against
 // the full-pass sampler it replaced, trial by trial, bit for bit: on
 // random DAGs of 1-150 nodes whose IDs are not in topological order,
-// with point masses, 2-state and 3-4 state laws (some summing below 1),
-// under a real generator and one that lands on the laws' boundaries.
+// with point masses, 2-state and 3-4 state laws (some summing below 1).
+// The kernel draws from its stream, the reference through
+// rand.(*Rand).Float64: from rand.NewSource(seed), and from hand-written
+// cycles whose raw values land on the laws' boundaries and on the
+// values Float64 draws again. The kernel must also consume exactly the
+// draws the reference does.
 func TestMonteCarloMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sawBelowOne := false
@@ -181,24 +201,59 @@ func TestMonteCarloMatchesReference(t *testing.T) {
 		}
 		k := g.mustKernel()
 		s := k.newScratch()
-		for src, mk := range []func(seed int64) *rand.Rand{
-			func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) },
-			func(seed int64) *rand.Rand { return rand.New(newEdgeSource(g, seed)) },
-		} {
-			seed := int64(trial*2 + src)
-			const trials = 300
-			got, want := make([]float64, trials), make([]float64, trials)
-			k.fill(got, mk(seed), s)
-			refMCFill(g, want, mk(seed))
+		const trials = 300
+		check := func(src string, got, want []float64) {
+			t.Helper()
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("graph %d (n=%d) source %d trial %d: kernel %v, reference %v", trial, n, src, i, got[i], want[i])
+					t.Fatalf("graph %d (n=%d) %s trial %d: kernel %v, reference %v", trial, n, src, i, got[i], want[i])
 				}
 			}
 		}
+
+		got, want := make([]float64, trials), make([]float64, trials)
+		seed := int64(trial)
+		s.rng.seed(seed)
+		k.fill(got, s)
+		refMCFill(g, want, rand.New(rand.NewSource(seed)))
+		check("seeded", got, want)
+
+		edges := edgeValues(g)
+		per := max(1, mcLen/n) // trials per hand-written cycle
+		for lo := 0; lo < trials; lo += per {
+			hi := min(trials, lo+per)
+			writeEdgeCycle(&s.rng, edges, rng)
+			ref := s.rng
+			k.fill(got[lo:hi], s)
+			refMCFill(g, want[lo:hi], rand.New(streamSource{&ref}))
+			if s.rng.p != ref.p || s.rng.reg != ref.reg {
+				t.Fatalf("graph %d (n=%d) trials [%d,%d): kernel stopped at draw %d, reference at %d", trial, n, lo, hi, s.rng.p, ref.p)
+			}
+		}
+		check("edges", got, want)
 	}
 	if !sawBelowOne {
 		t.Fatal("no law with probabilities summing below 1 was generated")
+	}
+}
+
+// TestEvaluatorMonteCarloMatchesReference checks the one-stream entry
+// point: Evaluator.MonteCarlo(trials, seed) summarizes exactly the
+// samples the reference draws from rand.New(rand.NewSource(seed)),
+// across several stream cycles per call and with the Evaluator's
+// stream reseeded between calls.
+func TestEvaluatorMonteCarloMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 6; trial++ {
+		g := randomShuffledDAG(rng, 5+rng.Intn(60), 0.1)
+		ev := mustEvaluator(g)
+		for _, seed := range []int64{int64(trial), -int64(trial) - 1} {
+			want := make([]float64, 700)
+			refMCFill(g, want, rand.New(rand.NewSource(seed)))
+			if got := ev.MonteCarlo(len(want), seed); got != dist.Summarize(want) {
+				t.Fatalf("graph %d seed %d: %+v, reference %+v", trial, seed, got, dist.Summarize(want))
+			}
+		}
 	}
 }
 

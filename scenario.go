@@ -34,6 +34,18 @@ const (
 	DefaultBandwidth = 1e8
 )
 
+// Size caps on a scenario: generated task counts, processor counts and
+// an injected document's task count. Planning allocates per task and
+// per processor (about 100 bytes per processor even for a 10-task
+// workflow), so without a cap one small request body could make the
+// daemon allocate without bound. Both sit far above the paper's
+// largest workflows (1 000 tasks) and every size the CLIs and tests
+// use; a scenario beyond either is ErrBadScenario.
+const (
+	maxScenarioTasks = 100_000
+	maxScenarioProcs = 10_000
+)
+
 // Scenario is one planning request: which workflow to run (a generated
 // Pegasus family or an injected DAG document), on what platform, under
 // which checkpoint strategy. Scenarios are immutable values built with
@@ -184,12 +196,12 @@ func (s Scenario) Validate() error {
 		if !pegasus.Known(s.family) {
 			return fmt.Errorf("%w: unknown family %q (have %v)", ErrBadScenario, s.family, pegasus.Families())
 		}
-		if s.tasks < 1 {
-			return fmt.Errorf("%w: need at least one task, got %d", ErrBadScenario, s.tasks)
+		if err := checkTasks(s.tasks); err != nil {
+			return err
 		}
 	}
-	if s.procs < 1 {
-		return fmt.Errorf("%w: need at least one processor, got %d", ErrBadScenario, s.procs)
+	if err := checkProcs(s.procs); err != nil {
+		return err
 	}
 	if s.pfail < 0 || s.pfail >= 1 {
 		return fmt.Errorf("%w: pfail %g outside [0, 1)", ErrBadScenario, s.pfail)
@@ -204,6 +216,28 @@ func (s Scenario) Validate() error {
 	case CkptSome, CkptAll, CkptNone, ExitOnly:
 	default:
 		return fmt.Errorf("%w: %q (have %v)", ErrUnknownStrategy, s.strategy, Strategies())
+	}
+	return nil
+}
+
+// checkTasks reports a task count outside [1, maxScenarioTasks].
+func checkTasks(n int) error {
+	if n < 1 {
+		return fmt.Errorf("%w: need at least one task, got %d", ErrBadScenario, n)
+	}
+	if n > maxScenarioTasks {
+		return fmt.Errorf("%w: %d tasks above the limit of %d", ErrBadScenario, n, maxScenarioTasks)
+	}
+	return nil
+}
+
+// checkProcs reports a processor count outside [1, maxScenarioProcs].
+func checkProcs(n int) error {
+	if n < 1 {
+		return fmt.Errorf("%w: need at least one processor, got %d", ErrBadScenario, n)
+	}
+	if n > maxScenarioProcs {
+		return fmt.Errorf("%w: %d processors above the limit of %d", ErrBadScenario, n, maxScenarioProcs)
 	}
 	return nil
 }
@@ -445,6 +479,9 @@ func (s Scenario) materialize(ctx context.Context, memo *pegasus.Memo) (*mspg.Wo
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrParse, core.NewParseError(s.source, err))
+		}
+		if n := g.NumTasks(); n > maxScenarioTasks {
+			return nil, 0, fmt.Errorf("%w: workflow %q has %d tasks, above the limit of %d", ErrBadScenario, s.source, n, maxScenarioTasks)
 		}
 		w, redundant, err := mspg.WorkflowFromGraph(s.source, g)
 		if err != nil {
