@@ -198,9 +198,11 @@ fuzz-smoke:
 
 # The plan store's parsers of untrusted bytes — segment files
 # (FuzzScanSegment), record framing (FuzzStoreLine), a peer's GET
-# /v1/store stream (FuzzStoreStream) — and the payload decoders behind
-# them, each fuzzed for $(FUZZTIME): the PR-time pass CI runs, where
-# fuzz-smoke is the nightly one over every target.
+# /v1/store stream (FuzzStoreStream) — and the record payload behind
+# them: its v1/v2 reader against encoding/json (FuzzStoredPlanDecode,
+# no planning) and a reload's decode, whose accepted scenarios are
+# planned (FuzzDecodePlan), each fuzzed for $(FUZZTIME): the PR-time
+# pass CI runs, where fuzz-smoke is the nightly one over every target.
 fuzz-store:
 	@set -e; \
 	for fz in FuzzScanSegment FuzzStoreLine FuzzStoreStream FuzzStoredPlanDecode FuzzDecodePlan; do \
@@ -212,8 +214,8 @@ fuzz-store:
 # traffic through the router and assert: responses byte-identical to a
 # single serial reference server, aggregate fleet misses == distinct
 # scenarios (key affinity dedupes repeats cluster-wide), a -tail
-# follower absorbs every replica's solved plans from their GET
-# /v1/store without planning any of them, and killing a replica routes
+# follower absorbs every replica's records from their GET /v1/store
+# without counting a planner miss for any of them, and killing a replica routes
 # around it without wrong answers. Ports 19090-19095 (serve-smoke owns
 # 1808x).
 replica-smoke:
@@ -271,7 +273,7 @@ replica-smoke:
 	echo "$$stats" | grep -q '"cache":{[^}]*"entries":7[,}]' \
 		|| { echo "replica-smoke: -tail follower does not hold the 7 absorbed plans: $$stats"; exit 1; }; \
 	echo "$$stats" | grep -q '"cache":{[^}]*"misses":0[,}]' \
-		|| { echo "replica-smoke: -tail follower replanned absorbed scenarios: $$stats"; exit 1; }; \
+		|| { echo "replica-smoke: -tail follower counted planner misses for absorbed records: $$stats"; exit 1; }; \
 	echo "replica-smoke: byte-identity + dedupe + tail OK, killing replica 1"; \
 	kill -TERM $$p1; wait $$p1 || true; \
 	: > /tmp/hanccr-lb-out2.txt; : > /tmp/hanccr-ref-out2.txt; \

@@ -437,9 +437,9 @@ func BenchmarkColdMix(b *testing.B) {
 }
 
 // BenchmarkStoreWriteThrough measures the plan store's write-through
-// on BenchmarkColdMix's 12 plans (seed 1): each op encodes the 12
-// records in one pass and appends them to a fresh store, as
-// Service.storePut does on a cold miss. Opening the store is not timed.
+// on BenchmarkColdMix's 12 plans (seed 1): each op encodes and frames
+// the 12 records and appends them to a fresh store, as Service.storePut
+// does on a cold miss. Opening the store is not timed.
 func BenchmarkStoreWriteThrough(b *testing.B) {
 	ctx := context.Background()
 	var (
@@ -470,10 +470,11 @@ func BenchmarkStoreWriteThrough(b *testing.B) {
 		}
 		b.StartTimer()
 		for j, p := range plans {
-			line, payload, err := encodeRecord(keys[j], p)
+			payload, err := encodePlan(p)
 			if err != nil {
 				b.Fatal(err)
 			}
+			line, payload := frameLine(keys[j], payload)
 			if err := st.appendLine(keys[j], line, payload); err != nil {
 				b.Fatal(err)
 			}
@@ -490,17 +491,41 @@ func BenchmarkStoreWriteThrough(b *testing.B) {
 // perfbench hot-estimate's: 64 records (the four families × 16 seeds at
 // 300 tasks, default parameters), written by a Service's write-through
 // outside the timer. Each op opens the store (NewService(WithStore))
-// and rehydrates every record with one worker (LoadStore), as the
-// daemon's boot does.
+// and plans every record into the cache with one worker (LoadStore), as
+// the daemon's boot does.
 func BenchmarkStoreLoad(b *testing.B) {
+	var scenarios []Scenario
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for seed := int64(1); seed <= 16; seed++ {
+			scenarios = append(scenarios, NewScenario(WithFamily(fam), WithTasks(300), WithSeed(seed)))
+		}
+	}
+	benchStoreLoad(b, scenarios)
+}
+
+// BenchmarkStoreLoad10k is BenchmarkStoreLoad over 8 records of 10 000
+// tasks (the four families × 2 seeds, procs = tasks/10), where a reload
+// is dominated by generation and Algorithm 1.
+func BenchmarkStoreLoad10k(b *testing.B) {
+	var scenarios []Scenario
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			scenarios = append(scenarios, NewScenario(WithFamily(fam), WithTasks(10000), WithProcs(1000), WithSeed(seed)))
+		}
+	}
+	benchStoreLoad(b, scenarios)
+}
+
+// benchStoreLoad writes scenarios' records through a Service outside
+// the timer, then times NewService(WithStore) plus LoadStore with one
+// worker per op.
+func benchStoreLoad(b *testing.B, scenarios []Scenario) {
 	ctx := context.Background()
 	dir := filepath.Join(b.TempDir(), "store")
 	writer := NewService(WithStore(dir))
-	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
-		for seed := int64(1); seed <= 16; seed++ {
-			if _, err := writer.Plan(ctx, NewScenario(WithFamily(fam), WithTasks(300), WithSeed(seed))); err != nil {
-				b.Fatal(err)
-			}
+	for _, sc := range scenarios {
+		if _, err := writer.Plan(ctx, sc); err != nil {
+			b.Fatal(err)
 		}
 	}
 	if err := writer.CloseStore(); err != nil {
@@ -511,8 +536,8 @@ func BenchmarkStoreLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		svc := NewService(WithStore(dir))
 		loaded, dropped, err := svc.LoadStore(ctx, 1)
-		if err != nil || loaded != 64 || dropped != 0 {
-			b.Fatalf("LoadStore: %d loaded, %d dropped, %v; want 64, 0, nil", loaded, dropped, err)
+		if err != nil || loaded != len(scenarios) || dropped != 0 {
+			b.Fatalf("LoadStore: %d loaded, %d dropped, %v; want %d, 0, nil", loaded, dropped, err, len(scenarios))
 		}
 		b.StopTimer()
 		if err := svc.CloseStore(); err != nil {

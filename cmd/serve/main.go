@@ -16,17 +16,15 @@
 //	GET  /v1/store     (NDJSON plan-store stream; ?segment=S&offset=N&follow=1)
 //
 // Scenario fields omitted from a request take the same defaults as the
-// CLI flag block. -store is the daemon's one durable log: solved plans
-// are written through to append-only segment files as they are
-// computed and rehydrated into the cache before the listener opens, so
-// a restart's first request for any known scenario is a cache hit with
-// zero planning. -tail follows one or more peer replicas' stores
-// (their GET /v1/store) continuously and absorbs their solved plans
-// without replanning them, so a fleet of replicas behind cmd/hanccr-lb
-// shares planning work without a shared disk. -store-verify
-// golden-checks every record read from disk or from a peer against a
-// freshly planned reference; -store-compact paces the store's
-// background compaction.
+// CLI flag block. -store is the daemon's one durable log: each planned
+// scenario is written through to append-only segment files as it is
+// computed, and every record is planned into the cache again before the
+// listener opens, so a restart's first request for any known scenario
+// is a cache hit with zero planner misses. -tail follows one or more
+// peer replicas' stores (their GET /v1/store) continuously and plans
+// the scenarios they hold into its own cache, so a fleet of replicas
+// behind cmd/hanccr-lb shares its warm set without a shared disk.
+// -store-compact paces the store's background compaction.
 // A sweep request with "stream":true (or Accept: application/x-ndjson)
 // is answered as NDJSON, one row per line flushed as it is computed;
 // streamed grids may hold up to -stream-cells cells (default 1M)

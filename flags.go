@@ -119,7 +119,6 @@ type ServeFlags struct {
 	RequestTimeout time.Duration
 	Tail           string
 	Store          string
-	StoreVerify    bool
 	StoreCompact   time.Duration
 }
 
@@ -140,13 +139,12 @@ func BindServeFlags(fs *flag.FlagSet) *ServeFlags {
 	fs.IntVar(&f.Shards, "shards", f.Shards, "plan cache shard count (1 = a single global LRU)")
 	fs.IntVar(&f.StructureCache, "structure-cache", f.StructureCache, "structure-scaffold cache capacity for the near-duplicate fast path (0 disables it)")
 	fs.DurationVar(&f.Drain, "drain", f.Drain, "graceful shutdown timeout")
-	fs.IntVar(&f.WarmWorkers, "warm-workers", 0, "goroutines decoding plans loaded from -store at boot or absorbed from -tail peers (0 = all cores)")
+	fs.IntVar(&f.WarmWorkers, "warm-workers", 0, "goroutines planning the records loaded from -store at boot or absorbed from -tail peers (0 = all cores)")
 	fs.IntVar(&f.StreamCells, "stream-cells", f.StreamCells, "cell ceiling for STREAMED /v1/sweep grids (buffered sweeps keep the fixed in-memory cap)")
 	fs.IntVar(&f.MaxInFlight, "max-inflight", 0, "admission bound: concurrently executing requests before the daemon sheds with 429 (0 = 16 x GOMAXPROCS)")
 	fs.DurationVar(&f.RequestTimeout, "request-timeout", 0, "server-side budget per admitted request; an expired budget answers 503 (0 = none)")
 	fs.StringVar(&f.Tail, "tail", "", "comma-separated peer replica URLs whose plan stores (GET /v1/store) to follow continuously")
-	fs.StringVar(&f.Store, "store", "", "persistent plan store directory: solved plans are written through to disk and rehydrated into the cache at boot (\"\" = memory only)")
-	fs.BoolVar(&f.StoreVerify, "store-verify", false, "store integrity mode: golden-check every record read from disk against a freshly planned reference before serving it (slow)")
+	fs.StringVar(&f.Store, "store", "", "persistent plan store directory: planned scenarios are written through to disk and planned into the cache again at boot (\"\" = memory only)")
 	fs.DurationVar(&f.StoreCompact, "store-compact", f.StoreCompact, "how often to check the plan store for compaction (0 disables the periodic check; the size-triggered check on writes always runs)")
 	return f
 }
@@ -222,9 +220,6 @@ func (f *ServeFlags) Service(extra ...ServiceOption) (*Service, error) {
 	}
 	if f.Store != "" {
 		opts = append(opts, WithStore(f.Store))
-		if f.StoreVerify {
-			opts = append(opts, WithStoreVerify())
-		}
 	}
 	s := NewService(append(opts, extra...)...)
 	return s, s.StoreErr()

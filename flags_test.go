@@ -76,14 +76,14 @@ func TestBindServeFlagsDefaults(t *testing.T) {
 	err = fs.Parse([]string{
 		"-addr", ":9090", "-cache", "64", "-shards", "4",
 		"-tail", "http://10.0.0.2:8080, https://peer/", "-warm-workers", "2",
-		"-store", t.TempDir(), "-store-verify", "-store-compact", "30s",
+		"-store", t.TempDir(), "-store-compact", "30s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sf.Addr != ":9090" || sf.Cache != 64 || sf.Shards != 4 ||
 		sf.WarmWorkers != 2 ||
-		sf.Store == "" || !sf.StoreVerify || sf.StoreCompact != 30*time.Second {
+		sf.Store == "" || sf.StoreCompact != 30*time.Second {
 		t.Fatalf("parsed serve flags = %+v", sf)
 	}
 	if peers, err := sf.TailSources(); err != nil || len(peers) != 2 || peers[1] != "https://peer/" {

@@ -327,7 +327,7 @@ func TestHTTPStoreEndpoint(t *testing.T) {
 	svc := NewService(WithStore(t.TempDir()))
 	defer svc.CloseStore()
 	st := svc.store
-	st.segBytes = 4 << 10
+	st.segBytes = 512 // a record is ~400 bytes: three of them rotate
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 

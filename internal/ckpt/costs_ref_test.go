@@ -7,8 +7,8 @@ package ckpt
 // rebuilds the table per call and scans every file of the graph per
 // task, segmentCost dedupes through a map per segment, the span table is
 // one row allocation per position, and refSegmentDeps dedupes its edges
-// through maps. refPlan replays the historical BuildPlanWith,
-// PeriodicPlan and RebuildPlan on top of them.
+// through maps. refPlan replays the historical BuildPlanWith and
+// PeriodicPlan on top of them.
 
 import (
 	"repro/internal/platform"
@@ -200,10 +200,9 @@ func refOptimalCheckpoints(cc *refChainCosts, lambda float64, model CostModel) C
 
 // refPlan replays the historical planners: CkptSome runs the reference
 // Algorithm 2 on every superchain, CkptAll and ExitOnly set their marks,
-// period > 0 makes a Periodic(period) plan, and marks != nil rebuilds
-// from recorded marks. Segments are then cut by the historical
-// buildSegments, which rebuilds each chain's cost table.
-func refPlan(s *sched.Schedule, p platform.Platform, strat Strategy, model CostModel, period int, marks []bool) *Plan {
+// and period > 0 makes a Periodic(period) plan. Segments are then cut by
+// the historical buildSegments, which rebuilds each chain's cost table.
+func refPlan(s *sched.Schedule, p platform.Platform, strat Strategy, model CostModel, period int) *Plan {
 	n := s.W.G.NumTasks()
 	plan := &Plan{Strategy: strat, Sched: s, Platform: p, Model: model,
 		CheckpointAfter: make([]bool, n), segOf: make([]int, n)}
@@ -211,8 +210,6 @@ func refPlan(s *sched.Schedule, p platform.Platform, strat Strategy, model CostM
 		plan.segOf[i] = -1
 	}
 	switch {
-	case marks != nil:
-		copy(plan.CheckpointAfter, marks)
 	case period > 0:
 		for _, sc := range s.Chains {
 			for pos, t := range sc.Tasks {

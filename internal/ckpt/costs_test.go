@@ -164,14 +164,16 @@ func TestSharedFileDedupInCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := newChainCosts(s, pf, chainOf(s, a))
-	_, _, cCost := cc.segmentCost(s.Pos(a), s.Pos(a))
+	scA := chainOf(s, a)
+	posA := slices.Index(scA.Tasks, a)
+	_, _, cCost := newChainCosts(s, pf, scA).segmentCost(posA, posA)
 	if cCost != 100 {
 		t.Fatalf("shared file checkpointed twice? C = %g, want 100", cCost)
 	}
 	// And a reader that consumes the same file once pays it once.
-	ccB := newChainCosts(s, pf, chainOf(s, b))
-	r, _, _ := ccB.segmentCost(s.Pos(b), s.Pos(b))
+	scB := chainOf(s, b)
+	posB := slices.Index(scB.Tasks, b)
+	r, _, _ := newChainCosts(s, pf, scB).segmentCost(posB, posB)
 	if r != 100 {
 		t.Fatalf("R = %g, want 100", r)
 	}

@@ -110,43 +110,6 @@ func BuildPlanWith(s *sched.Schedule, p platform.Platform, strat Strategy, model
 	return plan, nil
 }
 
-// RebuildPlan reconstructs a Plan from a schedule plus serialized
-// checkpoint marks without re-running the per-superchain DP: the
-// segments and their R/W/C costs are recomputed from the marks by the
-// same deterministic buildSegments the planner uses, so a rebuilt plan
-// is bit-identical to the plan the marks were recorded from. It is the
-// persistent plan store's decode path; Validate re-checks the segment
-// invariants because the marks are an untrusted disk record.
-func RebuildPlan(s *sched.Schedule, p platform.Platform, strat Strategy, model CostModel, checkpointAfter []bool) (*Plan, error) {
-	switch strat {
-	case CkptAll, CkptSome, CkptNone, ExitOnly:
-	default:
-		return nil, fmt.Errorf("ckpt: unknown strategy %q", strat)
-	}
-	n := s.W.G.NumTasks()
-	if len(checkpointAfter) != n {
-		return nil, fmt.Errorf("ckpt: rebuild: %d checkpoint marks for %d tasks", len(checkpointAfter), n)
-	}
-	plan := &Plan{
-		Strategy:        strat,
-		Sched:           s,
-		Platform:        p,
-		Model:           model,
-		CheckpointAfter: append([]bool(nil), checkpointAfter...),
-		segOf:           make([]int, n),
-	}
-	for i := range plan.segOf {
-		plan.segOf[i] = -1
-	}
-	if strat != CkptNone {
-		plan.buildSegments(false)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, fmt.Errorf("ckpt: rebuild: %w", err)
-	}
-	return plan, nil
-}
-
 // PeriodicPlan checkpoints after every k-th task of each superchain (and
 // always after the last). It is an ablation baseline for Algorithm 2.
 func PeriodicPlan(s *sched.Schedule, p platform.Platform, k int) (*Plan, error) {

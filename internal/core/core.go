@@ -14,11 +14,11 @@
 //  1. materialize the workflow (the caller's part);
 //  2. Algorithm 1, archived in a Scaffold (NewScaffold);
 //  3. calibrate (Calibrate), then rebuild the schedule (Scaffold.Rebuild);
-//  4. place a strategy, or replay recorded checkpoint marks;
+//  4. place the strategy's checkpoints (Algorithm 2 for CkptSome);
 //  5. evaluate (Evaluate).
 //
-// Scaffold.Tail runs stages 3 to 5. The façade's plans, its store
-// decoder and the experiments' sweeps, which /v1/sweep serves, only
+// Scaffold.Tail runs stages 3 to 5. The façade's plans (store reloads
+// included) and the experiments' sweeps, which /v1/sweep serves, only
 // choose where to start, so one scaffold serves every (pfail, CCR)
 // variant of a (workflow, p). Run is the serial cold reference:
 // Algorithm 1 on the calibrated workflow, then stages 4 and 5.

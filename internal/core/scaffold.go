@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/ckpt"
 	"repro/internal/mspg"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -13,9 +12,8 @@ import (
 // Scaffold is what stages 1 and 2 produce, shared by every (pfail,
 // CCR) variant of one (workflow, p): the workflow with its recognized
 // M-SPG tree and the generator's own file sizes, and Algorithm 1's
-// superchains archived as (proc, tasks), the shape the plan store
-// serializes. Rebuild and Tail consume a scaffold, so a shared one is
-// only ever handed to them as a Copy.
+// superchains archived as (proc, tasks). Rebuild and Tail consume a
+// scaffold, so a shared one is only ever handed to them as a Copy.
 type Scaffold struct {
 	W      *mspg.Workflow
 	Procs  []int
@@ -75,9 +73,8 @@ func (sf *Scaffold) Rebuild(p Params) (*sched.Schedule, error) {
 }
 
 // Tail runs stages 3 to 5 on sf, which it consumes: Rebuild, then cfg's
-// strategy placed (Algorithm 2 for CkptSome) or, when marks is non-nil,
-// those checkpoint marks replayed, then Evaluate.
-func (sf *Scaffold) Tail(ctx context.Context, p Params, cfg Config, marks []bool) (*Result, error) {
+// strategy placed (Algorithm 2 for CkptSome), then Evaluate.
+func (sf *Scaffold) Tail(ctx context.Context, p Params, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -85,13 +82,5 @@ func (sf *Scaffold) Tail(ctx context.Context, p Params, cfg Config, marks []bool
 	if err != nil {
 		return nil, err
 	}
-	if marks == nil {
-		return RunOnSchedule(ctx, s, s.P, cfg)
-	}
-	cfg = cfg.withDefaults()
-	plan, err := ckpt.RebuildPlan(s, s.P, cfg.Strategy, cfg.Model, marks)
-	if err != nil {
-		return nil, err
-	}
-	return Evaluate(plan, cfg)
+	return RunOnSchedule(ctx, s, s.P, cfg)
 }

@@ -39,8 +39,7 @@ var knobOwners = map[string]string{
 	"drain": "BindServeFlags", "warm-workers": "BindServeFlags",
 	"stream-cells": "BindServeFlags", "max-inflight": "BindServeFlags",
 	"request-timeout": "BindServeFlags", "tail": "BindServeFlags",
-	"store": "BindServeFlags", "store-verify": "BindServeFlags",
-	"store-compact": "BindServeFlags",
+	"store": "BindServeFlags", "store-compact": "BindServeFlags",
 	// BindLBFlags (addr/drain/cooldown shared spellings live above)
 	"backends": "BindLBFlags", "vnodes": "BindLBFlags",
 	"cooldown": "BindLBFlags",

@@ -70,13 +70,12 @@ func (s *Schedule) addSuperchain(proc int, tasks []wfdag.TaskID) *Superchain {
 	return sc
 }
 
-// Rebuild reconstructs a Schedule from its serialized shape — the
+// Rebuild reconstructs a Schedule from its archived shape — the
 // per-superchain processor assignment and task order — without
-// re-running Algorithm 1. It is the persistent plan store's decode
-// path: the store archives exactly (proc, tasks) per superchain, and
+// re-running Algorithm 1. It is the scaffold path's stage 3: a
+// core.Scaffold archives exactly (proc, tasks) per superchain, and
 // Rebuild re-derives every piece of private bookkeeping from that,
-// then re-checks the full set of schedule invariants with Validate
-// because the input is an untrusted disk record.
+// then re-checks the full set of schedule invariants with Validate.
 func Rebuild(w *mspg.Workflow, p platform.Platform, procs []int, chains [][]wfdag.TaskID) (*Schedule, error) {
 	if len(procs) != len(chains) {
 		return nil, fmt.Errorf("sched: rebuild: %d processor assignments for %d superchains", len(procs), len(chains))
@@ -103,9 +102,6 @@ func Rebuild(w *mspg.Workflow, p platform.Platform, procs []int, chains [][]wfda
 	}
 	return s, nil
 }
-
-// Pos returns the position of t inside its superchain.
-func (s *Schedule) Pos(t wfdag.TaskID) int { return s.posOf[t] }
 
 // ProcSequence returns the superchain indices run by processor p, in
 // temporal order.

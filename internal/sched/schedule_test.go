@@ -103,8 +103,8 @@ func TestScheduleBookkeeping(t *testing.T) {
 	for i := 0; i < w.G.NumTasks(); i++ {
 		tid := wfdag.TaskID(i)
 		sc := s.Chains[s.chainOf[tid]]
-		if sc.Tasks[s.Pos(tid)] != tid {
-			t.Fatalf("Pos/Chain mismatch for %d", i)
+		if sc.Tasks[s.posOf[tid]] != tid {
+			t.Fatalf("position/chain mismatch for %d", i)
 		}
 		if s.procOf[tid] != sc.Proc {
 			t.Fatalf("Proc mismatch for %d", i)

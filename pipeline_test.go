@@ -75,7 +75,7 @@ func pipelineCases() []Scenario {
 // materialized workflow, calibrated inline rather than through
 // core.Calibrate, with no scaffold and no rebuild.
 func referencePlan(ctx context.Context, s Scenario) (*Plan, error) {
-	w, redundant, err := s.materialize(ctx, nil)
+	w, redundant, err := s.materialize(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -88,16 +88,12 @@ func referencePlan(ctx context.Context, s Scenario) (*Plan, error) {
 	return newPlan(s, res, w, redundant), nil
 }
 
-// planFingerprint renders everything a caller can observe of a plan
-// with floats as their bit patterns: the store encoding, the workflow
+// planFingerprint renders everything a caller can observe of a plan:
+// planBytes, then with floats as their bit patterns the workflow
 // summary, all four estimators and a simulation.
-func planFingerprint(ctx context.Context, p *Plan) (string, error) {
+func planFingerprint(t testing.TB, ctx context.Context, p *Plan) (string, error) {
 	var b bytes.Buffer
-	payload, err := encodePlan(p)
-	if err != nil {
-		return "", err
-	}
-	b.Write(payload)
+	b.Write(planBytes(t, p))
 	info := p.Workflow()
 	fmt.Fprintf(&b, "\n%s %d %d %x %x %d", info.Name, info.Tasks, info.Files,
 		math.Float64bits(info.CCR), math.Float64bits(info.Lambda), info.RedundantEdges)
@@ -124,8 +120,8 @@ type namedPlan struct {
 }
 
 // TestPipelineEntryPointsAgree plans every case through each way the
-// package builds a plan — NewPlan, a fresh scaffold's tail, a store
-// round trip and the facade Compare — and demands each be
+// package builds a plan — NewPlan, a fresh scaffold's tail and the
+// facade Compare — and demands each be
 // indistinguishable from the serial core.Run reference. The sweeps'
 // entry point, expt.RunPoint, must reproduce the reference's makespans
 // and schedule wherever its fixed settings (a generated workflow, a
@@ -144,7 +140,7 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
-		want, err := planFingerprint(ctx, ref)
+		want, err := planFingerprint(t, ctx, ref)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", name, err)
 		}
@@ -162,15 +158,7 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: planFromScaffold: %v", name, err)
 		}
-		payload, err := encodePlan(fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := decodePlan(ctx, sc.Key(), payload, nil)
-		if err != nil {
-			t.Fatalf("%s: decodePlan: %v", name, err)
-		}
-		paths := []namedPlan{{"NewPlan", fresh}, {"planFromScaffold", scaffolded}, {"decodePlan", decoded}}
+		paths := []namedPlan{{"NewPlan", fresh}, {"planFromScaffold", scaffolded}}
 		if sc.strategy != ExitOnly {
 			cmp, err := Compare(ctx, sc, CompareWorkers(1))
 			if err != nil {
@@ -184,7 +172,7 @@ func TestPipelineEntryPointsAgree(t *testing.T) {
 		}
 		for _, path := range paths {
 			checkPathApproxOverDAG(t, ctx, name+": "+path.name, path.p)
-			got, err := planFingerprint(ctx, path.p)
+			got, err := planFingerprint(t, ctx, path.p)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, path.name, err)
 			}

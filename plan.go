@@ -102,7 +102,7 @@ func NewPlan(ctx context.Context, s Scenario) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return planTail(ctx, s, sf.Scaffold, sf.redundant, nil)
+	return planTail(ctx, s, sf.Scaffold, sf.redundant)
 }
 
 // newPlan wraps a tail's result, whose schedule carries the calibrated
@@ -136,7 +136,7 @@ type planScaffold struct {
 // buildScaffold runs stages 1 and 2: the freshly materialized workflow
 // is private, so the scaffold adopts it without a clone.
 func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
-	w, redundant, err := s.materialize(ctx, nil)
+	w, redundant, err := s.materialize(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -150,18 +150,18 @@ func buildScaffold(ctx context.Context, s Scenario) (*planScaffold, error) {
 // planFromScaffold is the near-duplicate fast path: the tail on a
 // private copy of a cached scaffold.
 func planFromScaffold(ctx context.Context, s Scenario, sf *planScaffold) (*Plan, error) {
-	return planTail(ctx, s, sf.Copy(), sf.redundant, nil)
+	return planTail(ctx, s, sf.Copy(), sf.redundant)
 }
 
 // planTail runs the pipeline's stages 3 to 5 (core.Scaffold.Tail) on
 // sf, which it consumes, with the scenario's parameters and strategy.
-// Every way of building a plan only chooses where to start and what to
-// pass in: NewPlan hands over its fresh scaffold, planFromScaffold a
-// copy of a cached one, decodePlan a record's superchains and
-// checkpoint marks; Compare stops after stage 3 and fans the paper's
-// three strategies out on the one schedule.
-func planTail(ctx context.Context, s Scenario, sf *core.Scaffold, redundant int, marks []bool) (*Plan, error) {
-	res, err := sf.Tail(ctx, s.params(), s.coreConfig(), marks)
+// Every way of building a plan only chooses where to start: NewPlan
+// hands over its fresh scaffold and planFromScaffold a copy of a cached
+// one (a store reload is a cold plan of the record's scenario); Compare
+// stops after stage 3 and fans the paper's three strategies out on the
+// one schedule.
+func planTail(ctx context.Context, s Scenario, sf *core.Scaffold, redundant int) (*Plan, error) {
+	res, err := sf.Tail(ctx, s.params(), s.coreConfig())
 	if err != nil {
 		return nil, err
 	}

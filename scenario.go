@@ -459,10 +459,9 @@ func (r ScenarioRequest) Scenario() Scenario {
 
 // materialize produces the scenario's workflow with the generator's
 // own file sizes (no CCR rescaling). The returned workflow is private
-// to the caller: a generated one is drawn from memo, a Memo owned by
-// the calling scope (nil: generated afresh, as every plan path does),
-// and an injected one is re-parsed.
-func (s Scenario) materialize(ctx context.Context, memo *pegasus.Memo) (*mspg.Workflow, int, error) {
+// to the caller: a generated one is generated afresh and an injected
+// one is re-parsed.
+func (s Scenario) materialize(ctx context.Context) (*mspg.Workflow, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -489,7 +488,7 @@ func (s Scenario) materialize(ctx context.Context, memo *pegasus.Memo) (*mspg.Wo
 		}
 		return w, redundant, nil
 	}
-	w, err := memo.Generate(s.family, pegasus.Options{Tasks: s.tasks, Seed: s.seed, Ragged: s.ragged})
+	w, err := pegasus.Generate(s.family, pegasus.Options{Tasks: s.tasks, Seed: s.seed, Ragged: s.ragged})
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadScenario, err)
 	}

@@ -40,9 +40,9 @@ const (
 	// parameter-dependent planning tail ran (the near-duplicate fast
 	// path). The response is bit-identical to a cold miss.
 	CacheStructureHit CacheOutcome = "structure-hit"
-	// CacheMiss: the full cold path ran (or the plan was rehydrated
-	// from the persistent store, which replaces the planner run but is
-	// still a cache miss — see Stats.StoreHits).
+	// CacheMiss: the full cold path ran (or the plan was reloaded from
+	// the persistent store, which plans the record's scenario but is
+	// counted as a store hit, not a miss — see Stats.StoreHits).
 	CacheMiss CacheOutcome = "miss"
 )
 
@@ -117,15 +117,13 @@ type Service struct {
 
 	// store is the optional persistent write-through layer under the
 	// LRU (WithStore); storeErr holds a deferred WithStore open
-	// failure. storeHits counts plans served from disk
-	// on the request path (instead of a planner run), storeLoads plans
-	// rehydrated at boot by LoadStore. storeVerify enables the
-	// golden-check integrity mode (WithStoreVerify).
-	store       *PlanStore
-	storeErr    error
-	storeVerify bool
-	storeHits   atomic.Uint64
-	storeLoads  atomic.Uint64
+	// failure. storeHits counts plans reloaded from disk on the request
+	// path (instead of a planner miss), storeLoads plans rehydrated at
+	// boot by LoadStore or absorbed from a peer by Follow.
+	store      *PlanStore
+	storeErr   error
+	storeHits  atomic.Uint64
+	storeLoads atomic.Uint64
 
 	// logf receives operational diagnostics (store recovery, dropped
 	// records); a no-op unless WithServiceLogf is set.
@@ -151,7 +149,6 @@ type serviceConfig struct {
 	timeout        time.Duration
 	planner        func(ctx context.Context, sc Scenario) (*Plan, error)
 	storeDir       string
-	storeVerify    bool
 	logf           func(string, ...any)
 }
 
@@ -233,10 +230,11 @@ func WithPlanner(fn func(ctx context.Context, sc Scenario) (*Plan, error)) Servi
 }
 
 // WithStore attaches a persistent plan store rooted at dir: every
-// planner miss writes its solved plan through to disk, and a request
-// whose key is neither in the LRU nor in flight is answered from the
-// store (rehydrated into the LRU) before the planner is consulted.
-// Call LoadStore at boot to rehydrate everything eagerly. An open
+// planner miss writes its scenario's record through to disk, and a
+// request whose key is neither in the LRU nor in flight but has a
+// record is a store hit: the record's scenario is planned afresh and
+// made resident, without counting a miss. Call LoadStore at boot to
+// rehydrate everything eagerly. An open
 // failure is deferred to StoreErr/LoadStore so NewService's signature
 // stays error-free.
 func WithStore(dir string) ServiceOption {
@@ -245,15 +243,6 @@ func WithStore(dir string) ServiceOption {
 			c.storeDir = dir
 		}
 	}
-}
-
-// WithStoreVerify enables the store's integrity mode: every record
-// read from disk is golden-checked byte-for-byte against a freshly
-// planned reference before it is served, so silent corruption that
-// passes the structural decode checks is still caught. It costs a full
-// planner run per load — an audit mode, not a fast path.
-func WithStoreVerify() ServiceOption {
-	return func(c *serviceConfig) { c.storeVerify = true }
 }
 
 // WithServiceLogf routes the Service's operational diagnostics —
@@ -290,7 +279,6 @@ func NewService(opts ...ServiceOption) *Service {
 		maxInFlight: int64(cfg.maxInFlight),
 		timeout:     cfg.timeout,
 		planner:     cfg.planner,
-		storeVerify: cfg.storeVerify,
 		logf:        cfg.logf,
 	}
 	if cfg.structureCache > 0 {
@@ -397,10 +385,11 @@ type Stats struct {
 	StructureHits     uint64 `json:"structure_hits"`
 	StructureEntries  int    `json:"structure_entries"`
 	StructureCapacity int    `json:"structure_capacity"`
-	// StoreHits counts plans served from the persistent store on the
-	// request path (a planner run avoided after an eviction or on a
-	// fresh replica); StoreLoads plans rehydrated eagerly at boot by
-	// LoadStore. StoreRecords/StoreBytes describe the store's on-disk
+	// StoreHits counts plans reloaded from the persistent store on the
+	// request path (after an eviction or on a fresh replica: the
+	// record's scenario is planned again, but not counted as a miss or
+	// a structure hit); StoreLoads plans rehydrated eagerly at boot by
+	// LoadStore or absorbed from a peer by Follow. StoreRecords/StoreBytes describe the store's on-disk
 	// state and Compactions its rewrite passes. All zero without
 	// WithStore.
 	StoreHits    uint64 `json:"store_hits"`
@@ -463,12 +452,12 @@ func (s *Service) PlanDetail(ctx context.Context, sc Scenario) (*Plan, CacheOutc
 // of hashing a potentially multi-megabyte injected document twice).
 func (s *Service) planForKey(ctx context.Context, sc Scenario, key string) (*Plan, CacheOutcome, error) {
 	v, resident, err := s.plans.get(ctx, key, func(ctx context.Context) (cachedPlan, error) {
-		// Try the persistent store before paying for a planner run: an
-		// evicted (or restart-lost) plan rehydrates from disk as a store
-		// hit, and only a genuinely unknown scenario counts as a miss.
-		// The write-through on success is what fills the store in the
-		// first place.
-		if p, ok := s.storeLoad(ctx, key, nil); ok {
+		// Try the persistent store before counting a miss: an evicted
+		// (or restart-lost) plan reloads from its record as a store hit,
+		// and only a genuinely unknown scenario counts as a miss. The
+		// write-through on success is what fills the store in the first
+		// place.
+		if p, ok := s.storeLoad(ctx, key); ok {
 			s.storeHits.Add(1)
 			return cachedPlan{p, CacheMiss}, nil
 		}
@@ -476,6 +465,9 @@ func (s *Service) planForKey(ctx context.Context, sc Scenario, key string) (*Pla
 		p, outcome, err := s.planCold(ctx, sc)
 		if err != nil {
 			return cachedPlan{}, err
+		}
+		if outcome == CacheStructureHit {
+			s.structureHits.Add(1)
 		}
 		s.storePut(key, p)
 		return cachedPlan{p, outcome}, nil
@@ -492,14 +484,16 @@ func (s *Service) planForKey(ctx context.Context, sc Scenario, key string) (*Pla
 	return v.plan, v.outcome, nil
 }
 
-// planCold computes a plan that is neither resident nor stored. With
-// the structure cache enabled, every cold plan goes through the
-// scaffold pipeline — look up (or build, coalesced per structure key)
+// planCold computes a plan that is not resident: a miss, or a store
+// record's scenario (reload). With the structure cache enabled, every
+// cold plan goes through the scaffold pipeline — look up (or build, coalesced per structure key)
 // the scenario's scaffold, then run only the parameter-dependent tail.
 // A plan whose scaffold was already resident is the near-duplicate
 // fast path and reports CacheStructureHit; a fresh scaffold is a plain
 // miss that also warms the scaffold cache for the parameter variants
 // behind it. With the fast path disabled, the configured planner runs.
+// The caller counts the outcome: planForKey counts a miss's structure
+// hit, and a reload counts none.
 func (s *Service) planCold(ctx context.Context, sc Scenario) (*Plan, CacheOutcome, error) {
 	if s.scaffolds == nil {
 		p, err := s.planner(ctx, sc)
@@ -516,7 +510,6 @@ func (s *Service) planCold(ctx context.Context, sc Scenario) (*Plan, CacheOutcom
 	outcome := CacheMiss
 	if resident {
 		outcome = CacheStructureHit
-		s.structureHits.Add(1)
 	}
 	p, err := planFromScaffold(ctx, sc, sf)
 	if err != nil {

@@ -3,12 +3,13 @@ package hanccr
 //hanccr:allow-file lockio st.mu is the store's single-writer serialization point by design: every segment read/write/rotate must see a consistent index+offset pair, and the Service keeps store calls outside its shard locks
 
 // The persistent plan store: a disk-backed write-through layer under
-// the Service's sharded LRU. Planning is deterministic given the
-// canonical Scenario.Key, so the store archives *outputs* — enough of
-// the solved plan (scenario knobs, superchain order, checkpoint marks)
-// to reconstruct a *Plan without re-running Algorithm 1 or 2. It is
-// the daemon's only durable log: a restart rehydrates it (LoadStore)
-// and peer replicas follow it over GET /v1/store (Service.Follow).
+// the Service's sharded LRU. Planning is a pure function of the
+// canonical Scenario.Key, so the store archives the scenario, not the
+// solved plan: a record holds the scenario and the bit patterns of the
+// expected and failure-free makespans its plan had, and a reload is a
+// fresh plan (Service.reload, through planCold). It is the daemon's
+// only durable log: a restart rehydrates it (LoadStore) and peer
+// replicas follow it over GET /v1/store (Service.Follow).
 //
 // On disk the store is a directory of append-only segment files
 // (plans-NNNNNN.seg), one record per line, in exactly one form:
@@ -22,23 +23,30 @@ package hanccr
 // writes for such a key and a compact payload, pinned byte for byte by
 // the encoding/json reference model in store_ref_test.go.
 //
-// The write side encodes a record in one pass. encodeRecord writes the
-// payload by hand (appendPlan: strconv for the numeric bulk, json.Marshal
-// only for the small scenario object) and frames the line around it in
-// the same buffer (frameRecord). The Service's write-through (storePut)
-// appends that line without re-validating it: the bytes come from our
-// own encoder. The exported Put frames any caller's payload the same
-// way but first refuses a key that is not plain and a payload that is
-// not valid JSON, since its bytes may come from anywhere.
-// The read side is the write side's inverse and checks every record's
-// CRC. parseRecordLine, the one record parser for segment files and for
-// the GET /v1/store stream, splits a line by position and checks its
-// payload with json.Valid; a line in any other form is a corrupt
-// record. The index keeps each payload's place inside its line and its
-// CRC, so Get reads just the payload and checks the CRC without parsing
-// the line, and decodeStoredPlan, appendPlan's inverse, reads the
-// payload's canonical bytes with json.Unmarshal only for the small
-// scenario object.
+// The payload, format v2, is storedPlan as encoding/json writes it,
+//
+//	{"v":2,"scenario":{...},"em_bits":<bits>,"ffm_bits":<bits>}
+//
+// a few hundred bytes unless the scenario carries an injected workflow
+// document. readPayload reads it with json.Unmarshal and accepts it only
+// when json.Marshal writes the same bytes back, so the store keeps one
+// record form. A v1 payload also held the superchains, checkpoint marks
+// and segment metadata of the plan; the same json.Unmarshal reads its
+// scenario and bits and skips the rest, and its reload rewrites it as
+// v2.
+//
+// The write side frames a marshalled payload into its line in one
+// buffer (frameRecord). The Service's write-through (storePut) appends
+// that line without re-validating it: the bytes come from json.Marshal.
+// The exported Put frames any caller's payload the same way but first
+// refuses a key that is not plain and a payload that is not valid JSON,
+// since its bytes may come from anywhere. The read side is the write
+// side's inverse and checks every record's CRC. parseRecordLine, the
+// one record parser for segment files and for the GET /v1/store stream,
+// splits a line by position and checks its payload with json.Valid; a
+// line in any other form is a corrupt record. The index keeps each
+// payload's place inside its line and its CRC, so Get reads just the
+// payload and checks the CRC without parsing the line.
 //
 // Records are immutable once written; a re-written key supersedes its
 // older record by replay order (segments are scanned in ascending
@@ -51,15 +59,12 @@ package hanccr
 // because the rewritten segment only becomes visible via rename, and
 // replay order makes it win over any stale survivors.
 //
-// The decode path re-derives everything it can and cross-checks it
-// against the record: the decoded scenario must hash back to the
-// record's key, the segment metadata and the R/W/C costs recomputed
-// from the checkpoint marks must match the stored bit patterns, and so
-// must the recomputed expected and failure-free makespans. A record
-// that fails any check is dropped and the scenario is re-planned — a
-// corrupt plan is never served. WithStoreVerify escalates this to a
-// full golden check: the loaded record must be byte-identical to a
-// freshly planned reference.
+// A reload trusts nothing of a record but its scenario, which must hash
+// back to the record's key: a record that fails that, or cannot be
+// read, is dropped and its key planned as a miss. The planner is the
+// truth: when a record's bits disagree with its fresh plan (the
+// planner changed, or the record was forged), the fresh plan is served
+// and the record is logged and rewritten.
 
 import (
 	"bytes"
@@ -77,10 +82,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/par"
-	"repro/internal/pegasus"
-	"repro/internal/wfdag"
 )
 
 // storeSegmentBytes is the size at which the active segment file is
@@ -92,10 +94,10 @@ const storeSegmentBytes = 64 << 20
 // the space it reclaims.
 const storeCompactMinBytes = 1 << 20
 
-// storeFormatVersion is bumped on any incompatible change to the
-// record payload schema; records with another version are dropped and
-// re-planned.
-const storeFormatVersion = 1
+// storeFormatVersion is the record payload format encodePlan writes.
+// readPayload also reads format 1, for its scenario; a record of any
+// other version is dropped and re-planned.
+const storeFormatVersion = 2
 
 // storedScenario is the scenario portion of a record. Every knob that
 // feeds Scenario.Key is present — floats as exact bit patterns, an
@@ -120,43 +122,17 @@ type storedScenario struct {
 	Graph     []byte `json:"graph,omitempty"`
 }
 
-// storedChain is one superchain: the processor and the linearized task
-// order Algorithm 1 chose.
-type storedChain struct {
-	Proc  int   `json:"proc"`
-	Tasks []int `json:"tasks"`
-}
-
-// storedSegment is cross-check metadata for one checkpoint segment.
-// The decode path recomputes segments from the checkpoint marks; a
-// mismatch against these fields means the record does not describe the
-// plan it claims to.
-type storedSegment struct {
-	Chain int    `json:"chain"`
-	Start int    `json:"start"` // position of the first task within its superchain
-	Len   int    `json:"len"`
-	RBits uint64 `json:"r_bits"`
-	WBits uint64 `json:"w_bits"`
-	CBits uint64 `json:"c_bits"`
-}
-
-// storedPlan is the record payload: the scenario, the schedule shape,
-// the checkpoint marks, and bit-exact cross-check values for
-// everything the decode path recomputes. appendPlan writes its JSON by
-// hand, field for field, and decodeStoredPlan reads it back the same
-// way.
+// storedPlan is the record payload: the scenario, and the bit patterns
+// of the expected and failure-free makespans of the plan it had when it
+// was written, which a reload checks its fresh plan against.
 type storedPlan struct {
-	Version     int             `json:"v"`
-	Scenario    storedScenario  `json:"scenario"`
-	Chains      []storedChain   `json:"chains"`
-	Checkpoints []int           `json:"checkpoints"` // checkpointed task IDs, ascending
-	Segments    []storedSegment `json:"segments,omitempty"`
-	EMBits      uint64          `json:"em_bits"`
-	FFMBits     uint64          `json:"ffm_bits"`
-	Redundant   int             `json:"redundant,omitempty"`
+	Version  int            `json:"v"`
+	Scenario storedScenario `json:"scenario"`
+	EMBits   uint64         `json:"em_bits"`
+	FFMBits  uint64         `json:"ffm_bits"`
 }
 
-// stored returns the scenario portion of a record: decodePlan's
+// stored returns the scenario portion of a record:
 // storedScenario.scenario in reverse.
 func (s Scenario) stored() storedScenario {
 	return storedScenario{
@@ -176,159 +152,34 @@ func (s Scenario) stored() storedScenario {
 	}
 }
 
-// encodePlan serializes a solved plan into the store's record payload
-// (see appendPlan).
+// scenario reconstructs the Scenario value the record was encoded
+// from.
+func (ss storedScenario) scenario() Scenario {
+	return Scenario{
+		family:    ss.Family,
+		tasks:     ss.Tasks,
+		procs:     ss.Procs,
+		pfail:     math.Float64frombits(ss.PFailBits),
+		ccr:       math.Float64frombits(ss.CCRBits),
+		seed:      ss.Seed,
+		bandwidth: math.Float64frombits(ss.BWBits),
+		ragged:    ss.Ragged,
+		strategy:  Strategy(ss.Strategy),
+		exact:     ss.Exact,
+		source:    ss.Source,
+		format:    ss.Format,
+		graph:     ss.Graph,
+	}
+}
+
+// encodePlan serializes a solved plan into the store's record payload.
 func encodePlan(p *Plan) ([]byte, error) {
-	scen, err := json.Marshal(p.scenario.stored())
-	if err != nil {
-		return nil, err
-	}
-	return appendPlan(make([]byte, 0, planSize(p, len(scen))), p, scen), nil
-}
-
-// encodeRecord writes key's whole store record for p in one pass into
-// one buffer sized from the plan: the payload (appendPlan) behind
-// headroom, then the line framing it (frameRecord). It returns the line,
-// newline included, and the payload inside it.
-func encodeRecord(key string, p *Plan) (line, payload []byte, err error) {
-	scen, err := json.Marshal(p.scenario.stored())
-	if err != nil {
-		return nil, nil, err
-	}
-	head := recordHeadroom(key)
-	buf := make([]byte, head, head+planSize(p, len(scen))+len("}\n"))
-	line, payload = frameRecord(appendPlan(buf, p, scen), head, key)
-	return line, payload, nil
-}
-
-// appendPlan appends p's record payload, the storedPlan object, to
-// dst: exactly the bytes json.Marshal(storedPlan) writes (pinned by
-// TestEncodePlanMatchesReference and FuzzDecodePlan against
-// refEncodePlan), so two encodings of one plan are byte-identical and
-// a stored record can be golden-checked against a fresh plan. scen is
-// the marshalled storedScenario; the numeric bulk — superchains,
-// checkpoints, segments and bit patterns — is written by hand.
-func appendPlan(dst []byte, p *Plan, scen []byte) []byte {
-	sched := p.res.Schedule
-	dst = append(dst, `{"v":`...)
-	dst = strconv.AppendInt(dst, storeFormatVersion, 10)
-	dst = append(dst, `,"scenario":`...)
-	dst = append(dst, scen...)
-	dst = append(dst, `,"chains":`...)
-	if len(sched.Chains) == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		for i, sc := range sched.Chains {
-			dst = append(dst, listSep(i))
-			dst = append(dst, `{"proc":`...)
-			dst = strconv.AppendInt(dst, int64(sc.Proc), 10)
-			dst = append(dst, `,"tasks":[`...)
-			for j, t := range sc.Tasks {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = strconv.AppendInt(dst, int64(t), 10)
-			}
-			dst = append(dst, "]}"...)
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"checkpoints":`...)
-	nck := 0
-	for t, ck := range p.res.Plan.CheckpointAfter {
-		if ck {
-			dst = append(dst, listSep(nck))
-			dst = strconv.AppendInt(dst, int64(t), 10)
-			nck++
-		}
-	}
-	if nck == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, ']')
-	}
-	for i, seg := range p.res.Plan.Segments {
-		if i == 0 {
-			dst = append(dst, `,"segments":[`...)
-		} else {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"chain":`...)
-		dst = strconv.AppendInt(dst, int64(seg.Chain), 10)
-		dst = append(dst, `,"start":`...)
-		dst = strconv.AppendInt(dst, int64(sched.Pos(seg.Tasks[0])), 10)
-		dst = append(dst, `,"len":`...)
-		dst = strconv.AppendInt(dst, int64(len(seg.Tasks)), 10)
-		dst = append(dst, `,"r_bits":`...)
-		dst = strconv.AppendUint(dst, math.Float64bits(seg.R), 10)
-		dst = append(dst, `,"w_bits":`...)
-		dst = strconv.AppendUint(dst, math.Float64bits(seg.W), 10)
-		dst = append(dst, `,"c_bits":`...)
-		dst = strconv.AppendUint(dst, math.Float64bits(seg.C), 10)
-		dst = append(dst, '}')
-	}
-	if len(p.res.Plan.Segments) > 0 {
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"em_bits":`...)
-	dst = strconv.AppendUint(dst, math.Float64bits(p.res.ExpectedMakespan), 10)
-	dst = append(dst, `,"ffm_bits":`...)
-	dst = strconv.AppendUint(dst, math.Float64bits(p.res.FailureFreeMakespan), 10)
-	if p.info.RedundantEdges != 0 {
-		dst = append(dst, `,"redundant":`...)
-		dst = strconv.AppendInt(dst, int64(p.info.RedundantEdges), 10)
-	}
-	return append(dst, '}')
-}
-
-// listSep returns the byte before element i of a JSON array: its
-// opening bracket, or a comma.
-func listSep(i int) byte {
-	if i == 0 {
-		return '['
-	}
-	return ','
-}
-
-// decimalLen returns the length of n in decimal.
-func decimalLen(n int) int {
-	l := 1
-	if n < 0 {
-		l, n = 2, -n
-	}
-	for ; n >= 10; n /= 10 {
-		l++
-	}
-	return l
-}
-
-// maxIntLen is the widest decimal an int64 or a uint64 can take.
-const maxIntLen = 20
-
-// planSize bounds the length of appendPlan's output, so the record
-// buffer is allocated once: it is exact but for the version, the
-// redundant-edge count and the bit patterns, each costed at its widest.
-func planSize(p *Plan, scenLen int) int {
-	sched, plan := p.res.Schedule, p.res.Plan
-	size := len(`{"v":,"scenario":,"chains":,"checkpoints":,"em_bits":,"ffm_bits":,"redundant":}`) +
-		scenLen + 2*len("null") + 4*maxIntLen // "null" is wider than "[]"
-	for _, sc := range sched.Chains {
-		size += len(`{"proc":,"tasks":[]},`) + decimalLen(sc.Proc)
-		for _, t := range sc.Tasks {
-			size += decimalLen(int(t)) + len(",")
-		}
-	}
-	for t, ck := range plan.CheckpointAfter {
-		if ck {
-			size += decimalLen(t) + len(",")
-		}
-	}
-	size += len(`,"segments":[]`)
-	for _, seg := range plan.Segments {
-		size += len(`{"chain":,"start":,"len":,"r_bits":,"w_bits":,"c_bits":},`) + 3*maxIntLen +
-			decimalLen(seg.Chain) + decimalLen(sched.Pos(seg.Tasks[0])) + decimalLen(len(seg.Tasks))
-	}
-	return size
+	return json.Marshal(storedPlan{
+		Version:  storeFormatVersion,
+		Scenario: p.scenario.stored(),
+		EMBits:   math.Float64bits(p.res.ExpectedMakespan),
+		FFMBits:  math.Float64bits(p.res.FailureFreeMakespan),
+	})
 }
 
 // plainKey reports whether key can key a store record: non-empty
@@ -352,6 +203,14 @@ const recordHead = `{"key":"","crc":,"plan":`
 // key's head: the widest head, with a ten-digit CRC.
 func recordHeadroom(key string) int {
 	return len(recordHead) + len(key) + len("4294967295")
+}
+
+// frameLine returns key's record line for payload, newline included,
+// and the payload inside it: a copy of payload framed in one buffer.
+func frameLine(key string, payload []byte) (line, framed []byte) {
+	head := recordHeadroom(key)
+	buf := make([]byte, head, head+len(payload)+len("}\n"))
+	return frameRecord(append(buf, payload...), head, key)
 }
 
 // frameRecord makes buf, whose payload buf[off:] sits behind
@@ -412,9 +271,12 @@ func parseRecordLine(line []byte) (f recordFrame, ok bool) {
 // isSpace reports whether c is JSON whitespace.
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// planReader reads canonical JSON front to back: the store's record
-// frames and payloads. The first mismatch marks it bad and empties it,
-// so every later read fails too and a decode checks once, at the end.
+// maxIntLen is the widest decimal an int64 or a uint64 can take.
+const maxIntLen = 20
+
+// planReader reads a record line's canonical frame front to back. The
+// first mismatch marks it bad and empties it, so every later read fails
+// too and parseRecordLine checks once, at the end.
 type planReader struct {
 	b   []byte // the unread bytes
 	bad bool
@@ -459,251 +321,41 @@ func (r *planReader) uint() uint64 {
 	return v
 }
 
-// int reads a JSON number that is an int in canonical decimal (no -0).
-func (r *planReader) int() int {
-	neg := r.skip("-")
-	u := r.uint()
-	switch {
-	case neg && u != 0 && u <= uint64(math.MaxInt)+1:
-		return int(-u)
-	case !neg && u <= math.MaxInt:
-		return int(u)
-	}
-	r.fail()
-	return 0
-}
-
-// scenario reconstructs the Scenario value the record was encoded
-// from.
-func (ss storedScenario) scenario() Scenario {
-	return Scenario{
-		family:    ss.Family,
-		tasks:     ss.Tasks,
-		procs:     ss.Procs,
-		pfail:     math.Float64frombits(ss.PFailBits),
-		ccr:       math.Float64frombits(ss.CCRBits),
-		seed:      ss.Seed,
-		bandwidth: math.Float64frombits(ss.BWBits),
-		ragged:    ss.Ragged,
-		strategy:  Strategy(ss.Strategy),
-		exact:     ss.Exact,
-		source:    ss.Source,
-		format:    ss.Format,
-		graph:     ss.Graph,
-	}
-}
-
-// decodeStoredPlan reads a record payload: the inverse of appendPlan.
-// It accepts exactly the canonical bytes appendPlan and
-// json.Marshal(storedPlan) write — the fields in order, no whitespace,
-// null for an empty list, segments and redundant omitted when empty —
-// and yields what json.Unmarshal would (pinned by
-// FuzzStoredPlanDecode). The scenario object goes through
-// json.Unmarshal on its own bytes, the mirror of the write side's
-// json.Marshal. Any other payload is an error, so its record is dropped
-// and re-planned like any other unusable record. Each list is allocated
-// once, at its counted length.
-func decodeStoredPlan(payload []byte) (storedPlan, error) {
+// readPayload reads a record payload: a v2 payload exactly as
+// encodePlan writes it, or a v1 payload, of which the same
+// json.Unmarshal reads the scenario and bits and skips the rest.
+func readPayload(payload []byte) (storedPlan, error) {
 	var sp storedPlan
-	r := planReader{b: payload}
-	r.lit(`{"v":`)
-	sp.Version = r.int()
-	r.lit(`,"scenario":`)
-	if scen := r.object(); !r.bad {
-		var ss storedScenario
-		if err := json.Unmarshal(scen, &ss); err != nil {
-			return storedPlan{}, fmt.Errorf("decode: scenario: %w", err)
+	if err := json.Unmarshal(payload, &sp); err != nil {
+		return storedPlan{}, fmt.Errorf("decode: %w", err)
+	}
+	switch sp.Version {
+	case storeFormatVersion:
+		if canon, err := json.Marshal(sp); err != nil || !bytes.Equal(canon, payload) {
+			return storedPlan{}, errors.New("decode: payload is not in the store's canonical form")
 		}
-		sp.Scenario = ss
-	}
-	r.lit(`,"chains":`)
-	sp.Chains = readList(&r, func(rest []byte) int { return bytes.Count(rest, []byte(`{"proc":`)) }, func() storedChain {
-		var c storedChain
-		r.lit(`{"proc":`)
-		c.Proc = r.int()
-		r.lit(`,"tasks":`)
-		c.Tasks = r.ints()
-		r.lit("}")
-		return c
-	})
-	r.lit(`,"checkpoints":`)
-	sp.Checkpoints = r.ints()
-	if r.skip(`,"segments":`) {
-		sp.Segments = readList(&r, func(rest []byte) int { return bytes.Count(untilBracket(rest), []byte("{")) }, func() storedSegment {
-			var seg storedSegment
-			r.lit(`{"chain":`)
-			seg.Chain = r.int()
-			r.lit(`,"start":`)
-			seg.Start = r.int()
-			r.lit(`,"len":`)
-			seg.Len = r.int()
-			r.lit(`,"r_bits":`)
-			seg.RBits = r.uint()
-			r.lit(`,"w_bits":`)
-			seg.WBits = r.uint()
-			r.lit(`,"c_bits":`)
-			seg.CBits = r.uint()
-			r.lit("}")
-			return seg
-		})
-	}
-	r.lit(`,"em_bits":`)
-	sp.EMBits = r.uint()
-	r.lit(`,"ffm_bits":`)
-	sp.FFMBits = r.uint()
-	if r.skip(`,"redundant":`) {
-		sp.Redundant = r.int()
-	}
-	r.lit("}")
-	if r.bad || len(r.b) != 0 {
-		return storedPlan{}, errors.New("decode: payload is not in the store's canonical form")
+	case 1:
+	default:
+		return storedPlan{}, fmt.Errorf("decode: record format v%d, want v%d", sp.Version, storeFormatVersion)
 	}
 	return sp, nil
 }
 
-// object reads a JSON object whose values hold no object or list —
-// storedScenario's shape — and returns its bytes unvalidated: it ends
-// at the first closing brace outside a string.
-func (r *planReader) object() []byte {
-	if len(r.b) == 0 || r.b[0] != '{' {
-		r.fail()
-		return nil
-	}
-	for i, str := 1, false; i < len(r.b); i++ {
-		switch c := r.b[i]; {
-		case str && c == '\\':
-			i++
-		case c == '"':
-			str = !str
-		case !str && c == '}':
-			obj := r.b[:i+1]
-			r.b = r.b[i+1:]
-			return obj
-		}
-	}
-	r.fail()
-	return nil
-}
-
-// ints reads a list of ints, presized by counting its commas.
-func (r *planReader) ints() []int {
-	return readList(r, func(rest []byte) int { return bytes.Count(untilBracket(rest), []byte(",")) + 1 }, r.int)
-}
-
-// untilBracket returns rest up to its first closing bracket: the body
-// of a list that holds no list.
-func untilBracket(rest []byte) []byte {
-	if end := bytes.IndexByte(rest, ']'); end >= 0 {
-		return rest[:end]
-	}
-	return rest
-}
-
-// readList reads a JSON list whose elements elem reads. null leaves the
-// list nil and [] makes it empty but not nil, as json.Unmarshal does;
-// otherwise the list is allocated once with room for size(rest)
-// elements, rest being the bytes after its opening bracket.
-func readList[T any](r *planReader, size func(rest []byte) int, elem func() T) []T {
-	if r.skip("null") {
-		return nil
-	}
-	r.lit("[")
-	if r.skip("]") {
-		return []T{}
-	}
-	out := make([]T, 0, size(r.b))
-	for !r.bad {
-		out = append(out, elem())
-		if !r.skip(",") {
-			break
-		}
-	}
-	r.lit("]")
-	return out
-}
-
-// decodePlan reconstructs a *Plan from a record payload without
-// re-running Algorithm 1 or 2: it materializes the scenario's workflow
-// through memo (owned by the calling scope; nil: generated afresh —
-// generation is deterministic, so both yield the same workflow) and
-// runs planTail on the record's superchains and checkpoint marks. The
-// record's segments and makespans are cross-checked bit-exactly
-// against the result; any mismatch fails the decode so the caller
-// re-plans instead of serving a corrupt plan.
-func decodePlan(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
-	sp, err := decodeStoredPlan(payload)
+// decodePlan reads key's record payload (readPayload): its scenario,
+// which must be valid and hash back to key, and the stored check values.
+func decodePlan(key string, payload []byte) (Scenario, storedPlan, error) {
+	sp, err := readPayload(payload)
 	if err != nil {
-		return nil, err
-	}
-	if sp.Version != storeFormatVersion {
-		return nil, fmt.Errorf("decode: record format v%d, want v%d", sp.Version, storeFormatVersion)
+		return Scenario{}, storedPlan{}, err
 	}
 	sc := sp.Scenario.scenario()
 	if err := sc.Validate(); err != nil {
-		return nil, fmt.Errorf("decode: %w", err)
+		return Scenario{}, storedPlan{}, fmt.Errorf("decode: %w", err)
 	}
 	if got := sc.Key(); got != key {
-		return nil, fmt.Errorf("decode: scenario hashes to %.12s, record is keyed %.12s", got, key)
+		return Scenario{}, storedPlan{}, fmt.Errorf("decode: scenario hashes to %.12s, record is keyed %.12s", got, key)
 	}
-	w, redundant, err := sc.materialize(ctx, memo)
-	if err != nil {
-		return nil, err
-	}
-	if redundant != sp.Redundant {
-		return nil, fmt.Errorf("decode: %d redundant edges, record says %d", redundant, sp.Redundant)
-	}
-	sf := &core.Scaffold{
-		W:      w,
-		Procs:  make([]int, len(sp.Chains)),
-		Chains: make([][]wfdag.TaskID, len(sp.Chains)),
-	}
-	total := 0
-	for _, c := range sp.Chains {
-		total += len(c.Tasks)
-	}
-	ids := make([]wfdag.TaskID, 0, total) // one backing array, cut per chain
-	for i, c := range sp.Chains {
-		sf.Procs[i] = c.Proc
-		start := len(ids)
-		for _, t := range c.Tasks {
-			ids = append(ids, wfdag.TaskID(t))
-		}
-		sf.Chains[i] = ids[start:len(ids):len(ids)]
-	}
-	n := w.G.NumTasks()
-	marks := make([]bool, n)
-	for _, t := range sp.Checkpoints {
-		if t < 0 || t >= n {
-			return nil, fmt.Errorf("decode: checkpoint after unknown task %d", t)
-		}
-		marks[t] = true
-	}
-	p, err := planTail(ctx, sc, sf, redundant, marks)
-	if err != nil {
-		return nil, err
-	}
-	res := p.res
-	if len(res.Plan.Segments) != len(sp.Segments) {
-		return nil, fmt.Errorf("decode: %d segments recomputed, record says %d", len(res.Plan.Segments), len(sp.Segments))
-	}
-	for i, seg := range res.Plan.Segments {
-		want := sp.Segments[i]
-		if seg.Chain != want.Chain || res.Schedule.Pos(seg.Tasks[0]) != want.Start || len(seg.Tasks) != want.Len ||
-			math.Float64bits(seg.R) != want.RBits || math.Float64bits(seg.W) != want.WBits || math.Float64bits(seg.C) != want.CBits {
-			return nil, fmt.Errorf("decode: segment %d differs from its stored metadata", i)
-		}
-	}
-	// The planner's estimate is cheap to recompute (PathApprox, or the
-	// Theorem 1 formula for CkptNone) and deterministic, so the
-	// makespans double as integrity checks: a record whose stored bits
-	// disagree with the recomputation does not describe this plan.
-	if math.Float64bits(res.ExpectedMakespan) != sp.EMBits {
-		return nil, fmt.Errorf("decode: expected makespan %g does not match the stored bits", res.ExpectedMakespan)
-	}
-	if math.Float64bits(res.FailureFreeMakespan) != sp.FFMBits {
-		return nil, fmt.Errorf("decode: failure-free makespan %g does not match the stored bits", res.FailureFreeMakespan)
-	}
-	return p, nil
+	return sc, sp, nil
 }
 
 // storeRef locates one live record: segment sequence number, byte
@@ -917,7 +569,7 @@ func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 // the record's line. It refuses a key that is not plain (see plainKey),
 // so every record it writes reads back under its key. An identical
 // payload already live under the key is deduplicated (the common case:
-// every cache miss writes through, restarts re-plan nothing new). Put
+// replicas that follow each other write the same records through). Put
 // may rotate the active segment or trigger a size-based compaction.
 func (st *PlanStore) Put(key string, payload []byte) error {
 	if !plainKey(key) {
@@ -929,9 +581,7 @@ func (st *PlanStore) Put(key string, payload []byte) error {
 	if bytes.IndexByte(payload, '\n') >= 0 {
 		return errors.New("store: payload holds a newline")
 	}
-	head := recordHeadroom(key)
-	buf := make([]byte, head, head+len(payload)+len("}\n"))
-	line, payload := frameRecord(append(buf, payload...), head, key)
+	line, payload := frameLine(key, payload)
 	return st.appendLine(key, line, payload)
 }
 
@@ -1172,13 +822,12 @@ func (st *PlanStore) Close() error {
 // does).
 func (s *Service) StoreErr() error { return s.storeErr }
 
-// storeLoad fetches and decodes key's record, if the store holds one,
-// materializing its workflow through memo (see decodePlan). A record that cannot be decoded — or, under
-// WithStoreVerify, that is not byte-identical to a freshly planned
-// reference — is dropped so the key is re-planned, and false is
-// returned. The caller accounts the appropriate counter (store hit vs
-// boot load).
-func (s *Service) storeLoad(ctx context.Context, key string, memo *pegasus.Memo) (*Plan, bool) {
+// storeLoad reloads key's record, if the store holds one (see reload),
+// and rewrites it when it is stale. A record that cannot be read, or
+// whose scenario does not hash to key, is dropped so the key is planned
+// as a miss, and false is returned. The caller accounts the appropriate
+// counter (store hit vs boot load).
+func (s *Service) storeLoad(ctx context.Context, key string) (*Plan, bool) {
 	if s.store == nil {
 		return nil, false
 	}
@@ -1187,8 +836,9 @@ func (s *Service) storeLoad(ctx context.Context, key string, memo *pegasus.Memo)
 		return nil, false
 	}
 	var p *Plan
+	stale := false
 	if err == nil {
-		p, err = s.decodeStored(ctx, key, payload, memo)
+		p, stale, err = s.reload(ctx, key, payload)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -1199,59 +849,51 @@ func (s *Service) storeLoad(ctx context.Context, key string, memo *pegasus.Memo)
 		s.store.Drop(key)
 		return nil, false
 	}
+	if stale {
+		s.storePut(key, p)
+	}
 	return p, true
 }
 
-// decodeStored decodes a stored payload (decodePlan's key-hash and
-// bit-exact cross-checks) and, under WithStoreVerify, golden-checks it
-// against a fresh plan — the one trust gate for records read from disk
-// or from a peer. A decode never builds or inserts a scaffold: a
-// record's chains do not prove they are Algorithm 1's output.
-func (s *Service) decodeStored(ctx context.Context, key string, payload []byte, memo *pegasus.Memo) (*Plan, error) {
-	p, err := decodePlan(ctx, key, payload, memo)
-	if err == nil && s.storeVerify {
-		err = s.verifyStored(ctx, p, payload)
-	}
-	return p, err
-}
-
-// verifyStored is the WithStoreVerify integrity mode: plan the
-// scenario from scratch and require the stored payload to be
-// byte-identical to the reference's encoding. decodePlan's structural
-// checks only prove the record is *a* consistent plan for the
-// scenario; this proves it is *the* plan the planner would produce.
-func (s *Service) verifyStored(ctx context.Context, p *Plan, payload []byte) error {
-	fresh, err := s.planner(ctx, p.scenario)
+// reload plans a record's scenario afresh through planCold: the one way
+// LoadStore, a request-path store hit and Follow's absorb turn a record
+// into a plan, so parameter variants of one structure share Algorithm 1
+// through the scaffold cache. stale reports a record the store should
+// rewrite: a v1 record, or one whose check bits disagree with the fresh
+// plan, which is logged and served anyway, because the planner is the
+// truth.
+func (s *Service) reload(ctx context.Context, key string, payload []byte) (p *Plan, stale bool, err error) {
+	sc, sp, err := decodePlan(key, payload)
 	if err != nil {
-		return fmt.Errorf("verify replan: %w", err)
+		return nil, false, err
 	}
-	want, err := encodePlan(fresh)
-	if err != nil {
-		return err
+	if p, _, err = s.planCold(ctx, sc); err != nil {
+		return nil, false, err
 	}
-	if !bytes.Equal(payload, want) {
-		return errors.New("verify: record differs from a freshly planned reference")
+	if math.Float64bits(p.res.ExpectedMakespan) != sp.EMBits || math.Float64bits(p.res.FailureFreeMakespan) != sp.FFMBits {
+		s.logf("store: record %.12s disagrees with its fresh plan (expected makespan %g); rewritten", key, p.res.ExpectedMakespan)
+		return p, true, nil
 	}
-	return nil
+	return p, sp.Version != storeFormatVersion, nil
 }
 
 // storePut writes a solved plan through to the store. Failures are
 // logged, not returned: the in-memory result is already correct, the
 // store just missed an entry it can re-create on the next miss. A
 // record above maxStoreLine is refused (and logged) the same way, so
-// the store never holds a line its readers would skip. The record is
-// encoded in one pass (encodeRecord) and appended without Put's JSON
-// validation: its bytes come from appendPlan, which is pinned to
-// json.Marshal's output, so the rescan could only re-prove that.
+// the store never holds a line its readers would skip. The line is
+// appended without Put's JSON validation: its payload comes from
+// json.Marshal.
 func (s *Service) storePut(key string, p *Plan) {
 	if s.store == nil {
 		return
 	}
-	line, payload, err := encodeRecord(key, p)
+	payload, err := encodePlan(p)
 	if err != nil {
 		s.logf("store: encode %.12s: %v", key, err)
 		return
 	}
+	line, payload := frameLine(key, payload)
 	if err := s.store.appendLine(key, line, payload); err != nil {
 		s.logf("store: write %.12s: %v", key, err)
 	}
@@ -1259,10 +901,10 @@ func (s *Service) storePut(key string, p *Plan) {
 
 // LoadStore rehydrates every stored plan into the LRU with workers
 // goroutines (0 = all cores) — the boot step that makes a restart's
-// first request for a known scenario a cache hit without re-planning.
-// Records of one structure share one generation, memoized for this
-// call only. loaded counts plans placed in the cache (also visible as
-// Stats.StoreLoads), dropped counts records that failed decoding and
+// first request for a known scenario a cache hit. Each record is
+// planned afresh (see reload); records of one structure share its
+// scaffold. loaded counts plans placed in the cache (also visible as
+// Stats.StoreLoads), dropped counts records that could not be read and
 // were discarded. The error is the store's deferred open failure or
 // ctx's cancellation; bad records never fail the boot.
 func (s *Service) LoadStore(ctx context.Context, workers int) (loaded, dropped int, err error) {
@@ -1276,18 +918,17 @@ func (s *Service) LoadStore(ctx context.Context, workers int) (loaded, dropped i
 		workers = runtime.GOMAXPROCS(0)
 	}
 	keys := s.store.Keys()
-	var memo pegasus.Memo
 	var nLoaded, nDropped atomic.Int64
 	err = par.ForEachCtx(ctx, workers, len(keys), func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		p, ok := s.storeLoad(ctx, keys[i], &memo)
+		p, ok := s.storeLoad(ctx, keys[i])
 		if !ok {
 			nDropped.Add(1)
 			return nil
 		}
-		// A boot-time load is neither served traffic nor a planner run,
+		// A boot-time load is neither served traffic nor a planner miss,
 		// so it touches neither the hit nor the miss counter.
 		if s.plans.add(keys[i], cachedPlan{p, CacheMiss}) {
 			s.storeLoads.Add(1)

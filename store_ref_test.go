@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,46 +13,10 @@ import (
 	"testing"
 )
 
-// refEncodePlan is the reference model of appendPlan: the record
-// payload as encoding/json writes the storedPlan struct.
-func refEncodePlan(p *Plan) ([]byte, error) {
-	sp := storedPlan{
-		Version:   storeFormatVersion,
-		Scenario:  p.scenario.stored(),
-		EMBits:    math.Float64bits(p.res.ExpectedMakespan),
-		FFMBits:   math.Float64bits(p.res.FailureFreeMakespan),
-		Redundant: p.info.RedundantEdges,
-	}
-	sched := p.res.Schedule
-	for _, sc := range sched.Chains {
-		c := storedChain{Proc: sc.Proc, Tasks: make([]int, len(sc.Tasks))}
-		for i, t := range sc.Tasks {
-			c.Tasks[i] = int(t)
-		}
-		sp.Chains = append(sp.Chains, c)
-	}
-	for t, ck := range p.res.Plan.CheckpointAfter {
-		if ck {
-			sp.Checkpoints = append(sp.Checkpoints, t)
-		}
-	}
-	for _, seg := range p.res.Plan.Segments {
-		sp.Segments = append(sp.Segments, storedSegment{
-			Chain: seg.Chain,
-			Start: sched.Pos(seg.Tasks[0]),
-			Len:   len(seg.Tasks),
-			RBits: math.Float64bits(seg.R),
-			WBits: math.Float64bits(seg.W),
-			CBits: math.Float64bits(seg.C),
-		})
-	}
-	return json.Marshal(sp)
-}
-
-// encodeTestScenarios covers every shape appendPlan writes: the four
-// families under each of the four strategies, with and without the
-// exact cost model, a plan at the benchmarks' largest size, and
-// injected DAX and JSON documents whose labels need JSON and HTML
+// encodeTestScenarios covers every shape of scenario a payload holds:
+// the four families under each of the four strategies, with and
+// without the exact cost model, a plan at the benchmarks' largest size,
+// and injected DAX and JSON documents whose labels need JSON and HTML
 // escaping.
 func encodeTestScenarios(t testing.TB) []Scenario {
 	t.Helper()
@@ -85,45 +48,6 @@ func encodeTestScenarios(t testing.TB) []Scenario {
 		NewScenario(WithWorkflow("dax <&> \u00e9\u2028", "dax", dax.Bytes()), WithProcs(4), WithStrategy(ExitOnly)),
 		NewScenario(WithWorkflow("json \"inline\"\\", "json", doc.Bytes()), WithProcs(4), WithExactCostModel()),
 	)
-}
-
-// TestEncodePlanMatchesReference pins the one-pass encoder to
-// encoding/json: every payload equals refEncodePlan's and every record
-// line equals recordLine's, byte for byte. A record costs three
-// allocations: json.Marshal's boxed scenario object and its output,
-// and the line buffer, which is never regrown.
-func TestEncodePlanMatchesReference(t *testing.T) {
-	ctx := context.Background()
-	for _, sc := range encodeTestScenarios(t) {
-		p, err := NewPlan(ctx, sc)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", sc.family, sc.strategy, err)
-		}
-		want, err := refEncodePlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := encodePlan(p)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s/%s exact=%t: encodePlan differs from encoding/json (%v):\n got %s\nwant %s",
-				sc.family, sc.strategy, sc.exact, err, got, want)
-		}
-		key := sc.Key()
-		line, payload, err := encodeRecord(key, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLine := append(recordLine(t, key, want), '\n')
-		if !bytes.Equal(line, wantLine) || !bytes.Equal(payload, want) {
-			t.Fatalf("%s/%s: record line differs from encoding/json:\n got %s\nwant %s", sc.family, sc.strategy, line, wantLine)
-		}
-		if raceEnabled {
-			continue
-		}
-		if allocs := testing.AllocsPerRun(10, func() { encodeRecord(key, p) }); allocs > 3 {
-			t.Errorf("%s/%s: encodeRecord makes %.0f allocations, want at most 3", sc.family, sc.strategy, allocs)
-		}
-	}
 }
 
 // storeLineSeeds returns the encoded payloads of a few small plans, the
@@ -242,14 +166,6 @@ func FuzzStoreLine(f *testing.F) {
 	})
 }
 
-// refDecodePlan is the reference model of decodeStoredPlan: the record
-// payload as encoding/json reads it into the storedPlan struct.
-func refDecodePlan(payload []byte) (storedPlan, error) {
-	var sp storedPlan
-	err := json.Unmarshal(payload, &sp)
-	return sp, err
-}
-
 // encodeTestPayloads returns the record payload of every
 // encodeTestScenarios plan.
 func encodeTestPayloads(tb testing.TB) [][]byte {
@@ -269,58 +185,46 @@ func encodeTestPayloads(tb testing.TB) [][]byte {
 	return out
 }
 
-// TestDecodeStoredPlanAllocs pins the typed decoder's allocations on
-// every shape appendPlan writes: each list once — the superchains, each
-// chain's tasks, the checkpoints and the segments — plus json.Unmarshal
-// of the scenario object.
-func TestDecodeStoredPlanAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	for _, payload := range encodeTestPayloads(t) {
-		sp, err := decodeStoredPlan(payload)
-		if err != nil {
-			t.Fatalf("canonical payload refused: %v\n%s", err, payload)
-		}
-		limit := float64(len(sp.Chains) + decodeAllocSlack)
-		if allocs := testing.AllocsPerRun(10, func() { decodeStoredPlan(payload) }); allocs > limit {
-			t.Errorf("%s/%s: decodeStoredPlan makes %.0f allocations, want at most %.0f",
-				sp.Scenario.Family, sp.Scenario.Strategy, allocs, limit)
-		}
-	}
-}
-
-// decodeAllocSlack is decodeStoredPlan's allocation budget beyond one
-// per superchain: the chain list, the checkpoints and the segments, and
-// json.Unmarshal of the scenario object, which makes 7 for a generated
-// workflow and 11 for an injected document (its source, format and
-// graph).
-const decodeAllocSlack = 14
-
-// FuzzStoredPlanDecode differentially fuzzes the typed decoder against
-// encoding/json: any payload decodeStoredPlan accepts, json.Unmarshal
-// must accept too, into a reflect.DeepEqual storedPlan. The seeds —
-// storeLineSeeds and every encodeTestScenarios payload, escaped
-// document labels, the exact cost model and CkptNone's null
-// checkpoints among them — are canonical, and each must be accepted.
+// FuzzStoredPlanDecode differentially fuzzes the payload reader against
+// encoding/json, without planning anything: a payload readPayload
+// accepts, json.Unmarshal reads into the same storedPlan; a v2 one is
+// exactly json.Marshal's bytes; and any accepted payload, written back
+// as v2, reads back to itself. The seeds are the v2 payloads of
+// storeLineSeeds and of every encodeTestScenarios plan (escaped
+// document labels and the exact cost model among them), and the v1
+// payloads of the upgrade segment (testdata/store-v1); each must be
+// accepted.
 func FuzzStoredPlanDecode(f *testing.F) {
-	for _, payload := range append(storeLineSeeds(f), encodeTestPayloads(f)...) {
-		if _, err := decodeStoredPlan(payload); err != nil {
-			f.Fatalf("canonical payload refused: %v\n%s", err, payload)
+	seeds := append(storeLineSeeds(f), encodeTestPayloads(f)...)
+	for _, rec := range v1Records(f) {
+		seeds = append(seeds, rec.payload)
+	}
+	for _, payload := range seeds {
+		if _, err := readPayload(payload); err != nil {
+			f.Fatalf("stored payload refused: %v\n%s", err, payload)
 		}
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		got, err := decodeStoredPlan(payload)
+		got, err := readPayload(payload)
 		if err != nil {
 			return
 		}
-		want, err := refDecodePlan(payload)
-		if err != nil {
-			t.Fatalf("decodeStoredPlan accepts a payload encoding/json refuses (%v):\n%s", err, payload)
+		var want storedPlan
+		if err := json.Unmarshal(payload, &want); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("readPayload differs from encoding/json (%v):\n got %+v\nwant %+v\n%s", err, got, want, payload)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodeStoredPlan differs from encoding/json:\n got %+v\nwant %+v\n%s", got, want, payload)
+		v2 := got
+		v2.Version = storeFormatVersion
+		enc, err := json.Marshal(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Version == storeFormatVersion && !bytes.Equal(enc, payload) {
+			t.Fatalf("accepted a v2 payload json.Marshal writes otherwise:\n%s\n%s", payload, enc)
+		}
+		if back, err := readPayload(enc); err != nil || !reflect.DeepEqual(back, v2) {
+			t.Fatalf("payload written back as v2 reads as %+v, %v; want %+v", back, err, v2)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -19,8 +20,7 @@ import (
 )
 
 // storeTestScenarios is a spread over strategies, families, the exact
-// cost model and an injected document — every decode path the store
-// has.
+// cost model and an injected document.
 func storeTestScenarios(t *testing.T) []Scenario {
 	t.Helper()
 	base := NewScenario(WithFamily("montage"), WithTasks(40), WithProcs(4), WithSeed(7))
@@ -61,16 +61,9 @@ func storeTestScenarios(t *testing.T) []Scenario {
 	}
 }
 
-// failingPlanner is a WithPlanner seam that fails the test on any
-// invocation — proof a service answered purely from its store/cache.
-func failingPlanner(t *testing.T) func(ctx context.Context, sc Scenario) (*Plan, error) {
-	return func(ctx context.Context, sc Scenario) (*Plan, error) {
-		t.Errorf("planner invoked for %.12s: plan was not served from the store", sc.Key())
-		return nil, fmt.Errorf("planner must not run")
-	}
-}
-
-// countingPlanner counts real planner runs.
+// countingPlanner counts real planner runs. It disables the scaffold
+// cache (see WithPlanner), so every cold plan, a reload's included, is
+// one call.
 func countingPlanner(calls *atomic.Int64) func(ctx context.Context, sc Scenario) (*Plan, error) {
 	return func(ctx context.Context, sc Scenario) (*Plan, error) {
 		calls.Add(1)
@@ -79,9 +72,9 @@ func countingPlanner(calls *atomic.Int64) func(ctx context.Context, sc Scenario)
 }
 
 // TestStoreRoundTripByteIdentical is the store's core contract: a plan
-// rehydrated from disk by a process that never runs the planner
-// answers Plan/Estimate/Simulate and the HTTP plan endpoint
-// byte-identical to a freshly planned reference.
+// rehydrated from disk by a process that counts no planner miss answers
+// Plan/Estimate/Simulate and the HTTP plan endpoint byte-identical to a
+// freshly planned reference.
 func TestStoreRoundTripByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -109,9 +102,9 @@ func TestStoreRoundTripByteIdentical(t *testing.T) {
 	refSrv := httptest.NewServer(NewHandler(ref))
 	defer refSrv.Close()
 
-	// Reader process: same directory, a planner that fails the test if
-	// touched. LoadStore must rehydrate every record.
-	reader := NewService(WithStore(dir), WithPlanner(failingPlanner(t)), WithShards(4))
+	// Reader process: same directory. LoadStore must rehydrate every
+	// record, as store loads, not misses.
+	reader := NewService(WithStore(dir), WithShards(4))
 	if err := reader.StoreErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +132,9 @@ func TestStoreRoundTripByteIdentical(t *testing.T) {
 		}
 		if outcome != CacheHit {
 			t.Fatalf("scenario %d: rehydrated plan was not a cache hit", i)
+		}
+		if got, want := planBytes(t, gotPlan), planBytes(t, refPlan); !bytes.Equal(got, want) {
+			t.Fatalf("scenario %d: rehydrated plan differs from a fresh one:\n%s\n%s", i, got, want)
 		}
 		// Estimate: every method, bit-exact against the reference.
 		for _, m := range Methods() {
@@ -177,9 +173,31 @@ func TestStoreRoundTripByteIdentical(t *testing.T) {
 			t.Errorf("scenario %d: X-Cache = %q, want hit", i, got)
 		}
 	}
-	if st := reader.Stats(); st.Misses != 0 {
-		t.Fatalf("reader counted %d planner misses, want 0", st.Misses)
+	if st := reader.Stats(); st.Misses != 0 || st.StructureHits != 0 {
+		t.Fatalf("reader counted %d planner misses and %d structure hits, want 0 and 0", st.Misses, st.StructureHits)
 	}
+}
+
+// planBytes renders everything a plan answers with, floats exactly: its
+// store payload (the scenario and the makespan bits), the workflow
+// summary, the superchains with their checkpoint marks, and the
+// segments.
+func planBytes(t testing.TB, p *Plan) []byte {
+	t.Helper()
+	payload, err := encodePlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(struct {
+		Payload     json.RawMessage
+		Workflow    WorkflowInfo
+		Superchains []Superchain
+		Segments    []SegmentInfo
+	}{payload, p.Workflow(), p.Superchains(), p.Segments()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // requestBody renders a scenario as a /v1/plan request. Only the
@@ -206,8 +224,10 @@ func (s Scenario) requestBody(t *testing.T) string {
 
 // TestStoreEvictionReload pins the LRU/store interplay: an entry
 // evicted from a full cache re-loads from the store on its next
-// request — counted as a store hit, not a planner miss — and every
-// response stays byte-identical to a storeless reference. Shards 1 and
+// request — counted as a store hit, not a planner miss; the reload
+// plans the record's scenario, so every planner run after the first
+// pass is a store hit — and every response stays byte-identical to a
+// storeless reference. Shards 1 and
 // 4, concurrent second pass (run under -race via make check).
 func TestStoreEvictionReload(t *testing.T) {
 	ctx := context.Background()
@@ -265,10 +285,10 @@ func TestStoreEvictionReload(t *testing.T) {
 				}(i, sc)
 			}
 			wg.Wait()
-			if got := calls.Load(); got != int64(len(scenarios)) {
-				t.Fatalf("second pass re-ran the planner (%d total calls, want %d)", got, len(scenarios))
-			}
 			st := svc.Stats()
+			if got := calls.Load(); got != int64(len(scenarios))+int64(st.StoreHits) {
+				t.Fatalf("planner ran %d times, want %d misses + %d store hits", got, len(scenarios), st.StoreHits)
+			}
 			if st.Misses != uint64(len(scenarios)) {
 				t.Fatalf("misses = %d, want %d (store reloads must not count)", st.Misses, len(scenarios))
 			}
@@ -435,10 +455,7 @@ func TestStoreBitRotAfterOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := encodePlan(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := planBytes(t, cold)
 	dir := t.TempDir()
 	writer := NewService(WithStore(dir))
 	if _, err := writer.Plan(ctx, sc); err != nil {
@@ -482,17 +499,17 @@ func TestStoreBitRotAfterOpen(t *testing.T) {
 	if stats := svc.Stats(); outcome != CacheMiss || stats.Misses != 1 || stats.StoreHits != 0 {
 		t.Fatalf("outcome %s, %d misses, %d store hits; want one re-plan", outcome, stats.Misses, stats.StoreHits)
 	}
-	if got, _ := encodePlan(p); !bytes.Equal(got, want) {
+	if got := planBytes(t, p); !bytes.Equal(got, want) {
 		t.Fatalf("re-planned answer differs from a cold NewPlan:\n%s\n%s", got, want)
 	}
 }
 
-// TestStoreNonCanonicalPayloadDropped puts a real plan's payload that
-// is valid JSON, and decodes under encoding/json to the very same
+// TestStoreNonCanonicalPayloadDropped puts a real plan's v2 payload
+// that is valid JSON, and decodes under encoding/json to the very same
 // storedPlan, but is not in the store's canonical form: re-spaced, or
-// with its fields reordered. The typed decoder refuses it, so LoadStore
-// drops the record, the next request re-plans it to the cold answer,
-// and the write-through leaves the canonical record behind.
+// with its fields reordered. The payload reader refuses it, so
+// LoadStore drops the record, the next request re-plans it to the cold
+// answer, and the write-through leaves the canonical record behind.
 func TestStoreNonCanonicalPayloadDropped(t *testing.T) {
 	ctx := context.Background()
 	sc := NewScenario(WithFamily("montage"), WithTasks(40), WithProcs(4))
@@ -512,13 +529,18 @@ func TestStoreNonCanonicalPayloadDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaced := bytes.Replace(canonical, []byte(`,"chains":`), []byte(`, "chains": `), 1)
-	wantSP, err := refDecodePlan(canonical)
+	spaced := bytes.Replace(canonical, []byte(`,"em_bits":`), []byte(`, "em_bits": `), 1)
+	unmarshal := func(payload []byte) (storedPlan, error) {
+		var sp storedPlan
+		err := json.Unmarshal(payload, &sp)
+		return sp, err
+	}
+	wantSP, err := unmarshal(canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, payload := range map[string][]byte{"re-spaced": spaced, "reordered": reordered} {
-		if sp, err := refDecodePlan(payload); err != nil || !reflect.DeepEqual(sp, wantSP) || bytes.Equal(payload, canonical) {
+		if sp, err := unmarshal(payload); err != nil || !reflect.DeepEqual(sp, wantSP) || bytes.Equal(payload, canonical) {
 			t.Fatalf("%s: want a non-canonical spelling of the same storedPlan (%v)", name, err)
 		}
 		dir := t.TempDir()
@@ -542,7 +564,7 @@ func TestStoreNonCanonicalPayloadDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := encodePlan(p); outcome != CacheMiss || calls.Load() != 1 || !bytes.Equal(got, canonical) {
+		if got, _ := encodePlan(p); outcome != CacheMiss || calls.Load() != 1 || !bytes.Equal(got, canonical) || !bytes.Equal(planBytes(t, p), planBytes(t, cold)) {
 			t.Fatalf("%s: outcome %s after %d planner runs; want one re-plan to the cold answer", name, outcome, calls.Load())
 		}
 		if got, ok, err := svc.store.Get(sc.Key()); err != nil || !ok || !bytes.Equal(got, canonical) {
@@ -829,8 +851,9 @@ func TestStoreRotationAndAutoCompaction(t *testing.T) {
 }
 
 // TestStoreDecodeGuards pins the always-on integrity checks: a record
-// filed under the wrong key, or whose payload was tampered with, is
-// dropped and re-planned — never served.
+// filed under the wrong key is dropped and re-planned as a miss, and a
+// record whose check bits were tampered with is never served: its
+// scenario is planned afresh, and the record is rewritten.
 func TestStoreDecodeGuards(t *testing.T) {
 	ctx := context.Background()
 	scA := NewScenario(WithFamily("genome"), WithTasks(40), WithProcs(3))
@@ -853,8 +876,9 @@ func TestStoreDecodeGuards(t *testing.T) {
 	if err := st.Put(scB.Key(), payloadA); err != nil {
 		t.Fatal(err)
 	}
-	// A tampered expected makespan with a fresh CRC: framing-valid, but
-	// the recomputed estimate cannot match the stored bits.
+	// A tampered expected makespan in a canonical v2 payload with a
+	// fresh CRC: framing-valid, but the fresh plan cannot match the
+	// stored bits.
 	var sp storedPlan
 	if err := json.Unmarshal(payloadA, &sp); err != nil {
 		t.Fatal(err)
@@ -878,7 +902,7 @@ func TestStoreDecodeGuards(t *testing.T) {
 		}
 	}
 	if got := calls.Load(); got != 2 {
-		t.Fatalf("planner ran %d times, want 2 (both poisoned records re-planned)", got)
+		t.Fatalf("planner ran %d times, want 2 (each poisoned record planned once)", got)
 	}
 	if st.Records() != 2 {
 		t.Fatalf("store holds %d records, want 2 (poisoned records replaced by write-through)", st.Records())
@@ -889,12 +913,15 @@ func TestStoreDecodeGuards(t *testing.T) {
 	}
 }
 
-// TestStoreVerifyMode pins what WithStoreVerify adds beyond the
-// structural checks: a record describing a *consistent but different*
-// plan (here: ExitOnly's checkpoint marks filed as the CkptSome plan,
-// with all cross-check bits made self-consistent) decodes fine without
-// verify — and is caught, dropped and re-planned with verify on.
-func TestStoreVerifyMode(t *testing.T) {
+// TestStoreSpliceNeverServed plants a forged record: CkptSome's
+// scenario carrying ExitOnly's superchains, checkpoint marks, segment
+// metadata and makespan bits. Only a v1 payload can carry a plan, so
+// the splice (testdata/store-v1/splice.json) was written by the v1
+// encoder. A reload reads nothing of a record but its scenario, so a
+// store hit and a follower both answer the honest CkptSome plan; the
+// store hit plans once, logs the disagreeing bits and rewrites the
+// record as v2.
+func TestStoreSpliceNeverServed(t *testing.T) {
 	ctx := context.Background()
 	// High pfail so CkptSome places interior checkpoints and genuinely
 	// differs from ExitOnly.
@@ -911,131 +938,108 @@ func TestStoreVerifyMode(t *testing.T) {
 	if pSome.NumCheckpoints() == pExit.NumCheckpoints() {
 		t.Fatal("test needs CkptSome and ExitOnly to place different checkpoints; pick other knobs")
 	}
-	honest, err := encodePlan(pSome)
+	splice, err := os.ReadFile(filepath.Join("testdata", "store-v1", "splice.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sp storedPlan
+	if err := json.Unmarshal(splice, &sp); err != nil || sp.Version != 1 || sp.Scenario.scenario().Key() != some.Key() ||
+		sp.EMBits != math.Float64bits(pExit.ExpectedMakespan()) {
+		t.Fatalf("splice.json is not a v1 record of CkptSome's scenario with ExitOnly's bits (%v)", err)
+	}
+	honest := planBytes(t, pSome)
+	checkHonest := func(who string, p *Plan) {
+		t.Helper()
+		if p.NumCheckpoints() != pSome.NumCheckpoints() || !bytes.Equal(planBytes(t, p), honest) {
+			t.Fatalf("%s served %d checkpoints, want the honest CkptSome plan's %d", who, p.NumCheckpoints(), pSome.NumCheckpoints())
+		}
+	}
+
+	var calls atomic.Int64
+	var log logRecorder
+	svc := NewService(WithStore(t.TempDir()), WithPlanner(countingPlanner(&calls)), WithServiceLogf(log.logf))
+	defer svc.CloseStore()
+	if err := svc.store.Put(some.Key(), splice); err != nil {
+		t.Fatal(err)
+	}
+	p, err := svc.Plan(ctx, some)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkHonest("store hit", p)
+	if st := svc.Stats(); calls.Load() != 1 || st.StoreHits != 1 || st.Misses != 0 {
+		t.Fatalf("%d planner runs, %d store hits, %d misses; want the splice reloaded once", calls.Load(), st.StoreHits, st.Misses)
+	}
+	if !log.has(some.Key()[:12], "disagrees with its fresh plan") {
+		t.Fatalf("the splice's bits were not logged; log: %q", log.lines)
+	}
+	want, err := encodePlan(pSome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := svc.store.Get(some.Key()); err != nil || !ok || !bytes.Equal(got, want) {
+		t.Fatalf("store holds (%s, %v, %v), want the honest v2 record", got, ok, err)
+	}
+
+	// A follower reloads records from a peer the same way. One worker
+	// keeps the order, so the honest record after the splice marks the
+	// end.
 	alt, err := encodePlan(pExit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spHonest, spAlt storedPlan
-	if err := json.Unmarshal(honest, &spHonest); err != nil {
-		t.Fatal(err)
+	peer := fakePeer(t, []byte(headerLine(1, 0)), recordLine(t, some.Key(), splice), recordLine(t, exit.Key(), alt))
+	follower := NewService()
+	stop := follow(t, follower, peer.URL, 1)
+	waitStoreLoads(t, follower, 2)
+	if absorbed, failed, _ := stop(); absorbed != 2 || failed != 0 {
+		t.Fatalf("follower absorbed %d / failed %d, want 2 / 0", absorbed, failed)
 	}
-	if err := json.Unmarshal(alt, &spAlt); err != nil {
-		t.Fatal(err)
+	p, outcome, err := follower.PlanDetail(ctx, some)
+	if err != nil || outcome != CacheHit {
+		t.Fatalf("follower: outcome %s, %v; want a hit on the absorbed plan", outcome, err)
 	}
-	// The splice: CkptSome's scenario carrying ExitOnly's plan
-	// artifacts. Every recomputable quantity (segments, EM, FFM) is
-	// consistent with the marks, so structural decoding accepts it.
-	spliced := spHonest
-	spliced.Chains = spAlt.Chains
-	spliced.Checkpoints = spAlt.Checkpoints
-	spliced.Segments = spAlt.Segments
-	spliced.EMBits = spAlt.EMBits
-	spliced.FFMBits = spAlt.FFMBits
-	payload, err := json.Marshal(spliced)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// storedService returns a Service over a store holding the spliced
-	// record.
-	storedService := func(opts ...ServiceOption) *Service {
-		svc := NewService(append(opts, WithStore(t.TempDir()))...)
-		if err := svc.store.Put(some.Key(), payload); err != nil {
-			t.Fatal(err)
-		}
-		return svc
-	}
-
-	// Without verify the spliced record is structurally fine and gets
-	// served — demonstrating exactly the gap verify mode closes.
-	var lazyCalls atomic.Int64
-	lazy := storedService(WithPlanner(countingPlanner(&lazyCalls)))
-	defer lazy.CloseStore()
-	p, err := lazy.Plan(ctx, some)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazyCalls.Load() != 0 || p.NumCheckpoints() != pExit.NumCheckpoints() {
-		t.Fatalf("spliced record should pass structural checks (planner calls %d, checkpoints %d)",
-			lazyCalls.Load(), p.NumCheckpoints())
-	}
-
-	// With verify the golden check against a fresh reference rejects
-	// it: the scenario is re-planned and the record repaired.
-	var verifyCalls atomic.Int64
-	strict := storedService(WithStoreVerify(), WithPlanner(countingPlanner(&verifyCalls)))
-	defer strict.CloseStore()
-	p, err = strict.Plan(ctx, some)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCheckpoints() != pSome.NumCheckpoints() {
-		t.Fatalf("verify mode served %d checkpoints, want the honest %d", p.NumCheckpoints(), pSome.NumCheckpoints())
-	}
-	if verifyCalls.Load() == 0 {
-		t.Fatal("verify mode never re-planned the tampered record")
-	}
-	// A follower applies the same gate to records from a peer: the
-	// spliced record is absorbed without verify and rejected with it.
-	// One worker keeps the order, so the honest sentinel after it
-	// marks the end.
-	for _, tc := range []struct {
-		opts             []ServiceOption
-		absorbed, failed int
-	}{
-		{nil, 2, 0},
-		{[]ServiceOption{WithStoreVerify()}, 1, 1},
-	} {
-		peer := fakePeer(t, []byte(headerLine(1, 0)), recordLine(t, some.Key(), payload), recordLine(t, exit.Key(), alt))
-		follower := NewService(tc.opts...)
-		stop := follow(t, follower, peer.URL, 1)
-		waitStoreLoads(t, follower, uint64(tc.absorbed))
-		if absorbed, failed, _ := stop(); absorbed != tc.absorbed || failed != tc.failed {
-			t.Fatalf("follower %d options: absorbed %d / failed %d, want %d / %d", len(tc.opts), absorbed, failed, tc.absorbed, tc.failed)
-		}
-	}
+	checkHonest("follower", p)
 }
 
 // FuzzDecodePlan feeds arbitrary record payloads to decodePlan under a
-// real record's key. The key is checked before anything is
-// materialized, so the fuzzer explores the schedule, checkpoint and
-// cross-check decoding of small plans without triggering a large
-// generation. decodePlan must never panic, and a plan it accepts must
-// encode exactly as the encoding/json reference model does, to a
-// payload that decodes under the same key and encodes back to the same
-// bytes.
+// real record's key, seeded with v2 payloads (storeLineSeeds) and the
+// v1 payloads of the upgrade segment. decodePlan must never panic. A
+// payload it accepts holds a scenario that hashes to the key, and that
+// scenario's plan encodes to a v2 payload that decodes under the same
+// key back to the same scenario. The key check keeps accepted payloads
+// on the seeds' small scenarios, so planning one stays cheap.
 func FuzzDecodePlan(f *testing.F) {
 	ctx := context.Background()
 	for _, payload := range storeLineSeeds(f) {
-		var sp storedPlan
-		if err := json.Unmarshal(payload, &sp); err != nil {
+		sp, err := readPayload(payload)
+		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(sp.Scenario.scenario().Key(), payload)
 	}
+	for _, rec := range v1Records(f) {
+		f.Add(rec.key, rec.payload)
+	}
 	f.Fuzz(func(t *testing.T, key string, payload []byte) {
-		p, err := decodePlan(ctx, key, payload, nil)
+		sc, _, err := decodePlan(key, payload)
 		if err != nil {
 			return
 		}
+		if got := sc.Key(); got != key {
+			t.Fatalf("accepted a scenario that hashes to %s under key %s", got, key)
+		}
+		p, err := NewPlan(ctx, sc)
+		if err != nil {
+			t.Fatalf("accepted scenario does not plan: %v", err)
+		}
 		enc, err := encodePlan(p)
 		if err != nil {
-			t.Fatalf("accepted plan does not encode: %v", err)
+			t.Fatalf("plan does not encode: %v", err)
 		}
-		if ref, err := refEncodePlan(p); err != nil || !bytes.Equal(enc, ref) {
-			t.Fatalf("encodePlan differs from encoding/json (%v):\n got %s\nwant %s", err, enc, ref)
-		}
-		p2, err := decodePlan(ctx, key, enc, nil)
-		if err != nil {
-			t.Fatalf("re-encoded plan does not decode: %v\n%s", err, enc)
-		}
-		enc2, err := encodePlan(p2)
-		if err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("re-encoding is not stable (%v):\n%s\n%s", err, enc, enc2)
+		back, sp, err := decodePlan(key, enc)
+		if err != nil || sp.Version != storeFormatVersion || !reflect.DeepEqual(back.stored(), sc.stored()) {
+			t.Fatalf("re-encoded plan decodes to v%d %+v, %v; want the accepted scenario\n%s", sp.Version, back.stored(), err, enc)
 		}
 	})
 }
@@ -1127,20 +1131,24 @@ func FuzzScanSegment(f *testing.F) {
 }
 
 // TestLoadStoreSharedStructures boots a Service from a store holding
-// several parameter variants of each of two structures. LoadStore
-// generates each structure once for the whole call, so every decoded
-// plan must still be encodePlan-identical to a cold NewPlan and own a
-// private workflow, and the boot must neither plan nor leave a
-// scaffold behind (a record's chains are not proof of Algorithm 1's
-// output).
+// several parameter variants of each of two structures. LoadStore plans
+// every record through the scaffold cache, so the variants of one
+// structure share its Algorithm 1 run: every reloaded plan must be
+// identical to a cold NewPlan and own a private workflow, the boot must
+// count no miss and no structure hit and leave one resident scaffold
+// per structure, and a new parameter variant of a loaded structure is a
+// structure-hit.
 func TestLoadStoreSharedStructures(t *testing.T) {
 	ctx := context.Background()
+	variant := func(fam string, i int) Scenario {
+		return NewScenario(WithFamily(fam), WithTasks(40), WithProcs(3), WithSeed(31),
+			WithPFail(0.001*float64(1+i)), WithCCR(0.01*float64(1+i%2)),
+			WithStrategy([]Strategy{CkptSome, CkptAll, CkptNone}[i%3]))
+	}
 	var scenarios []Scenario
 	for _, fam := range []string{"genome", "montage"} {
 		for i := 0; i < 4; i++ {
-			scenarios = append(scenarios, NewScenario(WithFamily(fam), WithTasks(40), WithProcs(3), WithSeed(31),
-				WithPFail(0.001*float64(1+i)), WithCCR(0.01*float64(1+i%2)),
-				WithStrategy([]Strategy{CkptSome, CkptAll, CkptNone}[i%3])))
+			scenarios = append(scenarios, variant(fam, i))
 		}
 	}
 	dir := t.TempDir()
@@ -1170,9 +1178,7 @@ func TestLoadStoreSharedStructures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := encodePlan(p)
-		want, _ := encodePlan(cold)
-		if !bytes.Equal(got, want) {
+		if got, want := planBytes(t, p), planBytes(t, cold); !bytes.Equal(got, want) {
 			t.Fatalf("scenario %d: loaded plan differs from a cold NewPlan:\n%s\n%s", i, got, want)
 		}
 		w := p.res.Schedule.W
@@ -1181,7 +1187,144 @@ func TestLoadStoreSharedStructures(t *testing.T) {
 		}
 		graphs[w] = i
 	}
-	if st := svc.Stats(); st.Misses != 0 || st.StructureEntries != 0 {
-		t.Fatalf("boot planned %d misses and left %d scaffolds, want 0 and 0", st.Misses, st.StructureEntries)
+	if st := svc.Stats(); st.Misses != 0 || st.StructureHits != 0 || st.StructureEntries != 2 {
+		t.Fatalf("boot counted %d misses and %d structure hits and left %d scaffolds, want 0, 0 and 2",
+			st.Misses, st.StructureHits, st.StructureEntries)
+	}
+	if _, outcome, err := svc.PlanDetail(ctx, variant("genome", 4)); err != nil || outcome != CacheStructureHit {
+		t.Fatalf("new variant of a loaded structure: outcome %s, %v; want a structure-hit", outcome, err)
+	}
+}
+
+// v1Segment is a segment the format-v1 store wrote: the four families
+// under CkptSome and CkptNone at 30 to 60 tasks, and one injected
+// workflow_json document, each record holding its whole solved plan.
+var v1Segment = filepath.Join("testdata", "store-v1", "plans-000001.seg")
+
+// v1Record is one record of v1Segment.
+type v1Record struct {
+	key     string
+	payload []byte
+}
+
+// v1Records returns v1Segment's records.
+func v1Records(tb testing.TB) []v1Record {
+	tb.Helper()
+	blob, err := os.ReadFile(v1Segment)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []v1Record
+	for _, line := range bytes.Split(bytes.TrimSuffix(blob, []byte("\n")), []byte("\n")) {
+		key, payload, ok := refParseRecord(line)
+		if !ok {
+			tb.Fatalf("%s: not a store record: %.80s", v1Segment, line)
+		}
+		out = append(out, v1Record{key, payload})
+	}
+	return out
+}
+
+// TestStoreUpgradeFromV1 boots a Service over a copy of v1Segment:
+// LoadStore loads every record and drops none, every answer is
+// identical to a cold NewPlan, every record is v2 afterwards, and after
+// Compact the segment holds v2 lines only.
+func TestStoreUpgradeFromV1(t *testing.T) {
+	ctx := context.Background()
+	recs := v1Records(t)
+	if len(recs) != 9 {
+		t.Fatalf("%s holds %d records, want 9", v1Segment, len(recs))
+	}
+	blob, err := os.ReadFile(v1Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "plans-000001.seg"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var log logRecorder
+	svc := NewService(WithStore(dir), WithServiceLogf(log.logf))
+	defer svc.CloseStore()
+	if loaded, dropped, err := svc.LoadStore(ctx, 2); err != nil || loaded != len(recs) || dropped != 0 {
+		t.Fatalf("LoadStore = (%d loaded, %d dropped, %v), want (%d, 0, nil)", loaded, dropped, err, len(recs))
+	}
+	injected := 0
+	for _, rec := range recs {
+		var sp storedPlan
+		if err := json.Unmarshal(rec.payload, &sp); err != nil || sp.Version != 1 {
+			t.Fatalf("%.12s: want a v1 payload (%v)", rec.key, err)
+		}
+		sc := sp.Scenario.scenario()
+		if !sc.Generated() {
+			injected++
+		}
+		p, outcome, err := svc.PlanDetail(ctx, sc)
+		if err != nil || outcome != CacheHit {
+			t.Fatalf("%.12s: outcome %s, %v; want a hit on the loaded plan", rec.key, outcome, err)
+		}
+		cold, err := NewPlan(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := planBytes(t, p), planBytes(t, cold); !bytes.Equal(got, want) {
+			t.Fatalf("%.12s: upgraded plan differs from a cold NewPlan:\n%s\n%s", rec.key, got, want)
+		}
+		want, err := encodePlan(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := svc.store.Get(rec.key); err != nil || !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%.12s: store holds (%s, %v, %v), want the v2 record", rec.key, got, ok, err)
+		}
+	}
+	if injected != 1 {
+		t.Fatalf("%s holds %d injected documents, want 1", v1Segment, injected)
+	}
+	if st := svc.Stats(); st.Misses != 0 || st.StructureHits != 0 {
+		t.Fatalf("upgrade counted %d misses and %d structure hits, want 0 and 0", st.Misses, st.StructureHits)
+	}
+	if log.has("disagrees") {
+		t.Fatalf("a v1 record's bits disagree with its fresh plan; log: %q", log.lines)
+	}
+	if err := svc.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "plans-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments after compaction: %v, %v; want one", segs, err)
+	}
+	blob, err = os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(blob, []byte("\n")), []byte("\n"))
+	if len(lines) != len(recs) {
+		t.Fatalf("compacted segment holds %d lines, want %d", len(lines), len(recs))
+	}
+	for _, line := range lines {
+		_, payload, ok := refParseRecord(line)
+		if sp, err := readPayload(payload); !ok || err != nil || sp.Version != storeFormatVersion {
+			t.Fatalf("compacted line is not a v2 record (%v): %.120s", err, line)
+		}
+	}
+}
+
+// TestStoreRecordSize pins the size of a v2 record: a 300-task CkptSome
+// record of each family, line framing included, is under 1 KB.
+func TestStoreRecordSize(t *testing.T) {
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		sc := NewScenario(WithFamily(fam), WithTasks(300), WithStrategy(CkptSome))
+		p, err := NewPlan(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := encodePlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line, _ := frameLine(sc.Key(), payload); len(line) >= 1024 {
+			t.Errorf("%s: a 300-task record takes %d bytes, want under 1 KB:\n%s", fam, len(line), line)
+		}
 	}
 }

@@ -92,10 +92,7 @@ func TestStructureHitBitIdentical(t *testing.T) {
 		if outcome != CacheMiss {
 			t.Fatalf("reference request %d: outcome %q, want miss", i, outcome)
 		}
-		refs[i], err = encodePlan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refs[i] = planBytes(t, p)
 	}
 
 	jobs := make([]Job, len(scenarios))
@@ -118,11 +115,7 @@ func TestStructureHitBitIdentical(t *testing.T) {
 					if r.Err != nil {
 						t.Fatal(r.Err)
 					}
-					got, err := encodePlan(r.Plan)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, refs[i]) {
+					if !bytes.Equal(planBytes(t, r.Plan), refs[i]) {
 						t.Fatalf("scenario %d: fast-path plan differs from scaffold-free reference", i)
 					}
 					if r.Outcome == CacheHit {

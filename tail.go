@@ -216,16 +216,16 @@ func (st *PlanStore) streamSegment(ctx context.Context, f *os.File, cur *storeCu
 // Service — the cross-process warm path. peer is the base URL of a
 // replica running with a plan store; Follow reads its GET /v1/store
 // stream and, on a pool of workers goroutines (0 = all cores), checks
-// each record's CRC, decodes it with the store's bit-exact cross-checks
-// (and WithStoreVerify's golden check, when set), makes the plan
-// resident exactly as LoadStore does (Stats.StoreLoads counts it), and
-// writes it through to this Service's own store. Nothing is replanned.
-// When the stream drops, Follow re-dials from the last cursor it
+// each record's CRC, plans its scenario afresh exactly as LoadStore does
+// (reload: the scenario must hash to the record's key), makes the plan
+// resident (Stats.StoreLoads counts it, not a miss), and writes its
+// record through to this Service's own store. When the stream drops, Follow re-dials from the last cursor it
 // received; replayed records are deduplicated by the cache and by Put.
 //
 // Follow runs until ctx is done and returns how many records it
 // absorbed and how many it rejected (unparseable, over-long, failing
-// their CRC or their decode), plus ctx.Err().
+// their CRC or their decode, or a scenario that fails to plan), plus
+// ctx.Err().
 func (s *Service) Follow(ctx context.Context, peer string, workers int) (absorbed, failed int, err error) {
 	base := strings.TrimRight(peer, "/")
 	if !isPeerURL(base) {
@@ -256,7 +256,7 @@ func (s *Service) Follow(ctx context.Context, peer string, workers int) (absorbe
 				switch err := s.absorb(ctx, q.key, q.payload); {
 				case err == nil:
 					ok.Add(1)
-				case ctx.Err() == nil: // a cancelled decode is not a bad record
+				case ctx.Err() == nil: // a cancelled reload is not a bad record
 					reject(q.at, err)
 				}
 			}
@@ -286,10 +286,10 @@ func isPeerURL(s string) bool {
 	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
 }
 
-// absorb makes one peer record resident and writes it through to this
-// Service's store.
+// absorb reloads one peer record, makes its plan resident and writes
+// its record through to this Service's store.
 func (s *Service) absorb(ctx context.Context, key string, payload []byte) error {
-	p, err := s.decodeStored(ctx, key, payload, nil)
+	p, _, err := s.reload(ctx, key, payload)
 	if err != nil {
 		return err
 	}

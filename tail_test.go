@@ -91,7 +91,7 @@ func streamedKeys(t *testing.T, lines []string) (keys []string, segs []uint64) {
 func fakeKey(i int) string { return fmt.Sprintf("%064x", i) }
 
 // follow runs svc.Follow against url in the background; stop cancels
-// it and returns its result. A test that fails first still cancels it
+// it, checks the follower's counters and returns its result. A test that fails first still cancels it
 // at cleanup, before the peer's own cleanup waits for the stream to end.
 func follow(t *testing.T, svc *Service, url string, workers int) (stop func() (absorbed, failed int, err error)) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -108,6 +108,11 @@ func follow(t *testing.T, svc *Service, url string, workers int) (stop func() (a
 	return func() (int, int, error) {
 		cancel()
 		r := <-resc
+		// A follower plans each record it absorbs, and counts it as a
+		// store load only: never a planner miss or a structure hit.
+		if st := svc.Stats(); st.Misses != 0 || st.StructureHits != 0 {
+			t.Errorf("follower counted %d misses and %d structure hits, want 0 and 0", st.Misses, st.StructureHits)
+		}
 		return r.absorbed, r.failed, r.err
 	}
 }
@@ -316,7 +321,7 @@ func TestTailLogSkipsSalvagedFragment(t *testing.T) {
 	peer := httptest.NewServer(NewHandler(peerSvc))
 	t.Cleanup(peer.Close)
 
-	follower := NewService(WithPlanner(failingPlanner(t)))
+	follower := NewService()
 	stop := follow(t, follower, peer.URL, 2)
 	waitStoreLoads(t, follower, 1)
 	// The recovery: Put closes the fragment with a newline, then writes
@@ -341,16 +346,16 @@ func TestTailLogSkipsSalvagedFragment(t *testing.T) {
 // writes through small rotating segments and repeated forced
 // compactions while the follower streams it — the resume rules under
 // -race. Every key the peer planned must reach the follower, none of
-// them replanned.
+// them counted as a planner miss.
 func TestTailUnderWriteRace(t *testing.T) {
 	peerSvc := NewService(WithStore(t.TempDir()))
 	defer peerSvc.CloseStore()
 	st := peerSvc.store
-	st.segBytes = 4 << 10
+	st.segBytes = 1 << 10 // a record is ~400 bytes
 	peer := httptest.NewServer(NewHandler(peerSvc))
 	t.Cleanup(peer.Close)
 
-	follower := NewService(WithPlanner(failingPlanner(t)))
+	follower := NewService()
 	stop := follow(t, follower, peer.URL, 3)
 
 	const writers, perWriter = 3, 4
@@ -396,14 +401,14 @@ func TestTailUnderWriteRace(t *testing.T) {
 		}
 	}
 	if st := follower.Stats(); st.Misses != 0 {
-		t.Fatalf("follower replanned: stats %+v", st)
+		t.Fatalf("follower counted planner misses: stats %+v", st)
 	}
 }
 
 // TestFollowHTTPWarmsFromPeer is the cross-process story over HTTP: a
 // follower reads a peer replica's GET /v1/store and absorbs both the
 // plans stored before it connected and the ones that arrive while it
-// is attached — with zero planner runs, each plan byte-identical to
+// is attached — with zero planner misses, each plan byte-identical to
 // the peer's, and each written through to the follower's own store.
 func TestFollowHTTPWarmsFromPeer(t *testing.T) {
 	peerSvc := NewService(WithStore(t.TempDir()))
@@ -421,7 +426,7 @@ func TestFollowHTTPWarmsFromPeer(t *testing.T) {
 		post(seed)
 	}
 
-	follower := NewService(WithPlanner(failingPlanner(t)), WithStore(t.TempDir()))
+	follower := NewService(WithStore(t.TempDir()))
 	defer follower.CloseStore()
 	stop := follow(t, follower, peer.URL, 2)
 	waitStoreLoads(t, follower, 3) // the backlog
@@ -446,9 +451,7 @@ func TestFollowHTTPWarmsFromPeer(t *testing.T) {
 		if err != nil || outcome != CacheHit {
 			t.Fatalf("seed %d: outcome %q, err %v, want a hit", seed, outcome, err)
 		}
-		a, _ := encodePlan(want)
-		b, _ := encodePlan(got)
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(planBytes(t, want), planBytes(t, got)) {
 			t.Fatalf("seed %d: absorbed plan differs from the peer's", seed)
 		}
 	}
@@ -510,7 +513,7 @@ func TestWarmFromLogOverlongLineNamesLine(t *testing.T) {
 	peer := fakePeer(t, []byte(headerLine(3, 100)), long, recordLine(t, key, payload))
 
 	var log logRecorder
-	follower := NewService(WithPlanner(failingPlanner(t)), WithServiceLogf(log.logf))
+	follower := NewService(WithServiceLogf(log.logf))
 	stop := follow(t, follower, peer.URL, 1)
 	waitStoreLoads(t, follower, 1)
 	absorbed, failed, _ := stop()
@@ -541,7 +544,7 @@ func TestWarmFromLogBadLine(t *testing.T) {
 	peer := fakePeer(t, []byte(headerLine(1, 0)), good1, garbage, badCRC, reordered, recordLine(t, key2, payload2))
 
 	var log logRecorder
-	follower := NewService(WithPlanner(failingPlanner(t)), WithServiceLogf(log.logf))
+	follower := NewService(WithServiceLogf(log.logf))
 	stop := follow(t, follower, peer.URL, 2)
 	waitStoreLoads(t, follower, 2)
 	absorbed, failed, _ := stop()
@@ -556,7 +559,7 @@ func TestWarmFromLogBadLine(t *testing.T) {
 }
 
 // TestWarmFromLogPlanFailuresCounted pins the decode gate: a record
-// with a valid CRC whose plan does not survive decodePlan's checks
+// with a valid CRC whose scenario does not survive decodePlan's checks
 // (here: filed under another scenario's key) is counted as failed and
 // never made resident.
 func TestWarmFromLogPlanFailuresCounted(t *testing.T) {
@@ -564,7 +567,7 @@ func TestWarmFromLogPlanFailuresCounted(t *testing.T) {
 	key2, payload2 := planRecord(t, 2)
 	peer := fakePeer(t, []byte(headerLine(1, 0)), recordLine(t, key2, payload1), recordLine(t, key1, payload1), recordLine(t, key2, payload2))
 
-	follower := NewService(WithPlanner(failingPlanner(t)))
+	follower := NewService()
 	stop := follow(t, follower, peer.URL, 1)
 	waitStoreLoads(t, follower, 2)
 	absorbed, failed, _ := stop()
@@ -590,7 +593,7 @@ func TestWarmFromLogStreamsLargeLog(t *testing.T) {
 	}
 	peer := fakePeer(t, append(stream, recs[distinct])...)
 
-	follower := NewService(WithPlanner(failingPlanner(t)))
+	follower := NewService()
 	stop := follow(t, follower, peer.URL, 1)
 	waitStoreLoads(t, follower, distinct+1)
 	absorbed, failed, _ := stop()
@@ -620,7 +623,7 @@ func TestWarmFromLogCancellation(t *testing.T) {
 		key, payload := planRecord(t, seed)
 		backlog = append(backlog, recordLine(t, key, payload))
 	}
-	follower := NewService(WithPlanner(failingPlanner(t)))
+	follower := NewService()
 	stop := follow(t, follower, fakePeer(t, backlog...).URL, 1)
 	for follower.Stats().StoreLoads == 0 {
 		time.Sleep(time.Millisecond)

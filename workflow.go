@@ -25,7 +25,7 @@ func GenerateWorkflow(ctx context.Context, s Scenario) (*Workflow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, redundant, err := s.materialize(ctx, nil)
+	w, redundant, err := s.materialize(ctx)
 	if err != nil {
 		return nil, err
 	}
