@@ -100,11 +100,13 @@ func TestWorkflowCloneAllocs(t *testing.T) {
 }
 
 // TestHandlerHitAllocs guards the merged job handler on the resident
-// paths perfbench's hot-estimate workload times: a /v1/plan hit and a
-// /v1/estimate Dodin hit, each served by NewHandler through an
-// httptest recorder (the request and recorder are part of the count).
-// The bounds are the measured counts, so a new allocation on either
-// path fails the test.
+// paths perfbench's hot-estimate workload times: a /v1/plan hit, a
+// /v1/estimate Dodin hit, and a /v1/estimate Monte Carlo and a
+// /v1/simulate request repeating the plan's last trial count and seed
+// (answered from the plan's records), each served by NewHandler
+// through an httptest recorder (the request and recorder are part of
+// the count). The bounds are the measured counts, so a new allocation
+// on any path fails the test.
 func TestHandlerHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -116,13 +118,15 @@ func TestHandlerHitAllocs(t *testing.T) {
 	}{
 		{"/v1/plan", `{"family":"genome","tasks":40,"procs":3,"seed":7}`, 35},
 		{"/v1/estimate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"method":"Dodin"}`, 36},
+		{"/v1/estimate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"method":"MonteCarlo","mc_trials":500,"mc_seed":3}`, 42},
+		{"/v1/simulate", `{"family":"genome","tasks":40,"procs":3,"seed":7,"trials":300,"sim_seed":3}`, 41},
 	} {
 		serve := func() *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
 			return rec
 		}
-		serve() // the cold miss that makes the plan (and its Dodin estimate) resident
+		serve() // the cold miss that makes the plan (and its Dodin, Monte Carlo or simulation answer) resident
 		if rec := serve(); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != string(CacheHit) {
 			t.Fatalf("%s: %d X-Cache %q: %s", c.path, rec.Code, rec.Header().Get("X-Cache"), rec.Body)
 		}

@@ -607,12 +607,13 @@ func BenchmarkPlanFromScaffold(b *testing.B) {
 
 // hotPlans returns the cached plans perfbench's hot-estimate heavy
 // slots hit: the four families at 300 tasks with default parameters
-// under CkptSome, each asked once so its segment DAG is built.
-func hotPlans(b *testing.B) []*Plan {
+// (plus opts) under CkptSome, each asked once so its segment DAG is
+// built.
+func hotPlans(b *testing.B, opts ...ScenarioOption) []*Plan {
 	ctx := context.Background()
 	var plans []*Plan
 	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
-		p, err := NewPlan(ctx, NewScenario(WithFamily(fam), WithTasks(300)))
+		p, err := NewPlan(ctx, NewScenario(append([]ScenarioOption{WithFamily(fam), WithTasks(300)}, opts...)...))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -626,14 +627,16 @@ func hotPlans(b *testing.B) []*Plan {
 
 // BenchmarkEstimateHotMonteCarlo is hot-estimate's Monte Carlo slot in
 // process: each op is one 1 000-trial, one-worker estimate on one of
-// the four cached hot plans, in turn.
+// the four cached hot plans, in turn. Each op has its own seed, so the
+// plan's record of its last answer never serves it and the op measures
+// the kernel.
 func BenchmarkEstimateHotMonteCarlo(b *testing.B) {
 	ctx := context.Background()
 	plans := hotPlans(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plans[i%len(plans)].Estimate(ctx, MonteCarlo, WithMCTrials(1000), WithEstimateWorkers(1)); err != nil {
+		if _, err := plans[i%len(plans)].Estimate(ctx, MonteCarlo, WithMCTrials(1000), WithMCSeed(int64(i)), WithEstimateWorkers(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -641,14 +644,53 @@ func BenchmarkEstimateHotMonteCarlo(b *testing.B) {
 
 // BenchmarkSimulateHot is hot-estimate's simulate slot in process: each
 // op is one 200-trial, one-worker simulation of one of the four cached
-// hot plans, in turn.
+// hot plans, in turn, with a seed of its own (see
+// BenchmarkEstimateHotMonteCarlo).
 func BenchmarkSimulateHot(b *testing.B) {
+	benchSimulateHot(b, hotPlans(b))
+}
+
+// BenchmarkSimulateHotPFail01 is BenchmarkSimulateHot at pfail 0.01,
+// where nearly every trial has a failure strike a running segment, so
+// few trials end in the simulator's failure-free walk.
+func BenchmarkSimulateHotPFail01(b *testing.B) {
+	benchSimulateHot(b, hotPlans(b, WithPFail(0.01)))
+}
+
+func benchSimulateHot(b *testing.B, plans []*Plan) {
 	ctx := context.Background()
-	plans := hotPlans(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plans[i%len(plans)].Simulate(ctx, WithSimTrials(200), WithSimWorkers(1)); err != nil {
+		if _, err := plans[i%len(plans)].Simulate(ctx, WithSimTrials(200), WithSimSeed(int64(i)), WithSimWorkers(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimateHotMemo is the heavy slots' repeated requests: each
+// op asks one of the four cached hot plans, in turn, for the Monte
+// Carlo estimate and the simulation it already computed (default trial
+// counts and seeds), so both come from the plan's records.
+func BenchmarkEstimateHotMemo(b *testing.B) {
+	ctx := context.Background()
+	plans := hotPlans(b)
+	for _, p := range plans {
+		if _, err := p.Estimate(ctx, MonteCarlo); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Simulate(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := plans[i%len(plans)]
+		if _, err := p.Estimate(ctx, MonteCarlo); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Simulate(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -135,6 +135,16 @@ func (c *flightCache[V]) add(key string, v V) bool {
 	return true
 }
 
+// contains reports whether key is cached or in flight, without
+// promoting it in its shard's recency order.
+func (c *flightCache[V]) contains(key string) bool {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.entries[key]
+	return ok
+}
+
 // size reports the resident entries (in-flight ones included) and the
 // total capacity, summed over the shards.
 func (c *flightCache[V]) size() (entries, capacity int) {

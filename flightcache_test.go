@@ -91,9 +91,10 @@ func (r *refLRU) checkAgainst(t *testing.T, c *flightCache[string], step string)
 // successful gets, failing fills, fills under a cancelled context,
 // coalesced waiters and waiters whose initiator is cancelled through a
 // flightCache small enough to evict constantly, and checks after every
-// step: the resident/absent answer, one fill per absent key per flight,
-// no cached failure, live waiters retrying past a foreign
-// cancellation, the per-shard recency order and the capacity bound.
+// step: the resident/absent answer (also through contains, which must
+// not promote), one fill per absent key per flight, no cached failure,
+// live waiters retrying past a foreign cancellation, the per-shard
+// recency order and the capacity bound.
 // Run under -race by make check.
 func TestFlightCacheMatchesSequentialModel(t *testing.T) {
 	errBoom := errors.New("boom")
@@ -123,6 +124,13 @@ func TestFlightCacheMatchesSequentialModel(t *testing.T) {
 				for step := 0; step < 120; step++ {
 					key := keys[rng.Intn(len(keys))]
 					was := ref.contains(key)
+					// contains answers like the reference for a probe key
+					// the step's operation need not touch, and (checked
+					// after the step) leaves the recency order alone.
+					probe := keys[step*5%len(keys)]
+					if got, want := c.contains(probe), ref.contains(probe); got != want {
+						t.Fatalf("step %d: contains(%s) = %v, reference %v", step, probe, got, want)
+					}
 					before := fills.Load()
 					name := fmt.Sprintf("step %d", step)
 					switch op := rng.Intn(10); {

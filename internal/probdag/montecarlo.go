@@ -3,7 +3,6 @@ package probdag
 import (
 	"context"
 	"math"
-	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/par"
@@ -182,7 +181,11 @@ func newMCKernel(g *Graph) (*mcKernel, error) {
 
 // newScratch returns trial state at the all-first-value pass.
 func (k *mcKernel) newScratch() *mcScratch {
-	return &mcScratch{dur: slices.Clone(k.dur0), fin: slices.Clone(k.fin0)}
+	n := len(k.dur0)
+	buf := make([]float64, 2*n)
+	copy(buf, k.dur0)
+	copy(buf[n:], k.fin0)
+	return &mcScratch{dur: buf[:n:n], fin: buf[n:]}
 }
 
 // forward recomputes fin from position from onward under dur and

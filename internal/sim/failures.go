@@ -30,12 +30,6 @@ type PoissonFailures struct {
 	next   []float64
 }
 
-// newPoissonScratch allocates the per-processor state without drawing;
-// the source is unusable until Reset seeds it with a generator.
-func newPoissonScratch(procs int, lambda float64) *PoissonFailures {
-	return &PoissonFailures{lambda: lambda, next: make([]float64, procs)}
-}
-
 // Reset rebinds the source to rng and redraws every processor's first
 // failure instant in place, making one allocation of per-processor state
 // serve any number of simulated trials.

@@ -228,3 +228,117 @@ func TestDeadlockReportedAtConstruction(t *testing.T) {
 		}
 	}
 }
+
+// forkPlan plans a fork-join of the given chains between a 20 s source
+// and a zero-weight sink on two processors under CkptAll, with empty
+// files, so a zero weight is a zero-span segment. The scheduler puts
+// the source, the first chain and the sink on processor 0 and the
+// other chains on processor 1, which idles until the source ends; so
+// with a short first chain each processor idles before a step, and a
+// failure can fall in a gap without striking.
+func forkPlan(t *testing.T, chains [][]float64, lambda float64) *ckpt.Plan {
+	t.Helper()
+	g := wfdag.New()
+	src, sink := g.AddTask("src", "k", 20), g.AddTask("sink", "k", 0)
+	var branches []*mspg.Node
+	for _, weights := range chains {
+		var ids []wfdag.TaskID
+		prev := src
+		for _, w := range weights {
+			id := g.AddTask("t", "k", w)
+			g.Connect(prev, id, "f", 0)
+			prev = id
+			ids = append(ids, id)
+		}
+		g.Connect(prev, sink, "f", 0)
+		branches = append(branches, mspg.NewChain(ids...))
+	}
+	w := &mspg.Workflow{Name: "fork", G: g, Root: mspg.NewSerial(mspg.NewAtomic(src), mspg.NewParallel(branches...), mspg.NewAtomic(sink))}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pf := platform.New(2, lambda, 1)
+	s, err := sched.Allocate(w, pf, sched.Options{Linearize: sched.DeterministicLinearizer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ckpt.BuildPlanWith(s, pf, ckpt.CkptAll, ckpt.ModelFirstOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRunMatchesRunWith checks Run's staged walk (failure-free
+// execution, failure-free walk to the first strike, step loop from
+// there) against the plain step loop on the same draws, trial by trial
+// and bit for bit, with the generator's position compared after every
+// plan: 300-task plans of the four hot-estimate families at pfail 0 to 0.1 under
+// CkptSome, CkptAll, ExitOnly and a periodic strategy, plus a chain
+// and a two-processor fork-join with zero-span segments.
+func TestRunMatchesRunWith(t *testing.T) {
+	type planCase struct {
+		tag    string
+		p      *ckpt.Plan
+		trials int
+	}
+	var plans []planCase
+	for _, fam := range []string{"genome", "montage", "ligo", "cybershake"} {
+		for _, pfail := range []float64{0, 1e-4, 1e-3, 1e-2, 0.1} {
+			for _, c := range []struct {
+				strat ckpt.Strategy
+				k     int
+			}{{ckpt.CkptSome, 0}, {ckpt.CkptAll, 0}, {ckpt.ExitOnly, 0}, {"", 3}} {
+				plans = append(plans, planCase{
+					fmt.Sprintf("%s/pfail=%g/%s/k=%d", fam, pfail, c.strat, c.k),
+					generatedPlan(t, fam, 300, 8, 1, pfail, c.strat, c.k),
+					60,
+				})
+			}
+		}
+	}
+	plans = append(plans,
+		planCase{"zero-span chain", chainPlan(t, []float64{10, 0, 20, 0, 0, 30}, 0, 0.02, ckpt.CkptAll), 2000},
+	)
+	for _, lambda := range []float64{0.005, 0.01, 0.02, 0.05} {
+		plans = append(plans, planCase{
+			fmt.Sprintf("zero-span fork/lambda=%g", lambda),
+			forkPlan(t, [][]float64{{0, 6}, {0, 5, 0}, {5, 0, 0}, {0, 5}, {5, 0}}, lambda),
+			2000,
+		})
+	}
+	var zeroSpan, clean, struck int
+	for i, c := range plans {
+		r, err := NewRunner(c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.tag, err)
+		}
+		for _, s := range r.steps.list {
+			if s.span == 0 {
+				zeroSpan++
+			}
+		}
+		ref := r.steps.runner()
+		rngA, rngB := rand.New(rand.NewSource(int64(i))), rand.New(rand.NewSource(int64(i)))
+		for trial := 0; trial < c.trials; trial++ {
+			got, _ := r.Run(rngA)
+			ref.fs.Reset(rngB)
+			want, _ := ref.RunWith(&ref.fs)
+			if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) || got.Failures != want.Failures {
+				t.Fatalf("%s trial %d: Run %+v, RunWith %+v", c.tag, trial, got, want)
+			}
+			if want.Failures == 0 {
+				clean++
+			} else {
+				struck++
+			}
+		}
+		if a, b := rngA.Int63(), rngB.Int63(); a != b {
+			t.Fatalf("%s: generator positions differ after the trials (%d vs %d)", c.tag, a, b)
+		}
+	}
+	if zeroSpan == 0 || clean == 0 || struck == 0 {
+		t.Fatalf("%d zero-span steps, %d failure-free and %d struck trials; want each > 0", zeroSpan, clean, struck)
+	}
+	t.Logf("%d plans, %d zero-span steps, %d failure-free and %d struck trials", len(plans), zeroSpan, clean, struck)
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -32,6 +33,10 @@ type Result struct {
 // predecessors, span) and reports a plan that would deadlock there;
 // every trial then walks the list, draws failures in the same order as
 // the round-by-round scan it replaced, and only reads and writes times.
+// Until the first failure that strikes a running step, every step runs
+// at its failure-free time, which the list also records; Run walks
+// those times without the predecessor max and runs the full step loop
+// only from the first strike on (see Run).
 // The step list is immutable and shared by the Runners the chunked
 // estimators make per goroutine; each owns only its finish and clock
 // buffers and its Poisson failure source, which are reset in place on
@@ -40,26 +45,35 @@ type Runner struct {
 	steps  *Steps
 	finish []float64
 	clock  []float64
-	fs     *PoissonFailures
+	fs     PoissonFailures
 }
 
 // Steps is a plan's fixed execution order: list[k]'s predecessor
 // segments are preds[list[k].lo:list[k].hi]. It depends only on the
 // plan and is immutable, so one Steps serves every simulation of the
 // plan, concurrently too.
+//
+// It also records the failure-free execution: each step's start and
+// end, the makespan, and per processor quiet, the latest end of a
+// step with a non-zero span (-Inf when it runs none), after which no
+// failure of that processor can strike a step.
 type Steps struct {
-	list   []step
-	preds  []int32
-	nseg   int
-	procs  int
-	lambda float64
+	list     []step
+	preds    []int32
+	nseg     int
+	procs    int
+	lambda   float64
+	quiet    []float64
+	makespan float64
 }
 
-// step is one segment execution of the fixed order.
+// step is one segment execution of the fixed order, with its
+// failure-free start and end.
 type step struct {
-	seg, proc int32
-	lo, hi    int32
-	span      float64
+	seg, proc  int32
+	lo, hi     int32
+	span       float64
+	start, end float64
 }
 
 // NewRunner prepares a Runner for the plan. CkptNone plans have no
@@ -138,7 +152,37 @@ func NewSteps(p *ckpt.Plan) (*Steps, error) {
 			return nil, fmt.Errorf("sim: deadlock with %d segments remaining", remaining)
 		}
 	}
+	st.failureFree()
 	return st, nil
+}
+
+// failureFree records the failure-free execution with the step loop's
+// own arithmetic (end = ready + span), so a trial without a strike
+// reproduces it bit for bit.
+func (st *Steps) failureFree() {
+	finish, clock := make([]float64, st.nseg), make([]float64, st.procs)
+	st.quiet = make([]float64, st.procs)
+	for i := range st.quiet {
+		st.quiet[i] = math.Inf(-1)
+	}
+	for k := range st.list {
+		s := &st.list[k]
+		s.start = clock[s.proc]
+		for _, pr := range st.preds[s.lo:s.hi] {
+			if finish[pr] > s.start {
+				s.start = finish[pr]
+			}
+		}
+		s.end = s.start
+		if s.span != 0 {
+			s.end = s.start + s.span
+			st.quiet[s.proc] = max(st.quiet[s.proc], s.end)
+		}
+		finish[s.seg], clock[s.proc] = s.end, s.end
+	}
+	for _, f := range finish {
+		st.makespan = max(st.makespan, f)
+	}
 }
 
 // group sorts m items into n groups by key, stably: group k is
@@ -161,37 +205,67 @@ func group(n, m int, key, val func(i int) int) (off, out []int32) {
 	return off[:n+1], out
 }
 
-// runner returns a Runner walking st with scratch of its own.
+// runner returns a Runner walking st with scratch of its own: the
+// finish, clock and next-failure times share one buffer, and the
+// failure source is unusable until Run resets it with a generator.
 func (st *Steps) runner() *Runner {
+	n, p := st.nseg, st.procs
+	buf := make([]float64, n+2*p)
 	return &Runner{
 		steps:  st,
-		finish: make([]float64, st.nseg),
-		clock:  make([]float64, st.procs),
-		fs:     newPoissonScratch(st.procs, st.lambda),
+		finish: buf[:n:n],
+		clock:  buf[n : n+p : n+p],
+		fs:     PoissonFailures{lambda: st.lambda, next: buf[n+p:]},
 	}
 }
 
 // Run simulates one execution with fresh Poisson failures drawn from
 // rng. It performs no allocation.
+//
+// A segment occupies its processor for R+W+C seconds; a failure during
+// an attempt discards it entirely (in-memory data is lost) and the
+// segment restarts — reading R again from stable storage — as soon as
+// the processor is back (instant reboot, per the paper's model).
+// Checkpoints make completed segments immune to later failures. The
+// error is always nil: a plan that deadlocks is rejected by NewSteps.
+//
+// Every step before the first strike runs at its failure-free time, so
+// Run goes in three stages, drawing exactly what the step loop would:
+// when no processor's first failure comes before its quiet time, the
+// trial is the failure-free execution; otherwise it walks the steps at
+// their failure-free starts, asking NextAfter as the loop does, until
+// a failure strikes step k; from there it runs the step loop (runFrom)
+// on the failure-free finish and clock times of the steps before k.
 func (r *Runner) Run(rng *rand.Rand) (Result, error) {
-	r.fs.Reset(rng)
-	return r.RunWith(r.fs)
+	st, fs := r.steps, &r.fs
+	fs.Reset(rng)
+	quiet := true
+	for p, q := range st.quiet {
+		if fs.next[p] <= q {
+			quiet = false
+			break
+		}
+	}
+	if quiet {
+		return Result{Makespan: st.makespan}, nil
+	}
+	clear(r.clock)
+	for k, s := range st.list {
+		if s.span != 0 && fs.NextAfter(int(s.proc), s.start) < s.end {
+			return r.runFrom(fs, k), nil
+		}
+		r.finish[s.seg], r.clock[s.proc] = s.end, s.end
+	}
+	return Result{Makespan: st.makespan}, nil
 }
 
-// RunWith simulates one execution against an arbitrary failure source
-// (scripted traces, no failures). A segment occupies its processor for
-// R+W+C seconds; a failure during an attempt discards it entirely
-// (in-memory data is lost) and the segment restarts — reading R again
-// from stable storage — as soon as the processor is back (instant
-// reboot, per the paper's model). Checkpoints make completed segments
-// immune to later failures. The error is always nil: a plan that
-// deadlocks is rejected by NewRunner.
-func (r *Runner) RunWith(fs FailureSource) (Result, error) {
+// runFrom runs the step loop from step k against fs, with finish and
+// clock holding the times the steps before k left, and returns the
+// makespan over every segment and the failures from step k on.
+func (r *Runner) runFrom(fs FailureSource, k int) Result {
 	finish, clock := r.finish, r.clock
-	clear(finish)
-	clear(clock)
 	res := Result{}
-	for _, st := range r.steps.list {
+	for _, st := range r.steps.list[k:] {
 		ready := clock[st.proc]
 		for _, pr := range r.steps.preds[st.lo:st.hi] {
 			if finish[pr] > ready {
@@ -208,7 +282,7 @@ func (r *Runner) RunWith(fs FailureSource) (Result, error) {
 			res.Makespan = f
 		}
 	}
-	return res, nil
+	return res
 }
 
 // executeWithFailures runs one work unit of nominal duration d starting

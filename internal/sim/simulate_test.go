@@ -27,10 +27,20 @@ func RunPlan(p *ckpt.Plan, fs FailureSource) (Result, error) {
 	return r.RunWith(fs)
 }
 
+// RunWith simulates one execution against an arbitrary failure source
+// (scripted traces, no failures, a Poisson source): the step loop from
+// the first step, with no failure-free walk: the reference that Run's
+// staged walk is checked against.
+func (r *Runner) RunWith(fs FailureSource) (Result, error) {
+	clear(r.finish)
+	clear(r.clock)
+	return r.runFrom(fs, 0), nil
+}
+
 // NewPoissonFailures returns a failure source for procs processors with
 // rate lambda, drawing from rng.
 func NewPoissonFailures(procs int, lambda float64, rng *rand.Rand) *PoissonFailures {
-	p := newPoissonScratch(procs, lambda)
+	p := &PoissonFailures{lambda: lambda, next: make([]float64, procs)}
 	p.Reset(rng)
 	return p
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
@@ -26,11 +27,14 @@ import (
 // and Dodin estimates over it, and the simulator's step list, each
 // built by the first request that needs it (none at construction); the
 // PathApprox estimate is the planning-time one, ExpectedMakespan.
-// Monte Carlo estimates and simulations are computed per request:
-// their trial count and seed are request inputs, so keeping them would
-// be an unbounded response cache. The segment DAG and the step list
-// keep their request-independent parts, Monte Carlo's sampling kernel
-// and the simulator's execution order.
+// Monte Carlo estimates and simulations also depend on the request's
+// trial count and seed (not on its worker count: the answers are
+// bit-identical for every one). A plan keeps the last computed answer
+// of each, one (trials, seed) record for Monte Carlo and one for
+// Simulate, and answers a request that repeats that pair from it; any
+// other pair is computed and replaces the record. So the memo is two
+// small records per plan, not a response cache that grows with the
+// requests.
 type Plan struct {
 	scenario Scenario
 	res      *core.Result
@@ -45,6 +49,18 @@ type Plan struct {
 	stepsErr  error
 
 	normal, dodin estimateSlot
+
+	mc  atomic.Pointer[record[float64]]
+	sim atomic.Pointer[record[SimResult]]
+}
+
+// record is the last answer of a trial-based method a plan computed,
+// with the trial count and seed it was computed for. Records are
+// immutable; a new answer replaces the plan's pointer.
+type record[T any] struct {
+	trials int
+	seed   int64
+	v      T
 }
 
 // estimateSlot holds one deterministic estimate, computed at most once.
@@ -284,9 +300,11 @@ func (p *Plan) ensureSteps() (*sim.Steps, error) {
 // closed formula (there is no segment DAG). Deterministic methods
 // ignore the options: PathApprox answers the planning-time estimate,
 // and the plan computes Normal and Dodin once each, on its first
-// request, and answers every later request from that result;
-// MonteCarlo honours trials/seed/workers, runs on every request and is
-// bit-identical for every worker count.
+// request, and answers every later request from that result.
+// MonteCarlo honours trials/seed/workers and is bit-identical for
+// every worker count; a request with the trial count and seed of the
+// plan's last computed Monte Carlo answer is answered from it, without
+// allocating, and any other is computed and becomes that answer.
 func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (float64, error) {
 	cfg := estimateConfig{trials: DefaultMCTrials, seed: p.scenario.seed}
 	if len(opts) > 0 {
@@ -308,6 +326,11 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 	if m == PathApprox || p.res.Strategy == ckpt.CkptNone {
 		return p.res.ExpectedMakespan, nil
 	}
+	if m == MonteCarlo {
+		if r := p.mc.Load(); r != nil && r.trials == cfg.trials && r.seed == cfg.seed {
+			return r.v, nil
+		}
+	}
 	g, err := p.ensureDAG()
 	if err != nil {
 		return 0, err
@@ -317,6 +340,7 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 		if err != nil {
 			return 0, err
 		}
+		p.mc.Store(&record[float64]{cfg.trials, cfg.seed, sum.Mean})
 		return sum.Mean, nil
 	}
 	slot := &p.dodin
@@ -356,6 +380,14 @@ type simConfig struct {
 	workers int
 }
 
+// with returns c with opts applied, as estimateConfig.with does.
+func (c simConfig) with(opts []SimOption) simConfig {
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
 // WithSimTrials sets the trial count (default 2000).
 func WithSimTrials(n int) SimOption { return func(c *simConfig) { c.trials = n } }
 
@@ -369,14 +401,23 @@ func WithSimWorkers(n int) SimOption { return func(c *simConfig) { c.workers = n
 // Simulate runs the fail-stop discrete-event simulator on the plan and
 // summarizes the measured makespans — the empirical counterpart of
 // Estimate. CkptNone plans use the whole-restart semantics underlying
-// Theorem 1.
+// Theorem 1. The summary is bit-identical for every worker count; a
+// request with the trial count and seed of the plan's last computed
+// simulation is answered from it, without allocating, and any other
+// is computed and becomes that answer.
 func (p *Plan) Simulate(ctx context.Context, opts ...SimOption) (SimResult, error) {
 	cfg := simConfig{trials: DefaultSimTrials, seed: p.scenario.seed}
-	for _, o := range opts {
-		o(&cfg)
+	if len(opts) > 0 {
+		cfg = cfg.with(opts)
 	}
 	if cfg.trials < 1 {
 		return SimResult{}, fmt.Errorf("%w: non-positive trial count %d", ErrBadScenario, cfg.trials)
+	}
+	if err := ctx.Err(); err != nil {
+		return SimResult{}, err
+	}
+	if r := p.sim.Load(); r != nil && r.trials == cfg.trials && r.seed == cfg.seed {
+		return r.v, nil
 	}
 	var (
 		sum   dist.Summary
@@ -394,13 +435,15 @@ func (p *Plan) Simulate(ctx context.Context, opts ...SimOption) (SimResult, erro
 	if err != nil {
 		return SimResult{}, err
 	}
-	return SimResult{
+	res := SimResult{
 		Trials:       sum.N,
 		Mean:         sum.Mean,
 		StdDev:       sum.StdDev,
 		CI95:         sum.CI95,
 		MeanFailures: fails,
-	}, nil
+	}
+	p.sim.Store(&record[SimResult]{cfg.trials, cfg.seed, res})
+	return res, nil
 }
 
 // Comparison holds the three paper strategies planned and evaluated on

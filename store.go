@@ -783,6 +783,14 @@ func (st *PlanStore) Keys() []string {
 	return keys
 }
 
+// has reports whether key has a live record.
+func (st *PlanStore) has(key string) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, ok := st.index[key]
+	return ok
+}
+
 // Records returns the number of live records.
 func (st *PlanStore) Records() int {
 	st.mu.Lock()

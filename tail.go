@@ -287,8 +287,14 @@ func isPeerURL(s string) bool {
 }
 
 // absorb reloads one peer record, makes its plan resident and writes
-// its record through to this Service's store.
+// its record through to this Service's store. A key that is already
+// resident (or in flight) and already in the store (or with no store
+// to write) is left as it is: a replayed stream repeats records, and
+// reloading one would plan its scenario again for nothing.
 func (s *Service) absorb(ctx context.Context, key string, payload []byte) error {
+	if s.plans.contains(key) && (s.store == nil || s.store.has(key)) {
+		return nil
+	}
 	p, _, err := s.reload(ctx, key, payload)
 	if err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -577,31 +578,72 @@ func TestWarmFromLogPlanFailuresCounted(t *testing.T) {
 }
 
 // TestWarmFromLogStreamsLargeLog follows a stream far deeper than the
-// bounded hand-off channel: every record line is absorbed exactly
-// once, and duplicates make nothing new resident. One worker keeps
-// the order, so the sentinel record written last marks the end.
+// bounded hand-off channel: every record line is absorbed, duplicates
+// make nothing new resident, and the planner runs once per distinct
+// record, because a line whose key is resident (and in the store, when
+// the follower has one) is not reloaded. A resident key missing from
+// the follower's store is reloaded once more and written back. One
+// worker keeps the order, so the sentinel record written last marks
+// the end.
 func TestWarmFromLogStreamsLargeLog(t *testing.T) {
 	const distinct, lines = 7, 300
-	var recs [][]byte
-	for i := 0; i <= distinct; i++ {
+	var (
+		keys []string
+		recs [][]byte
+	)
+	for i := 0; i <= distinct+1; i++ {
 		key, payload := planRecord(t, int64(i))
-		recs = append(recs, recordLine(t, key, payload))
+		keys, recs = append(keys, key), append(recs, recordLine(t, key, payload))
 	}
 	stream := [][]byte{[]byte(headerLine(1, 0))}
 	for i := 0; i < lines; i++ {
 		stream = append(stream, recs[i%distinct])
 	}
-	peer := fakePeer(t, append(stream, recs[distinct])...)
+	stream = append(stream, recs[distinct])
 
-	follower := NewService()
-	stop := follow(t, follower, peer.URL, 1)
-	waitStoreLoads(t, follower, distinct+1)
-	absorbed, failed, _ := stop()
-	if absorbed != lines+1 || failed != 0 {
-		t.Fatalf("absorbed %d / failed %d, want %d / 0", absorbed, failed, lines+1)
-	}
-	if st := follower.Stats(); st.Entries != distinct+1 {
-		t.Fatalf("follower holds %d plans, want %d distinct", st.Entries, distinct+1)
+	for _, withStore := range []bool{false, true} {
+		peer := fakePeer(t, stream...) // serves its lines once
+		var calls atomic.Int64
+		opts := []ServiceOption{WithPlanner(countingPlanner(&calls))}
+		if withStore {
+			opts = append(opts, WithStore(t.TempDir()))
+		}
+		follower := NewService(opts...)
+		stop := follow(t, follower, peer.URL, 1)
+		waitStoreLoads(t, follower, distinct+1)
+		absorbed, failed, _ := stop()
+		if absorbed != lines+1 || failed != 0 {
+			t.Fatalf("store %v: absorbed %d / failed %d, want %d / 0", withStore, absorbed, failed, lines+1)
+		}
+		st := follower.Stats()
+		if st.Entries != distinct+1 {
+			t.Fatalf("store %v: follower holds %d plans, want %d distinct", withStore, st.Entries, distinct+1)
+		}
+		if n := calls.Load(); n != distinct+1 {
+			t.Fatalf("store %v: the planner ran %d times for %d lines, want once per distinct record (%d)", withStore, n, lines+1, distinct+1)
+		}
+		if !withStore {
+			continue
+		}
+		if st.StoreRecords != distinct+1 {
+			t.Fatalf("follower's store holds %d records, want %d", st.StoreRecords, distinct+1)
+		}
+
+		// Replay the stream, with a new sentinel, to the follower after
+		// dropping one resident key's record from its store.
+		follower.store.Drop(keys[0])
+		peer = fakePeer(t, append(stream[:len(stream)-1:len(stream)-1], recs[distinct+1])...)
+		stop = follow(t, follower, peer.URL, 1)
+		waitStoreLoads(t, follower, distinct+2)
+		if absorbed, failed, _ := stop(); absorbed != lines+1 || failed != 0 {
+			t.Fatalf("replay: absorbed %d / failed %d, want %d / 0", absorbed, failed, lines+1)
+		}
+		if n := calls.Load(); n != distinct+3 {
+			t.Fatalf("replay: the planner ran %d times in all, want %d (the dropped record and the new sentinel once more)", n, distinct+3)
+		}
+		if st := follower.Stats(); st.StoreRecords != distinct+2 {
+			t.Fatalf("replay: follower's store holds %d records, want %d", st.StoreRecords, distinct+2)
+		}
 	}
 }
 
