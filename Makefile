@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race bench-smoke perfbench-check bench-scaling golden-update fuzz-smoke fuzz-store serve-smoke stress-smoke replica-smoke lint lint-invariants
+.PHONY: check vet build test race bench-smoke perfbench-check bench-scaling golden-update fuzz-smoke fuzz-store serve-smoke stress-smoke replica-smoke lint lint-invariants loc
 
 check: vet build lint-invariants race bench-smoke perfbench-check
 
@@ -31,6 +31,19 @@ lint: vet lint-invariants
 
 build:
 	$(GO) build ./...
+
+# Code size: non-test, non-blank, non-comment Go lines of each package
+# of the root module (the files `go list` builds, so perfbench/ and
+# files behind unset build tags are not counted), then the total.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	awk '{ n = 0; \
+		for (i = 2; i <= NF; i++) { \
+			while ((getline line < $$i) > 0) { sub(/^[ \t]+/, "", line); if (line != "" && line !~ /^\/\//) n++ } \
+			close($$i) \
+		} \
+		printf "%6d  %s\n", n, $$1; total += n } \
+		END { printf "%6d  total\n", total }'
 
 test:
 	$(GO) test ./...

@@ -437,9 +437,9 @@ func BenchmarkColdMix(b *testing.B) {
 }
 
 // BenchmarkStoreWriteThrough measures the plan store's write-through
-// on BenchmarkColdMix's 12 plans (seed 1): each op encodes and frames
-// the 12 records and appends them to a fresh store, as Service.storePut
-// does on a cold miss. Opening the store is not timed.
+// on BenchmarkColdMix's 12 plans (seed 1): each op encodes the 12
+// payloads and Puts them into a fresh store, as Service.storePut does
+// on a cold miss. Opening the store is not timed.
 func BenchmarkStoreWriteThrough(b *testing.B) {
 	ctx := context.Background()
 	var (
@@ -474,8 +474,7 @@ func BenchmarkStoreWriteThrough(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			line, payload := frameLine(keys[j], payload)
-			if err := st.appendLine(keys[j], line, payload); err != nil {
+			if err := st.Put(keys[j], payload); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/par"
 	"repro/internal/pegasus"
 	"repro/internal/probdag"
 )
@@ -80,7 +81,8 @@ const accuracyMethods = 4
 // RunAccuracy builds the CkptSome segment DAG for every configuration
 // and evaluates it with MonteCarlo (at the ground-truth trial count),
 // Dodin, Normal and PathApprox, recording relative errors and runtimes.
-// Cells run on the Engine worker pool with index-ordered collection.
+// Cells run on a pool of cfg.Workers goroutines (par.ForEachCtx), each
+// writing the rows of its own cell index.
 func RunAccuracy(ctx context.Context, cfg AccuracyConfig) ([]AccuracyRow, error) {
 	cfg = cfg.withDefaults()
 	type cell struct {
@@ -105,7 +107,7 @@ func RunAccuracy(ctx context.Context, cfg AccuracyConfig) ([]AccuracyRow, error)
 		mcWorkers = cfg.Workers
 	}
 	var memo pegasus.Memo // each (family, size) generates once per call
-	err := Engine{Workers: cfg.Workers}.ForEach(ctx, len(cells), func(i int) error {
+	err := par.ForEachCtx(ctx, cfg.Workers, len(cells), func(i int) error {
 		c := cells[i]
 		procs := pegasus.PaperProcessorCounts(c.size)[1]
 		w, err := memo.Generate(c.family, pegasus.Options{Tasks: c.size, Seed: cfg.Seed})

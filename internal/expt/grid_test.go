@@ -4,48 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync/atomic"
 	"testing"
 )
-
-func TestEngineForEachVisitsEveryIndex(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		const n = 100
-		var hits [n]atomic.Int32
-		err := Engine{Workers: workers}.ForEach(context.Background(), n, func(i int) error {
-			hits[i].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestEngineForEachReportsSmallestIndexError(t *testing.T) {
-	bad3 := errors.New("cell 3")
-	bad7 := errors.New("cell 7")
-	err := Engine{Workers: 4}.ForEach(context.Background(), 10, func(i int) error {
-		switch i {
-		case 3:
-			return bad3
-		case 7:
-			return bad7
-		}
-		return nil
-	})
-	if !errors.Is(err, bad3) {
-		t.Fatalf("err = %v, want the smallest failing index", err)
-	}
-	if err := (Engine{}).ForEach(context.Background(), 0, func(int) error { t.Fatal("no cells"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // stripElapsed clears the wall-clock field, the only legitimately
 // nondeterministic part of an accuracy row.

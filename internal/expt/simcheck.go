@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/par"
 	"repro/internal/pegasus"
 	"repro/internal/sim"
 )
@@ -77,10 +78,10 @@ func (c SimCheckConfig) withDefaults() SimCheckConfig {
 // makespan distribution and compares its mean to the analytic estimate.
 // At small λ the first-order model should match within a few percent;
 // the gap widens as λ·(segment span) grows — exactly the Θ(λ²) terms the
-// paper drops. (family, pfail) cells run on the Engine worker pool; the
-// three strategies of one cell are planned serially on one shared
-// schedule (core.CompareOnSchedule), in CkptSome, CkptAll, CkptNone row
-// order.
+// paper drops. (family, pfail) cells run on a pool of cfg.Workers
+// goroutines (par.ForEachCtx); the three strategies of one cell are
+// planned serially on one shared schedule (core.CompareOnSchedule), in
+// CkptSome, CkptAll, CkptNone row order.
 func RunSimCheck(ctx context.Context, cfg SimCheckConfig) ([]SimCheckRow, error) {
 	cfg = cfg.withDefaults()
 	type cell struct {
@@ -103,7 +104,7 @@ func RunSimCheck(ctx context.Context, cfg SimCheckConfig) ([]SimCheckRow, error)
 		simWorkers = cfg.Workers
 	}
 	var memo pegasus.Memo // each family generates once per call
-	err := Engine{Workers: cfg.Workers}.ForEach(ctx, len(cells), func(i int) error {
+	err := par.ForEachCtx(ctx, cfg.Workers, len(cells), func(i int) error {
 		c := cells[i]
 		w, err := memo.Generate(c.family, pegasus.Options{Tasks: cfg.Tasks, Seed: cfg.Seed})
 		if err != nil {

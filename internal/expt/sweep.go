@@ -4,10 +4,12 @@
 // cross-validation, and the ablations listed in DESIGN.md. Results are
 // emitted as CSV rows and quick ASCII plots.
 //
-// All grid experiments run on the worker-pool Engine: cells are
-// enumerated up front, fanned out over Workers goroutines (default
-// GOMAXPROCS), and collected by cell index, so output is bit-identical
-// to a serial run. Workflow generation is memoized per call, through a
+// Every grid experiment enumerates its cells up front and fans them
+// out over Workers goroutines (default GOMAXPROCS) with internal/par:
+// RunAccuracy and RunSimCheck with par.ForEachCtx, each cell writing
+// its own index-addressed rows, and the sweeps with par.EmitOrdered,
+// which emits rows in grid order; so output is bit-identical to a
+// serial run. Workflow generation is memoized per call, through a
 // pegasus.Memo the call owns: each cell clones its workflow from that
 // memo instead of regenerating it, and the memo is dropped when the
 // call returns, so nothing generated outlives the sweep or study.

@@ -63,6 +63,12 @@ type record[T any] struct {
 	v      T
 }
 
+// answers reports whether r, which may be nil, holds the answer for
+// c's trial count and seed; the worker count does not change it.
+func (r *record[T]) answers(c trialConfig) bool {
+	return r != nil && r.trials == c.trials && r.seed == c.seed
+}
+
 // estimateSlot holds one deterministic estimate, computed at most once.
 type estimateSlot struct {
 	once sync.Once
@@ -251,33 +257,35 @@ const DefaultMCTrials = 10000
 // configured.
 const DefaultSimTrials = 2000
 
-// EstimateOption tunes Estimate.
-type EstimateOption func(*estimateConfig)
-
-type estimateConfig struct {
+// trialConfig configures a trial-based method: Monte Carlo, through
+// EstimateOptions, or Simulate, through SimOptions.
+type trialConfig struct {
 	trials  int
 	seed    int64
 	workers int
 }
 
 // with returns c with opts applied. Only this copy is handed to the
-// options, so an Estimate call without options does not allocate.
-func (c estimateConfig) with(opts []EstimateOption) estimateConfig {
+// options, so a call without options does not allocate.
+func with[O ~func(*trialConfig)](c trialConfig, opts []O) trialConfig {
 	for _, o := range opts {
 		o(&c)
 	}
 	return c
 }
 
+// EstimateOption tunes Estimate.
+type EstimateOption func(*trialConfig)
+
 // WithMCTrials sets the Monte Carlo trial count (default 10000).
-func WithMCTrials(n int) EstimateOption { return func(c *estimateConfig) { c.trials = n } }
+func WithMCTrials(n int) EstimateOption { return func(c *trialConfig) { c.trials = n } }
 
 // WithMCSeed sets the Monte Carlo seed (default: the scenario seed).
-func WithMCSeed(seed int64) EstimateOption { return func(c *estimateConfig) { c.seed = seed } }
+func WithMCSeed(seed int64) EstimateOption { return func(c *trialConfig) { c.seed = seed } }
 
 // WithEstimateWorkers bounds the Monte Carlo goroutines (0 = all
 // cores). The estimate is bit-identical for every worker count.
-func WithEstimateWorkers(n int) EstimateOption { return func(c *estimateConfig) { c.workers = n } }
+func WithEstimateWorkers(n int) EstimateOption { return func(c *trialConfig) { c.workers = n } }
 
 // ensureDAG builds the 2-state segment DAG once.
 func (p *Plan) ensureDAG() (*probdag.Graph, error) {
@@ -306,9 +314,9 @@ func (p *Plan) ensureSteps() (*sim.Steps, error) {
 // plan's last computed Monte Carlo answer is answered from it, without
 // allocating, and any other is computed and becomes that answer.
 func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (float64, error) {
-	cfg := estimateConfig{trials: DefaultMCTrials, seed: p.scenario.seed}
+	cfg := trialConfig{trials: DefaultMCTrials, seed: p.scenario.seed}
 	if len(opts) > 0 {
-		cfg = cfg.with(opts)
+		cfg = with(cfg, opts)
 	}
 	switch m {
 	case PathApprox, MonteCarlo, Normal, Dodin:
@@ -327,7 +335,7 @@ func (p *Plan) Estimate(ctx context.Context, m Method, opts ...EstimateOption) (
 		return p.res.ExpectedMakespan, nil
 	}
 	if m == MonteCarlo {
-		if r := p.mc.Load(); r != nil && r.trials == cfg.trials && r.seed == cfg.seed {
+		if r := p.mc.Load(); r.answers(cfg) {
 			return r.v, nil
 		}
 	}
@@ -372,31 +380,17 @@ type SimResult struct {
 }
 
 // SimOption tunes Simulate.
-type SimOption func(*simConfig)
-
-type simConfig struct {
-	trials  int
-	seed    int64
-	workers int
-}
-
-// with returns c with opts applied, as estimateConfig.with does.
-func (c simConfig) with(opts []SimOption) simConfig {
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
+type SimOption func(*trialConfig)
 
 // WithSimTrials sets the trial count (default 2000).
-func WithSimTrials(n int) SimOption { return func(c *simConfig) { c.trials = n } }
+func WithSimTrials(n int) SimOption { return func(c *trialConfig) { c.trials = n } }
 
 // WithSimSeed sets the trial seed (default: the scenario seed).
-func WithSimSeed(seed int64) SimOption { return func(c *simConfig) { c.seed = seed } }
+func WithSimSeed(seed int64) SimOption { return func(c *trialConfig) { c.seed = seed } }
 
 // WithSimWorkers bounds the trial goroutines (0 = all cores). The
 // summary is bit-identical for every worker count.
-func WithSimWorkers(n int) SimOption { return func(c *simConfig) { c.workers = n } }
+func WithSimWorkers(n int) SimOption { return func(c *trialConfig) { c.workers = n } }
 
 // Simulate runs the fail-stop discrete-event simulator on the plan and
 // summarizes the measured makespans — the empirical counterpart of
@@ -406,9 +400,9 @@ func WithSimWorkers(n int) SimOption { return func(c *simConfig) { c.workers = n
 // simulation is answered from it, without allocating, and any other
 // is computed and becomes that answer.
 func (p *Plan) Simulate(ctx context.Context, opts ...SimOption) (SimResult, error) {
-	cfg := simConfig{trials: DefaultSimTrials, seed: p.scenario.seed}
+	cfg := trialConfig{trials: DefaultSimTrials, seed: p.scenario.seed}
 	if len(opts) > 0 {
-		cfg = cfg.with(opts)
+		cfg = with(cfg, opts)
 	}
 	if cfg.trials < 1 {
 		return SimResult{}, fmt.Errorf("%w: non-positive trial count %d", ErrBadScenario, cfg.trials)
@@ -416,7 +410,7 @@ func (p *Plan) Simulate(ctx context.Context, opts ...SimOption) (SimResult, erro
 	if err := ctx.Err(); err != nil {
 		return SimResult{}, err
 	}
-	if r := p.sim.Load(); r != nil && r.trials == cfg.trials && r.seed == cfg.seed {
+	if r := p.sim.Load(); r.answers(cfg) {
 		return r.v, nil
 	}
 	var (

@@ -389,9 +389,9 @@ type Stats struct {
 	// request path (after an eviction or on a fresh replica: the
 	// record's scenario is planned again, but not counted as a miss or
 	// a structure hit); StoreLoads plans rehydrated eagerly at boot by
-	// LoadStore or absorbed from a peer by Follow. StoreRecords/StoreBytes describe the store's on-disk
-	// state and Compactions its rewrite passes. All zero without
-	// WithStore.
+	// LoadStore or absorbed from a peer by Follow. StoreRecords and
+	// StoreBytes describe the store's on-disk state and Compactions its
+	// rewrite passes. All zero without WithStore.
 	StoreHits    uint64 `json:"store_hits"`
 	StoreLoads   uint64 `json:"store_loads"`
 	StoreRecords int    `json:"store_records"`

@@ -35,18 +35,15 @@ package hanccr
 // scenario and bits and skips the rest, and its reload rewrites it as
 // v2.
 //
-// The write side frames a marshalled payload into its line in one
-// buffer (frameRecord). The Service's write-through (storePut) appends
-// that line without re-validating it: the bytes come from json.Marshal.
-// The exported Put frames any caller's payload the same way but first
-// refuses a key that is not plain and a payload that is not valid JSON,
-// since its bytes may come from anywhere. The read side is the write
-// side's inverse and checks every record's CRC. parseRecordLine, the
-// one record parser for segment files and for the GET /v1/store stream,
-// splits a line by position and checks its payload with json.Valid; a
-// line in any other form is a corrupt record. The index keeps each
-// payload's place inside its line and its CRC, so Get reads just the
-// payload and checks the CRC without parsing the line.
+// Both sides use encoding/json. Put, the one write path (the Service's
+// write-through goes through it too), refuses a key that is not plain,
+// a payload that is not valid JSON or holds a newline, and a line above
+// maxStoreLine, then appends encodeRecord's line. parseRecordLine, the
+// one record parser for segment files, Get and the GET /v1/store
+// stream, reads a line with json.Unmarshal and accepts it only when
+// framing what it read gives the line back byte for byte; a line in any
+// other form is a corrupt record. Every reader checks the CRC: the
+// open-time scan, Get and a follower.
 //
 // Records are immutable once written; a re-written key supersedes its
 // older record by replay order (segments are scanned in ascending
@@ -55,9 +52,10 @@ package hanccr
 // skipped silently and overwritten-around via a recovery newline;
 // corrupt or over-long (maxStoreLine) records elsewhere are skipped,
 // logged and counted as dead bytes. Compaction rewrites the live
-// records into a fresh higher-numbered segment and deletes the old files — crash-safe
-// because the rewritten segment only becomes visible via rename, and
-// replay order makes it win over any stale survivors.
+// records into a fresh higher-numbered segment and deletes the old
+// files — crash-safe because the rewritten segment only becomes
+// visible via rename, and replay order makes it win over any stale
+// survivors.
 //
 // A reload trusts nothing of a record but its scenario, which must hash
 // back to the record's key: a record that fails that, or cannot be
@@ -78,7 +76,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -186,7 +183,7 @@ func encodePlan(p *Plan) ([]byte, error) {
 // printable ASCII with no quote, backslash or HTML-escaped byte, which
 // json.Marshal writes as itself between quotes. Every scenario key (64
 // hex digits) is plain.
-func plainKey[K string | []byte](key K) bool {
+func plainKey(key string) bool {
 	for i := 0; i < len(key); i++ {
 		if c := key[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
@@ -195,130 +192,37 @@ func plainKey[K string | []byte](key K) bool {
 	return len(key) > 0
 }
 
-// recordHead is the fixed text of a record line's head,
-// {"key":"…","crc":…,"plan":.
-const recordHead = `{"key":"","crc":,"plan":`
+// recordFormat is a record line's one form, newline excluded, for a
+// key, a CRC and a payload.
+const recordFormat = `{"key":"%s","crc":%d,"plan":%s}`
 
-// recordHeadroom is the room frameRecord needs before a payload for
-// key's head: the widest head, with a ten-digit CRC.
-func recordHeadroom(key string) int {
-	return len(recordHead) + len(key) + len("4294967295")
+// encodeRecord returns key's record line for payload, newline
+// included: json.Marshal of the record plus "\n" for a plain key and a
+// compact payload (pinned by FuzzStoreLine).
+func encodeRecord(key string, payload []byte) []byte {
+	return fmt.Appendf(nil, recordFormat+"\n", key, crc32.ChecksumIEEE(payload), payload)
 }
-
-// frameLine returns key's record line for payload, newline included,
-// and the payload inside it: a copy of payload framed in one buffer.
-func frameLine(key string, payload []byte) (line, framed []byte) {
-	head := recordHeadroom(key)
-	buf := make([]byte, head, head+len(payload)+len("}\n"))
-	return frameRecord(append(buf, payload...), head, key)
-}
-
-// frameRecord makes buf, whose payload buf[off:] sits behind
-// off >= recordHeadroom(key) bytes of headroom, into the record line
-// {"key":"…","crc":…,"plan":…}\n for plain key: it writes the head
-// right-aligned before the payload and appends the closing brace and
-// the newline. The line is exactly json.Marshal of the record plus "\n"
-// for a payload that is compact JSON as json.Marshal writes it (pinned
-// by FuzzStoreLine). It returns the line and the payload inside it.
-func frameRecord(buf []byte, off int, key string) (line, payload []byte) {
-	payload = buf[off:]
-	var crcBuf [len("4294967295")]byte
-	crc := strconv.AppendUint(crcBuf[:0], uint64(crc32.ChecksumIEEE(payload)), 10)
-	start := off - (recordHeadroom(key) - len(crcBuf) + len(crc))
-	head := append(buf[start:start], `{"key":"`...)
-	head = append(head, key...)
-	head = append(head, `","crc":`...)
-	head = append(head, crc...)
-	head = append(head, `,"plan":`...)
-	return append(buf, "}\n"...)[start:], payload
-}
-
-// recordFrame is a parsed record line: its key and CRC field, and where
-// its payload sits inside the line.
-type recordFrame struct {
-	key        string
-	crc        uint32
-	poff, plen int
-}
-
-// payload returns the frame's payload inside its line.
-func (f recordFrame) payload(line []byte) []byte { return line[f.poff : f.poff+f.plen] }
 
 // parseRecordLine parses a record line, newline stripped: the inverse
-// of frameRecord. It accepts exactly the one record form,
-// {"key":"<plain key>","crc":<canonical digits>,"plan":<payload>},
-// whose payload has no surrounding whitespace and passes json.Valid,
-// and splits it by position. ok is false for a line in any other form,
-// which is a corrupt record. The CRC is not checked.
-func parseRecordLine(line []byte) (f recordFrame, ok bool) {
-	r := planReader{b: line}
-	r.lit(`{"key":"`)
-	key, _, _ := bytes.Cut(r.b, []byte{'"'})
-	r.b = r.b[len(key):]
-	r.lit(`","crc":`)
-	crc := r.uint()
-	r.lit(`,"plan":`)
-	if r.bad || !plainKey(key) || crc > math.MaxUint32 || len(r.b) < 2 || r.b[len(r.b)-1] != '}' {
-		return recordFrame{}, false
+// of encodeRecord. It accepts exactly the one record form,
+// {"key":"<plain key>","crc":<canonical digits>,"plan":<payload>}: a
+// line json.Unmarshal reads with a plain key, and which framing the
+// key, CRC and payload it read gives back byte for byte. ok is false
+// for a line in any other form, which is a corrupt record. The CRC is
+// not checked, and payload is a copy.
+func parseRecordLine(line []byte) (key string, crc uint32, payload []byte, ok bool) {
+	var rec struct {
+		Key  string          `json:"key"`
+		CRC  uint32          `json:"crc"`
+		Plan json.RawMessage `json:"plan"`
 	}
-	payload := r.b[:len(r.b)-1]
-	if isSpace(payload[0]) || isSpace(payload[len(payload)-1]) || !json.Valid(payload) {
-		return recordFrame{}, false
+	if json.Unmarshal(line, &rec) != nil || !plainKey(rec.Key) {
+		return "", 0, nil, false
 	}
-	return recordFrame{key: string(key), crc: uint32(crc), poff: len(line) - len(r.b), plen: len(payload)}, true
-}
-
-// isSpace reports whether c is JSON whitespace.
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-// maxIntLen is the widest decimal an int64 or a uint64 can take.
-const maxIntLen = 20
-
-// planReader reads a record line's canonical frame front to back. The
-// first mismatch marks it bad and empties it, so every later read fails
-// too and parseRecordLine checks once, at the end.
-type planReader struct {
-	b   []byte // the unread bytes
-	bad bool
-}
-
-// fail marks the reader bad.
-func (r *planReader) fail() { r.b, r.bad = nil, true }
-
-// skip consumes s if the unread bytes start with it.
-func (r *planReader) skip(s string) bool {
-	if len(r.b) < len(s) || string(r.b[:len(s)]) != s {
-		return false
+	if !bytes.Equal(fmt.Appendf(nil, recordFormat, rec.Key, rec.CRC, rec.Plan), line) {
+		return "", 0, nil, false
 	}
-	r.b = r.b[len(s):]
-	return true
-}
-
-// lit consumes s, which must come next.
-func (r *planReader) lit(s string) {
-	if !r.skip(s) {
-		r.fail()
-	}
-}
-
-// uint reads a JSON number that is a uint64 in canonical decimal: no
-// sign, no leading zero, no fraction or exponent (what follows it is
-// checked by the next read).
-func (r *planReader) uint() uint64 {
-	b := r.b
-	var v uint64
-	i := 0
-	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		v = v*10 + uint64(b[i]-'0')
-	}
-	// v wrapped only if the digits exceed MaxUint64, which has
-	// maxIntLen of them; digit strings of one length compare as numbers.
-	if i == 0 || (i > 1 && b[0] == '0') || i > maxIntLen || (i == maxIntLen && string(b[:i]) > "18446744073709551615") {
-		r.fail()
-		return 0
-	}
-	r.b = b[i:]
-	return v
+	return rec.Key, rec.CRC, rec.Plan, true
 }
 
 // readPayload reads a record payload: a v2 payload exactly as
@@ -359,15 +263,11 @@ func decodePlan(key string, payload []byte) (Scenario, storedPlan, error) {
 }
 
 // storeRef locates one live record: segment sequence number, byte
-// offset, and line length (newline included); and, inside the line,
-// its payload (offset from the line's start, length) and the payload's
-// CRC, so Get reads and checks the payload without parsing the line.
+// offset, and line length (newline included).
 type storeRef struct {
-	seq        uint64
-	off        int64
-	n          int64
-	poff, plen int
-	crc        uint32
+	seq uint64
+	off int64
+	n   int64
 }
 
 // PlanStore is the append-only keyed record store under the Service's
@@ -477,11 +377,13 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 	for {
 		line, n, err := lr.next()
 		tail := err != nil && err != errLineTooLong // n bytes after the last newline
-		var f recordFrame
+		var key string
 		ok := false
 		if err == nil {
-			f, ok = parseRecordLine(line)
-			ok = ok && crc32.ChecksumIEEE(f.payload(line)) == f.crc
+			var crc uint32
+			var payload []byte
+			key, crc, payload, ok = parseRecordLine(line)
+			ok = ok && crc32.ChecksumIEEE(payload) == crc
 		}
 		switch {
 		case tail && n == 0:
@@ -494,11 +396,11 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 			st.needNewline = true
 			return nil
 		case ok:
-			if old, ok := st.index[f.key]; ok {
+			if old, ok := st.index[key]; ok {
 				st.dead += old.n
 				st.live -= old.n
 			}
-			st.index[f.key] = storeRef{seq: seq, off: off, n: n, poff: f.poff, plen: f.plen, crc: f.crc}
+			st.index[key] = storeRef{seq: seq, off: off, n: n}
 			st.live += n
 		default:
 			st.dead += n
@@ -511,25 +413,16 @@ func (st *PlanStore) scanSegment(seq uint64, last bool) error {
 	}
 }
 
-// readAt returns the n bytes at offset off of segment seq. Caller
-// holds st.mu.
-func (st *PlanStore) readAt(seq uint64, off int64, n int) ([]byte, error) {
-	f, err := os.Open(st.segPath(seq))
+// readLocked returns the raw record line at ref, newline included.
+// Caller holds st.mu.
+func (st *PlanStore) readLocked(ref storeRef) ([]byte, error) {
+	f, err := os.Open(st.segPath(ref.seq))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	b := make([]byte, n)
-	if _, err := f.ReadAt(b, off); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// readLocked returns the raw record line at ref. Caller holds st.mu.
-func (st *PlanStore) readLocked(ref storeRef) ([]byte, error) {
-	line, err := st.readAt(ref.seq, ref.off, int(ref.n))
-	if err != nil {
+	line := make([]byte, ref.n)
+	if _, err := f.ReadAt(line, ref.off); err != nil {
 		return nil, err
 	}
 	if line[len(line)-1] != '\n' {
@@ -540,10 +433,9 @@ func (st *PlanStore) readLocked(ref storeRef) ([]byte, error) {
 
 // Get returns the payload stored under key. ok is false when the key
 // has no live record; err reports a record that exists but cannot be
-// trusted (unreadable, or a payload that fails the CRC its line was
-// indexed with — bit-rot since the open-time scan). Get reads only the
-// payload's bytes: the index knows where they sit and their CRC, and
-// the key is checked again when the payload is decoded (decodePlan).
+// trusted (unreadable, no longer a record under key, or a payload that
+// fails its CRC — bit-rot since the open-time scan). Get parses and
+// checks the record's line as the open-time scan does.
 func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -551,26 +443,32 @@ func (st *PlanStore) Get(key string) (payload []byte, ok bool, err error) {
 	if !ok {
 		return nil, false, nil
 	}
-	payload, err = st.readAt(ref.seq, ref.off+int64(ref.poff), ref.plen)
+	line, err := st.readLocked(ref)
 	if err != nil {
 		return nil, true, err
 	}
-	if crc32.ChecksumIEEE(payload) != ref.crc {
+	got, crc, payload, ok := parseRecordLine(line[:len(line)-1])
+	switch {
+	case !ok || got != key:
+		return nil, true, fmt.Errorf("store: the line at %s+%d is not a store record under its key", filepath.Base(st.segPath(ref.seq)), ref.off)
+	case crc32.ChecksumIEEE(payload) != crc:
 		return nil, true, errors.New("store: record payload fails its CRC")
 	}
 	return payload, true, nil
 }
 
-// Put appends a record for key, superseding any previous one. The
-// payload must be one compact JSON value, as json.Marshal writes it:
-// the record frames it verbatim and its CRC covers exactly these
-// bytes. Because a payload may come from anywhere, Put refuses one
-// that is not valid JSON or that holds a newline, which would split
-// the record's line. It refuses a key that is not plain (see plainKey),
-// so every record it writes reads back under its key. An identical
-// payload already live under the key is deduplicated (the common case:
-// replicas that follow each other write the same records through). Put
-// may rotate the active segment or trigger a size-based compaction.
+// Put appends a record for key, superseding any previous one: the one
+// write path, the Service's write-through included. The payload must
+// be one compact JSON value, as json.Marshal writes it: the record
+// frames it verbatim and its CRC covers exactly these bytes. Because a
+// payload may come from anywhere, Put refuses one that is not valid
+// JSON or that holds a newline, which would split the record's line,
+// and a record above maxStoreLine, which every reader would skip. It
+// refuses a key that is not plain (see plainKey), so every record it
+// writes reads back under its key. An identical record already live
+// under the key is deduplicated (the common case: replicas that follow
+// each other write the same records through). Put may rotate the
+// active segment or trigger a size-based compaction.
 func (st *PlanStore) Put(key string, payload []byte) error {
 	if !plainKey(key) {
 		return fmt.Errorf("store: key %q is not printable ASCII free of quote, backslash, <, > and &", key)
@@ -581,25 +479,13 @@ func (st *PlanStore) Put(key string, payload []byte) error {
 	if bytes.IndexByte(payload, '\n') >= 0 {
 		return errors.New("store: payload holds a newline")
 	}
-	line, payload := frameLine(key, payload)
-	return st.appendLine(key, line, payload)
-}
-
-// appendLine appends line, key's record framing payload as
-// frameRecord writes it (newline included), to the active segment: the
-// locked append routine behind Put and the Service's write-through,
-// which owns the line cap, deduplication, the torn-tail recovery
-// newline, rotation and compaction.
-func (st *PlanStore) appendLine(key string, line, payload []byte) error {
+	line := encodeRecord(key, payload)
 	if len(line)-1 > maxStoreLine {
 		return fmt.Errorf("store: record of %d bytes above the %d-byte line limit", len(line)-1, maxStoreLine)
 	}
-	ref := storeRef{n: int64(len(line)), poff: len(line) - len(payload) - len("}\n"), plen: len(payload), crc: crc32.ChecksumIEEE(payload)}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// Two lines frameRecord wrote for key are equal just when their
-	// payloads are.
-	if old, ok := st.index[key]; ok && old.n == ref.n && old.crc == ref.crc {
+	if old, ok := st.index[key]; ok && old.n == int64(len(line)) {
 		if prev, err := st.readLocked(old); err == nil && bytes.Equal(prev, line) {
 			return nil
 		}
@@ -629,9 +515,8 @@ func (st *PlanStore) appendLine(key string, line, payload []byte) error {
 		st.dead += old.n
 		st.live -= old.n
 	}
-	ref.seq, ref.off = st.activeSeq, off
-	st.index[key] = ref
-	st.live += ref.n
+	st.index[key] = storeRef{seq: st.activeSeq, off: off, n: int64(n)}
+	st.live += int64(n)
 	if st.activeSize >= st.segBytes {
 		if err := st.rotateLocked(); err != nil {
 			return err
@@ -730,7 +615,6 @@ func (st *PlanStore) compactLocked() error {
 		if _, err := f.Write(line); err != nil {
 			return errors.Join(err, f.Close(), os.Remove(tmp))
 		}
-		// The line is copied verbatim, so its payload's place and CRC hold.
 		ref.seq, ref.off = newSeq, off
 		newIndex[k] = ref
 		off += ref.n
@@ -885,24 +769,19 @@ func (s *Service) reload(ctx context.Context, key string, payload []byte) (p *Pl
 	return p, sp.Version != storeFormatVersion, nil
 }
 
-// storePut writes a solved plan through to the store. Failures are
-// logged, not returned: the in-memory result is already correct, the
-// store just missed an entry it can re-create on the next miss. A
-// record above maxStoreLine is refused (and logged) the same way, so
-// the store never holds a line its readers would skip. The line is
-// appended without Put's JSON validation: its payload comes from
-// json.Marshal.
+// storePut writes a solved plan through to the store with Put.
+// Failures, a record above maxStoreLine among them, are logged, not
+// returned: the in-memory result is already correct, the store just
+// missed an entry it can re-create on the next miss.
 func (s *Service) storePut(key string, p *Plan) {
 	if s.store == nil {
 		return
 	}
 	payload, err := encodePlan(p)
-	if err != nil {
-		s.logf("store: encode %.12s: %v", key, err)
-		return
+	if err == nil {
+		err = s.store.Put(key, payload)
 	}
-	line, payload := frameLine(key, payload)
-	if err := s.store.appendLine(key, line, payload); err != nil {
+	if err != nil {
 		s.logf("store: write %.12s: %v", key, err)
 	}
 }

@@ -443,11 +443,14 @@ func TestStoreCorruptRecordSkipped(t *testing.T) {
 	}
 }
 
-// TestStoreBitRotAfterOpen flips a payload byte on disk after the
-// open-time scan indexed the record. Get reads only the payload and
-// checks it against the CRC it was indexed with, so it reports the
-// record as present but untrusted; a Service over the store drops it,
-// re-plans it once and answers exactly as a cold plan does.
+// TestStoreBitRotAfterOpen rots a record on disk after the open-time
+// scan indexed it: a digit of its payload, a byte of its key (its high
+// bit, so the key is no longer plain), or the last digit of its CRC.
+// Get parses and checks the line as the scan does, so in each case it
+// reports the record as present but untrusted, and a reopen skips the
+// line as corrupt. A Service over the store with the rotten payload
+// drops the record, re-plans it once and answers exactly as a cold
+// plan does.
 func TestStoreBitRotAfterOpen(t *testing.T) {
 	ctx := context.Background()
 	sc := NewScenario(WithFamily("genome"), WithTasks(40), WithProcs(3))
@@ -456,51 +459,75 @@ func TestStoreBitRotAfterOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := planBytes(t, cold)
-	dir := t.TempDir()
-	writer := NewService(WithStore(dir))
-	if _, err := writer.Plan(ctx, sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := writer.CloseStore(); err != nil {
-		t.Fatal(err)
-	}
+	nextDigit := func(c byte) byte { return '0' + (c-'0'+1)%10 }
+	for _, tc := range []struct {
+		name    string
+		rot     func(line []byte) int // the index of the byte to change
+		to      func(c byte) byte
+		wantErr string
+	}{
+		{"payload", func(line []byte) int { return bytes.Index(line, []byte(`"em_bits":`)) + len(`"em_bits":`) }, nextDigit, "CRC"},
+		{"key", func(line []byte) int { return len(`{"key":"`) + 5 }, func(c byte) byte { return c ^ 0x80 }, "not a store record"},
+		{"crc", func(line []byte) int { return bytes.Index(line, []byte(`,"plan":`)) - 1 }, nextDigit, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writer := NewService(WithStore(dir))
+			if _, err := writer.Plan(ctx, sc); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
 
-	svc := NewService(WithStore(dir))
-	defer svc.CloseStore()
-	st := svc.store
-	seg := filepath.Join(dir, "plans-000001.seg")
-	blob, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := bytes.Index(blob, []byte(`"em_bits":`)) + len(`"em_bits":`)
-	rot := []byte{'1'}
-	if blob[i] == '1' {
-		rot[0] = '2'
-	}
-	f, err := os.OpenFile(seg, os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(rot, int64(i)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.Get(sc.Key()); !ok || err == nil || !strings.Contains(err.Error(), "CRC") {
-		t.Fatalf("Get after bit-rot = (ok %v, %v), want the record with a CRC error", ok, err)
-	}
+			svc := NewService(WithStore(dir))
+			defer svc.CloseStore()
+			seg := filepath.Join(dir, "plans-000001.seg")
+			blob, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := tc.rot(blob)
+			f, err := os.OpenFile(seg, os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{tc.to(blob[i])}, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := svc.store.Get(sc.Key()); !ok || err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Get after rot = (ok %v, %v), want the record with an error naming %q", ok, err, tc.wantErr)
+			}
 
-	p, outcome, err := svc.PlanDetail(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats := svc.Stats(); outcome != CacheMiss || stats.Misses != 1 || stats.StoreHits != 0 {
-		t.Fatalf("outcome %s, %d misses, %d store hits; want one re-plan", outcome, stats.Misses, stats.StoreHits)
-	}
-	if got := planBytes(t, p); !bytes.Equal(got, want) {
-		t.Fatalf("re-planned answer differs from a cold NewPlan:\n%s\n%s", got, want)
+			var log logRecorder
+			reopened, err := openPlanStore(dir, log.logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := reopened.Records(); n != 0 || !log.has("skipping corrupt record at offset 0 ") {
+				t.Fatalf("reopen indexed %d records; log: %q; want the rotten line skipped as corrupt", n, log.lines)
+			}
+			if err := reopened.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name != "payload" {
+				return
+			}
+
+			p, outcome, err := svc.PlanDetail(ctx, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats := svc.Stats(); outcome != CacheMiss || stats.Misses != 1 || stats.StoreHits != 0 {
+				t.Fatalf("outcome %s, %d misses, %d store hits; want one re-plan", outcome, stats.Misses, stats.StoreHits)
+			}
+			if got := planBytes(t, p); !bytes.Equal(got, want) {
+				t.Fatalf("re-planned answer differs from a cold NewPlan:\n%s\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -1323,7 +1350,7 @@ func TestStoreRecordSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if line, _ := frameLine(sc.Key(), payload); len(line) >= 1024 {
+		if line := encodeRecord(sc.Key(), payload); len(line) >= 1024 {
 			t.Errorf("%s: a 300-task record takes %d bytes, want under 1 KB:\n%s", fam, len(line), line)
 		}
 	}

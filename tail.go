@@ -2,7 +2,6 @@ package hanccr
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,7 +34,7 @@ const tailReconnectBackoff = 500 * time.Millisecond
 // maxStoreLine bounds one line of a segment file or of a peer's store
 // stream, newline excluded: twice the request-body limit, so a record
 // carrying a maximal injected workflow document (base64-encoded, 4/3
-// of its size) still fits beside its schedule metadata. Put refuses
+// of its size) still fits beside the rest of its scenario. Put refuses
 // longer records, and every reader drops longer lines without
 // buffering them, so neither a corrupt file nor a misbehaving peer can
 // grow a reader's memory past it.
@@ -219,8 +218,9 @@ func (st *PlanStore) streamSegment(ctx context.Context, f *os.File, cur *storeCu
 // each record's CRC, plans its scenario afresh exactly as LoadStore does
 // (reload: the scenario must hash to the record's key), makes the plan
 // resident (Stats.StoreLoads counts it, not a miss), and writes its
-// record through to this Service's own store. When the stream drops, Follow re-dials from the last cursor it
-// received; replayed records are deduplicated by the cache and by Put.
+// record through to this Service's own store. When the stream drops,
+// Follow re-dials from the last cursor it received; replayed records
+// are deduplicated by the cache and by Put.
 //
 // Follow runs until ctx is done and returns how many records it
 // absorbed and how many it rejected (unparseable, over-long, failing
@@ -372,10 +372,10 @@ func readStoreStream(body io.Reader, cur *storeCursor, fn func(key string, paylo
 }
 
 // parseStreamLine parses one store stream line: a CRC-checked record
-// (parseRecordLine), whose payload it copies out of line, or a cursor
-// header, the only line read with encoding/json.
+// (parseRecordLine, whose payload is a copy of line's), or a cursor
+// header.
 func parseStreamLine(line []byte) (key string, payload []byte, header *storeCursor, err error) {
-	f, ok := parseRecordLine(line)
+	key, crc, payload, ok := parseRecordLine(line)
 	if !ok {
 		var h struct {
 			Segment *uint64 `json:"segment"`
@@ -386,9 +386,8 @@ func parseStreamLine(line []byte) (key string, payload []byte, header *storeCurs
 		}
 		return "", nil, &storeCursor{Segment: *h.Segment, Offset: *h.Offset}, nil
 	}
-	payload = f.payload(line)
-	if crc32.ChecksumIEEE(payload) != f.crc {
+	if crc32.ChecksumIEEE(payload) != crc {
 		return "", nil, nil, errors.New("record payload fails its CRC")
 	}
-	return f.key, bytes.Clone(payload), nil, nil
+	return key, payload, nil, nil
 }
